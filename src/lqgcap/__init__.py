@@ -2,7 +2,8 @@
 
 Library surface:
 
-- model: system/cost types, validation, estimator reduction, cost baseline
+- model: system/cost types, validation, estimator reduction
+- constants: steady-state constants, the per-step decision map, cost floor
 - riccati: filter/control/policy Riccati solvers, recursions, PBH tests
 - upper_bound: the determinant-maximization capacity upper bound
 - lower_bound: policy extraction, evaluation, tightness certificates
@@ -25,7 +26,6 @@ from .model import (
     EstimatorModel,
     SystemModel,
     ValidationReport,
-    minimal_lqg_cost,
     reduce_to_estimator,
     validate_model,
 )
@@ -90,7 +90,6 @@ __all__ = [
     "evaluate_policy",
     "extract_policy",
     "feasibility",
-    "minimal_lqg_cost",
     "pbh_test",
     "rate_from_psi",
     "reduce_to_estimator",

@@ -15,7 +15,7 @@ parameter (sum of constraint block dimensions).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,18 +86,15 @@ class BarrierProgram:
     def feasible(self, v: np.ndarray) -> bool:
         return all(b.chol(v) is not None for b in self.constraints)
 
-    def objective_value(self, v: np.ndarray) -> float:
-        total = 0.0
+    def merit(self, v: np.ndarray, t: float) -> float:
+        """t*f(v) + phi(v); +inf outside the domain."""
+        f = 0.0
         for w, b in self.objective:
             c = b.chol(v)
             if c is None:
                 return np.inf
-            total -= w * b.logdet(c)
-        return total
-
-    def merit(self, v: np.ndarray, t: float) -> float:
-        """t*f(v) + phi(v); +inf outside the domain."""
-        total = t * self.objective_value(v)
+            f -= w * b.logdet(c)
+        total = t * f
         if not np.isfinite(total):
             return np.inf
         for b in self.constraints:
@@ -133,7 +130,6 @@ class BarrierInfo:
     t_final: float = 0.0
     duality_gap: float = float("inf")
     newton_decrement: float = float("inf")
-    history: list = field(default_factory=list)
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -226,7 +222,6 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
             info.t_final = t_done
             info.duality_gap = nu / t_done
             return v, info
-        info.history.append((t, program.objective_value(v)))
         checkpoint = (v.copy(), t)
         if nu / t <= tol:
             break

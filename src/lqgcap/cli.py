@@ -11,7 +11,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import linalg as la
 from .config import RunConfig, load_config, set_system_entry
 from .constants import ProblemConstants
 from .errors import (
@@ -20,13 +19,9 @@ from .errors import (
     Infeasible,
     LqgcapError,
 )
-from .lower_bound import (
-    extract_policy,
-    evaluate_policy,
-    tightness_certificate,
-)
-from .model import BudgetedProblem, minimal_lqg_cost, validate_model
-from .riccati import pbh_test
+from .lower_bound import lower_bound_from_ub, tightness_certificate
+from .model import BudgetedProblem, validate_model
+from .riccati import control_regularity, filter_regularity
 from .scop import average_variables, solve_scop
 from .simulator import compare_to_theory, simulate
 from .upper_bound import SolverOptions, solve_scalar, solve_ub, verify_scalar_kkt
@@ -76,8 +71,7 @@ def _budget_point(model, weights, budget: float, solver: SolverOptions,
     consts = ProblemConstants.compute(model, weights)
     prob = BudgetedProblem(model, weights, budget)
     ub = solve_ub(prob, solver, consts)
-    policy = extract_policy(ub, consts.control)
-    lb = evaluate_policy(consts.estimator, weights, consts.control, policy)
+    lb = lower_bound_from_ub(consts, ub)
     cert = tightness_certificate(ub, lb, consts.estimator)
     return {
         "budget": budget,
@@ -85,7 +79,7 @@ def _budget_point(model, weights, budget: float, solver: SolverOptions,
         "lb_rate": _in_units(lb.rate, units),
         "rate_gap": _in_units(ub.rate - lb.rate, units),
         "riccati_residual": cert.riccati_residual,
-        "M_norm": float(np.linalg.norm(policy.M)),
+        "M_norm": float(np.linalg.norm(lb.policy.M)),
         "certificate": cert.verdict,
         "iterations": ub.iterations,
     }
@@ -115,24 +109,13 @@ def cmd_check(cfg: RunConfig, args) -> int:
     print(f"validation: {report}")
     if not report.ok:
         return 1
-    m = cfg.model
-    LVinv = np.linalg.solve(m.V.T, m.L.T).T
-    Fs = m.F - LVinv @ m.H
-    Ws = la.psd_sqrt(la.sym(m.W - LVinv @ m.L.T))
-    checks = [
-        ("(F, H) detectable", pbh_test(m.F, m.H, "detectable")),
-        ("(F - L V^-1 H, W - L V^-1 L^T) controllable on unit circle",
-         pbh_test(Fs, Ws, "unit_circle_controllable")),
-        ("(F - L V^-1 H, W - L V^-1 L^T) stabilizable",
-         pbh_test(Fs, Ws, "stabilizable")),
-        ("(F, G) stabilizable", pbh_test(m.F, m.G, "stabilizable")),
-        ("(F^T, Q) stabilizable", pbh_test(m.F.T, cfg.weights.Q, "stabilizable")),
-    ]
+    checks = (filter_regularity(cfg.model)
+              + control_regularity(cfg.model, cfg.weights))
     ok = True
     for name, res in checks:
         print(f"regularity {name}: {'pass' if res.ok else 'FAIL'}")
         ok = ok and res.ok
-    jstar = minimal_lqg_cost(cfg.model, cfg.weights)
+    jstar = ProblemConstants.compute(cfg.model, cfg.weights).minimal_cost
     print(f"minimal LQG cost J* = {jstar:.12g}")
     return 0 if ok else 1
 
@@ -144,9 +127,8 @@ def _require_budget(cfg: RunConfig) -> float:
 
 
 def cmd_ub(cfg: RunConfig, args) -> int:
-    consts = ProblemConstants.compute(cfg.model, cfg.weights)
     prob = BudgetedProblem(cfg.model, cfg.weights, _require_budget(cfg))
-    sol = solve_ub(prob, cfg.solver, consts)
+    sol = solve_ub(prob, cfg.solver)
     print(f"ub_rate_{cfg.units} = {_in_units(sol.rate, cfg.units):.12g}")
     print(f"cost = {sol.cost:.12g}")
     print(f"duality_gap = {sol.duality_gap:.3g}")
@@ -187,8 +169,7 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
               f"{np.max(np.abs(kkt.slackness_residuals)):.3e}")
     except DegenerateSolution as e:
         print(f"kkt: DegenerateSolution ({e})")
-    policy = extract_policy(sol, consts.control)
-    lb = evaluate_policy(consts.estimator, cfg.weights, consts.control, policy)
+    lb = lower_bound_from_ub(consts, sol)
     cert = tightness_certificate(sol, lb, consts.estimator)
     print(f"certificate = {cert.verdict}"
           + (f" via {cert.route}" if cert.route else "")
@@ -267,9 +248,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     consts = ProblemConstants.compute(cfg.model, cfg.weights)
     prob = BudgetedProblem(cfg.model, cfg.weights, _require_budget(cfg))
     ub = solve_ub(prob, cfg.solver, consts)
-    policy = extract_policy(ub, consts.control)
-    lb = evaluate_policy(consts.estimator, cfg.weights, consts.control, policy)
-    report = simulate(cfg.model, cfg.weights, policy, sim_cfg)
+    lb = lower_bound_from_ub(consts, ub)
+    report = simulate(cfg.model, cfg.weights, lb.policy, sim_cfg)
     verdict = compare_to_theory(report, lb)
     print(f"empirical_cost = {report.empirical_cost:.12g} "
           f"+- {report.cost_stderr:.3g} (theory p* = {lb.achieved_budget:.12g})")

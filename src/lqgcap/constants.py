@@ -1,4 +1,5 @@
-"""Steady-state constants of a budgeted problem, shared by the solvers."""
+"""Steady-state constants of a budgeted problem, and the per-step decision
+map that every program, residual and budget is built from."""
 
 from __future__ import annotations
 
@@ -9,6 +10,40 @@ import numpy as np
 
 from . import riccati
 from .model import BudgetedProblem, CostWeights, EstimatorModel, SystemModel
+
+
+def decision_map(sys, Pi: np.ndarray, Gamma: np.ndarray,
+                 SigmaHat: np.ndarray):
+    """Linear parts (P, C, Y) of the Riccati propagation
+    F SigmaHat F^T + F Gamma^T G^T + G Gamma F^T + G Pi G^T, of K_Y Psi_Y and
+    of Psi_Y, without their constants K_p Psi K_p^T, K_p Psi and Psi.  `sys`
+    is anything with F, G, H, J: a SystemModel or an EstimatorModel."""
+    F, G, H, J = sys.F, sys.G, sys.H, sys.J
+    P = (F @ SigmaHat @ F.T + F @ Gamma.T @ G.T + G @ Gamma @ F.T
+         + G @ Pi @ G.T)
+    C = (F @ Gamma.T @ J.T + F @ SigmaHat @ H.T + G @ Pi @ J.T
+         + G @ Gamma @ H.T)
+    Y = (J @ Pi @ J.T + H @ SigmaHat @ H.T + H @ Gamma.T @ J.T
+         + J @ Gamma @ H.T)
+    return P, C, Y
+
+
+def trace_cost(K_LQR: np.ndarray, Psi_LQR: np.ndarray, Pi: np.ndarray,
+               Gamma: np.ndarray, SigmaHat: np.ndarray) -> float:
+    """The five-term trace cost of a decision above its floor:
+    Tr(SigmaHat K^T Psi_LQR K) + Tr(Pi Psi_LQR) + 2 Tr(Gamma K^T Psi_LQR)."""
+    KtPsiL = K_LQR.T @ Psi_LQR
+    return float(np.trace(SigmaHat @ KtPsiL @ K_LQR)
+                 + np.trace(Pi @ Psi_LQR)
+                 + 2.0 * np.trace(Gamma @ KtPsiL))
+
+
+def cost_floor(estimator: EstimatorModel, weights: CostWeights,
+               control: riccati.ControlConstants) -> float:
+    """Tr(K_p Psi K_p^T E) + Tr(Sigma Q), the zero-rate cost floor."""
+    return float(np.trace(estimator.K_p @ estimator.Psi @ estimator.K_p.T
+                          @ control.E)
+                 + np.trace(estimator.Sigma @ weights.Q))
 
 
 @dataclass(frozen=True)
@@ -62,14 +97,12 @@ class ProblemConstants:
 
     @cached_property
     def minimal_cost(self) -> float:
-        """Tr(K_p Psi K_p^T E) + Tr(Sigma Q), the zero-rate cost floor."""
-        return float(np.trace(self.K_p @ self.Psi @ self.K_p.T @ self.E)
-                     + np.trace(self.Sigma @ self.weights.Q))
+        """The zero-rate cost floor, the feasibility threshold for positive
+        capacity."""
+        return cost_floor(self.estimator, self.weights, self.control)
 
     def cost_of(self, Pi: np.ndarray, Gamma: np.ndarray,
                 SigmaHat: np.ndarray) -> float:
         """The five-term trace cost of a decision triple (in budget units)."""
-        KtPsiL = self.K_LQR.T @ self.Psi_LQR
-        return float(np.trace(SigmaHat @ KtPsiL @ self.K_LQR)
-                     + np.trace(Pi @ self.Psi_LQR)
-                     + 2.0 * np.trace(Gamma @ KtPsiL)) + self.minimal_cost
+        return (trace_cost(self.K_LQR, self.Psi_LQR, Pi, Gamma, SigmaHat)
+                + self.minimal_cost)

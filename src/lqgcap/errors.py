@@ -13,18 +13,6 @@ class NotPositiveDefinite(LqgcapError):
     """A matrix required to be (strictly) positive definite is not."""
 
 
-# Alias used by the rate helpers.
-NotPD = NotPositiveDefinite
-
-
-class JointNoiseNotPSD(LqgcapError):
-    """The joint process/measurement noise covariance is not PSD."""
-
-
-class AsymmetricInput(LqgcapError):
-    """A nominally symmetric matrix deviates too far from its transpose."""
-
-
 class RegularityViolation(LqgcapError):
     """A named regularity condition (PBH-type) fails."""
 

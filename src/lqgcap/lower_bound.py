@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg as la
 from . import riccati
-from .constants import ProblemConstants
+from .constants import ProblemConstants, cost_floor, decision_map, trace_cost
 from .model import CostWeights, EstimatorModel
 from .riccati import ControlConstants, Policy, PolicyRiccatiSolution, pbh_test
 from .upper_bound import UBSolution, rate_from_psi
@@ -90,13 +90,9 @@ def evaluate_policy(estimator: EstimatorModel, weights: CostWeights,
     rate = rate_from_psi(prs.Psi_Y, estimator.Psi)
     pi_eff = policy.GammaBar @ prs.SigmaHat @ policy.GammaBar.T + policy.M
     gamma_eff = policy.GammaBar @ prs.SigmaHat
-    minimal = float(np.trace(estimator.K_p @ estimator.Psi @ estimator.K_p.T
-                             @ control.E)
-                    + np.trace(estimator.Sigma @ weights.Q))
-    kt_psil = control.K_LQR.T @ control.Psi_LQR
-    budget = float(np.trace(prs.SigmaHat @ kt_psil @ control.K_LQR)
-                   + np.trace(pi_eff @ control.Psi_LQR)
-                   + 2.0 * np.trace(gamma_eff @ kt_psil)) + minimal
+    budget = (trace_cost(control.K_LQR, control.Psi_LQR, pi_eff, gamma_eff,
+                         prs.SigmaHat)
+              + cost_floor(estimator, weights, control))
     return LBSolution(policy=policy, riccati=prs, rate=max(rate, 0.0),
                       achieved_budget=budget)
 
@@ -104,12 +100,13 @@ def evaluate_policy(estimator: EstimatorModel, weights: CostWeights,
 def _stabilizability_pair(estimator: EstimatorModel, policy: Policy):
     """(F^s, G^s W^s) whose stabilizability certifies Riccati uniqueness."""
     G, J, K_p, Psi = estimator.G, estimator.J, estimator.K_p, estimator.Psi
-    m, p = estimator.m, estimator.p
+    m, p, k = estimator.m, estimator.p, estimator.k
     Ht = estimator.H + J @ policy.GammaBar
     Ft_full = estimator.F + G @ policy.GammaBar
     M = policy.M
-    jmj = J @ M @ J.T + Psi
-    Fs = Ft_full - la.solve_pd(jmj, (G @ M @ J.T + K_p @ Psi).T).T @ Ht
+    _, C, Y = decision_map(estimator, M, np.zeros((m, k)), np.zeros((k, k)))
+    jmj = Y + Psi
+    Fs = Ft_full - la.solve_pd(jmj, (C + K_p @ Psi).T).T @ Ht
     cross = np.vstack([M @ J.T, Psi])          # (m+p) x p
     Ws = np.block([[M, np.zeros((m, p))], [np.zeros((p, m)), Psi]]) \
         - cross @ la.solve_pd(jmj, cross.T)
@@ -119,11 +116,9 @@ def _stabilizability_pair(estimator: EstimatorModel, policy: Policy):
 
 def ub_riccati_residual(ub: UBSolution, estimator: EstimatorModel) -> float:
     """Frobenius norm of the tightness Riccati equation at the UB optimizer."""
-    F, G = estimator.F, estimator.G
     dec = ub.decision
-    rhs = (F @ dec.SigmaHat @ F.T + F @ dec.Gamma.T @ G.T + G @ dec.Gamma @ F.T
-           + G @ dec.Pi @ G.T
-           + estimator.K_p @ estimator.Psi @ estimator.K_p.T
+    P, _, _ = decision_map(estimator, dec.Pi, dec.Gamma, dec.SigmaHat)
+    rhs = (P + estimator.K_p @ estimator.Psi @ estimator.K_p.T
            - ub.K_Y @ ub.Psi_Y @ ub.K_Y.T)
     return float(np.linalg.norm(dec.SigmaHat - rhs))
 

@@ -1,4 +1,4 @@
-"""LQG system data: model types, validation, estimator reduction, cost baseline.
+"""LQG system data: model types, validation, estimator reduction.
 
 The plant is the linear state-space model
 
@@ -21,9 +21,7 @@ import numpy as np
 from . import linalg as la
 from .errors import (
     DimensionMismatch,
-    JointNoiseNotPSD,
     MaxIterations,
-    NotPositiveDefinite,
     RegularityViolation,
     RiccatiNoStabilizingSolution,
 )
@@ -207,13 +205,9 @@ def validate_model(model: SystemModel, weights: CostWeights) -> ValidationReport
     if weights.R.shape != (m, m):
         rep.add("DimensionMismatch", f"R must be {m}x{m}, got {weights.R.shape}")
 
-    for name, a in [("W", model.W), ("V", model.V), ("Sigma1", model.Sigma1)]:
-        rel = model.sym_deltas.get(name, 0.0)
-        scale = max(np.linalg.norm(a), 1e-300)
-        if rel > SYM_RTOL * scale:
-            rep.add("AsymmetricInput", f"{name}: ||A - A^T|| = {rel:.3e}")
-    for name, a in [("Q", weights.Q), ("R", weights.R)]:
-        rel = weights.sym_deltas.get(name, 0.0)
+    for name, a in [("W", model.W), ("V", model.V), ("Sigma1", model.Sigma1),
+                    ("Q", weights.Q), ("R", weights.R)]:
+        rel = rep.sym_deltas.get(name, 0.0)
         scale = max(np.linalg.norm(a), 1e-300)
         if rel > SYM_RTOL * scale:
             rep.add("AsymmetricInput", f"{name}: ||A - A^T|| = {rel:.3e}")
@@ -233,26 +227,6 @@ def validate_model(model: SystemModel, weights: CostWeights) -> ValidationReport
     return rep
 
 
-_RAISE_MAP = {
-    "DimensionMismatch": DimensionMismatch,
-    "NotPositiveDefinite": NotPositiveDefinite,
-    "NotPSD": NotPositiveDefinite,
-    "JointNoiseNotPSD": JointNoiseNotPSD,
-}
-
-
-def require_valid(model: SystemModel, weights: CostWeights) -> None:
-    """Raise the exception matching the first validation violation, if any."""
-    rep = validate_model(model, weights)
-    if rep.ok:
-        return
-    code, detail = rep.violations[0]
-    exc = _RAISE_MAP.get(code)
-    if exc is not None:
-        raise exc(detail)
-    raise ValueError(str(rep))
-
-
 def reduce_to_estimator(model: SystemModel) -> EstimatorModel:
     """Evaluate the innovation-form model at the stabilizing filter solution."""
     from . import riccati  # local import: riccati depends on the types above
@@ -265,16 +239,3 @@ def reduce_to_estimator(model: SystemModel) -> EstimatorModel:
         F=model.F, G=model.G, H=model.H, J=model.J,
         K_p=fc.K_p, Psi=fc.Psi, Sigma=fc.Sigma,
     )
-
-
-def minimal_lqg_cost(model: SystemModel, weights: CostWeights) -> float:
-    """Minimal infinite-horizon cost: Tr(K_p Psi K_p^T E) + Tr(Sigma Q).
-
-    This is the feasibility threshold for positive capacity.
-    """
-    from . import riccati
-
-    fc = riccati.solve_filter_riccati(model)
-    cc = riccati.solve_control_riccati(model, weights)
-    return float(np.trace(fc.K_p @ fc.Psi @ fc.K_p.T @ cc.E)
-                 + np.trace(fc.Sigma @ weights.Q))

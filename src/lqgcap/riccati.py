@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -147,6 +148,32 @@ def pbh_test(A: np.ndarray, B: np.ndarray, mode: str) -> PBHResult:
     return PBHResult(True, None, None, margin)
 
 
+def filter_regularity(model: SystemModel) -> list[tuple[str, PBHResult]]:
+    """PBH conditions of the filter equation, as (name, result) pairs: the
+    first two give a unique stabilizing solution, the third convergence from
+    Sigma_1 = 0."""
+    LVinv = np.linalg.solve(model.V.T, model.L.T).T
+    Fs = model.F - LVinv @ model.H
+    Bs = la.psd_sqrt(la.sym(model.W - LVinv @ model.L.T))
+    pair = "(F - L V^-1 H, W - L V^-1 L^T)"
+    return [
+        ("(F, H) detectable", pbh_test(model.F, model.H, "detectable")),
+        (f"{pair} controllable on the unit circle",
+         pbh_test(Fs, Bs, "unit_circle_controllable")),
+        (f"{pair} stabilizable", pbh_test(Fs, Bs, "stabilizable")),
+    ]
+
+
+def control_regularity(model: SystemModel,
+                       weights: CostWeights) -> list[tuple[str, PBHResult]]:
+    """PBH conditions of the control equation, as (name, result) pairs."""
+    return [
+        ("(F, G) stabilizable", pbh_test(model.F, model.G, "stabilizable")),
+        ("(F^T, Q) stabilizable",
+         pbh_test(model.F.T, weights.Q, "stabilizable")),
+    ]
+
+
 def _iterate(step, x0: np.ndarray, rel_tol: float = REL_TOL,
              max_iter: int = MAX_ITER, accept=None):
     """Run x <- step(x) until the update is relatively small.
@@ -226,23 +253,13 @@ def filter_gain(model: SystemModel, Sigma: np.ndarray):
 def solve_filter_riccati(model: SystemModel) -> FilterConstants:
     """Stabilizing solution of the one-step prediction-error equation.
 
-    Regularity: (F, H) detectable and (F - L V^{-1} H, W - L V^{-1} L^T)
-    controllable on the unit circle give a unique stabilizing solution;
-    stabilizability of that pair guarantees convergence from Sigma_1 = 0.
-    Failed PBH checks downgrade to a warning if the recursion still reaches a
-    stabilizing fixed point.
+    Regularity is checked by filter_regularity.  Failed PBH checks downgrade
+    to a warning if the recursion still reaches a stabilizing fixed point.
     """
     la.require_pd(model.V, "V")
-    LVinv = np.linalg.solve(model.V.T, model.L.T).T
-    Fs = model.F - LVinv @ model.H
-    Ws = la.sym(model.W - LVinv @ model.L.T)
-    failed: list[str] = []
-    if not pbh_test(model.F, model.H, "detectable"):
-        failed.append("(F, H) detectable")
-    Bs = la.psd_sqrt(Ws)
-    if not pbh_test(Fs, Bs, "unit_circle_controllable"):
-        failed.append("(F - L V^-1 H, W - L V^-1 L^T) controllable on the unit circle")
-    if not pbh_test(Fs, Bs, "stabilizable"):
+    *unique, (_, stabilizable) = filter_regularity(model)
+    failed = [name for name, res in unique if not res]
+    if not stabilizable:
         log.warning("filter pair not stabilizable; convergence from Sigma_1 = 0 "
                     "is not guaranteed")
 
@@ -284,11 +301,8 @@ def solve_control_riccati(model: SystemModel,
                           weights: CostWeights) -> ControlConstants:
     """Stabilizing solution of the backward control equation, iterated from Q."""
     la.require_pd(weights.R, "R")
-    failed: list[str] = []
-    if not pbh_test(model.F, model.G, "stabilizable"):
-        failed.append("(F, G) stabilizable")
-    if not pbh_test(model.F.T, weights.Q, "stabilizable"):
-        failed.append("(F^T, Q) stabilizable")
+    failed = [name for name, res in control_regularity(model, weights)
+              if not res]
     try:
         E, iters, res = _iterate(lambda X: _control_step(model, weights, X),
                                  weights.Q)
@@ -411,29 +425,21 @@ def riccati_recursion(kind: str, steps: int, *, model: SystemModel | None = None
     if kind == "filter":
         if model is None:
             raise DimensionMismatch("filter recursion needs a model")
-        x = la.sym(model.Sigma1 if start is None else la.as_matrix(start))
-        trace = [x]
-        for _ in range(steps):
-            x = la.sym(_filter_step(model, x))
-            trace.append(x)
-        return trace
-    if kind == "control":
+        x0, step = model.Sigma1, partial(_filter_step, model)
+    elif kind == "control":
         if model is None or weights is None:
             raise DimensionMismatch("control recursion needs a model and weights")
-        x = la.sym(weights.Q if start is None else la.as_matrix(start))
-        trace = [x]
-        for _ in range(steps):
-            x = la.sym(_control_step(model, weights, x))
-            trace.append(x)
-        return trace
-    if kind == "policy":
+        x0, step = weights.Q, partial(_control_step, model, weights)
+    elif kind == "policy":
         if estimator is None or policy is None:
             raise DimensionMismatch("policy recursion needs an estimator and policy")
-        x = (np.zeros((estimator.k, estimator.k)) if start is None
-             else la.sym(la.as_matrix(start)))
-        trace = [x]
-        for _ in range(steps):
-            x = la.sym(_policy_step(estimator, policy, x, policy.M))
-            trace.append(x)
-        return trace
-    raise ValueError(f"unknown recursion kind {kind!r}")
+        x0 = np.zeros((estimator.k, estimator.k))
+        step = partial(_policy_step, estimator, policy, M=policy.M)
+    else:
+        raise ValueError(f"unknown recursion kind {kind!r}")
+    x = la.sym(x0 if start is None else la.as_matrix(start))
+    trace = [x]
+    for _ in range(steps):
+        x = la.sym(step(x))
+        trace.append(x)
+    return trace

@@ -12,22 +12,29 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
-from .constants import ProblemConstants
+from .constants import ProblemConstants, decision_map, trace_cost
 from .errors import Infeasible
 from .model import BudgetedProblem
-from .riccati import Policy, _policy_step
-from .upper_bound import UBDecision, UBProgram
+from .riccati import control_gain
+from .upper_bound import (
+    BOUNDARY_TOL,
+    UBDecision,
+    UBProgram,
+    _unit_triples,
+    damped_chain,
+    strict_start,
+)
 
 log = logging.getLogger("lqgcap.scop")
 
 MAX_HORIZON_SCALAR = 64
 MAX_HORIZON_VECTOR = 16
-BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,15 +74,13 @@ class AveragedVariables:
 def _lqr_schedule(consts: ProblemConstants, n: int):
     """Backward recursion from E_{n+1} = Q; returns (E[1..n+1], K[1..n],
     PsiL[1..n]) as 1-indexed lists (index 0 unused)."""
-    F, G = consts.model.F, consts.model.G
-    Q, R = consts.weights.Q, consts.weights.R
+    F, Q = consts.model.F, consts.weights.Q
     E = [None] * (n + 2)
     K = [None] * (n + 1)
     PsiL = [None] * (n + 1)
     E[n + 1] = Q.copy()
     for i in range(n, 0, -1):
-        PsiL[i] = la.sym(R + G.T @ E[i + 1] @ G)
-        K[i] = np.linalg.solve(PsiL[i], G.T @ E[i + 1] @ F)
+        K[i], PsiL[i] = control_gain(consts.model, consts.weights, E[i + 1])
         E[i] = la.sym(F.T @ E[i + 1] @ F + Q - K[i].T @ PsiL[i] @ K[i])
     return E, K, PsiL
 
@@ -126,17 +131,10 @@ class SCOPProgram:
 
     def pack(self, pis, gammas, sigmas) -> np.ndarray:
         """pis[1..n], gammas[2..n], sigmas[2..n+1] as 1-indexed lists."""
-        v = np.zeros(self.dim)
-        for i in range(1, self.n + 1):
-            v[self.pi_off[i]:self.pi_off[i] + self.pi_pack.dim] = \
-                self.pi_pack.pack(pis[i])
-        for i in range(2, self.n + 1):
-            v[self.gam_off[i]:self.gam_off[i] + self.n_gamma] = \
-                gammas[i].reshape(-1)
-        for i in range(2, self.n + 2):
-            v[self.sig_off[i]:self.sig_off[i] + self.sig_pack.dim] = \
-                self.sig_pack.pack(sigmas[i])
-        return v
+        return np.concatenate(
+            [self.pi_pack.pack(pis[i]) for i in range(1, self.n + 1)]
+            + [gammas[i].reshape(-1) for i in range(2, self.n + 1)]
+            + [self.sig_pack.pack(sigmas[i]) for i in range(2, self.n + 2)])
 
     def unpack(self, v: np.ndarray):
         m, k = self.consts.model.m, self.consts.model.k
@@ -156,126 +154,45 @@ class SCOPProgram:
 
     def _build(self):
         c = self.consts
-        F, G, H, J = c.model.F, c.model.G, c.model.H, c.model.J
-        K_p, Psi = c.K_p, c.Psi
         m, k, p = c.model.m, c.model.k, c.model.p
         n, D = self.n, self.dim
-        KpPsi = K_p @ Psi
+        KpPsi = c.K_p @ c.Psi
+        lmi_const = np.block([[KpPsi @ c.K_p.T + self.relaxation * np.eye(k),
+                               KpPsi], [KpPsi.T, c.Psi]])
 
         cost = np.zeros(D)
-        constraints = []
-        objective = []
-
-        def pi_slots(i):
-            off = self.pi_off[i]
-            for t, b in enumerate(self.pi_pack.basis()):
-                yield off + t, b
-
-        def gam_slots(i):
-            off = self.gam_off[i]
-            for t in range(self.n_gamma):
-                b = np.zeros(m * k)
-                b[t] = 1.0
-                yield off + t, b.reshape(m, k)
-
-        def sig_slots(i):
-            off = self.sig_off[i]
+        covariance, chained, objective = [], [], []
+        for i in range(1, n + 1):
+            # SigmaHat_1 = 0 pins Gamma_1 = 0, shrinking the first covariance
+            # LMI to Pi_1 >= 0
+            cov = np.zeros((D, m, m) if i == 1 else (D, m + k, m + k))
+            lmi = np.zeros((D, k + p, k + p))
+            psiy = np.zeros((D, p, p))
+            for j, dPi, dGam, dSig in _unit_triples(
+                    m, k, self.pi_off[i], self.gam_off[i], self.sig_off[i]):
+                cov[j] = dPi if i == 1 else UBDecision(dPi, dGam, dSig).first_lmi()
+                P, C, Y = decision_map(c.model, dPi, dGam, dSig)
+                lmi[j] = np.vstack([np.hstack([P, C]), np.hstack([C.T, Y])])
+                psiy[j] = Y
+                cost[j] = trace_cost(self.K[i], self.PsiL[i], dPi, dGam, dSig) / n
+            # the chained Riccati LMI subtracts SigmaHat_{i+1}
             for t, b in enumerate(self.sig_pack.basis()):
-                yield off + t, b
-
-        # Pi_1 >= 0 (SigmaHat_1 = 0 forces Gamma_1 = 0, shrinking the first
-        # covariance LMI to Pi alone)
-        basis = np.zeros((D, m, m))
-        for j, b in pi_slots(1):
-            basis[j] = b
-        constraints.append(AffineBlock(np.zeros((m, m)), basis))
-
-        # covariance LMIs for i = 2..n
-        for i in range(2, n + 1):
-            basis = np.zeros((D, m + k, m + k))
-            for j, b in pi_slots(i):
-                basis[j, :m, :m] = b
-            for j, b in gam_slots(i):
-                basis[j, :m, m:] = b
-                basis[j, m:, :m] = b.T
-            for j, b in sig_slots(i):
-                basis[j, m:, m:] = b
-            constraints.append(AffineBlock(np.zeros((m + k, m + k)), basis))
+                lmi[self.sig_off[i + 1] + t, :k, :k] -= b
+            covariance.append(AffineBlock(np.zeros(cov.shape[1:]), cov))
+            chained.append(AffineBlock(lmi_const, lmi))
+            # per-time objective: (1/(2n)) logdet Psi_Y,i
+            objective.append((0.5 / n, AffineBlock(c.Psi.copy(), psiy)))
 
         # terminal SigmaHat_{n+1} >= 0
         basis = np.zeros((D, k, k))
-        for j, b in sig_slots(n + 1):
-            basis[j] = b
-        constraints.append(AffineBlock(np.zeros((k, k)), basis))
-
-        # chained Riccati LMIs for i = 1..n
-        for i in range(1, n + 1):
-            basis = np.zeros((D, k + p, k + p))
-            for j, b in pi_slots(i):
-                dA = G @ b @ G.T
-                dC = G @ b @ J.T
-                dP = J @ b @ J.T
-                basis[j, :k, :k] = dA
-                basis[j, :k, k:] = dC
-                basis[j, k:, :k] = dC.T
-                basis[j, k:, k:] = dP
-            if i >= 2:
-                for j, b in gam_slots(i):
-                    dA = F @ b.T @ G.T + G @ b @ F.T
-                    dC = F @ b.T @ J.T + G @ b @ H.T
-                    dP = H @ b.T @ J.T + J @ b @ H.T
-                    basis[j, :k, :k] = dA
-                    basis[j, :k, k:] = dC
-                    basis[j, k:, :k] = dC.T
-                    basis[j, k:, k:] = dP
-                for j, b in sig_slots(i):
-                    dA = F @ b @ F.T
-                    dC = F @ b @ H.T
-                    dP = H @ b @ H.T
-                    basis[j, :k, :k] = dA
-                    basis[j, :k, k:] = dC
-                    basis[j, k:, :k] = dC.T
-                    basis[j, k:, k:] = dP
-            for j, b in sig_slots(i + 1):
-                basis[j, :k, :k] = basis[j, :k, :k] - b
-            const = np.zeros((k + p, k + p))
-            const[:k, :k] = KpPsi @ K_p.T + self.relaxation * np.eye(k)
-            const[:k, k:] = KpPsi
-            const[k:, :k] = KpPsi.T
-            const[k:, k:] = Psi
-            constraints.append(AffineBlock(const, basis))
-
-            # per-time objective: (1/(2n)) logdet Psi_Y,i
-            psiy = np.zeros((D, p, p))
-            for j, b in pi_slots(i):
-                psiy[j] = J @ b @ J.T
-            if i >= 2:
-                for j, b in gam_slots(i):
-                    psiy[j] = H @ b.T @ J.T + J @ b @ H.T
-                for j, b in sig_slots(i):
-                    psiy[j] = H @ b @ H.T
-            objective.append((0.5 / n, AffineBlock(Psi.copy(), psiy)))
-
-            # per-time cost coefficients
-            KtP = self.K[i].T @ self.PsiL[i]
-            for j, b in pi_slots(i):
-                cost[j] += float(np.trace(b @ self.PsiL[i])) / n
-            if i >= 2:
-                for j, b in gam_slots(i):
-                    cost[j] += 2.0 * float(np.trace(b @ KtP)) / n
-                for j, b in sig_slots(i):
-                    cost[j] += float(np.trace(b @ KtP @ self.K[i])) / n
-        # SigmaHat_{n+1} terms of the terminal correction (zero because the
-        # terminal weight equals Q, kept for fidelity to the formula)
-        dterm = (self.consts.weights.Q - self.E[n + 1]) / n
-        for j, b in sig_slots(n + 1):
-            cost[j] += float(np.trace(b @ dterm))
+        for t, b in enumerate(self.sig_pack.basis()):
+            basis[self.sig_off[n + 1] + t] = b
+        terminal = AffineBlock(np.zeros((k, k)), basis)
 
         slack0 = self.budget - self.cost_constant()
-        constraints.append(AffineBlock(np.array([[slack0]]),
-                                       (-cost).reshape(D, 1, 1)))
+        budget = AffineBlock(np.array([[slack0]]), (-cost).reshape(D, 1, 1))
         self.cost_coeffs = cost
-        self._constraints = constraints
+        self._constraints = covariance + [terminal] + chained + [budget]
         self._objective = objective
 
     def barrier_program(self) -> BarrierProgram:
@@ -290,24 +207,6 @@ class SCOPProgram:
         for w, blk in self._objective:
             total += w * la.slogdet_pd(blk.value(v), "Psi_Y,i")
         return total - 0.5 * la.slogdet_pd(self.consts.Psi, "Psi")
-
-
-def _strict_chain(consts: ProblemConstants, eps: float, n: int,
-                  relaxation: float):
-    """Damped propagation SigmaHat_{i+1} = (T(SigmaHat_i) + relax I)/2 keeps
-    every chained LMI slack above half its own value."""
-    est = consts.estimator
-    m, k = est.m, est.k
-    pol = Policy(GammaBar=np.zeros((m, k)), M=eps * np.eye(m),
-                 K_LQR=consts.K_LQR)
-    sigmas = [None, np.zeros((k, k))]
-    for _ in range(n):
-        nxt = la.sym(0.5 * (_policy_step(est, pol, sigmas[-1], pol.M)
-                            + relaxation * np.eye(k)))
-        sigmas.append(nxt)
-    pis = [None] + [eps * np.eye(m) for _ in range(n)]
-    gammas = [None, None] + [np.zeros((m, k)) for _ in range(n - 1)]
-    return pis, gammas, sigmas
 
 
 def solve_scop(problem: BudgetedProblem, horizon: int,
@@ -342,15 +241,14 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
                             cost=const_cost, consts=consts,
                             budget=problem.budget)
 
-    eps = (problem.budget - const_cost) / (2.0 * (float(np.trace(consts.Psi_LQR)) + 1.0))
-    v0 = None
-    for _ in range(200):
-        pis, gammas, sigmas = _strict_chain(consts, eps, horizon, relaxation)
-        v = prog.pack(pis, gammas, sigmas)
-        if prog.cost(v) < problem.budget and prog.barrier_program().feasible(v):
-            v0 = v
-            break
-        eps *= 0.25
+    def start(eps):
+        sigmas = [None] + list(islice(damped_chain(consts, eps, relaxation),
+                                      horizon + 1))
+        pis = [None] + [eps * np.eye(m) for _ in range(horizon)]
+        gammas = [None, None] + [np.zeros((m, k)) for _ in range(horizon - 1)]
+        return prog.pack(pis, gammas, sigmas)
+
+    v0 = strict_start(prog, const_cost, start)
     if v0 is None:
         raise Infeasible("no strictly feasible chain found")
     v, info = solve_barrier(prog.barrier_program(), v0, tol, max_iter)

@@ -13,12 +13,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
-from .constants import ProblemConstants
+from .constants import ProblemConstants, decision_map, trace_cost
 from .errors import (
     AssumptionViolated,
     DegenerateSolution,
@@ -27,6 +29,7 @@ from .errors import (
     SolverNonConvergence,
 )
 from .model import BudgetedProblem
+from .riccati import Policy, _policy_step
 
 log = logging.getLogger("lqgcap.ub")
 
@@ -57,7 +60,8 @@ class UBDecision:
                    SigmaHat=np.zeros((k, k)))
 
     def first_lmi(self) -> np.ndarray:
-        return np.block([[self.Pi, self.Gamma], [self.Gamma.T, self.SigmaHat]])
+        return np.vstack([np.hstack([self.Pi, self.Gamma]),
+                          np.hstack([self.Gamma.T, self.SigmaHat])])
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,22 @@ def rate_from_psi(Psi_Y: np.ndarray, Psi: np.ndarray, units: str = "nats") -> fl
     raise ValueError(f"unknown units {units!r}")
 
 
+def _unit_triples(m: int, k: int, pi_off: int, gam_off: int | None,
+                  sig_off: int | None):
+    """Yield (j, dPi, dGamma, dSigmaHat) for each coordinate j of one step's
+    decision, packed from the given offsets, with its unit triple.  A block
+    whose offset is None is pinned at zero."""
+    zpi, zg, zs = np.zeros((m, m)), np.zeros((m, k)), np.zeros((k, k))
+    for t, b in enumerate(SymPacker(m).basis()):
+        yield pi_off + t, b, zg, zs
+    if gam_off is not None:
+        for t, g in enumerate(np.eye(m * k)):
+            yield gam_off + t, zpi, g.reshape(m, k), zs
+    if sig_off is not None:
+        for t, b in enumerate(SymPacker(k).basis()):
+            yield sig_off + t, zpi, zg, b
+
+
 class UBProgram:
     """Affine assembly of the upper-bound program for the barrier engine."""
 
@@ -142,27 +162,10 @@ class UBProgram:
             SigmaHat=self.sig_pack.unpack(v[b:]),
         )
 
-    def _basis_triples(self):
-        """Yield (dPi, dGamma, dSigmaHat) for each decision coordinate."""
-        m, k = self.consts.model.m, self.consts.model.k
-        zpi = np.zeros((m, m))
-        zg = np.zeros((m, k))
-        zs = np.zeros((k, k))
-        for bp in self.pi_pack.basis():
-            yield bp, zg, zs
-        for idx in range(self.n_gamma):
-            g = np.zeros(m * k)
-            g[idx] = 1.0
-            yield zpi, g.reshape(m, k), zs
-        for bs in self.sig_pack.basis():
-            yield zpi, zg, bs
-
     # -- affine pieces -----------------------------------------------------
 
     def _build(self):
         c = self.consts
-        F, G, H, J = c.model.F, c.model.G, c.model.H, c.model.J
-        K_p, Psi = c.K_p, c.Psi
         m, k, p = c.model.m, c.model.k, c.model.p
         D = self.dim
 
@@ -170,31 +173,19 @@ class UBProgram:
         lmi2 = np.zeros((D, k + p, k + p))
         psiy = np.zeros((D, p, p))
         cost = np.zeros(D)
-        KtPsiL = c.K_LQR.T @ c.Psi_LQR
-        for j, (dPi, dGam, dSig) in enumerate(self._basis_triples()):
-            lmi1[j, :m, :m] = dPi
-            lmi1[j, :m, m:] = dGam
-            lmi1[j, m:, :m] = dGam.T
-            lmi1[j, m:, m:] = dSig
-            dA = (F @ dSig @ F.T + F @ dGam.T @ G.T + G @ dGam @ F.T
-                  + G @ dPi @ G.T - dSig)
-            dC = F @ dGam.T @ J.T + F @ dSig @ H.T + G @ dPi @ J.T + G @ dGam @ H.T
-            dPsiY = (J @ dPi @ J.T + H @ dSig @ H.T + H @ dGam.T @ J.T
-                     + J @ dGam @ H.T)
-            lmi2[j, :k, :k] = dA
-            lmi2[j, :k, k:] = dC
-            lmi2[j, k:, :k] = dC.T
-            lmi2[j, k:, k:] = dPsiY
-            psiy[j] = dPsiY
-            cost[j] = float(np.trace(dSig @ KtPsiL @ c.K_LQR)
-                            + np.trace(dPi @ c.Psi_LQR)
-                            + 2.0 * np.trace(dGam @ KtPsiL))
+        a = self.pi_pack.dim
+        for j, dPi, dGam, dSig in _unit_triples(m, k, 0, a, a + self.n_gamma):
+            lmi1[j] = UBDecision(dPi, dGam, dSig).first_lmi()
+            P, C, Y = decision_map(c.model, dPi, dGam, dSig)
+            lmi2[j] = np.vstack([np.hstack([P - dSig, C]), np.hstack([C.T, Y])])
+            psiy[j] = Y
+            cost[j] = trace_cost(c.K_LQR, c.Psi_LQR, dPi, dGam, dSig)
 
-        KpPsi = K_p @ Psi
-        lmi2_0 = np.block([[KpPsi @ K_p.T, KpPsi], [KpPsi.T, Psi]])
+        KpPsi = c.K_p @ c.Psi
         self.block_lmi1 = AffineBlock(np.zeros((m + k, m + k)), lmi1)
-        self.block_lmi2 = AffineBlock(lmi2_0, lmi2)
-        self.block_psiy = AffineBlock(Psi.copy(), psiy)
+        self.block_lmi2 = AffineBlock(
+            np.block([[KpPsi @ c.K_p.T, KpPsi], [KpPsi.T, c.Psi]]), lmi2)
+        self.block_psiy = AffineBlock(c.Psi.copy(), psiy)
         slack0 = self.budget - c.minimal_cost
         self.block_cost = AffineBlock(np.array([[slack0]]),
                                       (-cost).reshape(D, 1, 1))
@@ -211,10 +202,6 @@ class UBProgram:
     def psi_y(self, v: np.ndarray) -> np.ndarray:
         return la.sym(self.block_psiy.value(v))
 
-    def ky_psi_y(self, v: np.ndarray) -> np.ndarray:
-        k = self.consts.model.k
-        return self.block_lmi2.value(v)[:k, k:]
-
     def rate(self, v: np.ndarray) -> float:
         return rate_from_psi(self.psi_y(v), self.consts.Psi)
 
@@ -225,10 +212,11 @@ class UBProgram:
         c = self.consts
         dec = self.unpack(v)
         PsiY = self.psi_y(v)
-        # K_Y from the affine product K_Y Psi_Y by a PD solve, never an inverse
-        K_Y = la.solve_pd(PsiY, self.ky_psi_y(v).T).T
         k = c.model.k
-        A = la.sym(self.block_lmi2.value(v)[:k, :k])
+        lmi2 = self.block_lmi2.value(v)
+        # K_Y from the affine product K_Y Psi_Y by a PD solve, never an inverse
+        K_Y = la.solve_pd(PsiY, lmi2[:k, k:].T).T
+        A = la.sym(lmi2[:k, :k])
         schur = la.sym(A - K_Y @ PsiY @ K_Y.T)
         return UBSolution(
             decision=dec,
@@ -256,35 +244,59 @@ def _zero_solution(consts: ProblemConstants) -> UBSolution:
     )
 
 
-def _strict_sigma_hat(consts: ProblemConstants, eps: float) -> np.ndarray | None:
-    """A SigmaHat strictly inside the Riccati LMI for the (Gamma=0, M=eps I)
-    policy.
-
-    Iterates the damped map X <- T(X)/2, where T is the policy covariance
-    propagation.  The damped recursion from 0 is monotone, and any iterate
-    X_n = T(X_{n-1})/2 obeys T(X_n) - X_n >= T(X_n)/2 >= X_n by monotonicity
-    of T, so the Riccati-LMI slack at X_n dominates X_n itself; X_n is
-    returned once it is strictly PD.  Returns None when the iterates stay
-    singular (degenerate feedback geometry, e.g. G = K_p J)."""
-    from . import riccati as ric
-
+def damped_chain(consts: ProblemConstants, eps: float, relaxation: float):
+    """X_1 = 0, X_{i+1} = (T(X_i) + relaxation I)/2, with T the covariance
+    propagation of the (Gamma = 0, M = eps I) policy.  A step's Riccati-LMI
+    slack T(X_i) + relaxation I - X_{i+1} is X_{i+1} itself; the chain is
+    monotone, so also T(X_i) + relaxation I - X_i >= X_i."""
     est = consts.estimator
-    pol = ric.Policy(GammaBar=np.zeros((est.m, est.k)),
-                     M=eps * np.eye(est.m), K_LQR=consts.K_LQR)
+    pol = Policy(GammaBar=np.zeros((est.m, est.k)), M=eps * np.eye(est.m),
+                 K_LQR=consts.K_LQR)
     x = np.zeros((est.k, est.k))
+    while True:
+        yield x
+        x = la.sym(0.5 * (_policy_step(est, pol, x, pol.M)
+                          + relaxation * np.eye(est.k)))
+
+
+def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
+    """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat the
+    last strictly PD iterate of the unrelaxed damped chain, run until it
+    settles; it lies strictly inside the Riccati LMI.  None when the
+    iterates stay singular (degenerate feedback geometry, e.g. G = K_p J)."""
+    chain = damped_chain(prog.consts, eps, 0.0)
+    x = next(chain)
     best = None
-    for _ in range(2000):
-        x_next = la.sym(0.5 * ric._policy_step(est, pol, x, pol.M))
+    for x_next in islice(chain, 2000):
         done = (float(np.linalg.norm(x_next - x))
                 <= 1e-10 * (1.0 + float(np.linalg.norm(x_next))))
         x = x_next
         if la.min_eig(x) > 1e-12 * (1.0 + float(np.linalg.norm(x))):
             best = x
-            if done:
-                break
-        elif done:
+        if done:
             break
-    return best
+    if best is None:
+        return None
+    m, k = prog.consts.model.m, prog.consts.model.k
+    return prog.pack(UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)),
+                                SigmaHat=best))
+
+
+def strict_start(prog, floor: float, start) -> np.ndarray | None:
+    """Shrink the dither eps from (budget - floor) / (2 (Tr Psi_LQR + 1)) by 4
+    until start(eps), a packed point of `prog` or None, costs under
+    prog.budget and passes BarrierProgram.feasible, solve_barrier's own test.
+    Returns that point, or None when start gives None or 200 shrinks fail."""
+    eps = ((prog.budget - floor)
+           / (2.0 * (float(np.trace(prog.consts.Psi_LQR)) + 1.0)))
+    for _ in range(200):
+        v = start(eps)
+        if v is None:
+            return None
+        if prog.cost(v) < prog.budget and prog.barrier_program().feasible(v):
+            return v
+        eps *= 0.25
+    return None
 
 
 def feasibility(problem: BudgetedProblem,
@@ -293,8 +305,7 @@ def feasibility(problem: BudgetedProblem,
 
     Budgets below the minimal cost are infeasible; within BOUNDARY_TOL of it
     only the zero-rate point is feasible.  Otherwise the zero-information
-    policy with a small isotropic dither gives a strict point, with the dither
-    shrunk geometrically until the cost fits and both LMIs are strictly PD.
+    policy with a small isotropic dither gives a strict point (strict_start).
     """
     if consts is None:
         consts = ProblemConstants.for_problem(problem)
@@ -309,24 +320,14 @@ def feasibility(problem: BudgetedProblem,
                                  detail="budget on the minimal-cost boundary")
 
     prog = UBProgram(consts, p)
-    trace_psi_l = float(np.trace(consts.Psi_LQR))
-    eps = (p - jstar) / (2.0 * (trace_psi_l + 1.0))
-    for _ in range(200):
-        sig = _strict_sigma_hat(consts, eps)
-        if sig is None:
-            return FeasibilityResult(True, point=None,
-                                     detail="no strict interior in SigmaHat "
-                                            "(degenerate feedback geometry)")
-        dec = UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)), SigmaHat=sig)
-        v = prog.pack(dec)
-        slacks = prog.barrier_program().min_slacks(v)
-        if min(slacks) > 0.0 and prog.cost(v) < p:
-            return FeasibilityResult(True, point=dec,
-                                     detail=f"eps={eps:.3e}, "
-                                            f"min slack={min(slacks):.3e}")
-        eps *= 0.25
-    return FeasibilityResult(True, point=None,
-                             detail="strict-point search exhausted")
+    v = strict_start(prog, jstar, partial(_strict_point, prog))
+    if v is None:
+        return FeasibilityResult(True, point=None,
+                                 detail="no strict point: degenerate feedback "
+                                        "geometry or the dither search ran out")
+    point = prog.unpack(v)
+    return FeasibilityResult(True, point=point,
+                             detail=f"eps={point.Pi[0, 0]:.3e}")
 
 
 def _is_state_feedback(consts: ProblemConstants) -> bool:
@@ -340,13 +341,13 @@ def _solve_state_feedback(consts: ProblemConstants, budget: float,
     SigmaHat and Gamma collapse to zero, leaving max log det(J Pi J^T + Psi)
     under Tr(Pi Psi_LQR) <= budget - minimal cost, Pi >= 0."""
     c = consts
-    m, k, p = c.model.m, c.model.k, c.model.p
-    J = c.model.J
+    m, k = c.model.m, c.model.k
+    zg, zs = np.zeros((m, k)), np.zeros((k, k))
     pack = SymPacker(m)
     D = pack.dim
     basis = pack.basis()
-    psiy = np.stack([J @ b @ J.T for b in basis])
-    cost = np.array([float(np.trace(b @ c.Psi_LQR)) for b in basis])
+    psiy = np.stack([decision_map(c.model, b, zg, zs)[2] for b in basis])
+    cost = np.array([trace_cost(c.K_LQR, c.Psi_LQR, b, zg, zs) for b in basis])
     program = BarrierProgram(
         objective=[(0.5, AffineBlock(c.Psi.copy(), psiy))],
         constraints=[
@@ -358,18 +359,17 @@ def _solve_state_feedback(consts: ProblemConstants, budget: float,
     eps = (budget - c.minimal_cost) / (2.0 * float(np.trace(c.Psi_LQR)))
     v0 = pack.pack(eps * np.eye(m))
     v, info = solve_barrier(program, v0, opts.tol, opts.max_iter)
-    Pi = pack.unpack(v)
-    PsiY = la.sym(J @ Pi @ J.T + c.Psi)
-    KyPsiY = c.model.G @ Pi @ J.T + c.K_p @ c.Psi
-    K_Y = la.solve_pd(PsiY, KyPsiY.T).T
-    A = la.sym(c.model.G @ Pi @ c.model.G.T + c.K_p @ c.Psi @ c.K_p.T)
-    dec = UBDecision(Pi=Pi, Gamma=np.zeros((m, k)), SigmaHat=np.zeros((k, k)))
+    dec = UBDecision(Pi=pack.unpack(v), Gamma=zg, SigmaHat=zs)
+    P, C, Y = decision_map(c.model, dec.Pi, zg, zs)
+    PsiY = la.sym(Y + c.Psi)
+    K_Y = la.solve_pd(PsiY, (C + c.K_p @ c.Psi).T).T
+    A = la.sym(P + c.K_p @ c.Psi @ c.K_p.T)
     return UBSolution(
         decision=dec,
         Psi_Y=PsiY,
         K_Y=K_Y,
         rate=rate_from_psi(PsiY, c.Psi),
-        cost=c.cost_of(Pi, dec.Gamma, dec.SigmaHat),
+        cost=c.cost_of(dec.Pi, zg, zs),
         duality_gap=info.duality_gap,
         iterations=info.iterations,
         riccati_lmi_slack=la.min_eig(la.sym(A - K_Y @ PsiY @ K_Y.T)),
@@ -406,8 +406,6 @@ def solve_scalar(problem: BudgetedProblem, opts: SolverOptions | None = None,
     G = K_p * J dispatches to the state-feedback reduction.  The returned
     rate is the capacity itself (capacity_exact set).
     """
-    if opts is None:
-        opts = SolverOptions()
     if consts is None:
         consts = ProblemConstants.for_problem(problem)
     if not problem.model.is_scalar():
@@ -435,9 +433,10 @@ def verify_scalar_kkt(problem: BudgetedProblem, sol: UBSolution,
         consts = ProblemConstants.for_problem(problem)
     if not problem.model.is_scalar():
         raise DimensionMismatch("verify_scalar_kkt requires k = m = p = 1")
-    Pi = float(sol.decision.Pi[0, 0])
-    Gam = float(sol.decision.Gamma[0, 0])
-    Sig = float(sol.decision.SigmaHat[0, 0])
+    dec = sol.decision
+    Pi = float(dec.Pi[0, 0])
+    Gam = float(dec.Gamma[0, 0])
+    Sig = float(dec.SigmaHat[0, 0])
     if Sig <= 1e-8:
         raise DegenerateSolution(
             f"SigmaHat = {Sig:.3e} is at the state-feedback face")
@@ -445,21 +444,17 @@ def verify_scalar_kkt(problem: BudgetedProblem, sol: UBSolution,
     G = float(consts.model.G[0, 0])
     H = float(consts.model.H[0, 0])
     J = float(consts.model.J[0, 0])
-    Psi = float(consts.Psi[0, 0])
-    K_p = float(consts.K_p[0, 0])
-    E = float(consts.E[0, 0])
     K_l = float(consts.K_LQR[0, 0])
     PsiL = float(consts.Psi_LQR[0, 0])
-    Q = float(consts.weights.Q[0, 0])
-    SigmaF = float(consts.Sigma[0, 0])
 
-    psi_y = H * H * Sig + J * J * Pi + 2.0 * H * J * Gam + Psi
-    b_num = F * Sig * H + G * J * Pi + (F * J + G * H) * Gam + K_p * Psi
+    P, C, Y = decision_map(consts.model, dec.Pi, dec.Gamma, dec.SigmaHat)
+    KpPsi = consts.K_p @ consts.Psi
+    psi_y = float((Y + consts.Psi)[0, 0])
+    b_num = float((C + KpPsi)[0, 0])
     K_Y = b_num / psi_y
-    g2 = (problem.budget - SigmaF * Q - K_p * K_p * Psi * E
-          - K_l * K_l * PsiL * Sig - PsiL * Pi - 2.0 * K_l * PsiL * Gam)
-    g3 = ((F * F - 1.0) * Sig + 2.0 * F * G * Gam + G * G * Pi
-          + K_p * K_p * Psi) - b_num * b_num / psi_y
+    g2 = problem.budget - consts.cost_of(dec.Pi, dec.Gamma, dec.SigmaHat)
+    g3 = (float((P - dec.SigmaHat + KpPsi @ consts.K_p.T)[0, 0])
+          - b_num * b_num / psi_y)
     g5 = Pi - Gam * Gam / Sig
 
     a_mat = np.array([

@@ -1,0 +1,47 @@
+"""The benchmark's traced run rebinds library names from outside the package
+(bench/tracing.py) and runs each workload's chain through module attributes
+(bench/workloads.py).  A renamed target, or a solve_barrier binding the
+tracer does not know, breaks that run without failing any library test.
+This runs one scalar sweep item and the scalar scop item at horizon 2 under
+the tracer, as a traced benchmark pass does, and reads bench/ without
+changing it."""
+
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+from lqgcap import barrier, scop, upper_bound  # noqa: E402
+from lqgcap.barrier import MAX_INNER  # noqa: E402
+
+ITEMS = (("sweep", "sweep/scalar/p=2.00740741"),
+         ("scop-ladder", "scop/scalar/p=2/h=2"))
+
+
+def test_traced_items_pass_the_gate_and_the_trace_checks():
+    items = []
+    for workload, item_id in ITEMS:
+        by_id = {it.id: it for it in workloads.make_items(ROOT, workload, 0)}
+        items.append(by_id[item_id])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outs = [tracer.run_item(it.id, workloads.run_item, it) for it in items]
+    finally:
+        tracer.remove()
+    assert upper_bound.solve_barrier is barrier.solve_barrier
+    assert scop.solve_barrier is barrier.solve_barrier
+
+    summary, problems = tracing.summarize(tracer.spans, MAX_INNER)
+    assert problems == []
+    for item, out in zip(items, outs):
+        assert workloads.check(item, out) == [], item.id
+    # one barrier solve per item, each seen by the tracer
+    assert summary["barrier.solve_calls"] == 2
+    assert summary["barrier.newton_steps"] == sum(out["newton"] for out in outs)
+    assert 0 < summary["scop.newton_steps"] < summary["barrier.newton_steps"]
+    assert summary["scop.dim"] > 0
+    assert summary["upper_bound.feasibility_ms"] > 0

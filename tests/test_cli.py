@@ -1,5 +1,6 @@
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -220,3 +221,25 @@ class TestCommands:
              str(SCALAR_CFG)], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "minimal LQG cost" in proc.stdout
+
+
+def _readme_examples():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Example configs are bundled")[1].split("```")[1]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_check_and_simulate_examples_run(tmp_path, monkeypatch, capsys):
+    """The README's check and simulate lines run as written, after the
+    lines that prepare their configs."""
+    (tmp_path / "configs").symlink_to(ROOT / "configs")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv in _readme_examples():
+        if argv[:2] == ["python", "-c"]:
+            exec(argv[2], {})
+        elif argv[0] == "lqgcap" and argv[1] in ("check", "simulate"):
+            assert run(argv[1:]) == 0, shlex.join(argv)
+            ran.append(argv[1])
+    assert sorted(ran) == ["check", "simulate"]
+    assert "verdict: pass" in capsys.readouterr().out

@@ -4,14 +4,18 @@ import pytest
 from lqgcap import (
     BudgetedProblem,
     CostWeights,
+    ProblemConstants,
     SystemModel,
-    minimal_lqg_cost,
     reduce_to_estimator,
     validate_model,
 )
 from lqgcap.errors import DimensionMismatch
 
 from oracles import iterate_filter, minimal_cost_oracle
+
+
+def _minimal_cost(model, weights):
+    return ProblemConstants.compute(model, weights).minimal_cost
 
 
 def test_s1_is_valid(s1, w1):
@@ -99,7 +103,7 @@ def test_reduce_vector_system(s2):
 
 
 def test_minimal_cost_s1(s1, w1):
-    jstar = minimal_lqg_cost(s1, w1)
+    jstar = _minimal_cost(s1, w1)
     assert jstar == pytest.approx(minimal_cost_oracle(0.5, 1, 1, 1, 1, 1, 0, 1, 1),
                                   abs=1e-9)
     sigma = (1 + np.sqrt(65)) / 8
@@ -109,11 +113,11 @@ def test_minimal_cost_s1(s1, w1):
 
 
 def test_minimal_cost_zero_weight(s1):
-    assert minimal_lqg_cost(s1, CostWeights(Q=0, R=1)) == pytest.approx(0.0, abs=1e-12)
+    assert _minimal_cost(s1, CostWeights(Q=0, R=1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimal_cost_vector_positive(s2, w2):
-    assert minimal_lqg_cost(s2, w2) > 0
+    assert _minimal_cost(s2, w2) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -124,8 +128,8 @@ def test_minimal_cost_invariant_under_state_basis_change(s2, w2, seed):
     model = SystemModel(F=t @ s2.F @ t.T, G=t @ s2.G, H=s2.H @ t.T, J=s2.J,
                         W=t @ s2.W @ t.T, V=s2.V, L=t @ s2.L)
     weights = CostWeights(Q=t @ w2.Q @ t.T, R=w2.R)
-    ref = minimal_lqg_cost(s2, w2)
-    assert minimal_lqg_cost(model, weights) == pytest.approx(ref, rel=1e-8)
+    ref = _minimal_cost(s2, w2)
+    assert _minimal_cost(model, weights) == pytest.approx(ref, rel=1e-8)
 
 
 def test_budget_must_be_finite(s1, w1):

@@ -18,7 +18,7 @@ from lqgcap.errors import (
     DegenerateSolution,
     DimensionMismatch,
     Infeasible,
-    NotPD,
+    NotPositiveDefinite,
 )
 from lqgcap.linalg import min_eig
 from lqgcap.upper_bound import UBProgram
@@ -36,7 +36,7 @@ class TestRateFromPsi:
         assert rate_from_psi(2.0, 1.0, units="bits") == pytest.approx(0.5, abs=1e-12)
 
     def test_not_pd_raises(self):
-        with pytest.raises(NotPD):
+        with pytest.raises(NotPositiveDefinite):
             rate_from_psi(-1.0, 1.0)
 
 
