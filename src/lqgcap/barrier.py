@@ -10,16 +10,29 @@ inequalities enter as 1x1 blocks.  The composite t*f + phi is self-concordant,
 so damped Newton steps with backtracking follow the central path; at parameter
 t the objective is within nu/t of optimal, nu being the total barrier
 parameter (sum of constraint block dimensions).
+
+BarrierProgram stacks every block of one size d, objective or constraint,
+when it is built: B blocks become one (B, d, d) constant and one (B*d*d, D)
+basis.  The merit takes one matrix-vector product for all blocks and one
+batched Cholesky factorization S = L L^T per block size; the log-dets are
+the factors' diagonals, weighted by t*w for objective blocks and by 1 for
+constraint blocks.  The Newton system is formed from the same factors, kept
+from the merit evaluation at the accepted point: with Y_j = L^-1 C_j L^-T
+per block, the gradient is -sum w tr Y_j and the Hessian is one product of
+the flattened, weight-scaled Y with itself.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverNonConvergence
+from .linalg import sym
 
 log = logging.getLogger("lqgcap.barrier")
 
@@ -46,82 +59,128 @@ class AffineBlock:
     def value(self, v: np.ndarray) -> np.ndarray:
         return self.const + np.tensordot(v, self.basis, axes=(0, 0))
 
-    def chol(self, v: np.ndarray) -> np.ndarray | None:
-        """Cholesky factor at v, or None outside the PD cone."""
-        s = self.value(v)
-        try:
-            return np.linalg.cholesky(0.5 * (s + s.T))
-        except np.linalg.LinAlgError:
-            return None
 
-    def logdet(self, c: np.ndarray) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(c))))
+class _SizeGroup(NamedTuple):
+    """The B blocks of one size d: entries sl of the stacked values reshape
+    to (B, d, d); con marks the constraint blocks among them and cidx gives
+    their positions in BarrierProgram.constraints."""
 
-    def grad_hess(self, v: np.ndarray):
-        """Gradient and Hessian of -log det at v (both over the full v)."""
-        s = 0.5 * (self.value(v) + self.value(v).T)
-        try:
-            y = np.linalg.solve(s, self.basis)  # broadcast solves
-        except np.linalg.LinAlgError:
-            # near the end of the path an active block can reach the float64
-            # rank boundary; a relative ridge keeps the direction usable
-            ridge = 1e-14 * max(float(np.trace(s)) / self.dim, 1.0)
-            y = np.linalg.solve(s + ridge * np.eye(self.dim), self.basis)
-        g = -np.trace(y, axis1=1, axis2=2)
-        h = np.einsum("jab,lba->jl", y, y)
-        return g, 0.5 * (h + h.T)
+    d: int
+    sl: slice
+    con: np.ndarray
+    cidx: np.ndarray
 
 
-@dataclass
 class BarrierProgram:
-    """Objective blocks (weight, block) and PSD constraint blocks."""
+    """Objective blocks (weight, block) and PSD constraint blocks, stacked
+    by block size when the program is built."""
 
-    objective: list[tuple[float, AffineBlock]]
-    constraints: list[AffineBlock]
+    def __init__(self, objective: list[tuple[float, AffineBlock]],
+                 constraints: list[AffineBlock]):
+        self.objective = list(objective)
+        self.constraints = list(constraints)
+        n_obj = len(self.objective)
+        blocks = [b for _, b in self.objective] + self.constraints
+        # objective weight of each block, 0 for a constraint block
+        weights = [w for w, _ in self.objective] + [0.0] * len(self.constraints)
+        consts, bases, w_obj, self._groups = [], [], [], []
+        start = 0
+        for d in sorted({b.dim for b in blocks}):
+            idx = np.array([i for i, b in enumerate(blocks) if b.dim == d])
+            consts += [sym(blocks[i].const).ravel() for i in idx]
+            # row (a, c) of a block holds the coefficients of its entry (a, c)
+            bases += [sym(blocks[i].basis).reshape(-1, d * d).T for i in idx]
+            w_obj += [np.full(d * d, float(weights[i])) for i in idx]
+            con = idx >= n_obj
+            stop = start + idx.size * d * d
+            self._groups.append(_SizeGroup(d, slice(start, stop), con,
+                                           idx[con] - n_obj))
+            start = stop
+        self._const = np.concatenate(consts)
+        self._basis = np.concatenate(bases)          # (N, D)
+        self._w_obj = np.concatenate(w_obj)
+        self._w_con = np.concatenate([np.repeat(g.con, g.d * g.d)
+                                      for g in self._groups]).astype(float)
+        diag = np.concatenate([np.tile(np.eye(g.d, dtype=bool).ravel(),
+                                       g.con.size) for g in self._groups])
+        self._is_diag = diag.astype(float)
+        self._diag_idx = np.flatnonzero(diag)
+        # objective and constraint weights of each diagonal entry
+        self._w_diag = np.stack([self._w_obj[diag], self._w_con[diag]])
+        self._key: bytes | None = None     # the v whose factors _chol holds
+        self._chol: list[np.ndarray] = []
 
     @property
     def nu(self) -> float:
         return float(sum(b.dim for b in self.constraints))
 
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        """Every block's entries at v, stacked in group order."""
+        return self._const + self._basis @ v
+
+    def _stack(self, s: np.ndarray, g: _SizeGroup) -> np.ndarray:
+        return s[g.sl].reshape(-1, g.d, g.d)
+
+    def _factors(self, v: np.ndarray) -> list[np.ndarray]:
+        """Cholesky factors of every group at v, kept for the next call at
+        the same v; raises LinAlgError outside the PD cone."""
+        v = np.asarray(v, dtype=float)
+        key = v.tobytes()
+        if key != self._key:
+            s = self._values(v)
+            self._chol = [np.linalg.cholesky(self._stack(s, g))
+                          for g in self._groups]
+            self._key = key
+        return self._chol
+
     def feasible(self, v: np.ndarray) -> bool:
-        return all(b.chol(v) is not None for b in self.constraints)
+        """Whether every constraint block is PD at v."""
+        s = self._values(np.asarray(v, dtype=float))
+        try:
+            for g in self._groups:
+                np.linalg.cholesky(self._stack(s, g)[g.con])
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     def merit(self, v: np.ndarray, t: float) -> float:
         """t*f(v) + phi(v); +inf outside the domain."""
-        f = 0.0
-        for w, b in self.objective:
-            c = b.chol(v)
-            if c is None:
-                return np.inf
-            f -= w * b.logdet(c)
-        total = t * f
-        if not np.isfinite(total):
+        try:
+            factors = self._factors(v)
+        except np.linalg.LinAlgError:
             return np.inf
-        for b in self.constraints:
-            c = b.chol(v)
-            if c is None:
-                return np.inf
-            total -= b.logdet(c)
-        return total
+        entries = np.concatenate([c.ravel() for c in factors])
+        log_diag = np.log(entries[self._diag_idx])
+        obj, con = self._w_diag @ log_diag
+        total = -2.0 * float(t * obj + con)
+        return total if math.isfinite(total) else np.inf
 
     def grad_hess(self, v: np.ndarray, t: float):
-        d = v.size
-        g = np.zeros(d)
-        h = np.zeros((d, d))
-        for w, b in self.objective:
-            gb, hb = b.grad_hess(v)
-            g += t * w * gb
-            h += t * w * hb
-        for b in self.constraints:
-            gb, hb = b.grad_hess(v)
-            g += gb
-            h += hb
-        return g, h
+        """Gradient and Hessian of the merit at v, from the factors at v.
+
+        With S_b = L_b L_b^T and Y_bj = L_b^-1 C_bj L_b^-T, the gradient is
+        -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>."""
+        factors = self._factors(v)
+        dim = self._basis.shape[1]
+        rows = []
+        for g, c in zip(self._groups, factors):
+            n, d = c.shape[0], g.d
+            inv = np.linalg.inv(c)
+            # L^-1 C_j for every j at once, then L^-1 (L^-1 C_j)^T = Y_j
+            half = inv @ self._basis[g.sl].reshape(n, d, d * dim)
+            half = half.reshape(n, d, d, dim).transpose(0, 2, 1, 3)
+            rows.append((inv @ half.reshape(n, d, d * dim)).reshape(-1, dim))
+        root_w = np.sqrt(t * self._w_obj + self._w_con)
+        z = np.concatenate(rows) * root_w[:, None]
+        return -(root_w * self._is_diag) @ z, z.T @ z
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
-        return [float(np.linalg.eigvalsh(0.5 * (b.value(v) + b.value(v).T))[0])
-                for b in self.constraints]
+        s = self._values(np.asarray(v, dtype=float))
+        out = np.empty(len(self.constraints))
+        for g in self._groups:
+            out[g.cidx] = np.linalg.eigvalsh(self._stack(s, g)[g.con])[:, 0]
+        return out.tolist()
 
 
 @dataclass

@@ -24,8 +24,8 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (A + A^T)/2."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (A + A^T)/2 of a matrix or of each in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def asymmetry(a: np.ndarray) -> float:

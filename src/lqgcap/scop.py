@@ -110,6 +110,7 @@ class SCOPProgram:
         self.dim = base + n * self.sig_pack.dim
         self.E, self.K, self.PsiL = _lqr_schedule(consts, n)
         self._build()
+        self._barrier: BarrierProgram | None = None
 
     # -- constants ---------------------------------------------------------
 
@@ -196,8 +197,26 @@ class SCOPProgram:
         self._objective = objective
 
     def barrier_program(self) -> BarrierProgram:
-        return BarrierProgram(objective=self._objective,
-                              constraints=self._constraints)
+        """The program's blocks for the barrier engine, stacked once."""
+        if self._barrier is None:
+            self._barrier = BarrierProgram(objective=self._objective,
+                                           constraints=self._constraints)
+        return self._barrier
+
+    def strict_point(self) -> np.ndarray | None:
+        """A strictly feasible packed point (Pi_i = eps I, Gamma_i = 0,
+        SigmaHat the damped chain) found by strict_start, or None."""
+        c, n = self.consts, self.n
+        m, k = c.model.m, c.model.k
+
+        def start(eps):
+            sigmas = [None] + list(islice(damped_chain(c, eps, self.relaxation),
+                                          n + 1))
+            pis = [None] + [eps * np.eye(m) for _ in range(n)]
+            gammas = [None, None] + [np.zeros((m, k)) for _ in range(n - 1)]
+            return self.pack(pis, gammas, sigmas)
+
+        return strict_start(self, self.cost_constant(), start)
 
     def cost(self, v: np.ndarray) -> float:
         return float(self.cost_coeffs @ v) + self.cost_constant()
@@ -207,6 +226,15 @@ class SCOPProgram:
         for w, blk in self._objective:
             total += w * la.slogdet_pd(blk.value(v), "Psi_Y,i")
         return total - 0.5 * la.slogdet_pd(self.consts.Psi, "Psi")
+
+
+def chain_relaxation(consts: ProblemConstants) -> float:
+    """PSD slack solve_scop adds to the chained LMIs: none for k <= m, else
+    1e-9 (1 + Tr(K_p Psi K_p^T))."""
+    if consts.model.k <= consts.model.m:
+        return 0.0
+    c = consts
+    return 1e-9 * (1.0 + float(np.trace(c.K_p @ c.Psi @ c.K_p.T)))
 
 
 def solve_scop(problem: BudgetedProblem, horizon: int,
@@ -225,8 +253,7 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     cap = MAX_HORIZON_SCALAR if consts.model.is_scalar() else MAX_HORIZON_VECTOR
     if not 1 <= horizon <= cap:
         raise ValueError(f"horizon must be in [1, {cap}] for k={k}")
-    relaxation = 0.0 if k <= m else 1e-9 * (1.0 + float(np.trace(
-        consts.K_p @ consts.Psi @ consts.K_p.T)))
+    relaxation = chain_relaxation(consts)
     prog = SCOPProgram(consts, problem.budget, horizon, relaxation)
     const_cost = prog.cost_constant()
     if problem.budget < const_cost - BOUNDARY_TOL:
@@ -241,14 +268,7 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
                             cost=const_cost, consts=consts,
                             budget=problem.budget)
 
-    def start(eps):
-        sigmas = [None] + list(islice(damped_chain(consts, eps, relaxation),
-                                      horizon + 1))
-        pis = [None] + [eps * np.eye(m) for _ in range(horizon)]
-        gammas = [None, None] + [np.zeros((m, k)) for _ in range(horizon - 1)]
-        return prog.pack(pis, gammas, sigmas)
-
-    v0 = strict_start(prog, const_cost, start)
+    v0 = prog.strict_point()
     if v0 is None:
         raise Infeasible("no strictly feasible chain found")
     v, info = solve_barrier(prog.barrier_program(), v0, tol, max_iter)

@@ -83,6 +83,8 @@ class FeasibilityResult:
     boundary: bool = False
     point: UBDecision | None = None
     detail: str = ""
+    # the program the strict point was searched in, for the solve to reuse
+    program: UBProgram | None = field(default=None, repr=False, compare=False)
 
     @property
     def strict(self) -> bool:
@@ -142,6 +144,7 @@ class UBProgram:
         self.n_gamma = m * k
         self.dim = self.pi_pack.dim + self.n_gamma + self.sig_pack.dim
         self._build()
+        self._barrier: BarrierProgram | None = None
 
     # -- packing ---------------------------------------------------------
 
@@ -192,10 +195,13 @@ class UBProgram:
         self.cost_coeffs = cost
 
     def barrier_program(self) -> BarrierProgram:
-        return BarrierProgram(
-            objective=[(0.5, self.block_psiy)],
-            constraints=[self.block_lmi1, self.block_lmi2, self.block_cost],
-        )
+        """The program's blocks for the barrier engine, stacked once."""
+        if self._barrier is None:
+            self._barrier = BarrierProgram(
+                objective=[(0.5, self.block_psiy)],
+                constraints=[self.block_lmi1, self.block_lmi2, self.block_cost],
+            )
+        return self._barrier
 
     # -- evaluation --------------------------------------------------------
 
@@ -327,7 +333,7 @@ def feasibility(problem: BudgetedProblem,
                                         "geometry or the dither search ran out")
     point = prog.unpack(v)
     return FeasibilityResult(True, point=point,
-                             detail=f"eps={point.Pi[0, 0]:.3e}")
+                             detail=f"eps={point.Pi[0, 0]:.3e}", program=prog)
 
 
 def _is_state_feedback(consts: ProblemConstants) -> bool:
@@ -392,7 +398,7 @@ def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
         return _solve_state_feedback(consts, problem.budget, opts)
     if feas.point is None:
         raise SolverNonConvergence(f"no strictly feasible start: {feas.detail}")
-    prog = UBProgram(consts, problem.budget)
+    prog = feas.program
     v0 = prog.pack(feas.point)
     v, info = solve_barrier(prog.barrier_program(), v0, opts.tol, opts.max_iter)
     return prog.solution_from(v, info)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from lqgcap import BudgetedProblem
 from lqgcap.barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
 from lqgcap.linalg import pinv, psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
+from lqgcap.scop import SCOPProgram, chain_relaxation
+from lqgcap.upper_bound import feasibility
 
 
 class TestSymPacker:
@@ -23,28 +26,129 @@ class TestSymPacker:
         assert np.allclose(np.tensordot(v, pk.basis(), axes=(0, 0)), a)
 
 
-class TestAffineBlock:
+def _mixed_program(rng, dim=4):
+    """Blocks of sizes 1, 2 and 3 over `dim` variables, two of them in a
+    weighted objective, PD near v = 0."""
+
+    def block(d, scale):
+        basis = np.stack([sym(rng.standard_normal((d, d))) for _ in range(dim)])
+        return AffineBlock(np.eye(d) * scale, basis)
+
+    return BarrierProgram(
+        objective=[(0.5, block(2, 5.0)), (0.25, block(1, 4.0))],
+        constraints=[block(3, 5.0), block(2, 6.0), block(1, 3.0), block(3, 4.0)])
+
+
+def _oracle(program, v, t):
+    """Merit, gradient and Hessian block by block from explicit inverses."""
+    f, g, h = 0.0, np.zeros(v.size), np.zeros((v.size, v.size))
+    weighted = ([(t * w, b) for w, b in program.objective]
+                + [(1.0, b) for b in program.constraints])
+    for w, b in weighted:
+        s = sym(b.value(v))
+        y = np.einsum("ab,jbc->jac", np.linalg.inv(s), b.basis)
+        f -= w * slogdet_pd(s)
+        g -= w * np.trace(y, axis1=1, axis2=2)
+        h += w * np.einsum("jab,lba->jl", y, y)
+    return f, g, h
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
+
+
+def _ub_start(consts, budget):
+    feas = feasibility(BudgetedProblem(consts.model, consts.weights, budget),
+                       consts)
+    return feas.program.barrier_program(), feas.program.pack(feas.point)
+
+
+def _scop_start(consts, budget, horizon):
+    prog = SCOPProgram(consts, budget, horizon, chain_relaxation(consts))
+    return prog.barrier_program(), prog.strict_point()
+
+
+class TestBarrierProgram:
     def test_grad_hess_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        d, dim = 4, 3
-        basis = np.stack([sym(rng.standard_normal((d, d))) for _ in range(dim)])
-        block = AffineBlock(np.eye(d) * 5.0, basis)
+        dim, t = 4, 3.7
+        program = _mixed_program(rng, dim)
         v = 0.1 * rng.standard_normal(dim)
 
-        def f(x):
-            return -slogdet_pd(block.value(x))
-
-        g, h = block.grad_hess(v)
+        g, h = program.grad_hess(v, t)
         eps = 1e-6
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = eps
-            fd = (f(v + e) - f(v - e)) / (2 * eps)
+            fd = (program.merit(v + e, t) - program.merit(v - e, t)) / (2 * eps)
             assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            gp, _ = block.grad_hess(v + e)
-            gm, _ = block.grad_hess(v - e)
+            gp, _ = program.grad_hess(v + e, t)
+            gm, _ = program.grad_hess(v - e, t)
             assert np.allclose(h[:, j], (gp - gm) / (2 * eps), rtol=1e-4,
                                atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["ub-s1", "ub-vector3", "scop-scalar-h4",
+                                      "scop-vector3-h2"])
+    def test_stacked_evaluation_matches_per_block_oracle(self, case, c1, c2):
+        program, v = {
+            "ub-s1": lambda: _ub_start(c1, 2.0),
+            "ub-vector3": lambda: _ub_start(c2, 120.0),
+            "scop-scalar-h4": lambda: _scop_start(c1, 2.0, 4),
+            "scop-vector3-h2": lambda: _scop_start(c2, 120.0, 2),
+        }[case]()
+        blocks = [b for _, b in program.objective] + program.constraints
+        # Agreement between two float64 evaluations is limited by the
+        # conditioning of the blocks: the relaxed chained LMIs of the vector
+        # horizon program reach condition numbers near 1e11 at their start.
+        kappa = max(np.linalg.cond(sym(b.value(v))) for b in blocks)
+        tol = max(1e-10, kappa * np.finfo(float).eps)
+        assert program.feasible(v)
+        assert np.allclose(
+            program.min_slacks(v),
+            [np.linalg.eigvalsh(sym(b.value(v)))[0] for b in program.constraints],
+            rtol=tol, atol=0.0)
+        for t in (2.0, 37.5, 1e6):
+            f0, g0, h0 = _oracle(program, v, t)
+            g, h = program.grad_hess(v, t)
+            assert abs(program.merit(v, t) - f0) <= tol * abs(f0)
+            assert _rel(g, g0) <= tol
+            assert _rel(h, h0) <= tol
+            assert np.array_equal(h, h.T)
+
+    def test_grad_hess_reuses_the_accepted_points_factor(self, monkeypatch):
+        dim, t = 4, 3.7
+        program = _mixed_program(np.random.default_rng(5), dim)
+        fresh = _mixed_program(np.random.default_rng(5), dim)
+        rng = np.random.default_rng(6)
+        accepted = 0.1 * rng.standard_normal(dim)
+        rejected = 1e3 * rng.standard_normal(dim)
+        unseen = accepted + 0.05 * rng.standard_normal(dim)
+        assert np.isfinite(program.merit(accepted, t))
+        assert program.merit(rejected, t) == np.inf
+
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(a.shape) or cholesky(a))
+        g, h = program.grad_hess(accepted.copy(), t)
+        assert factored == []
+        g0, h0 = fresh.grad_hess(accepted, t)
+        assert np.array_equal(g, g0) and np.array_equal(h, h0)
+        # a point the merit never saw is factored afresh
+        g, h = program.grad_hess(unseen, t)
+        assert len(factored) > 1
+        g0, h0 = fresh.grad_hess(unseen, t)
+        assert np.array_equal(g, g0) and np.array_equal(h, h0)
+
+    def test_feasible_tests_constraint_blocks_only(self):
+        pk = SymPacker(1)
+        program = BarrierProgram(
+            objective=[(0.5, AffineBlock(np.array([[-1.0]]), pk.basis()))],
+            constraints=[AffineBlock(np.zeros((1, 1)), pk.basis())])
+        assert program.feasible(np.array([0.5]))
+        assert program.merit(np.array([0.5]), 2.0) == np.inf
+        assert not program.feasible(np.array([-0.5]))
+        assert program.min_slacks(np.array([0.5])) == [0.5]
 
 
 class TestSolveBarrier:

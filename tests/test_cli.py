@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from lqgcap.cli import run, write_csv
 from lqgcap.config import load_config, set_system_entry
 from lqgcap.errors import ConfigError
+from lqgcap.upper_bound import UBProgram
 
 ROOT = pathlib.Path(__file__).parent.parent
 SCALAR_CFG = ROOT / "configs" / "scalar.json"
@@ -221,6 +223,34 @@ class TestCommands:
              str(SCALAR_CFG)], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "minimal LQG cost" in proc.stdout
+
+    def test_lb_builds_one_ub_program(self, tmp_path, monkeypatch, capsys):
+        doc = json.loads(VECTOR_CFG.read_text())
+        doc["budget"] = 120.0
+        path = write_cfg(tmp_path, doc)
+        builds = []
+        init = UBProgram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(UBProgram, "__init__", counting_init)
+        assert run(["lb", "--config", path]) == 0
+        assert len(builds) == 1
+
+
+def test_import_loads_numpy_only():
+    """Runtime dependencies are numpy alone (pyproject.toml); scipy must not
+    be pulled in by importing the package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lqgcap; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _readme_examples():
