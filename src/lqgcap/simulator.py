@@ -6,10 +6,16 @@ x_i = -K_LQR * (observer estimate) + GammaBar * (estimation error) + dither.
 Empirical cost, covariances, rate, and innovation whiteness are accumulated
 for comparison against the theoretical values.
 
-Randomness comes from counter-based Philox streams keyed by
-(seed, trajectory index), so serial and parallel runs produce bit-identical
-reports; Gaussians use numpy's ziggurat sampler (Generator.standard_normal),
-which is pinned by the numpy generation contract.
+The loop is one linear recursion z_{i+1} = A z_i + B e_i in z = [s, s_hat,
+s_obs], driven by each step's raw draws e_i, with one output map C z_i + D e_i
+to every signal the statistics use.  All trajectories advance together in
+chunks of CHUNK steps, one matrix product per step; each chunk's moments are
+then added with 2-D products over its rows.  Memory: the draws plus a chunk.
+
+Randomness comes from counter-based Philox streams keyed by (seed,
+trajectory index), so identical seeds give identical reports and a
+trajectory's draws do not depend on how many run; Gaussians use numpy's
+ziggurat sampler (Generator.standard_normal), pinned by numpy's contract.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from . import linalg as la
 from . import riccati
 from .errors import NumericalOverflow
 from .lower_bound import LBSolution
-from .model import CostWeights, SystemModel
+from .model import CostWeights, SystemModel, reduce_to_estimator
 from .riccati import Policy
 
 OVERFLOW_LIMIT = 1e12
+CHUNK = 256                     # time steps per block of the recursion
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,28 @@ def _traj_noise(seed: int, idx: int, n: int, k: int, p: int, m: int):
     return z_s1, z_wv, z_m
 
 
+def _closed_loop(model, weights, policy, K_p, K_Y):
+    """The step map [A, B]^T and the output map [C, D]^T on rows [z, e].
+
+    e = [z_wv, z_m]; each signal below is the matrix mapping [z, e] to it.
+    The outputs' first k + m columns, Q^1/2 s and R^1/2 x, square to the cost.
+    """
+    F, G, H, J, K = model.F, model.G, model.H, model.J, policy.K_LQR
+    k, m, p = model.k, model.m, model.p
+    eye = np.eye(4 * k + p + m)
+    s, s_hat, s_obs, e_wv, e_m = np.vsplit(eye, np.cumsum([k, k, k, k + p]))
+    w, v = np.vsplit(la.psd_sqrt(model.joint_noise()) @ e_wv, [k])
+    x = -K @ s_obs + policy.GammaBar @ (s_hat - s_obs) \
+        + la.psd_sqrt(policy.M) @ e_m
+    psi = H @ s + J @ x + v - (H - J @ K) @ s_obs    # y minus its prediction
+    step = np.vstack([F @ s + G @ x + w,
+                      F @ s_hat + G @ x + K_p @ (H @ s + v - H @ s_hat),
+                      (F - G @ K) @ s_obs + K_Y @ psi])
+    out = np.vstack([la.psd_sqrt(weights.Q) @ s, la.psd_sqrt(weights.R) @ x,
+                     s_hat, psi, s_hat - s_obs, s - s_hat])
+    return step.T.copy(), out.T.copy()     # contiguous: faster products
+
+
 def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
              cfg: SimConfig) -> SimReport:
     """Run the closed loop and report empirical statistics.
@@ -110,103 +139,74 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
     Steady-state gains are used from the first step; the configured burn-in
     lets the state transients decay before statistics accumulate.
     """
-    from .model import reduce_to_estimator
-
     est = reduce_to_estimator(model)
     prs = riccati.solve_policy_riccati(est, policy)
     k, m, p = model.k, model.m, model.p
-    n, N = cfg.horizon, cfg.trajectories
-    burn = cfg.burn_in
+    n, N, burn = cfg.horizon, cfg.trajectories, cfg.burn_in
+    # rows: z_{i+1} = [z_i, e_i] ABT, out_i = [z_i, e_i] CDT
+    ABT, CDT = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
+    cut = np.cumsum([0, k + m, k, p, k, k])
+    cost_, shat_, psi_, d_, err_ = (slice(a, b) for a, b in zip(cut, cut[1:]))
 
-    F, G, H, J = model.F, model.G, model.H, model.J
-    K_p, K_Y = est.K_p, prs.K_Y
-    K_lqr, Gbar = policy.K_LQR, policy.GammaBar
-    joint_factor = la.psd_sqrt(model.joint_noise())
-    m_factor = la.psd_sqrt(policy.M)
-    s1_factor = la.psd_sqrt(model.Sigma1)
-
-    # per-trajectory streams, stacked for a vectorized time loop
-    z_s1 = np.empty((N, k))
-    z_wv = np.empty((N, n, k + p))
-    z_m = np.empty((N, n, m))
-    for i in range(N):
-        a, b, c = _traj_noise(cfg.seed, i, n, k, p, m)
-        z_s1[i], z_wv[i], z_m[i] = a, b, c
-    wv = z_wv @ joint_factor.T
-    w_seq, v_seq = wv[:, :, :k], wv[:, :, k:]
-    m_seq = z_m @ m_factor.T
-
-    s = z_s1 @ s1_factor.T          # true state, (N, k)
-    s_hat = np.zeros((N, k))        # controller KF estimate
-    s_obs = np.zeros((N, k))        # observer estimate
+    # per-trajectory streams, stored time-major: e[i, j] drives step i of j
+    buf = np.zeros((CHUNK + 1, N, 4 * k + p + m))   # [z_i, e_i] over a chunk
+    e = np.empty((n, N, k + p + m))
+    for j in range(N):
+        buf[0, j, :k], e[:, j, :k + p], e[:, j, k + p:] = _traj_noise(
+            cfg.seed, j, n, k, p, m)
+    buf[0, :, :k] = buf[0, :, :k] @ la.psd_sqrt(model.Sigma1).T
 
     cost_sum = np.zeros(N)
-    n_ret = n - burn
-    sum_dd = np.zeros((k, k))       # (s_hat - s_obs) second moment
-    sum_psi = np.zeros((p, p))
-    sum_psi_lag = np.zeros((p, p))
-    sum_err_shat = np.zeros((k, k))
-    sum_obs_psi = np.zeros((k, p))
-    sum_sq = {"err": 0.0, "shat": 0.0, "obs": 0.0, "psi": 0.0}
-    psi_prev = None
-
-    H_obs = H - J @ K_lqr           # innovation map at the observer
-    F_obs = F - G @ K_lqr
-    for i in range(n):
-        x = (s_obs @ (-K_lqr).T + (s_hat - s_obs) @ Gbar.T + m_seq[:, i])
-        y = s @ H.T + x @ J.T + v_seq[:, i]
-        psi = y - s_obs @ H_obs.T
-        if i >= burn:
-            cost_sum += np.einsum("ij,jk,ik->i", s, weights.Q, s) \
-                + np.einsum("ij,jk,ik->i", x, weights.R, x)
-            d = s_hat - s_obs
-            err = s - s_hat
-            sum_dd += d.T @ d
-            sum_psi += psi.T @ psi
-            sum_err_shat += err.T @ s_hat
-            sum_sq["err"] += float(np.sum(err * err))
-            sum_sq["shat"] += float(np.sum(s_hat * s_hat))
-            sum_sq["psi"] += float(np.sum(psi * psi))
-            if psi_prev is not None:
-                sum_psi_lag += psi_prev.T @ psi
-                sum_obs_psi += d.T @ psi_prev
-                sum_sq["obs"] += float(np.sum(d * d))
-        innov = y - x @ J.T - s_hat @ H.T
-        s_next = s @ F.T + x @ G.T + w_seq[:, i]
-        s_hat = s_hat @ F.T + x @ G.T + innov @ K_p.T
-        s_obs = s_obs @ F_obs.T + psi @ K_Y.T
-        s = s_next
-        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > OVERFLOW_LIMIT:
+    gram = np.zeros((cut[-1], cut[-1]))     # sum of out^T out, retained steps
+    lag_gram = np.zeros((p, p + k))         # sum of psi_{i-1}^T [psi_i, d_i]
+    obs_sq = 0.0                            # sum of |d_i|^2 over the same i
+    psi_prev = np.empty((0, p))             # last retained psi so far
+    for t0 in range(0, n, CHUNK):
+        T = min(CHUNK, n - t0)
+        buf[:T, :, 3 * k:] = e[t0:t0 + T]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T):
+                np.matmul(buf[t], ABT, out=buf[t + 1, :, :3 * k])
+            ok = np.abs(buf[1:T + 1, :, :k]).max(axis=(1, 2)) <= OVERFLOW_LIMIT
+        if not ok.all():                    # also catches inf and nan
             raise NumericalOverflow(
-                f"trajectory diverged at step {i + 1}; the policy does not "
-                "stabilize the closed loop")
-        psi_prev = psi if i >= burn else None
+                f"trajectory diverged at step {t0 + 1 + int(np.argmin(ok))}; "
+                "the policy does not stabilize the closed loop")
+        r0 = min(max(burn - t0, 0), T)      # first retained step of the chunk
+        if r0 < T:
+            out = buf[r0:T].reshape((T - r0) * N, -1) @ CDT
+            gram += out.T @ out
+            q = out[:, cost_].reshape(T - r0, N, k + m)
+            cost_sum += np.einsum("tnc,tnc->n", q, q)
+            psi = out[:, psi_]
+            prev = np.vstack([psi_prev, psi[:-N]])
+            cur = out[len(out) - len(prev):]    # rows i with psi_{i-1} kept
+            lag_gram += prev.T @ cur[:, psi_.start:d_.stop]
+            obs_sq += float(np.sum(cur[:, d_] ** 2))
+            psi_prev = psi[-N:]
+        buf[0, :, :3 * k] = buf[T, :, :3 * k]
 
-    total = N * n_ret
+    n_ret = n - burn
+    total, lag_pairs = N * n_ret, max(N * (n_ret - 1), 1)
     per_traj_cost = cost_sum / n_ret
-    emp_cost = float(np.mean(per_traj_cost))
     stderr = float(np.std(per_traj_cost, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
-    emp_sigma_hat = la.sym(sum_dd / total)
-    emp_psi_y = la.sym(sum_psi / total)
-    rate = 0.5 * (la.slogdet_pd(emp_psi_y, "empirical Psi_Y")
-                  - la.slogdet_pd(est.Psi, "Psi"))
-    lag_pairs = N * (n_ret - 1)
-    whiteness = float(np.linalg.norm(sum_psi_lag / max(lag_pairs, 1))
-                      / max(np.linalg.norm(emp_psi_y), 1e-300))
+    emp_psi_y = la.sym(gram[psi_, psi_] / total)
     return SimReport(
-        empirical_cost=emp_cost,
+        empirical_cost=float(np.mean(per_traj_cost)),
         cost_stderr=stderr,
-        empirical_SigmaHat=emp_sigma_hat,
+        empirical_SigmaHat=la.sym(gram[d_, d_] / total),
         empirical_PsiY=emp_psi_y,
-        empirical_rate=float(rate),
-        innovation_whiteness=whiteness,
+        empirical_rate=0.5 * (la.slogdet_pd(emp_psi_y, "empirical Psi_Y")
+                              - la.slogdet_pd(est.Psi, "Psi")),
+        innovation_whiteness=float(np.linalg.norm(lag_gram[:, :p] / lag_pairs)
+                                   / max(np.linalg.norm(emp_psi_y), 1e-300)),
         samples=total,
-        cross_state_err=sum_err_shat / total,
-        cross_obs_psi=sum_obs_psi / max(lag_pairs, 1),
-        state_err_scale=math.sqrt(sum_sq["err"] / total),
-        shat_scale=math.sqrt(sum_sq["shat"] / total),
-        obs_err_scale=math.sqrt(sum_sq["obs"] / max(lag_pairs, 1)),
-        psi_scale=math.sqrt(sum_sq["psi"] / total),
+        cross_state_err=gram[err_, shat_] / total,
+        cross_obs_psi=lag_gram[:, p:].T / lag_pairs,
+        state_err_scale=math.sqrt(np.trace(gram[err_, err_]) / total),
+        shat_scale=math.sqrt(np.trace(gram[shat_, shat_]) / total),
+        obs_err_scale=math.sqrt(obs_sq / lag_pairs),
+        psi_scale=math.sqrt(np.trace(gram[psi_, psi_]) / total),
     )
 
 

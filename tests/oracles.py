@@ -1,12 +1,21 @@
 """Independent oracles used to pin expected values in the tests.
 
 Everything here is deliberately written as plain loops / grid scans that do
-not share code with the library's solvers.
+not share code with the library's solvers.  `simulate_stepwise` takes the
+library's gains and noise streams and replaces only the simulation loop.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from lqgcap import linalg as la
+from lqgcap import riccati
+from lqgcap.errors import NumericalOverflow
+from lqgcap.model import reduce_to_estimator
+from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
 
 
 def quad_root_sigma_s1() -> float:
@@ -138,3 +147,108 @@ def scalar_ub_bruteforce(F, G, H, J, W, V, L, Q, R, budget,
     psi_y, pi, gam, sig = best
     rate = 0.5 * np.log(psi_y / psi)
     return float(rate), pi, gam, sig
+
+
+def simulate_stepwise(model, weights, policy, cfg):
+    """`lqgcap.simulate` as one numpy update per signal and time step.
+
+    The library runs the same closed loop as one augmented linear recursion
+    over time chunks; this is the plain per-step loop it replaced, kept to
+    pin its reports.  Same noise streams, same statistics.
+    """
+    est = reduce_to_estimator(model)
+    prs = riccati.solve_policy_riccati(est, policy)
+    k, m, p = model.k, model.m, model.p
+    n, N = cfg.horizon, cfg.trajectories
+    burn = cfg.burn_in
+
+    F, G, H, J = model.F, model.G, model.H, model.J
+    K_p, K_Y = est.K_p, prs.K_Y
+    K_lqr, Gbar = policy.K_LQR, policy.GammaBar
+    joint_factor = la.psd_sqrt(model.joint_noise())
+    m_factor = la.psd_sqrt(policy.M)
+    s1_factor = la.psd_sqrt(model.Sigma1)
+
+    # per-trajectory streams, stacked for a vectorized time loop
+    z_s1 = np.empty((N, k))
+    z_wv = np.empty((N, n, k + p))
+    z_m = np.empty((N, n, m))
+    for i in range(N):
+        a, b, c = _traj_noise(cfg.seed, i, n, k, p, m)
+        z_s1[i], z_wv[i], z_m[i] = a, b, c
+    wv = z_wv @ joint_factor.T
+    w_seq, v_seq = wv[:, :, :k], wv[:, :, k:]
+    m_seq = z_m @ m_factor.T
+
+    s = z_s1 @ s1_factor.T          # true state, (N, k)
+    s_hat = np.zeros((N, k))        # controller KF estimate
+    s_obs = np.zeros((N, k))        # observer estimate
+
+    cost_sum = np.zeros(N)
+    n_ret = n - burn
+    sum_dd = np.zeros((k, k))       # (s_hat - s_obs) second moment
+    sum_psi = np.zeros((p, p))
+    sum_psi_lag = np.zeros((p, p))
+    sum_err_shat = np.zeros((k, k))
+    sum_obs_psi = np.zeros((k, p))
+    sum_sq = {"err": 0.0, "shat": 0.0, "obs": 0.0, "psi": 0.0}
+    psi_prev = None
+
+    H_obs = H - J @ K_lqr           # innovation map at the observer
+    F_obs = F - G @ K_lqr
+    for i in range(n):
+        x = (s_obs @ (-K_lqr).T + (s_hat - s_obs) @ Gbar.T + m_seq[:, i])
+        y = s @ H.T + x @ J.T + v_seq[:, i]
+        psi = y - s_obs @ H_obs.T
+        if i >= burn:
+            cost_sum += np.einsum("ij,jk,ik->i", s, weights.Q, s) \
+                + np.einsum("ij,jk,ik->i", x, weights.R, x)
+            d = s_hat - s_obs
+            err = s - s_hat
+            sum_dd += d.T @ d
+            sum_psi += psi.T @ psi
+            sum_err_shat += err.T @ s_hat
+            sum_sq["err"] += float(np.sum(err * err))
+            sum_sq["shat"] += float(np.sum(s_hat * s_hat))
+            sum_sq["psi"] += float(np.sum(psi * psi))
+            if psi_prev is not None:
+                sum_psi_lag += psi_prev.T @ psi
+                sum_obs_psi += d.T @ psi_prev
+                sum_sq["obs"] += float(np.sum(d * d))
+        innov = y - x @ J.T - s_hat @ H.T
+        s_next = s @ F.T + x @ G.T + w_seq[:, i]
+        s_hat = s_hat @ F.T + x @ G.T + innov @ K_p.T
+        s_obs = s_obs @ F_obs.T + psi @ K_Y.T
+        s = s_next
+        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > OVERFLOW_LIMIT:
+            raise NumericalOverflow(
+                f"trajectory diverged at step {i + 1}; the policy does not "
+                "stabilize the closed loop")
+        psi_prev = psi if i >= burn else None
+
+    total = N * n_ret
+    per_traj_cost = cost_sum / n_ret
+    emp_cost = float(np.mean(per_traj_cost))
+    stderr = float(np.std(per_traj_cost, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
+    emp_sigma_hat = la.sym(sum_dd / total)
+    emp_psi_y = la.sym(sum_psi / total)
+    rate = 0.5 * (la.slogdet_pd(emp_psi_y, "empirical Psi_Y")
+                  - la.slogdet_pd(est.Psi, "Psi"))
+    lag_pairs = N * (n_ret - 1)
+    whiteness = float(np.linalg.norm(sum_psi_lag / max(lag_pairs, 1))
+                      / max(np.linalg.norm(emp_psi_y), 1e-300))
+    return SimReport(
+        empirical_cost=emp_cost,
+        cost_stderr=stderr,
+        empirical_SigmaHat=emp_sigma_hat,
+        empirical_PsiY=emp_psi_y,
+        empirical_rate=float(rate),
+        innovation_whiteness=whiteness,
+        samples=total,
+        cross_state_err=sum_err_shat / total,
+        cross_obs_psi=sum_obs_psi / max(lag_pairs, 1),
+        state_err_scale=math.sqrt(sum_sq["err"] / total),
+        shat_scale=math.sqrt(sum_sq["shat"] / total),
+        obs_err_scale=math.sqrt(sum_sq["obs"] / max(lag_pairs, 1)),
+        psi_scale=math.sqrt(sum_sq["psi"] / total),
+    )

@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from lqgcap import (
     BudgetedProblem,
     Policy,
+    ProblemConstants,
     SimConfig,
     compare_to_theory,
     evaluate_policy,
@@ -13,7 +17,10 @@ from lqgcap import (
 )
 from lqgcap.errors import NumericalOverflow
 from lqgcap.linalg import psd_sqrt
-from lqgcap.simulator import _traj_noise
+from lqgcap.simulator import CHUNK, SimReport, _traj_noise
+
+from oracles import simulate_stepwise
+from test_random_systems import random_system
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +137,66 @@ class TestAgainstTheory:
         assert compare_to_theory(rep, lb).ok
 
 
+# Horizons off the chunk grid; burn-in at 0, on a chunk boundary, one step
+# before it and inside a chunk; a horizon shorter than a chunk; one trajectory.
+ORACLE_CONFIGS = [
+    SimConfig(horizon=600, trajectories=5, seed=3, burn_in=0),
+    SimConfig(horizon=700, trajectories=4, seed=4, burn_in=CHUNK),
+    SimConfig(horizon=2 * CHUNK, trajectories=3, seed=8, burn_in=CHUNK - 1),
+    SimConfig(horizon=530, trajectories=3, seed=5, burn_in=300),
+    SimConfig(horizon=200, trajectories=6, seed=6, burn_in=20),
+    SimConfig(horizon=300, trajectories=1, seed=7, burn_in=30),
+]
+
+
+@pytest.fixture(scope="module", params=["s1", "s2", 11, 41, 59],
+                ids=lambda p: p if isinstance(p, str) else f"plant{p}")
+def oracle_case(request, s1, w1, s2, w2):
+    """A plant, its weights and the policy extracted above its cost floor.
+
+    Plants 11, 41 and 59 of the random generator have correlated noise
+    (L != 0), m or p of 2, and dithered policies at 2.5x the floor (11, 59).
+    """
+    name = request.param
+    model, weights = {"s1": (s1, w1), "s2": (s2, w2)}.get(name) \
+        or random_system(name)
+    consts = ProblemConstants.compute(model, weights)
+    floor = consts.minimal_cost
+    budget = {"s1": 2.0, "s2": 1.5 * floor}.get(name, 2.5 * floor + 0.1)
+    ub = solve_ub(BudgetedProblem(model, weights, budget), consts=consts)
+    return model, weights, extract_policy(ub, consts.control)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: (
+    f"n{c.horizon}-N{c.trajectories}-b{c.burn_in}"))
+def test_matches_stepwise_oracle(oracle_case, cfg):
+    model, weights, policy = oracle_case
+    got = simulate(model, weights, policy, cfg)
+    want = simulate_stepwise(model, weights, policy, cfg)
+    for field in dataclasses.fields(SimReport):
+        a = np.asarray(getattr(got, field.name), float)
+        b = np.asarray(getattr(want, field.name), float)
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), field.name
+
+
+def _overflow_step(run, model, weights, policy, cfg) -> int:
+    with pytest.raises(NumericalOverflow) as exc:
+        run(model, weights, policy, cfg)
+    return int(re.search(r"diverged at step (\d+);", str(exc.value)).group(1))
+
+
 def test_destabilizing_policy_overflows(s1, w1, c1):
     pol = Policy(GammaBar=np.zeros((1, 1)), M=np.zeros((1, 1)),
                  K_LQR=np.array([[-5.0]]))
-    with pytest.raises(NumericalOverflow):
-        simulate(s1, w1, pol, SimConfig(horizon=2000, trajectories=2, seed=3))
+    cfg = SimConfig(horizon=2000, trajectories=2, seed=3)
+    assert _overflow_step(simulate, s1, w1, pol, cfg) == 18
+
+
+def test_late_divergence_names_the_oracles_step(s1, w1):
+    """A mildly unstable loop (F - G K = 1.08) crosses the limit in chunk 2."""
+    pol = Policy(GammaBar=np.zeros((1, 1)), M=np.zeros((1, 1)),
+                 K_LQR=np.array([[-0.58]]))
+    cfg = SimConfig(horizon=2000, trajectories=3, seed=5)
+    step = _overflow_step(simulate, s1, w1, pol, cfg)
+    assert CHUNK < step < 2 * CHUNK
+    assert step == _overflow_step(simulate_stepwise, s1, w1, pol, cfg)
