@@ -1,8 +1,9 @@
 """Discrete Riccati equations (filter, control, policy-induced) and PBH tests.
 
-All three steady-state equations are solved by their own fixed-point
-recursions, which converge geometrically under the standard regularity
-conditions; PBH eigenvector tests check those conditions.
+All three steady-state equations are limits of a recursion of one filter
+form, which `_solve_dare` reaches by structured doubling (the 2^j-th iterate
+in j steps) and polishes by Newton steps.  PBH eigenvector tests check the
+regularity conditions under which that limit is the stabilizing solution.
 """
 
 from __future__ import annotations
@@ -25,14 +26,17 @@ from .model import CostWeights, EstimatorModel, SystemModel
 
 log = logging.getLogger("lqgcap.riccati")
 
-MAX_ITER = 100_000
 REL_TOL = 1e-11
-STALL_WINDOW = 500
+MAX_DOUBLINGS = 17  # 2^17 recursion steps
+NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
 class FilterConstants:
-    """Steady-state Kalman filter triple (Sigma, K_p, Psi)."""
+    """Steady-state Kalman filter triple (Sigma, K_p, Psi).
+
+    iterations counts the solver's doublings plus Newton steps tried;
+    residual is the relative size of its last update kept."""
 
     Sigma: np.ndarray
     K_p: np.ndarray
@@ -43,7 +47,8 @@ class FilterConstants:
 
 @dataclass(frozen=True)
 class ControlConstants:
-    """Steady-state LQR triple (E, K_LQR, Psi_LQR)."""
+    """Steady-state LQR triple (E, K_LQR, Psi_LQR); iterations and residual
+    as in FilterConstants."""
 
     E: np.ndarray
     K_LQR: np.ndarray
@@ -65,7 +70,10 @@ class Policy:
 
 @dataclass(frozen=True)
 class PolicyRiccatiSolution:
-    """Fixed point of the policy-induced error-covariance recursion."""
+    """Fixed point of the policy-induced error-covariance recursion.
+
+    iterations counts the doublings plus Newton steps tried by the solve
+    that succeeded; residual is the equation residual ||X - step(X)||_F."""
 
     SigmaHat: np.ndarray
     K_Y: np.ndarray
@@ -174,73 +182,72 @@ def control_regularity(model: SystemModel,
     ]
 
 
-def _iterate(step, x0: np.ndarray, rel_tol: float = REL_TOL,
-             max_iter: int = MAX_ITER, accept=None):
-    """Run x <- step(x) until the update is relatively small.
+def _solve_dare(Ft: np.ndarray, Ht: np.ndarray, Q: np.ndarray, S: np.ndarray,
+                R: np.ndarray, x0: np.ndarray | None = None, accept=None):
+    """Limit from x0 (default 0) of the filter-form recursion
+    X <- Ft X Ft' + Q - (Ft X Ht' + S)(Ht X Ht' + R)^-1 (Ft X Ht' + S)'.
 
-    Returns (x, iterations, last_residual).  When `accept` is given, a point
-    meeting the residual criterion is only returned if accept(x) holds;
-    repeated rejections at a fixed point raise NonConvergence (the recursion
-    is parked somewhere it should not terminate, e.g. a non-stabilizing
-    fixed point whose transit is below the residual floor).
+    Structured doubling (Chu, Fan, Lin & Wang, Int. J. Control 77(8), 2004)
+    on A = (Ft - S R^-1 Ht)', G = Ht' R^-1 Ht, H = Q - S R^-1 S': after j
+    doublings the 2^j-th iterate is H_j + A_j' x0 (I + G_j x0)^-1 A_j.  Up to
+    NEWTON_STEPS Newton (Hewer) steps, each one Stein equation, then polish
+    the limit; a step is kept only if it lowers the equation residual.
 
-    Stagnation is flagged when the residual stops improving over a window
-    AND the iterate has barely moved across it (an oscillation or hard
-    plateau); slow monotone transits, such as the escape from a near-neutral
-    fixed point, keep moving and are left to run.  Raises NonConvergence on
-    stagnation, MaxIterations at the cap.
+    Returns (X, steps, res): doublings plus Newton steps tried, and the
+    relative size of the last update kept.  Raises NonConvergence on a non-finite
+    update or a doubling limit that fails `accept`, MaxIterations after
+    MAX_DOUBLINGS doublings.
     """
-    x = la.sym(x0)
-    history: list[float] = []
-    x_snap = x.copy()
-    res_prev_window = np.inf
-    rejected = 0
-    for i in range(1, max_iter + 1):
-        x_next = la.sym(step(x))
-        res = float(np.linalg.norm(x_next - x)) / (1.0 + float(np.linalg.norm(x_next)))
-        x = x_next
-        if res <= rel_tol:
-            if accept is None or accept(x):
-                return x, i, res
-            rejected += 1
-            if rejected >= 100:
-                raise NonConvergence(
-                    f"parked at a rejected fixed point after {i} iterations "
-                    f"(residual {res:.3e})", residuals=history[-20:])
-        else:
-            rejected = 0
-        history.append(res)
+    eye = np.eye(len(Ft))
+    SRinv = np.linalg.solve(R, S.T).T
+    A = (Ft - SRinv @ Ht).T
+    G = la.sym(Ht.T @ np.linalg.solve(R, Ht))
+    H = la.sym(Q - SRinv @ S.T)
+    X = np.zeros_like(Q) if x0 is None else x0
+    for j in range(MAX_DOUBLINGS + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if j:
+                W = eye + G @ H
+                WA = np.linalg.solve(W, A)
+                A, G, H = (A @ WA, la.sym(G + A @ np.linalg.solve(W, G) @ A.T),
+                           la.sym(H + A.T @ H @ WA))
+            X_next = H if x0 is None else la.sym(
+                H + A.T @ x0 @ np.linalg.solve(eye + G @ x0, A))
+            res = (float(np.linalg.norm(X_next - X))
+                   / (1.0 + float(np.linalg.norm(X_next))))
         if not np.isfinite(res):
-            raise NonConvergence(f"residual diverged at iteration {i}",
-                                 residuals=history[-20:])
-        if i % STALL_WINDOW == 0:
-            # Stagnation needs BOTH signs: the iterate stayed confined (a
-            # sustained transit of ratio r drifts by res * r/(r-1) >> res per
-            # window, while oscillations cancel), AND the residual stopped
-            # shrinking (slowly converging spirals look confined because
-            # rotation cancels their drift, but their residual still decays).
-            moved = float(np.linalg.norm(x - x_snap))
-            scale = 1.0 + float(np.linalg.norm(x))
-            if moved < 5.0 * res * scale and res >= 0.98 * res_prev_window:
-                if res <= 100.0 * rel_tol and (accept is None or accept(x)):
-                    log.warning("recursion stalled at residual %.3e; accepting",
-                                res)
-                    return x, i, res
-                raise NonConvergence(
-                    f"residual plateaued at {res:.3e} after {i} iterations",
-                    residuals=history[-20:],
-                )
-            x_snap = x.copy()
-            res_prev_window = res
-    raise MaxIterations(f"no convergence within {max_iter} iterations "
-                        f"(last residual {history[-1]:.3e})")
+            raise NonConvergence(f"doubling diverged at step {j}")
+        X = X_next
+        if res <= REL_TOL:
+            break
+    else:
+        raise MaxIterations(f"no convergence within {MAX_DOUBLINGS} doublings "
+                            f"(last residual {res:.3e})")
+    if accept is not None and not accept(X):
+        raise NonConvergence(f"doubling reached a rejected limit after {j} "
+                             f"steps (residual {res:.3e})")
 
+    def newton_data(X):
+        # with the gain at X, Acl X Acl' + C is the recursion's image of X
+        K = np.linalg.solve(Ht @ X @ Ht.T + R, Ht @ X @ Ft.T + S.T).T
+        Acl = Ft - K @ Ht
+        C = la.sym(Q - K @ S.T - S @ K.T + K @ R @ K.T)
+        return Acl, C, float(np.linalg.norm(Acl @ X @ Acl.T + C - X))
 
-def _filter_step(model: SystemModel, Sigma: np.ndarray) -> np.ndarray:
-    F, H, W, V, L = model.F, model.H, model.W, model.V, model.L
-    Psi = H @ Sigma @ H.T + V
-    K = np.linalg.solve(Psi.T, (F @ Sigma @ H.T + L).T).T
-    return F @ Sigma @ F.T + W - K @ Psi @ K.T
+    Acl, C, eq_res = newton_data(X)
+    for j in range(j + 1, j + 1 + NEWTON_STEPS):
+        try:
+            vec = np.linalg.solve(np.eye(C.size) - np.kron(Acl, Acl), C.ravel())
+        except np.linalg.LinAlgError:
+            break
+        X_next = la.sym(vec.reshape(C.shape))
+        step = newton_data(X_next)
+        if not step[2] < eq_res:
+            break
+        res = (float(np.linalg.norm(X_next - X))
+               / (1.0 + float(np.linalg.norm(X_next))))
+        X, (Acl, C, eq_res) = X_next, step
+    return X, j, res
 
 
 def filter_gain(model: SystemModel, Sigma: np.ndarray):
@@ -248,6 +255,11 @@ def filter_gain(model: SystemModel, Sigma: np.ndarray):
     Psi = la.sym(model.H @ Sigma @ model.H.T + model.V)
     K = np.linalg.solve(Psi.T, (model.F @ Sigma @ model.H.T + model.L).T).T
     return K, Psi
+
+
+def _filter_step(model: SystemModel, Sigma: np.ndarray) -> np.ndarray:
+    K, Psi = filter_gain(model, Sigma)
+    return model.F @ Sigma @ model.F.T + model.W - K @ Psi @ K.T
 
 
 def solve_filter_riccati(model: SystemModel) -> FilterConstants:
@@ -264,8 +276,8 @@ def solve_filter_riccati(model: SystemModel) -> FilterConstants:
                     "is not guaranteed")
 
     try:
-        Sigma, iters, res = _iterate(lambda S: _filter_step(model, S),
-                                     np.zeros((model.k, model.k)))
+        Sigma, iters, res = _solve_dare(model.F, model.H, model.W, model.L,
+                                        model.V)
     except (NonConvergence, MaxIterations):
         if failed:
             raise RegularityViolation(failed[0]) from None
@@ -282,14 +294,6 @@ def solve_filter_riccati(model: SystemModel) -> FilterConstants:
                            iterations=iters, residual=res)
 
 
-def _control_step(model: SystemModel, weights: CostWeights,
-                  E: np.ndarray) -> np.ndarray:
-    F, G = model.F, model.G
-    PsiL = weights.R + G.T @ E @ G
-    K = np.linalg.solve(PsiL, G.T @ E @ F)
-    return F.T @ E @ F + weights.Q - K.T @ PsiL @ K
-
-
 def control_gain(model: SystemModel, weights: CostWeights, E: np.ndarray):
     """(K_LQR, Psi_LQR) evaluated at a given cost-to-go matrix."""
     PsiL = la.sym(weights.R + model.G.T @ E @ model.G)
@@ -297,15 +301,22 @@ def control_gain(model: SystemModel, weights: CostWeights, E: np.ndarray):
     return K, PsiL
 
 
+def _control_step(model: SystemModel, weights: CostWeights,
+                  E: np.ndarray) -> np.ndarray:
+    K, PsiL = control_gain(model, weights, E)
+    return model.F.T @ E @ model.F + weights.Q - K.T @ PsiL @ K
+
+
 def solve_control_riccati(model: SystemModel,
                           weights: CostWeights) -> ControlConstants:
-    """Stabilizing solution of the backward control equation, iterated from Q."""
+    """Stabilizing solution of the backward control equation: the limit of
+    its recursion from 0, whose first iterate is Q."""
     la.require_pd(weights.R, "R")
     failed = [name for name, res in control_regularity(model, weights)
               if not res]
     try:
-        E, iters, res = _iterate(lambda X: _control_step(model, weights, X),
-                                 weights.Q)
+        E, iters, res = _solve_dare(model.F.T, model.G.T, weights.Q,
+                                    np.zeros((model.k, model.m)), weights.R)
     except (NonConvergence, MaxIterations):
         if failed:
             raise RegularityViolation(failed[0]) from None
@@ -346,18 +357,14 @@ def _policy_step(estimator: EstimatorModel, policy: Policy,
             - K_Y @ PsiY @ K_Y.T)
 
 
-def _bootstrap_eps(estimator: EstimatorModel) -> float:
-    return 1e-6 * float(np.trace(estimator.Psi)) / estimator.p
-
-
 def solve_policy_riccati(estimator: EstimatorModel,
                          policy: Policy) -> PolicyRiccatiSolution:
     """Limit of the observer error-covariance recursion from SigmaHat_1 = 0.
 
-    With a singular dither covariance M the recursion may stall at a
-    non-maximal fixed point (the map keeps 0 fixed); the remedy is a single
-    bootstrap step with M_1 = eps*I followed by the time-invariant policy,
-    which restarts the recursion strictly inside the basin of the maximal
+    With a singular dither covariance M that limit may be a non-maximal,
+    non-stabilizing fixed point (the map keeps 0 fixed); it is rejected, and
+    a single bootstrap step with M_1 = eps*I followed by the time-invariant
+    policy restarts the recursion strictly inside the basin of the maximal
     solution.
     """
     k, m = estimator.k, estimator.m
@@ -375,26 +382,19 @@ def solve_policy_riccati(estimator: EstimatorModel,
         K_Y, _ = policy_innovation(estimator, policy, X)
         return la.spectral_radius(Ft - K_Y @ Ht) < 1.0 - 1e-9
 
-    def run(bootstrap: bool):
-        x0 = np.zeros((k, k))
-        if bootstrap:
-            eps = _bootstrap_eps(estimator)
-            x0 = la.sym(_policy_step(estimator, policy, x0,
-                                     eps * np.eye(m)))
-        return _iterate(lambda X: _policy_step(estimator, policy, X, policy.M),
-                        x0, accept=stabilizing)
-
-    # The recursion may park at a non-maximal fixed point (the map keeps the
-    # zero matrix fixed when M is singular, and transits near it can fall
-    # below the residual floor); the acceptance test rejects those parks and
-    # the bootstrap restarts strictly inside the basin of the maximal
-    # solution.
+    G, J, M, K_p, Psi = (estimator.G, estimator.J, policy.M, estimator.K_p,
+                         estimator.Psi)
+    equation = (Ft, Ht, G @ M @ G.T + K_p @ Psi @ K_p.T,
+                G @ M @ J.T + K_p @ Psi, J @ M @ J.T + Psi)
     bootstrapped = False
     try:
-        X, iters, res = run(bootstrap=False)
+        X, iters, _ = _solve_dare(*equation, accept=stabilizing)
     except (NonConvergence, MaxIterations) as first_err:
+        eps = 1e-6 * float(np.trace(Psi)) / estimator.p
+        x0 = la.sym(_policy_step(estimator, policy, np.zeros((k, k)),
+                                 eps * np.eye(m)))
         try:
-            X, iters, res = run(bootstrap=True)
+            X, iters, _ = _solve_dare(*equation, x0, accept=stabilizing)
             bootstrapped = True
         except (NonConvergence, MaxIterations) as e2:
             if not detect:

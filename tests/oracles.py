@@ -2,20 +2,31 @@
 
 Everything here is deliberately written as plain loops / grid scans that do
 not share code with the library's solvers.  `simulate_stepwise` takes the
-library's gains and noise streams and replaces only the simulation loop.
+library's gains and noise streams and replaces only the simulation loop;
+`iterate_fixed_point` runs the library's one-step Riccati maps
+(`riccati_recursion`'s) to their limit, one step per iteration.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 
 from lqgcap import linalg as la
 from lqgcap import riccati
-from lqgcap.errors import NumericalOverflow
+from lqgcap.errors import MaxIterations, NonConvergence, NumericalOverflow
 from lqgcap.model import reduce_to_estimator
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
+
+log = logging.getLogger("oracles")
+
+# Stopping rules of `iterate_fixed_point`, the plain one-step-per-iteration
+# solver the library used before structured doubling.
+MAX_ITER = 100_000
+REL_TOL = 1e-11
+STALL_WINDOW = 500
 
 
 def quad_root_sigma_s1() -> float:
@@ -55,6 +66,68 @@ def iterate_control(F, G, Q, R, n_steps=200_000, tol=1e-14):
     psil = R + G.T @ e @ G
     k = np.linalg.inv(psil) @ G.T @ e @ F
     return e, k, psil
+
+
+def iterate_fixed_point(step, x0: np.ndarray, rel_tol: float = REL_TOL,
+                        max_iter: int = MAX_ITER, accept=None):
+    """Run x <- step(x) until the update is relatively small.
+
+    Returns (x, iterations, last_residual).  When `accept` is given, a point
+    meeting the residual criterion is only returned if accept(x) holds;
+    repeated rejections at a fixed point raise NonConvergence (the recursion
+    is parked somewhere it should not terminate, e.g. a non-stabilizing
+    fixed point whose transit is below the residual floor).
+
+    Stagnation is flagged when the residual stops improving over a window
+    AND the iterate has barely moved across it (an oscillation or hard
+    plateau); slow monotone transits, such as the escape from a near-neutral
+    fixed point, keep moving and are left to run.  Raises NonConvergence on
+    stagnation, MaxIterations at the cap.
+    """
+    x = la.sym(x0)
+    history: list[float] = []
+    x_snap = x.copy()
+    res_prev_window = np.inf
+    rejected = 0
+    for i in range(1, max_iter + 1):
+        x_next = la.sym(step(x))
+        res = float(np.linalg.norm(x_next - x)) / (1.0 + float(np.linalg.norm(x_next)))
+        x = x_next
+        if res <= rel_tol:
+            if accept is None or accept(x):
+                return x, i, res
+            rejected += 1
+            if rejected >= 100:
+                raise NonConvergence(
+                    f"parked at a rejected fixed point after {i} iterations "
+                    f"(residual {res:.3e})", residuals=history[-20:])
+        else:
+            rejected = 0
+        history.append(res)
+        if not np.isfinite(res):
+            raise NonConvergence(f"residual diverged at iteration {i}",
+                                 residuals=history[-20:])
+        if i % STALL_WINDOW == 0:
+            # Stagnation needs BOTH signs: the iterate stayed confined (a
+            # sustained transit of ratio r drifts by res * r/(r-1) >> res per
+            # window, while oscillations cancel), AND the residual stopped
+            # shrinking (slowly converging spirals look confined because
+            # rotation cancels their drift, but their residual still decays).
+            moved = float(np.linalg.norm(x - x_snap))
+            scale = 1.0 + float(np.linalg.norm(x))
+            if moved < 5.0 * res * scale and res >= 0.98 * res_prev_window:
+                if res <= 100.0 * rel_tol and (accept is None or accept(x)):
+                    log.warning("recursion stalled at residual %.3e; accepting",
+                                res)
+                    return x, i, res
+                raise NonConvergence(
+                    f"residual plateaued at {res:.3e} after {i} iterations",
+                    residuals=history[-20:],
+                )
+            x_snap = x.copy()
+            res_prev_window = res
+    raise MaxIterations(f"no convergence within {max_iter} iterations "
+                        f"(last residual {history[-1]:.3e})")
 
 
 def minimal_cost_oracle(F, G, H, J, W, V, L, Q, R):

@@ -1,20 +1,37 @@
+import pathlib
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from lqgcap import (
+    BudgetedProblem,
     CostWeights,
     Policy,
+    ProblemConstants,
     SystemModel,
     pbh_test,
+    riccati,
     riccati_recursion,
     solve_control_riccati,
     solve_filter_riccati,
     solve_policy_riccati,
+    solve_ub,
 )
+from lqgcap.config import load_config
+from lqgcap.errors import DetectabilityFailure, RegularityViolation
 from lqgcap.linalg import spectral_radius, sym
+from lqgcap.lower_bound import extract_policy
 
-from oracles import quad_root_sigma_s1, scalar_policy_fixed_point
+from oracles import (
+    iterate_fixed_point,
+    quad_root_sigma_s1,
+    scalar_policy_fixed_point,
+)
+from test_random_systems import random_system
+
+SCALAR_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "scalar.json"
 
 
 def filter_residual(model, fc):
@@ -252,3 +269,133 @@ def test_every_fixed_point_resubstitutes(s1, w1, s2, w2, c1):
            + est.K_p @ est.Psi @ est.K_p.T - prs.K_Y @ prs.Psi_Y @ prs.K_Y.T)
     rel = np.linalg.norm(prs.SigmaHat - sym(rhs)) / (1 + np.linalg.norm(prs.SigmaHat))
     assert rel <= 1e-9
+
+
+# Norm-relative distances, scaled by 1 + ||reference|| as the solvers'
+# residuals are.  The fixed-point oracle stops on a 1e-11 relative update, so
+# near a slow closed loop it is only accurate to about 1e-9.
+ORACLE_TOL = 1e-8
+SCIPY_TOL = 1e-11
+RESIDUAL_TOL = 1e-12
+
+
+def rel_dist(a, b):
+    return np.linalg.norm(a - b) / (1 + np.linalg.norm(b))
+
+
+def policy_equation(est, pol):
+    """(Ft, Ht, Q, S, R) of the policy equation in filter form,
+    X = Ft X Ft' + Q - (Ft X Ht' + S)(Ht X Ht' + R)^-1 (Ft X Ht' + S)'."""
+    G, J, M, K_p, Psi = est.G, est.J, pol.M, est.K_p, est.Psi
+    return (est.F + G @ pol.GammaBar, est.H + J @ pol.GammaBar,
+            G @ M @ G.T + K_p @ Psi @ K_p.T, G @ M @ J.T + K_p @ Psi,
+            J @ M @ J.T + Psi)
+
+
+@pytest.fixture(scope="module", params=["s1", "s2", 11, 41, 59],
+                ids=lambda p: p if isinstance(p, str) else f"plant{p}")
+def dare_case(request, s1, w1, s2, w2, c1):
+    """A plant, its weights, its constants and the policies whose equations
+    are checked: those extracted above the cost floor and, on s1 (constants
+    c1), a hand-set dithered one.  The random plants have correlated noise
+    and m or p of 2; plant 41 at 2.5x the floor has a closed loop at spectral
+    radius 0.96, where doubling alone stops at an equation residual of 1e-8
+    and the Newton polish is needed."""
+    name = request.param
+    model, weights = {"s1": (s1, w1), "s2": (s2, w2)}.get(name) \
+        or random_system(name)
+    consts = c1 if name == "s1" else ProblemConstants.compute(model, weights)
+    floor = consts.minimal_cost
+    budgets = {"s1": [2.0], "s2": [1.5 * floor]}.get(
+        name, [1.3 * floor + 0.1, 2.5 * floor + 0.1])
+    policies = [extract_policy(solve_ub(BudgetedProblem(model, weights, b),
+                                        consts=consts), consts.control)
+                for b in budgets]
+    if name == "s1":
+        policies.append(Policy(GammaBar=np.array([[0.3]]),
+                               M=np.array([[0.2]]), K_LQR=c1.K_LQR))
+    return model, weights, consts, policies
+
+
+def test_filter_matches_oracle_and_scipy(dare_case):
+    model, _, _, _ = dare_case
+    fc = solve_filter_riccati(model)
+    want, _, _ = iterate_fixed_point(partial(riccati._filter_step, model),
+                                     np.zeros((model.k, model.k)))
+    ref = scipy.linalg.solve_discrete_are(model.F.T, model.H.T, model.W,
+                                          model.V, s=model.L)
+    assert rel_dist(fc.Sigma, want) <= ORACLE_TOL
+    assert rel_dist(fc.Sigma, ref) <= SCIPY_TOL
+    assert filter_residual(model, fc) <= RESIDUAL_TOL
+
+
+def test_control_matches_oracle_and_scipy(dare_case):
+    model, weights, _, _ = dare_case
+    cc = solve_control_riccati(model, weights)
+    want, _, _ = iterate_fixed_point(
+        partial(riccati._control_step, model, weights), weights.Q)
+    ref = scipy.linalg.solve_discrete_are(model.F, model.G, weights.Q,
+                                          weights.R)
+    assert rel_dist(cc.E, want) <= ORACLE_TOL
+    assert rel_dist(cc.E, ref) <= SCIPY_TOL
+    assert control_residual(model, weights, cc) <= RESIDUAL_TOL
+
+
+def test_policy_matches_oracle_and_scipy(dare_case):
+    _, _, consts, policies = dare_case
+    est = consts.estimator
+    for pol in policies:
+        Ft, Ht, Q, S, R = policy_equation(est, pol)
+        prs = solve_policy_riccati(est, pol)
+
+        def stabilizing(X):
+            K_Y, _ = riccati.policy_innovation(est, pol, X)
+            return spectral_radius(Ft - K_Y @ Ht) < 1.0 - 1e-9
+
+        want, _, _ = iterate_fixed_point(
+            partial(riccati._policy_step, est, pol, M=pol.M),
+            np.zeros((est.k, est.k)), accept=stabilizing)
+        ref = scipy.linalg.solve_discrete_are(Ft.T, Ht.T, Q, R, s=S)
+        X = prs.SigmaHat
+        assert rel_dist(X, want) <= ORACLE_TOL
+        assert rel_dist(X, ref) <= SCIPY_TOL
+        assert prs.residual <= RESIDUAL_TOL * (1 + np.linalg.norm(X))
+        assert stabilizing(X)
+
+
+def test_scalar_floor_policy_solves_in_few_steps():
+    # The extracted policy at the cost floor has a dither near 0, so the
+    # recursion from 0 crawls past a near-neutral fixed point: one step per
+    # iteration took 7,293 iterations and stopped at a residual of 1.7e-9.
+    cfg = load_config(str(SCALAR_CFG))
+    consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    ub = solve_ub(BudgetedProblem(cfg.model, cfg.weights, 1.31), consts=consts)
+    prs = solve_policy_riccati(consts.estimator,
+                               extract_policy(ub, consts.control))
+    assert prs.iterations <= 20
+    assert prs.residual <= RESIDUAL_TOL * (1 + np.linalg.norm(prs.SigmaHat))
+
+
+class TestFailurePaths:
+    def test_undetectable_filter(self):
+        model = SystemModel(F=2, G=1, H=0, J=1, W=1, V=1, L=0)
+        with pytest.raises(RegularityViolation) as err:
+            solve_filter_riccati(model)
+        assert err.value.condition == "(F, H) detectable"
+
+    def test_unstabilizable_control(self):
+        model = SystemModel(F=np.diag([2.0, 0.5]), G=[[0], [1]], H=[[1, 1]],
+                            J=1, W=np.eye(2), V=1, L=np.zeros((2, 1)))
+        with pytest.raises(RegularityViolation) as err:
+            solve_control_riccati(model, CostWeights(Q=np.eye(2), R=1))
+        assert err.value.condition == "(F, G) stabilizable"
+
+    def test_undetectable_policy(self):
+        # F + G GammaBar = 1 and H + J GammaBar = 0: the error covariance
+        # grows without bound from any start, bootstrap included
+        model = SystemModel(F=2, G=1, H=1, J=1, W=1, V=1, L=0)
+        consts = ProblemConstants.compute(model, CostWeights(Q=1, R=1))
+        pol = Policy(GammaBar=np.array([[-1.0]]), M=np.ones((1, 1)),
+                     K_LQR=consts.control.K_LQR)
+        with pytest.raises(DetectabilityFailure):
+            solve_policy_riccati(consts.estimator, pol)
