@@ -7,9 +7,13 @@ Programs have the form
 
 with every matrix an affine function of the decision vector v.  Linear scalar
 inequalities enter as 1x1 blocks.  The composite t*f + phi is self-concordant,
-so damped Newton steps with backtracking follow the central path; at parameter
-t the objective is within nu/t of optimal, nu being the total barrier
-parameter (sum of constraint block dimensions).
+so damped Newton steps follow the central path as t grows.  Each Newton step
+also gives a dual point of the maxdet dual (Vandenberghe, Boyd & Wu, SIAM J.
+Matrix Anal. Appl. 19(2), 1998; Boyd & Vandenberghe, Convex Optimization,
+11.2.2): W_o = w_o (O^-1 - O^-1 dO O^-1) and Z_c = (B^-1 - B^-1 dB B^-1)/t,
+where dO and dB are the blocks' changes along the step.  The Newton equation
+is the dual equality, so when the point is dual feasible f(v) minus its dual
+objective is a certified duality gap; the solver stops on that gap.
 
 BarrierProgram stacks every block of one size d, objective or constraint,
 when it is built: B blocks become one (B, d, d) constant and one (B*d*d, D)
@@ -19,7 +23,9 @@ the factors' diagonals, weighted by t*w for objective blocks and by 1 for
 constraint blocks.  The Newton system is formed from the same factors, kept
 from the merit evaluation at the accepted point: with Y_j = L^-1 C_j L^-T
 per block, the gradient is -sum w tr Y_j and the Hessian is one product of
-the flattened, weight-scaled Y with itself.
+the flattened, weight-scaled Y with itself.  The gap reuses the same rows:
+E = sum_j step_j Y_j per block, and one batched Cholesky factorization of
+I - E per block size tests dual feasibility and gives log det(I - E).
 """
 
 from __future__ import annotations
@@ -37,11 +43,11 @@ from .linalg import sym
 log = logging.getLogger("lqgcap.barrier")
 
 # Path-following schedule: barrier parameter mu = 1/t shrinks by this factor
-# per outer step; Newton line search uses Armijo backtracking.
+# per round; a round ends at Newton decrement CENTRED, and a damped step that
+# leaves the domain is shortened by BACKTRACK.
 MU_FACTOR = 0.2
-ARMIJO_SLOPE = 0.01
+CENTRED = 0.25
 BACKTRACK = 0.5
-NEWTON_TOL = 1e-7      # stop centering at Newton decrement below this
 MAX_INNER = 400
 # The composite t*f + phi is self-concordant for t >= 2 (objective weights
 # are 1/2); start there so the damped step 1/(1+lambda) is safe.
@@ -109,6 +115,7 @@ class BarrierProgram:
         self._w_diag = np.stack([self._w_obj[diag], self._w_con[diag]])
         self._key: bytes | None = None     # the v whose factors _chol holds
         self._chol: list[np.ndarray] = []
+        self._newton_rows = None            # (z, root_w, t) of grad_hess
 
     @property
     def nu(self) -> float:
@@ -159,7 +166,9 @@ class BarrierProgram:
         """Gradient and Hessian of the merit at v, from the factors at v.
 
         With S_b = L_b L_b^T and Y_bj = L_b^-1 C_bj L_b^-T, the gradient is
-        -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>."""
+        -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>.  The
+        weight-scaled rows are kept for duality_gap."""
+        self._newton_rows = None     # never hold two sets of rows at once
         factors = self._factors(v)
         dim = self._basis.shape[1]
         rows = []
@@ -172,7 +181,31 @@ class BarrierProgram:
             rows.append((inv @ half.reshape(n, d, d * dim)).reshape(-1, dim))
         root_w = np.sqrt(t * self._w_obj + self._w_con)
         z = np.concatenate(rows) * root_w[:, None]
+        self._newton_rows = (z, root_w, t)
         return -(root_w * self._is_diag) @ z, z.T @ z
+
+    def duality_gap(self, step: np.ndarray) -> float:
+        """f(v) - g(W, Z) at the dual point of a Newton step from the last
+        grad_hess call at (v, t); +inf when that point is not dual feasible.
+
+        With E_b = sum_j step_j Y_bj, i.e. L_b^-1 dS_b L_b^-T for the change
+        dS_b of block b along the step, the dual point is
+        W_o = w_o S_o^-1/2 (I - E_o) S_o^-1/2 for each objective block and
+        Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2 for each constraint block.
+        The Newton equation is their dual equality, so when every I - E_b is
+        PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
+        + tr E_o) bounds f(v) minus the optimum from above."""
+        z, root_w, t = self._newton_rows
+        e = (z @ step) / root_w
+        try:
+            factors = [np.linalg.cholesky(np.eye(g.d) - self._stack(e, g))
+                       for g in self._groups]
+        except np.linalg.LinAlgError:
+            return np.inf
+        entries = np.concatenate([c.ravel() for c in factors])
+        log_det, _ = self._w_diag @ np.log(entries[self._diag_idx])
+        tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
+        return float((self.nu - tr_con) / t - 2.0 * log_det - tr_obj)
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
@@ -192,103 +225,95 @@ class BarrierInfo:
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    ridge = 0.0
+    """-h^-1 g by Cholesky; a failed factorization retries with a ridge that
+    starts at 1e-14 of h's mean diagonal and grows tenfold, and least
+    squares takes over after 12 tries."""
     scale = max(float(np.trace(h)) / h.shape[0], 1.0)
+    a, ridge = h, 0.0
     for _ in range(12):
         try:
-            c = np.linalg.cholesky(h + ridge * np.eye(h.shape[0]))
+            c = np.linalg.cholesky(a)
             return -np.linalg.solve(c.T, np.linalg.solve(c, g))
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-14 * scale)
+            a = h + ridge * np.eye(h.shape[0])
     return -np.linalg.lstsq(h, g, rcond=None)[0]
 
 
 def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                   max_iter: int = 50_000) -> tuple[np.ndarray, BarrierInfo]:
-    """Follow the central path until the duality-gap bound nu/t <= tol.
+    """Follow the central path until the certified duality gap is <= tol.
 
-    v0 must be strictly feasible.  Returns the final iterate and diagnostics.
-    Raises SolverNonConvergence if the Newton/line-search budget runs out.
+    Every Newton step gives a dual point and its gap
+    (BarrierProgram.duality_gap); the solve returns the first iterate whose
+    gap is at most tol.  A round at parameter t ends once the Newton
+    decrement is at most CENTRED, and t then grows by 1/MU_FACTOR.  Steps are
+    damped by 1/(1+lambda) and halved only while they leave the merit's
+    domain.
+
+    v0 must be strictly feasible.  Float64 can run out before the gap
+    reaches tol: a factorization fails, no step stays in the domain, the
+    Newton budget max_iter is spent, or a round ends uncertified although
+    nu/t <= MU_FACTOR * tol, where an exactly centred point would certify.
+    The iterate with the smallest gap so far is then returned with a
+    warning, and SolverNonConvergence is raised if no gap was finite.
     """
     v = np.asarray(v0, dtype=float).copy()
     if not program.feasible(v):
         raise SolverNonConvergence("initial point is not strictly feasible")
     nu = program.nu
-    info = BarrierInfo()
     # keep t * w >= 1 for every objective logdet term so the composite
     # merit stays self-concordant from the first round
     w_min = min((w for w, _ in program.objective), default=1.0)
     t = max(T_START, 1.0 / w_min)
+    best = (np.inf, v, t, np.inf)       # (gap, iterate, t, decrement)
     total = 0
-    checkpoint = None           # (v, t) after the last completed round
-    while True:
-        # center at the current t
-        try:
-            merit = program.merit(v, t)
-            last_lam = np.inf
-            floor_streak = 0
+    stop = None
+    try:
+        while True:
+            program.merit(v, t)
             for _ in range(MAX_INNER):
                 g, h = program.grad_hess(v, t)
                 step = _newton_direction(h, g)
-                lam2 = float(-g @ step)
-                if not np.isfinite(lam2) or lam2 < 0:
-                    step = -g
-                    lam2 = float(g @ g)
-                lam = np.sqrt(max(lam2, 0.0))
-                info.newton_decrement = lam
-                if lam <= NEWTON_TOL:
-                    break
-                # At large t the decrement bottoms out on float64
-                # cancellation; a small non-improving decrement means
-                # numerically centered.
-                floor_streak = floor_streak + 1 if lam >= 0.7 * last_lam else 0
-                last_lam = min(last_lam, lam)
-                if floor_streak >= 5 and lam <= 1e-3:
-                    break
-                # Damped Newton: 1/(1+lambda) guarantees decrease for a
-                # self-concordant merit; verify, fall back to backtracking.
-                alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-                new_merit = np.inf
-                while alpha > 1e-16:
-                    cand = v + alpha * step
-                    new_merit = program.merit(cand, t)
-                    if new_merit <= merit - ARMIJO_SLOPE * alpha * lam2:
-                        break
-                    alpha *= BACKTRACK
-                if alpha <= 1e-16 or not np.isfinite(new_merit):
-                    # line search failed: accept if nearly centered
-                    if lam < 1e-2:
-                        break
+                lam = math.sqrt(max(float(-g @ step), 0.0))
+                if not math.isfinite(lam):
                     raise SolverNonConvergence(
-                        f"line search failed at t={t:.3e} (decrement {lam:.3e})")
+                        f"Newton step not finite at t={t:.3e}")
+                gap = program.duality_gap(step)
+                if gap < best[0]:
+                    best = (gap, v, t, lam)
+                if gap <= tol or lam <= CENTRED:
+                    break
+                # damped Newton: 1/(1+lambda) stays in the domain and lowers
+                # a self-concordant merit; halve only if float64 leaves it
+                alpha = 1.0 / (1.0 + lam)
+                while not math.isfinite(program.merit(v + alpha * step, t)):
+                    alpha *= BACKTRACK
+                    if alpha < 1e-16:
+                        raise SolverNonConvergence(
+                            f"no step stays in the domain at t={t:.3e}")
                 v = v + alpha * step
-                merit = new_merit
                 total += 1
                 if total > max_iter:
                     raise SolverNonConvergence(
                         f"Newton budget {max_iter} exhausted at t={t:.3e}")
-        except (np.linalg.LinAlgError, SolverNonConvergence):
-            # float64 ran out before the requested gap: fall back to the
-            # last fully centered round, whose gap bound is still valid
-            if checkpoint is None:
-                raise SolverNonConvergence(
-                    f"numerical breakdown at t={t:.3e} before any "
-                    "completed round") from None
-            v, t_done = checkpoint
-            log.warning("stopping early at duality gap %.3e (requested %.3e): "
-                        "float64 exhausted at t=%.3e", nu / t_done, tol, t)
-            info.iterations = total
-            info.t_final = t_done
-            info.duality_gap = nu / t_done
-            return v, info
-        checkpoint = (v.copy(), t)
-        if nu / t <= tol:
-            break
-        t /= MU_FACTOR
-    info.iterations = total
-    info.t_final = t
-    info.duality_gap = nu / t
-    return v, info
+            if gap <= tol:
+                break
+            if nu / t <= MU_FACTOR * tol:
+                raise SolverNonConvergence(f"round at nu/t={nu / t:.3e} "
+                                           "ended uncertified")
+            t /= MU_FACTOR
+    except (np.linalg.LinAlgError, SolverNonConvergence) as err:
+        stop = err
+    gap, v, t_best, lam = best
+    if not math.isfinite(gap):
+        raise SolverNonConvergence(
+            f"numerical breakdown before any certified point: {stop}")
+    if stop is not None:
+        log.warning("stopping early at duality gap %.3e (requested %.3e): "
+                    "float64 exhausted at t=%.3e (%s)", gap, tol, t, stop)
+    return v, BarrierInfo(iterations=total, t_final=t_best, duality_gap=gap,
+                          newton_decrement=lam)
 
 
 class SymPacker:

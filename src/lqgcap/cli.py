@@ -65,11 +65,11 @@ def _in_units(rate_nats: float, units: str) -> float:
     return rate_nats / LN2 if units == "bits" else rate_nats
 
 
-def _budget_point(model, weights, budget: float, solver: SolverOptions,
-                  units: str) -> dict:
-    """Solve the full chain (UB, extraction, LB, certificate) at one budget."""
-    consts = ProblemConstants.compute(model, weights)
-    prob = BudgetedProblem(model, weights, budget)
+def _budget_point(consts: ProblemConstants, budget: float,
+                  solver: SolverOptions, units: str) -> dict:
+    """Solve the full chain (UB, extraction, LB, certificate) at one budget
+    of the model and weights that `consts` were computed for."""
+    prob = BudgetedProblem(consts.model, consts.weights, budget)
     ub = solve_ub(prob, solver, consts)
     lb = lower_bound_from_ub(consts, ub)
     cert = tightness_certificate(ub, lb, consts.estimator)
@@ -86,14 +86,15 @@ def _budget_point(model, weights, budget: float, solver: SolverOptions,
 
 
 def _sweep_worker(payload):
-    model, weights, budget, solver, units = payload
-    return _budget_point(model, weights, float(budget), solver, units)
+    consts, budget, solver, units = payload
+    return _budget_point(consts, float(budget), solver, units)
 
 
 def _param_worker(payload):
     model, weights, name, value, budget, solver, units = payload
     varied = set_system_entry(model, name, float(value))
-    row = _budget_point(varied, weights, float(budget), solver, units)
+    row = _budget_point(ProblemConstants.compute(varied, weights),
+                        float(budget), solver, units)
     return {"param": name, "value": float(value), **row}
 
 
@@ -143,8 +144,8 @@ def cmd_ub(cfg: RunConfig, args) -> int:
 
 
 def cmd_lb(cfg: RunConfig, args) -> int:
-    row = _budget_point(cfg.model, cfg.weights, _require_budget(cfg),
-                        cfg.solver, cfg.units)
+    row = _budget_point(ProblemConstants.compute(cfg.model, cfg.weights),
+                        _require_budget(cfg), cfg.solver, cfg.units)
     for key in _COLUMNS:
         print(f"{key} = {_fmt(row[key])}")
     if args.output:
@@ -189,8 +190,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         budgets = np.array([cfg.budget])
     else:
         raise ConfigError("budget", "sweep needs a budget grid or scalar")
-    payloads = [(cfg.model, cfg.weights, float(b), cfg.solver, cfg.units)
-                for b in budgets]
+    consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    payloads = [(consts, float(b), cfg.solver, cfg.units) for b in budgets]
     rows = _run_pool(_sweep_worker, payloads, args.jobs)
     write_csv(rows, args.output)
     return 0

@@ -44,7 +44,7 @@ class SCOPSolution:
     value: float               # nats per step
     slack_E_n: float           # terminal correction term in the cost
     cost: float                # left-hand side of the cost constraint
-    duality_gap: float = 0.0
+    duality_gap: float = 0.0   # certified: value + duality_gap >= the optimum
     iterations: int = 0
     relaxation: float = 0.0    # PSD slack added to the chained LMIs (k > m)
     consts: ProblemConstants | None = None

@@ -71,7 +71,7 @@ class UBSolution:
     K_Y: np.ndarray
     rate: float            # nats per step
     cost: float            # budget units
-    duality_gap: float
+    duality_gap: float     # certified: rate + duality_gap >= the optimum
     iterations: int
     riccati_lmi_slack: float
     capacity_exact: bool = False

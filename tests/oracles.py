@@ -4,7 +4,9 @@ Everything here is deliberately written as plain loops / grid scans that do
 not share code with the library's solvers.  `simulate_stepwise` takes the
 library's gains and noise streams and replaces only the simulation loop;
 `iterate_fixed_point` runs the library's one-step Riccati maps
-(`riccati_recursion`'s) to their limit, one step per iteration.
+(`riccati_recursion`'s) to their limit, one step per iteration;
+`solve_barrier_nu_over_t` runs the library's barrier programs to the gap
+bound nu/t of an exactly centred point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import numpy as np
 
 from lqgcap import linalg as la
 from lqgcap import riccati
-from lqgcap.errors import MaxIterations, NonConvergence, NumericalOverflow
+from lqgcap.barrier import BarrierInfo, BarrierProgram
+from lqgcap.errors import (
+    MaxIterations,
+    NonConvergence,
+    NumericalOverflow,
+    SolverNonConvergence,
+)
 from lqgcap.model import reduce_to_estimator
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
 
@@ -325,3 +333,115 @@ def simulate_stepwise(model, weights, policy, cfg):
         obs_err_scale=math.sqrt(sum_sq["obs"] / max(lag_pairs, 1)),
         psi_scale=math.sqrt(sum_sq["psi"] / total),
     )
+
+
+# The barrier engine the library used before it stopped on a certified gap:
+# Armijo backtracking on the merit, centring to a Newton decrement of
+# NEWTON_TOL (or a stalled decrement), and the gap bound nu/t of an exact
+# centre, falling back to the last completed round when float64 runs out.
+MU_FACTOR = 0.2
+ARMIJO_SLOPE = 0.01
+BACKTRACK = 0.5
+NEWTON_TOL = 1e-7      # stop centering at Newton decrement below this
+MAX_INNER = 400
+T_START = 2.0
+
+
+def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    ridge = 0.0
+    scale = max(float(np.trace(h)) / h.shape[0], 1.0)
+    for _ in range(12):
+        try:
+            c = np.linalg.cholesky(h + ridge * np.eye(h.shape[0]))
+            return -np.linalg.solve(c.T, np.linalg.solve(c, g))
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10.0, 1e-14 * scale)
+    return -np.linalg.lstsq(h, g, rcond=None)[0]
+
+
+def solve_barrier_nu_over_t(program: BarrierProgram, v0: np.ndarray, tol: float,
+                            max_iter: int = 50_000) -> tuple[np.ndarray, BarrierInfo]:
+    """Follow the central path until the duality-gap bound nu/t <= tol.
+
+    v0 must be strictly feasible.  Returns the final iterate and diagnostics.
+    Raises SolverNonConvergence if the Newton/line-search budget runs out.
+    """
+    v = np.asarray(v0, dtype=float).copy()
+    if not program.feasible(v):
+        raise SolverNonConvergence("initial point is not strictly feasible")
+    nu = program.nu
+    info = BarrierInfo()
+    # keep t * w >= 1 for every objective logdet term so the composite
+    # merit stays self-concordant from the first round
+    w_min = min((w for w, _ in program.objective), default=1.0)
+    t = max(T_START, 1.0 / w_min)
+    total = 0
+    checkpoint = None           # (v, t) after the last completed round
+    while True:
+        # center at the current t
+        try:
+            merit = program.merit(v, t)
+            last_lam = np.inf
+            floor_streak = 0
+            for _ in range(MAX_INNER):
+                g, h = program.grad_hess(v, t)
+                step = _newton_direction(h, g)
+                lam2 = float(-g @ step)
+                if not np.isfinite(lam2) or lam2 < 0:
+                    step = -g
+                    lam2 = float(g @ g)
+                lam = np.sqrt(max(lam2, 0.0))
+                info.newton_decrement = lam
+                if lam <= NEWTON_TOL:
+                    break
+                # At large t the decrement bottoms out on float64
+                # cancellation; a small non-improving decrement means
+                # numerically centered.
+                floor_streak = floor_streak + 1 if lam >= 0.7 * last_lam else 0
+                last_lam = min(last_lam, lam)
+                if floor_streak >= 5 and lam <= 1e-3:
+                    break
+                # Damped Newton: 1/(1+lambda) guarantees decrease for a
+                # self-concordant merit; verify, fall back to backtracking.
+                alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
+                new_merit = np.inf
+                while alpha > 1e-16:
+                    cand = v + alpha * step
+                    new_merit = program.merit(cand, t)
+                    if new_merit <= merit - ARMIJO_SLOPE * alpha * lam2:
+                        break
+                    alpha *= BACKTRACK
+                if alpha <= 1e-16 or not np.isfinite(new_merit):
+                    # line search failed: accept if nearly centered
+                    if lam < 1e-2:
+                        break
+                    raise SolverNonConvergence(
+                        f"line search failed at t={t:.3e} (decrement {lam:.3e})")
+                v = v + alpha * step
+                merit = new_merit
+                total += 1
+                if total > max_iter:
+                    raise SolverNonConvergence(
+                        f"Newton budget {max_iter} exhausted at t={t:.3e}")
+        except (np.linalg.LinAlgError, SolverNonConvergence):
+            # float64 ran out before the requested gap: fall back to the
+            # last fully centered round, whose gap bound is still valid
+            if checkpoint is None:
+                raise SolverNonConvergence(
+                    f"numerical breakdown at t={t:.3e} before any "
+                    "completed round") from None
+            v, t_done = checkpoint
+            log.warning("stopping early at duality gap %.3e (requested %.3e): "
+                        "float64 exhausted at t=%.3e", nu / t_done, tol, t)
+            info.iterations = total
+            info.t_final = t_done
+            info.duality_gap = nu / t_done
+            return v, info
+        checkpoint = (v.copy(), t)
+        if nu / t <= tol:
+            break
+        t /= MU_FACTOR
+    info.iterations = total
+    info.t_final = t
+    info.duality_gap = nu / t
+    return v, info

@@ -1,12 +1,22 @@
+import functools
+import pathlib
+
 import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem
+from lqgcap import BudgetedProblem, ProblemConstants
 from lqgcap.barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
+from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
 from lqgcap.linalg import pinv, psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
 from lqgcap.scop import SCOPProgram, chain_relaxation
-from lqgcap.upper_bound import feasibility
+from lqgcap.upper_bound import SolverOptions, feasibility
+
+from oracles import solve_barrier_nu_over_t
+from test_random_systems import random_system
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+TOL = SolverOptions().tol
 
 
 class TestSymPacker:
@@ -187,6 +197,120 @@ class TestSolveBarrier:
                          AffineBlock(np.array([[1.0]]),
                                      np.zeros((pk.dim, 1, 1)))])
         assert program.nu == 3.0
+
+
+def _explicit_dual(program, v, t, step):
+    """The dual point of a Newton step from explicit inverses, block by
+    block: W_o = w_o (O^-1 - O^-1 dO O^-1), Z_c = (O^-1 - O^-1 dO O^-1)/t
+    with dO the step's change of the block.  Returns (W, Z, dual-equality
+    residual relative to its terms, f(v) - g(W, Z))."""
+    def parts(b, scale):
+        s = sym(b.value(v))
+        inv = np.linalg.inv(s)
+        ds = np.tensordot(step, b.basis, axes=(0, 0))
+        x = scale * sym(inv - inv @ ds @ inv)
+        return s, x, np.einsum("ab,jab->j", x, b.basis)
+
+    obj = [(w, b, *parts(b, w)) for w, b in program.objective]
+    con = [(b, *parts(b, 1.0 / t)) for b in program.constraints]
+    terms = [q[-1] for q in obj] + [q[-1] for q in con]
+    residual = (np.linalg.norm(np.sum(terms, axis=0))
+                / sum(np.linalg.norm(q) for q in terms))
+    f = sum(-w * slogdet_pd(s) for w, _, s, _, _ in obj)
+    g = (sum(w * (b.dim + slogdet_pd(x / w)) - np.vdot(x, b.const)
+             for w, b, _, x, _ in obj)
+         - sum(np.vdot(x, b.const) for b, _, x, _ in con))
+    return ([q[3] for q in obj], [q[2] for q in con], residual, f - g)
+
+
+def _bundled(name):
+    return load_config(str(CONFIGS / f"{name}.json"))
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_consts(name):
+    cfg = _bundled(name)
+    return ProblemConstants.compute(cfg.model, cfg.weights)
+
+
+SWEEP_POINTS = [(name, float(b)) for name in ("scalar", "vector3")
+                for b in _bundled(name).budget_sweep.grid()]
+
+
+def _against_oracle(consts, budget):
+    """The certified solve and the nu/t engine on one UB program: checks
+    that their rates agree to 2 tol and weak duality, and returns the
+    certified solve's info."""
+    feas = feasibility(BudgetedProblem(consts.model, consts.weights, budget),
+                       consts)
+    prog = feas.program
+    program, v0 = prog.barrier_program(), prog.pack(feas.point)
+    v, info = solve_barrier(program, v0, TOL)
+    v_ref, _ = solve_barrier_nu_over_t(program, v0, TOL)
+    rate, ref = prog.rate(v), prog.rate(v_ref)
+    assert abs(rate - ref) <= 2 * TOL
+    # the certified gap bounds the optimum, which the old iterate's rate
+    # cannot exceed
+    assert rate + info.duality_gap >= ref - 1e-12
+    return info
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("case", ["mixed", "ub-s1", "ub-vector3",
+                                      "scop-scalar-h4"])
+    def test_gap_is_the_explicit_dual_points_gap(self, case, c1, c2):
+        program, v0 = {
+            "mixed": lambda: (_mixed_program(np.random.default_rng(3)),
+                              np.zeros(4)),
+            "ub-s1": lambda: _ub_start(c1, 2.0),
+            "ub-vector3": lambda: _ub_start(c2, 120.0),
+            "scop-scalar-h4": lambda: _scop_start(c1, 2.0, 4),
+        }[case]()
+        # a point near the central path, where the Newton step's dual point
+        # is feasible
+        v, info = solve_barrier(program, v0, 1e-3)
+        t = info.t_final
+        g, h = program.grad_hess(v, t)
+        step = np.linalg.solve(h, -g)
+        gap = program.duality_gap(step)
+        W, Z, residual, dual_gap = _explicit_dual(program, v, t, step)
+        assert residual <= 1e-8
+        assert all(np.linalg.eigvalsh(w)[0] > 0 for w in W)
+        assert all(np.linalg.eigvalsh(z)[0] >= 0 for z in Z)
+        assert 0 < gap <= 1e-3
+        assert abs(dual_gap - gap) <= 1e-9 * gap
+
+        # a step scaled out of the Dikin ellipsoid: some I - E_b is not PD
+        blocks = [b for _, b in program.objective] + program.constraints
+        e_max = max(np.linalg.eigvals(np.linalg.solve(
+            sym(b.value(v)), np.tensordot(step, b.basis, axes=(0, 0)))).real.max()
+                    for b in blocks)
+        assert e_max > 0
+        assert program.duality_gap((2.0 / e_max) * step) == np.inf
+        assert np.isfinite(program.duality_gap((0.5 / e_max) * step))
+
+
+class TestCertifiedStop:
+    @pytest.mark.parametrize("name,budget", SWEEP_POINTS,
+                             ids=[f"{n}-{b:.6g}" for n, b in SWEEP_POINTS])
+    def test_sweep_point_agrees_with_the_nu_over_t_engine(self, name, budget):
+        _against_oracle(_bundled_consts(name), budget)
+
+    @pytest.mark.parametrize("seed", [11, 37, 41, 59, 113])
+    def test_random_plant_agrees_with_the_nu_over_t_engine(self, seed):
+        consts = ProblemConstants.compute(*random_system(seed))
+        for mult in (1.3, 2.5):
+            info = _against_oracle(consts, mult * consts.minimal_cost + 0.1)
+            assert info.duality_gap <= TOL
+
+    @pytest.mark.parametrize("name", ["scalar", "vector3"])
+    def test_every_bundled_sweep_point_certifies_within_120_steps(self, name):
+        consts = _bundled_consts(name)
+        for budget in _bundled(name).budget_sweep.grid():
+            program, v0 = _ub_start(consts, float(budget))
+            _, info = solve_barrier(program, v0, TOL)
+            assert info.iterations <= 120, budget
+            assert info.duality_gap <= TOL, budget
 
 
 class TestLinalgHelpers:

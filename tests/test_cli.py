@@ -10,6 +10,7 @@ import pytest
 
 from lqgcap.cli import run, write_csv
 from lqgcap.config import load_config, set_system_entry
+from lqgcap.constants import ProblemConstants
 from lqgcap.errors import ConfigError
 from lqgcap.upper_bound import UBProgram
 
@@ -172,6 +173,21 @@ class TestCommands:
                     "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes() == out3.read_bytes()
+
+    def test_sweep_computes_the_constants_once(self, tmp_path, monkeypatch):
+        compute = ProblemConstants.__dict__["compute"].__func__
+        calls = []
+
+        def counted(cls, model, weights):
+            calls.append(model)
+            return compute(cls, model, weights)
+
+        monkeypatch.setattr(ProblemConstants, "compute", classmethod(counted))
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", str(SCALAR_CFG), "--output",
+                    str(out), "--jobs", "1"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 28
+        assert len(calls) == 1
 
     def test_sweep_rows_monotone(self, tmp_path):
         doc = scalar_doc(budget={"min": 1.4, "max": 3.0, "points": 5,
