@@ -317,26 +317,24 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
 
 
 class SymPacker:
-    """Pack/unpack a symmetric n x n matrix into its n(n+1)/2 upper triangle."""
+    """Pack/unpack a symmetric n x n matrix, or each in a stack, into its
+    n(n+1)/2 upper triangle."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.idx = [(i, j) for i in range(n) for j in range(i, n)]
-        self.dim = len(self.idx)
+        self.rows, self.cols = np.triu_indices(n)
+        self.dim = self.rows.size
+        # the packed coordinate that holds each entry of the matrix
+        idx = np.arange(self.dim)
+        self.pos = np.empty((n, n), dtype=int)
+        self.pos[self.rows, self.cols] = self.pos[self.cols, self.rows] = idx
 
     def basis(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.n, self.n))
-        for t, (i, j) in enumerate(self.idx):
-            out[t, i, j] = 1.0
-            out[t, j, i] = 1.0
-        return out
+        return self.unpack(np.eye(self.dim))
 
     def pack(self, a: np.ndarray) -> np.ndarray:
-        return np.array([a[i, j] for (i, j) in self.idx])
+        return a[..., self.rows, self.cols]
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for t, (i, j) in enumerate(self.idx):
-            a[i, j] = v[t]
-            a[j, i] = v[t]
-        return a
+        # take returns C order, unlike v[..., pos]; programs built from unit
+        # stacks keep the layout, hence the BLAS kernels, of dense assembly
+        return np.take(v, self.pos, axis=-1)

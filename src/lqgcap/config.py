@@ -167,8 +167,6 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
                 max_iter=int(doc["solver"].get("max_iter", solver.max_iter)))
         except (TypeError, ValueError):
             raise ConfigError("solver", "bad tol/max_iter") from None
-        if solver.tol <= 0:
-            raise ConfigError("solver.tol", "must be positive")
 
     sim = None
     if "sim" in doc:

@@ -17,25 +17,29 @@ def decision_map(sys, Pi: np.ndarray, Gamma: np.ndarray,
     """Linear parts (P, C, Y) of the Riccati propagation
     F SigmaHat F^T + F Gamma^T G^T + G Gamma F^T + G Pi G^T, of K_Y Psi_Y and
     of Psi_Y, without their constants K_p Psi K_p^T, K_p Psi and Psi.  `sys`
-    is anything with F, G, H, J: a SystemModel or an EstimatorModel."""
+    is anything with F, G, H, J: a SystemModel or an EstimatorModel.  The
+    decisions may be stacks of matrices, mapped slice by slice."""
     F, G, H, J = sys.F, sys.G, sys.H, sys.J
-    P = (F @ SigmaHat @ F.T + F @ Gamma.T @ G.T + G @ Gamma @ F.T
+    GammaT = Gamma.swapaxes(-1, -2)
+    P = (F @ SigmaHat @ F.T + F @ GammaT @ G.T + G @ Gamma @ F.T
          + G @ Pi @ G.T)
-    C = (F @ Gamma.T @ J.T + F @ SigmaHat @ H.T + G @ Pi @ J.T
+    C = (F @ GammaT @ J.T + F @ SigmaHat @ H.T + G @ Pi @ J.T
          + G @ Gamma @ H.T)
-    Y = (J @ Pi @ J.T + H @ SigmaHat @ H.T + H @ Gamma.T @ J.T
+    Y = (J @ Pi @ J.T + H @ SigmaHat @ H.T + H @ GammaT @ J.T
          + J @ Gamma @ H.T)
     return P, C, Y
 
 
 def trace_cost(K_LQR: np.ndarray, Psi_LQR: np.ndarray, Pi: np.ndarray,
-               Gamma: np.ndarray, SigmaHat: np.ndarray) -> float:
+               Gamma: np.ndarray, SigmaHat: np.ndarray):
     """The five-term trace cost of a decision above its floor:
-    Tr(SigmaHat K^T Psi_LQR K) + Tr(Pi Psi_LQR) + 2 Tr(Gamma K^T Psi_LQR)."""
-    KtPsiL = K_LQR.T @ Psi_LQR
-    return float(np.trace(SigmaHat @ KtPsiL @ K_LQR)
-                 + np.trace(Pi @ Psi_LQR)
-                 + 2.0 * np.trace(Gamma @ KtPsiL))
+    Tr(SigmaHat K^T Psi_LQR K) + Tr(Pi Psi_LQR) + 2 Tr(Gamma K^T Psi_LQR).
+    Stacked decisions, or stacked (K_LQR, Psi_LQR), give a stack of costs."""
+    KtPsiL = K_LQR.swapaxes(-1, -2) @ Psi_LQR
+    cost = (np.trace(SigmaHat @ KtPsiL @ K_LQR, axis1=-2, axis2=-1)
+            + np.trace(Pi @ Psi_LQR, axis1=-2, axis2=-1)
+            + 2.0 * np.trace(Gamma @ KtPsiL, axis1=-2, axis2=-1))
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
 def cost_floor(estimator: EstimatorModel, weights: CostWeights,

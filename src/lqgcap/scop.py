@@ -5,7 +5,8 @@ SigmaHat_{i+1}) chained by Riccati LMIs, with time-varying LQR constants from
 the backward recursion and a terminal correction term in the cost.  Averaging
 the per-time variables produces a point feasible for the single-letter
 program up to an O(1/n) correction, which is what makes the single-letter
-bound the horizon limit.
+bound the horizon limit.  Step i is the single-letter step map
+upper_bound.step_blocks with SigmaHat_next = SigmaHat_{i+1}.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import numpy as np
 
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
-from .constants import ProblemConstants, decision_map, trace_cost
+from .constants import ProblemConstants
 from .errors import Infeasible
 from .model import BudgetedProblem
-from .riccati import control_gain
+from .riccati import control_gain, riccati_recursion
 from .upper_bound import (
     BOUNDARY_TOL,
     UBDecision,
     UBProgram,
-    _unit_triples,
     damped_chain,
+    step_blocks,
     strict_start,
 )
 
@@ -71,22 +72,11 @@ class AveragedVariables:
     slack: float               # max of the averaging corrections/violations
 
 
-def _lqr_schedule(consts: ProblemConstants, n: int):
-    """Backward recursion from E_{n+1} = Q; returns (E[1..n+1], K[1..n],
-    PsiL[1..n]) as 1-indexed lists (index 0 unused)."""
-    F, Q = consts.model.F, consts.weights.Q
-    E = [None] * (n + 2)
-    K = [None] * (n + 1)
-    PsiL = [None] * (n + 1)
-    E[n + 1] = Q.copy()
-    for i in range(n, 0, -1):
-        K[i], PsiL[i] = control_gain(consts.model, consts.weights, E[i + 1])
-        E[i] = la.sym(F.T @ E[i + 1] @ F + Q - K[i].T @ PsiL[i] @ K[i])
-    return E, K, PsiL
-
-
 class SCOPProgram:
-    """Stacked affine assembly of the horizon-n program."""
+    """Stacked affine assembly of the horizon-n program over Pi_1..Pi_n,
+    Gamma_2..Gamma_n and SigmaHat_2..SigmaHat_{n+1} (Gamma_1 = SigmaHat_1 = 0);
+    step i's blocks are step_blocks with SigmaHat_next = SigmaHat_{i+1},
+    priced by K_i and PsiL_i, for all n steps in one batched evaluation."""
 
     def __init__(self, consts: ProblemConstants, budget: float, horizon: int,
                  relaxation: float = 0.0):
@@ -97,18 +87,14 @@ class SCOPProgram:
         m, k = consts.model.m, consts.model.k
         self.pi_pack = SymPacker(m)
         self.sig_pack = SymPacker(k)
-        self.n_gamma = m * k
-        # slot offsets: Pi_1..Pi_n, Gamma_2..Gamma_n, SigmaHat_2..SigmaHat_{n+1}
-        n = self.n
-        self.pi_off = [None] + [i * self.pi_pack.dim for i in range(n)]
-        base = n * self.pi_pack.dim
-        self.gam_off = [None, None] + [base + i * self.n_gamma
-                                       for i in range(n - 1)]
-        base += (n - 1) * self.n_gamma
-        self.sig_off = [None, None] + [base + i * self.sig_pack.dim
-                                       for i in range(n)]
-        self.dim = base + n * self.sig_pack.dim
-        self.E, self.K, self.PsiL = _lqr_schedule(consts, n)
+        self.dim = (horizon * (self.pi_pack.dim + self.sig_pack.dim)
+                    + (horizon - 1) * m * k)
+        # E_1..E_{n+1} backward from E_{n+1} = Q, and K_i, PsiL_i at E_{i+1}
+        E = riccati_recursion("control", horizon, model=consts.model,
+                              weights=consts.weights)[::-1]
+        K, PsiL = zip(*(control_gain(consts.model, consts.weights, e)
+                        for e in E[1:]))
+        self.E, self.K, self.PsiL = np.array(E), np.array(K), np.array(PsiL)
         self._build()
         self._barrier: BarrierProgram | None = None
 
@@ -116,8 +102,8 @@ class SCOPProgram:
 
     def cost_constant(self) -> float:
         c = self.consts
-        kp_term = sum(float(np.trace(c.K_p @ c.Psi @ c.K_p.T @ self.E[i + 1]))
-                      for i in range(1, self.n + 1)) / self.n
+        kp_term = sum(float(np.trace(c.K_p @ c.Psi @ c.K_p.T @ e))
+                      for e in self.E[1:]) / self.n
         sigma_q = float(np.trace(c.Sigma @ c.weights.Q))
         return kp_term + sigma_q * (self.n + 1) / self.n
 
@@ -126,75 +112,59 @@ class SCOPProgram:
         + Tr(cov 0 * E_1) + Tr(0*E_1 - SigmaHat_{n+1} E_{n+1}))."""
         c = self.consts
         return float(np.trace((c.Sigma + sigma_last) @ c.weights.Q)
-                     - np.trace(sigma_last @ self.E[self.n + 1])) / self.n
+                     - np.trace(sigma_last @ self.E[-1])) / self.n
 
     # -- packing -----------------------------------------------------------
 
     def pack(self, pis, gammas, sigmas) -> np.ndarray:
-        """pis[1..n], gammas[2..n], sigmas[2..n+1] as 1-indexed lists."""
-        return np.concatenate(
-            [self.pi_pack.pack(pis[i]) for i in range(1, self.n + 1)]
-            + [gammas[i].reshape(-1) for i in range(2, self.n + 1)]
-            + [self.sig_pack.pack(sigmas[i]) for i in range(2, self.n + 2)])
+        """The inverse of unpack at one point: the pinned Gamma_1 and
+        SigmaHat_1 are dropped."""
+        return np.concatenate([self.pi_pack.pack(pis).ravel(),
+                               gammas[1:].ravel(),
+                               self.sig_pack.pack(sigmas[1:]).ravel()])
 
     def unpack(self, v: np.ndarray):
-        m, k = self.consts.model.m, self.consts.model.k
-        pis = [None] + [self.pi_pack.unpack(
-            v[self.pi_off[i]:self.pi_off[i] + self.pi_pack.dim])
-            for i in range(1, self.n + 1)]
-        gammas = [None, np.zeros((m, k))] + [
-            v[self.gam_off[i]:self.gam_off[i] + self.n_gamma].reshape(m, k)
-            for i in range(2, self.n + 1)]
-        sigmas = [None, np.zeros((k, k))] + [
-            self.sig_pack.unpack(v[self.sig_off[i]:self.sig_off[i]
-                                   + self.sig_pack.dim])
-            for i in range(2, self.n + 2)]
-        return pis, gammas, sigmas
+        """Pi_1..Pi_n, Gamma_1..Gamma_n and SigmaHat_1..SigmaHat_{n+1} at v,
+        each stacked on a time axis after v's own leading axes."""
+        n, m, k = self.n, self.consts.model.m, self.consts.model.k
+        lead = v.shape[:-1]
+        a = n * self.pi_pack.dim
+        b = a + (n - 1) * m * k
+        gammas = np.concatenate([np.zeros(lead + (m * k,)), v[..., a:b]], -1)
+        sigmas = np.concatenate([np.zeros(lead + (self.sig_pack.dim,)),
+                                 v[..., b:]], -1)
+        return (self.pi_pack.unpack(v[..., :a].reshape(lead + (n, -1))),
+                gammas.reshape(lead + (n, m, k)),
+                self.sig_pack.unpack(sigmas.reshape(lead + (n + 1, -1))))
 
     # -- blocks ------------------------------------------------------------
 
     def _build(self):
-        c = self.consts
-        m, k, p = c.model.m, c.model.k, c.model.p
-        n, D = self.n, self.dim
+        c, n = self.consts, self.n
+        m, k = c.model.m, c.model.k
+        pis, gammas, sigmas = self.unpack(np.eye(self.dim))
+        cov, lmi, psiy, cost = step_blocks(
+            c.model, self.K, self.PsiL,
+            UBDecision(pis, gammas, sigmas[:, :-1]), sigmas[:, 1:])
         KpPsi = c.K_p @ c.Psi
         lmi_const = np.block([[KpPsi @ c.K_p.T + self.relaxation * np.eye(k),
                                KpPsi], [KpPsi.T, c.Psi]])
-
-        cost = np.zeros(D)
-        covariance, chained, objective = [], [], []
-        for i in range(1, n + 1):
-            # SigmaHat_1 = 0 pins Gamma_1 = 0, shrinking the first covariance
-            # LMI to Pi_1 >= 0
-            cov = np.zeros((D, m, m) if i == 1 else (D, m + k, m + k))
-            lmi = np.zeros((D, k + p, k + p))
-            psiy = np.zeros((D, p, p))
-            for j, dPi, dGam, dSig in _unit_triples(
-                    m, k, self.pi_off[i], self.gam_off[i], self.sig_off[i]):
-                cov[j] = dPi if i == 1 else UBDecision(dPi, dGam, dSig).first_lmi()
-                P, C, Y = decision_map(c.model, dPi, dGam, dSig)
-                lmi[j] = np.vstack([np.hstack([P, C]), np.hstack([C.T, Y])])
-                psiy[j] = Y
-                cost[j] = trace_cost(self.K[i], self.PsiL[i], dPi, dGam, dSig) / n
-            # the chained Riccati LMI subtracts SigmaHat_{i+1}
-            for t, b in enumerate(self.sig_pack.basis()):
-                lmi[self.sig_off[i + 1] + t, :k, :k] -= b
-            covariance.append(AffineBlock(np.zeros(cov.shape[1:]), cov))
-            chained.append(AffineBlock(lmi_const, lmi))
-            # per-time objective: (1/(2n)) logdet Psi_Y,i
-            objective.append((0.5 / n, AffineBlock(c.Psi.copy(), psiy)))
-
-        # terminal SigmaHat_{n+1} >= 0
-        basis = np.zeros((D, k, k))
-        for t, b in enumerate(self.sig_pack.basis()):
-            basis[self.sig_off[n + 1] + t] = b
-        terminal = AffineBlock(np.zeros((k, k)), basis)
-
+        # SigmaHat_1 = 0 pins Gamma_1 = 0, shrinking the first covariance
+        # LMI to Pi_1 >= 0
+        covariance = ([AffineBlock(np.zeros((m, m)), cov[:, 0, :m, :m])]
+                      + [AffineBlock(np.zeros((m + k, m + k)), cov[:, i])
+                         for i in range(1, n)])
+        terminal = AffineBlock(np.zeros((k, k)), sigmas[:, n])
+        chained = [AffineBlock(lmi_const, lmi[:, i]) for i in range(n)]
+        # each coordinate is priced at the one step that holds it
+        self.cost_coeffs = (cost / n).sum(axis=1)
         slack0 = self.budget - self.cost_constant()
-        budget = AffineBlock(np.array([[slack0]]), (-cost).reshape(D, 1, 1))
-        self.cost_coeffs = cost
+        budget = AffineBlock(np.array([[slack0]]),
+                             (-self.cost_coeffs).reshape(-1, 1, 1))
         self._constraints = covariance + [terminal] + chained + [budget]
-        self._objective = objective
+        # per-time objective: (1/(2n)) logdet Psi_Y,i
+        self._objective = [(0.5 / n, AffineBlock(c.Psi.copy(), psiy[:, i]))
+                           for i in range(n)]
 
     def barrier_program(self) -> BarrierProgram:
         """The program's blocks for the barrier engine, stacked once."""
@@ -210,11 +180,10 @@ class SCOPProgram:
         m, k = c.model.m, c.model.k
 
         def start(eps):
-            sigmas = [None] + list(islice(damped_chain(c, eps, self.relaxation),
-                                          n + 1))
-            pis = [None] + [eps * np.eye(m) for _ in range(n)]
-            gammas = [None, None] + [np.zeros((m, k)) for _ in range(n - 1)]
-            return self.pack(pis, gammas, sigmas)
+            sigmas = np.array(list(islice(
+                damped_chain(c, eps, self.relaxation), n + 1)))
+            return self.pack(np.broadcast_to(eps * np.eye(m), (n, m, m)),
+                             np.zeros((n, m, k)), sigmas)
 
         return strict_start(self, self.cost_constant(), start)
 
@@ -273,13 +242,11 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
         raise Infeasible("no strictly feasible chain found")
     v, info = solve_barrier(prog.barrier_program(), v0, tol, max_iter)
     pis, gammas, sigmas = prog.unpack(v)
-    per_time = [(pis[i], gammas[i], sigmas[i + 1])
-                for i in range(1, horizon + 1)]
     return SCOPSolution(
         horizon=horizon,
-        per_time=per_time,
+        per_time=list(zip(pis, gammas, sigmas[1:])),
         value=prog.value(v),
-        slack_E_n=prog.slack_e_n(sigmas[horizon + 1]),
+        slack_E_n=prog.slack_e_n(sigmas[-1]),
         cost=prog.cost(v),
         duality_gap=info.duality_gap,
         iterations=info.iterations,

@@ -5,7 +5,9 @@ decision matrices (Pi, Gamma, SigmaHat) subject to the trace cost constraint,
 the covariance block LMI [[Pi, Gamma], [Gamma^T, SigmaHat]] >= 0, and the
 relaxed-Riccati LMI tying SigmaHat to its one-step propagation.  Psi_Y and
 K_Y*Psi_Y are affine in the decisions, so the whole program is a
-determinant-maximization problem solved by the barrier engine.
+determinant-maximization problem solved by the barrier engine.  Its blocks
+are the per-step map step_blocks at the unit vectors with SigmaHat_next =
+SigmaHat, the stationary case of the horizon-n program in scop.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from .constants import ProblemConstants, decision_map, trace_cost
 from .errors import (
     AssumptionViolated,
+    ConfigError,
     DegenerateSolution,
     DimensionMismatch,
     Infeasible,
@@ -39,11 +42,21 @@ LN2 = math.log(2.0)
 # the zero-rate solution is returned instead of running the barrier.
 BOUNDARY_TOL = 1e-9
 
+# The smallest duality gap a solve may be asked to certify: the gap's own
+# float64 rounding is about 1e-16, so a smaller one certifies nothing.
+MIN_TOL = 1e-15
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 5e-11
     max_iter: int = 50_000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= MIN_TOL):
+            raise ConfigError("solver.tol", f"must be finite and >= {MIN_TOL}")
+        if self.max_iter < 1:
+            raise ConfigError("solver.max_iter", "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -60,8 +73,9 @@ class UBDecision:
                    SigmaHat=np.zeros((k, k)))
 
     def first_lmi(self) -> np.ndarray:
-        return np.vstack([np.hstack([self.Pi, self.Gamma]),
-                          np.hstack([self.Gamma.T, self.SigmaHat])])
+        """[[Pi, Gamma], [Gamma^T, SigmaHat]], for each decision of a stack."""
+        return np.block([[self.Pi, self.Gamma],
+                         [self.Gamma.swapaxes(-1, -2), self.SigmaHat]])
 
 
 @dataclass(frozen=True)
@@ -116,20 +130,17 @@ def rate_from_psi(Psi_Y: np.ndarray, Psi: np.ndarray, units: str = "nats") -> fl
     raise ValueError(f"unknown units {units!r}")
 
 
-def _unit_triples(m: int, k: int, pi_off: int, gam_off: int | None,
-                  sig_off: int | None):
-    """Yield (j, dPi, dGamma, dSigmaHat) for each coordinate j of one step's
-    decision, packed from the given offsets, with its unit triple.  A block
-    whose offset is None is pinned at zero."""
-    zpi, zg, zs = np.zeros((m, m)), np.zeros((m, k)), np.zeros((k, k))
-    for t, b in enumerate(SymPacker(m).basis()):
-        yield pi_off + t, b, zg, zs
-    if gam_off is not None:
-        for t, g in enumerate(np.eye(m * k)):
-            yield gam_off + t, zpi, g.reshape(m, k), zs
-    if sig_off is not None:
-        for t, b in enumerate(SymPacker(k).basis()):
-            yield sig_off + t, zpi, zg, b
+def step_blocks(model, K_LQR: np.ndarray, Psi_LQR: np.ndarray,
+                dec: UBDecision, sigma_next: np.ndarray):
+    """Linear parts of one step's blocks at a decision, or at each decision
+    of a stack: the covariance LMI, the Riccati LMI
+    [[P - SigmaHat_next, C], [C^T, Y]], Psi_Y's part Y, and the trace cost
+    priced by (K_LQR, Psi_LQR).  At the unit vectors of a packing they are
+    the bases of a program's blocks."""
+    P, C, Y = decision_map(model, dec.Pi, dec.Gamma, dec.SigmaHat)
+    lmi = np.block([[P - sigma_next, C], [C.swapaxes(-1, -2), Y]])
+    return (dec.first_lmi(), lmi, Y,
+            trace_cost(K_LQR, Psi_LQR, dec.Pi, dec.Gamma, dec.SigmaHat))
 
 
 class UBProgram:
@@ -138,11 +149,10 @@ class UBProgram:
     def __init__(self, consts: ProblemConstants, budget: float):
         self.consts = consts
         self.budget = float(budget)
-        m, k, p = consts.model.m, consts.model.k, consts.model.p
+        m, k = consts.model.m, consts.model.k
         self.pi_pack = SymPacker(m)
         self.sig_pack = SymPacker(k)
-        self.n_gamma = m * k
-        self.dim = self.pi_pack.dim + self.n_gamma + self.sig_pack.dim
+        self.dim = self.pi_pack.dim + m * k + self.sig_pack.dim
         self._build()
         self._barrier: BarrierProgram | None = None
 
@@ -156,42 +166,32 @@ class UBProgram:
         ])
 
     def unpack(self, v: np.ndarray) -> UBDecision:
+        """The decision at v, or the stacked decisions at a stack of v's."""
         m, k = self.consts.model.m, self.consts.model.k
         a = self.pi_pack.dim
-        b = a + self.n_gamma
+        b = a + m * k
         return UBDecision(
-            Pi=self.pi_pack.unpack(v[:a]),
-            Gamma=v[a:b].reshape(m, k),
-            SigmaHat=self.sig_pack.unpack(v[b:]),
+            Pi=self.pi_pack.unpack(v[..., :a]),
+            Gamma=v[..., a:b].reshape(v.shape[:-1] + (m, k)),
+            SigmaHat=self.sig_pack.unpack(v[..., b:]),
         )
 
     # -- affine pieces -----------------------------------------------------
 
     def _build(self):
         c = self.consts
-        m, k, p = c.model.m, c.model.k, c.model.p
-        D = self.dim
-
-        lmi1 = np.zeros((D, m + k, m + k))
-        lmi2 = np.zeros((D, k + p, k + p))
-        psiy = np.zeros((D, p, p))
-        cost = np.zeros(D)
-        a = self.pi_pack.dim
-        for j, dPi, dGam, dSig in _unit_triples(m, k, 0, a, a + self.n_gamma):
-            lmi1[j] = UBDecision(dPi, dGam, dSig).first_lmi()
-            P, C, Y = decision_map(c.model, dPi, dGam, dSig)
-            lmi2[j] = np.vstack([np.hstack([P - dSig, C]), np.hstack([C.T, Y])])
-            psiy[j] = Y
-            cost[j] = trace_cost(c.K_LQR, c.Psi_LQR, dPi, dGam, dSig)
-
+        # the stationary step: SigmaHat_next is SigmaHat itself
+        unit = self.unpack(np.eye(self.dim))
+        lmi1, lmi2, psiy, cost = step_blocks(c.model, c.K_LQR, c.Psi_LQR,
+                                             unit, unit.SigmaHat)
         KpPsi = c.K_p @ c.Psi
-        self.block_lmi1 = AffineBlock(np.zeros((m + k, m + k)), lmi1)
+        self.block_lmi1 = AffineBlock(np.zeros(lmi1.shape[1:]), lmi1)
         self.block_lmi2 = AffineBlock(
             np.block([[KpPsi @ c.K_p.T, KpPsi], [KpPsi.T, c.Psi]]), lmi2)
         self.block_psiy = AffineBlock(c.Psi.copy(), psiy)
         slack0 = self.budget - c.minimal_cost
         self.block_cost = AffineBlock(np.array([[slack0]]),
-                                      (-cost).reshape(D, 1, 1))
+                                      (-cost).reshape(-1, 1, 1))
         self.cost_coeffs = cost
 
     def barrier_program(self) -> BarrierProgram:
@@ -341,45 +341,26 @@ def _is_state_feedback(consts: ProblemConstants) -> bool:
     return float(np.linalg.norm(G - K_p @ J)) <= 1e-10 * (1.0 + float(np.linalg.norm(G)))
 
 
-def _solve_state_feedback(consts: ProblemConstants, budget: float,
-                          opts: SolverOptions) -> UBSolution:
+def _solve_state_feedback(prog: UBProgram, opts: SolverOptions) -> UBSolution:
     """Reduced program when the observer can reconstruct the controller state:
     SigmaHat and Gamma collapse to zero, leaving max log det(J Pi J^T + Psi)
-    under Tr(Pi Psi_LQR) <= budget - minimal cost, Pi >= 0."""
-    c = consts
-    m, k = c.model.m, c.model.k
-    zg, zs = np.zeros((m, k)), np.zeros((k, k))
-    pack = SymPacker(m)
-    D = pack.dim
-    basis = pack.basis()
-    psiy = np.stack([decision_map(c.model, b, zg, zs)[2] for b in basis])
-    cost = np.array([trace_cost(c.K_LQR, c.Psi_LQR, b, zg, zs) for b in basis])
+    under Tr(Pi Psi_LQR) <= budget - minimal cost, Pi >= 0, i.e. prog's
+    Psi_Y, Pi >= 0 and cost blocks on the Pi coordinates alone."""
+    c, m = prog.consts, prog.consts.model.m
+    pi = slice(prog.pi_pack.dim)
     program = BarrierProgram(
-        objective=[(0.5, AffineBlock(c.Psi.copy(), psiy))],
+        objective=[(0.5, AffineBlock(prog.block_psiy.const,
+                                     prog.block_psiy.basis[pi]))],
         constraints=[
-            AffineBlock(np.zeros((m, m)), basis),
-            AffineBlock(np.array([[budget - c.minimal_cost]]),
-                        (-cost).reshape(D, 1, 1)),
+            AffineBlock(np.zeros((m, m)), prog.block_lmi1.basis[pi, :m, :m]),
+            AffineBlock(prog.block_cost.const, prog.block_cost.basis[pi]),
         ],
     )
-    eps = (budget - c.minimal_cost) / (2.0 * float(np.trace(c.Psi_LQR)))
-    v0 = pack.pack(eps * np.eye(m))
-    v, info = solve_barrier(program, v0, opts.tol, opts.max_iter)
-    dec = UBDecision(Pi=pack.unpack(v), Gamma=zg, SigmaHat=zs)
-    P, C, Y = decision_map(c.model, dec.Pi, zg, zs)
-    PsiY = la.sym(Y + c.Psi)
-    K_Y = la.solve_pd(PsiY, (C + c.K_p @ c.Psi).T).T
-    A = la.sym(P + c.K_p @ c.Psi @ c.K_p.T)
-    return UBSolution(
-        decision=dec,
-        Psi_Y=PsiY,
-        K_Y=K_Y,
-        rate=rate_from_psi(PsiY, c.Psi),
-        cost=c.cost_of(dec.Pi, zg, zs),
-        duality_gap=info.duality_gap,
-        iterations=info.iterations,
-        riccati_lmi_slack=la.min_eig(la.sym(A - K_Y @ PsiY @ K_Y.T)),
-    )
+    eps = (prog.budget - c.minimal_cost) / (2.0 * float(np.trace(c.Psi_LQR)))
+    v, info = solve_barrier(program, prog.pi_pack.pack(eps * np.eye(m)),
+                            opts.tol, opts.max_iter)
+    return prog.solution_from(np.concatenate([v, np.zeros(prog.dim - v.size)]),
+                              info)
 
 
 def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
@@ -395,7 +376,8 @@ def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
     if feas.boundary:
         return _zero_solution(consts)
     if _is_state_feedback(consts):
-        return _solve_state_feedback(consts, problem.budget, opts)
+        return _solve_state_feedback(
+            feas.program or UBProgram(consts, problem.budget), opts)
     if feas.point is None:
         raise SolverNonConvergence(f"no strictly feasible start: {feas.detail}")
     prog = feas.program

@@ -6,7 +6,9 @@ library's gains and noise streams and replaces only the simulation loop;
 `iterate_fixed_point` runs the library's one-step Riccati maps
 (`riccati_recursion`'s) to their limit, one step per iteration;
 `solve_barrier_nu_over_t` runs the library's barrier programs to the gap
-bound nu/t of an exactly centred point.
+bound nu/t of an exactly centred point; `ub_program_by_coordinates`,
+`scop_program_by_coordinates` and `state_feedback_program_by_coordinates`
+assemble the programs' bases one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from lqgcap import linalg as la
 from lqgcap import riccati
-from lqgcap.barrier import BarrierInfo, BarrierProgram
+from lqgcap.barrier import AffineBlock, BarrierInfo, BarrierProgram
+from lqgcap.constants import decision_map, trace_cost
 from lqgcap.errors import (
     MaxIterations,
     NonConvergence,
@@ -445,3 +448,178 @@ def solve_barrier_nu_over_t(program: BarrierProgram, v0: np.ndarray, tol: float,
     info.t_final = t
     info.duality_gap = nu / t
     return v, info
+
+
+# The assembly the programs used before they evaluated one batched per-step
+# map at the unit vectors: a Python loop over the packed coordinates, one unit
+# triple (dPi, dGamma, dSigmaHat) at a time, with per-slot offsets.
+class SymPackerLoops:
+    """Pack/unpack a symmetric n x n matrix into its n(n+1)/2 upper triangle."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.idx = [(i, j) for i in range(n) for j in range(i, n)]
+        self.dim = len(self.idx)
+
+    def basis(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.n, self.n))
+        for t, (i, j) in enumerate(self.idx):
+            out[t, i, j] = 1.0
+            out[t, j, i] = 1.0
+        return out
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        return np.array([a[i, j] for (i, j) in self.idx])
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        a = np.zeros((self.n, self.n))
+        for t, (i, j) in enumerate(self.idx):
+            a[i, j] = v[t]
+            a[j, i] = v[t]
+        return a
+
+
+def _first_lmi(Pi, Gamma, SigmaHat):
+    return np.vstack([np.hstack([Pi, Gamma]), np.hstack([Gamma.T, SigmaHat])])
+
+
+def _unit_triples(m: int, k: int, pi_off: int, gam_off: int | None,
+                  sig_off: int | None):
+    """Yield (j, dPi, dGamma, dSigmaHat) for each coordinate j of one step's
+    decision, packed from the given offsets, with its unit triple.  A block
+    whose offset is None is pinned at zero."""
+    zpi, zg, zs = np.zeros((m, m)), np.zeros((m, k)), np.zeros((k, k))
+    for t, b in enumerate(SymPackerLoops(m).basis()):
+        yield pi_off + t, b, zg, zs
+    if gam_off is not None:
+        for t, g in enumerate(np.eye(m * k)):
+            yield gam_off + t, zpi, g.reshape(m, k), zs
+    if sig_off is not None:
+        for t, b in enumerate(SymPackerLoops(k).basis()):
+            yield sig_off + t, zpi, zg, b
+
+
+def ub_program_by_coordinates(c, budget: float) -> BarrierProgram:
+    """The single-letter program: covariance LMI, Riccati LMI and cost
+    constraints, (1/2) log det Psi_Y objective."""
+    m, k, p = c.model.m, c.model.k, c.model.p
+    n_gamma = m * k
+    a = SymPackerLoops(m).dim
+    D = a + n_gamma + SymPackerLoops(k).dim
+
+    lmi1 = np.zeros((D, m + k, m + k))
+    lmi2 = np.zeros((D, k + p, k + p))
+    psiy = np.zeros((D, p, p))
+    cost = np.zeros(D)
+    for j, dPi, dGam, dSig in _unit_triples(m, k, 0, a, a + n_gamma):
+        lmi1[j] = _first_lmi(dPi, dGam, dSig)
+        P, C, Y = decision_map(c.model, dPi, dGam, dSig)
+        lmi2[j] = np.vstack([np.hstack([P - dSig, C]), np.hstack([C.T, Y])])
+        psiy[j] = Y
+        cost[j] = trace_cost(c.K_LQR, c.Psi_LQR, dPi, dGam, dSig)
+
+    KpPsi = c.K_p @ c.Psi
+    block_lmi1 = AffineBlock(np.zeros((m + k, m + k)), lmi1)
+    block_lmi2 = AffineBlock(
+        np.block([[KpPsi @ c.K_p.T, KpPsi], [KpPsi.T, c.Psi]]), lmi2)
+    block_psiy = AffineBlock(c.Psi.copy(), psiy)
+    slack0 = float(budget) - c.minimal_cost
+    block_cost = AffineBlock(np.array([[slack0]]), (-cost).reshape(D, 1, 1))
+    return BarrierProgram(objective=[(0.5, block_psiy)],
+                          constraints=[block_lmi1, block_lmi2, block_cost])
+
+
+def _lqr_schedule(consts, n: int):
+    """Backward recursion from E_{n+1} = Q; returns (E[1..n+1], K[1..n],
+    PsiL[1..n]) as 1-indexed lists (index 0 unused)."""
+    F, Q = consts.model.F, consts.weights.Q
+    E = [None] * (n + 2)
+    K = [None] * (n + 1)
+    PsiL = [None] * (n + 1)
+    E[n + 1] = Q.copy()
+    for i in range(n, 0, -1):
+        K[i], PsiL[i] = riccati.control_gain(consts.model, consts.weights,
+                                             E[i + 1])
+        E[i] = la.sym(F.T @ E[i + 1] @ F + Q - K[i].T @ PsiL[i] @ K[i])
+    return E, K, PsiL
+
+
+def scop_program_by_coordinates(c, budget: float, horizon: int,
+                                relaxation: float = 0.0) -> BarrierProgram:
+    """The horizon-n program over Pi_1..Pi_n, Gamma_2..Gamma_n and
+    SigmaHat_2..SigmaHat_{n+1}: per-time covariance LMIs, the terminal
+    SigmaHat_{n+1} >= 0, chained Riccati LMIs and the averaged cost."""
+    m, k, p = c.model.m, c.model.k, c.model.p
+    pi_pack, sig_pack = SymPackerLoops(m), SymPackerLoops(k)
+    n_gamma = m * k
+    n = horizon
+    # slot offsets: Pi_1..Pi_n, Gamma_2..Gamma_n, SigmaHat_2..SigmaHat_{n+1}
+    pi_off = [None] + [i * pi_pack.dim for i in range(n)]
+    base = n * pi_pack.dim
+    gam_off = [None, None] + [base + i * n_gamma for i in range(n - 1)]
+    base += (n - 1) * n_gamma
+    sig_off = [None, None] + [base + i * sig_pack.dim for i in range(n)]
+    D = base + n * sig_pack.dim
+    E, K, PsiL = _lqr_schedule(c, n)
+
+    KpPsi = c.K_p @ c.Psi
+    lmi_const = np.block([[KpPsi @ c.K_p.T + relaxation * np.eye(k),
+                           KpPsi], [KpPsi.T, c.Psi]])
+
+    cost = np.zeros(D)
+    covariance, chained, objective = [], [], []
+    for i in range(1, n + 1):
+        # SigmaHat_1 = 0 pins Gamma_1 = 0, shrinking the first covariance
+        # LMI to Pi_1 >= 0
+        cov = np.zeros((D, m, m) if i == 1 else (D, m + k, m + k))
+        lmi = np.zeros((D, k + p, k + p))
+        psiy = np.zeros((D, p, p))
+        for j, dPi, dGam, dSig in _unit_triples(
+                m, k, pi_off[i], gam_off[i], sig_off[i]):
+            cov[j] = dPi if i == 1 else _first_lmi(dPi, dGam, dSig)
+            P, C, Y = decision_map(c.model, dPi, dGam, dSig)
+            lmi[j] = np.vstack([np.hstack([P, C]), np.hstack([C.T, Y])])
+            psiy[j] = Y
+            cost[j] = trace_cost(K[i], PsiL[i], dPi, dGam, dSig) / n
+        # the chained Riccati LMI subtracts SigmaHat_{i+1}
+        for t, b in enumerate(sig_pack.basis()):
+            lmi[sig_off[i + 1] + t, :k, :k] -= b
+        covariance.append(AffineBlock(np.zeros(cov.shape[1:]), cov))
+        chained.append(AffineBlock(lmi_const, lmi))
+        # per-time objective: (1/(2n)) logdet Psi_Y,i
+        objective.append((0.5 / n, AffineBlock(c.Psi.copy(), psiy)))
+
+    # terminal SigmaHat_{n+1} >= 0
+    basis = np.zeros((D, k, k))
+    for t, b in enumerate(sig_pack.basis()):
+        basis[sig_off[n + 1] + t] = b
+    terminal = AffineBlock(np.zeros((k, k)), basis)
+
+    kp_term = sum(float(np.trace(c.K_p @ c.Psi @ c.K_p.T @ E[i + 1]))
+                  for i in range(1, n + 1)) / n
+    sigma_q = float(np.trace(c.Sigma @ c.weights.Q))
+    slack0 = float(budget) - (kp_term + sigma_q * (n + 1) / n)
+    budget_block = AffineBlock(np.array([[slack0]]), (-cost).reshape(D, 1, 1))
+    return BarrierProgram(
+        objective=objective,
+        constraints=covariance + [terminal] + chained + [budget_block])
+
+
+def state_feedback_program_by_coordinates(c, budget: float) -> BarrierProgram:
+    """The state-feedback reduction: max log det(J Pi J^T + Psi) under
+    Tr(Pi Psi_LQR) <= budget - minimal cost, Pi >= 0."""
+    m, k = c.model.m, c.model.k
+    zg, zs = np.zeros((m, k)), np.zeros((k, k))
+    pack = SymPackerLoops(m)
+    D = pack.dim
+    basis = pack.basis()
+    psiy = np.stack([decision_map(c.model, b, zg, zs)[2] for b in basis])
+    cost = np.array([trace_cost(c.K_LQR, c.Psi_LQR, b, zg, zs) for b in basis])
+    return BarrierProgram(
+        objective=[(0.5, AffineBlock(c.Psi.copy(), psiy))],
+        constraints=[
+            AffineBlock(np.zeros((m, m)), basis),
+            AffineBlock(np.array([[budget - c.minimal_cost]]),
+                        (-cost).reshape(D, 1, 1)),
+        ],
+    )

@@ -27,6 +27,12 @@ class TestSymPacker:
         pk = SymPacker(n)
         assert pk.dim == n * (n + 1) // 2
         assert np.allclose(pk.unpack(pk.pack(a)), a)
+        # a (2, 3) stack packs slice by slice and round-trips exactly
+        stack = sym(rng.standard_normal((2, 3, n, n)))
+        packed = pk.pack(stack)
+        assert packed.shape == (2, 3, pk.dim)
+        assert np.array_equal(packed[1, 2], pk.pack(stack[1, 2]))
+        assert np.array_equal(pk.unpack(packed), stack)
 
     def test_basis_reconstructs(self):
         pk = SymPacker(3)

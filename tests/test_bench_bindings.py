@@ -2,9 +2,10 @@
 (bench/tracing.py) and runs each workload's chain through module attributes
 (bench/workloads.py).  A renamed target, or a solve_barrier binding the
 tracer does not know, breaks that run without failing any library test.
-This runs one scalar sweep item and the scalar scop item at horizon 2 under
-the tracer, as a traced benchmark pass does, and reads bench/ without
-changing it."""
+This runs one scalar sweep item and the scalar and vector3 scop items at
+horizon 2 under the tracer, as a traced benchmark pass does, and reads bench/
+without changing it.  The vector3 item builds the relaxed (k > m) horizon
+program."""
 
 import pathlib
 import sys
@@ -18,7 +19,8 @@ from lqgcap import barrier, scop, upper_bound  # noqa: E402
 from lqgcap.barrier import MAX_INNER  # noqa: E402
 
 ITEMS = (("sweep", "sweep/scalar/p=2.00740741"),
-         ("scop-ladder", "scop/scalar/p=2/h=2"))
+         ("scop-ladder", "scop/scalar/p=2/h=2"),
+         ("scop-ladder", "scop/vector3/p=120/h=2"))
 
 
 def test_traced_items_pass_the_gate_and_the_trace_checks():
@@ -40,7 +42,7 @@ def test_traced_items_pass_the_gate_and_the_trace_checks():
     for item, out in zip(items, outs):
         assert workloads.check(item, out) == [], item.id
     # one barrier solve per item, each seen by the tracer
-    assert summary["barrier.solve_calls"] == 2
+    assert summary["barrier.solve_calls"] == 3
     assert summary["barrier.newton_steps"] == sum(out["newton"] for out in outs)
     assert 0 < summary["scop.newton_steps"] < summary["barrier.newton_steps"]
     assert summary["scop.dim"] > 0

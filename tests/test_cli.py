@@ -158,6 +158,26 @@ class TestCommands:
         del doc["system"]["F"]
         assert run(["check", "--config", write_cfg(tmp_path, doc)]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+        ["--max-iter", "0"], ["--max-iter", "-5"]])
+    def test_bad_solver_flags_are_config_errors(self, tmp_path, capsys, flags):
+        path = write_cfg(tmp_path, scalar_doc())
+        assert run(["ub", "--config", path] + flags) == 1
+        assert "config error: solver." in capsys.readouterr().err
+
+    def test_unreachable_tol_in_the_config_is_a_config_error(self, tmp_path,
+                                                              capsys):
+        path = write_cfg(tmp_path, scalar_doc(solver={"tol": 1e-20}))
+        assert run(["ub", "--config", path]) == 1
+        assert "config error: solver.tol" in capsys.readouterr().err
+
+    def test_smallest_tol_still_certifies(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, scalar_doc())
+        assert run(["ub", "--config", path, "--tol", "1e-15"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("duality_gap = ")[1].split()[0]) <= 1e-15
+
     def test_sweep_deterministic_and_parallel_identical(self, tmp_path):
         doc = scalar_doc(budget={"min": 1.5, "max": 2.5, "points": 4,
                                  "scale": "linear"})

@@ -1,15 +1,20 @@
 """Cross-path checks of the per-step decision map: every program block,
 residual and budget built from decision_map and trace_cost must agree with
-them at the same point, on random plants and on both fixtures."""
+them at the same point, on random plants and on both fixtures, and every
+program's stacked arrays must equal the coordinate-by-coordinate assembly."""
 
 import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem, ProblemConstants, UBDecision, solve_ub
+from lqgcap import (BudgetedProblem, ProblemConstants, SystemModel,
+                    UBDecision, solve_ub)
+from lqgcap import upper_bound
 from lqgcap.constants import decision_map, trace_cost
 from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
+from lqgcap.scop import SCOPProgram, chain_relaxation
 from lqgcap.upper_bound import UBProgram
 
+import oracles
 from test_random_systems import random_system
 
 PLANTS = ["s1", "s2"] + [f"seed{s}" for s in
@@ -27,13 +32,14 @@ def _close(a, b, rtol=1e-11):
     return float(np.linalg.norm(a - b)) <= rtol * (1.0 + float(np.linalg.norm(b)))
 
 
-def _random_decision(consts, seed):
+def _random_decision(consts, seed, stack=()):
     rng = np.random.default_rng(seed)
     m, k = consts.model.m, consts.model.k
-    a = rng.standard_normal((m, m))
-    s = rng.standard_normal((k, k))
-    return UBDecision(Pi=a @ a.T, Gamma=rng.standard_normal((m, k)),
-                      SigmaHat=s @ s.T)
+    a = rng.standard_normal(stack + (m, m))
+    s = rng.standard_normal(stack + (k, k))
+    return UBDecision(Pi=a @ a.swapaxes(-1, -2),
+                      Gamma=rng.standard_normal(stack + (m, k)),
+                      SigmaHat=s @ s.swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("name", PLANTS)
@@ -56,6 +62,16 @@ def test_ub_blocks_are_the_map_plus_constants(request, name):
         for a, b in zip(decision_map(c.estimator, dec.Pi, dec.Gamma,
                                      dec.SigmaHat), (P, C, Y)):
             assert np.array_equal(a, b)
+    # a stack of decisions maps slice by slice, bit for bit
+    stack = _random_decision(c, 3, stack=(2, 3))
+    maps = decision_map(c.model, stack.Pi, stack.Gamma, stack.SigmaHat)
+    lmis = stack.first_lmi()
+    for i in np.ndindex(2, 3):
+        dec = UBDecision(stack.Pi[i], stack.Gamma[i], stack.SigmaHat[i])
+        for a, b in zip(maps, decision_map(c.model, dec.Pi, dec.Gamma,
+                                           dec.SigmaHat)):
+            assert np.array_equal(a[i], b)
+        assert np.array_equal(lmis[i], dec.first_lmi())
 
 
 @pytest.mark.parametrize("name", PLANTS)
@@ -73,6 +89,13 @@ def test_ub_cost_is_cost_of(request, name):
         # the cost block's slack is the budget left over
         assert prog.block_cost.value(prog.pack(dec))[0, 0] == pytest.approx(
             p - want, rel=1e-9, abs=1e-9 * p)
+    stack = _random_decision(c, 3, stack=(2, 3))
+    costs = trace_cost(c.K_LQR, c.Psi_LQR, stack.Pi, stack.Gamma,
+                       stack.SigmaHat)
+    assert costs.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        assert costs[i] == trace_cost(c.K_LQR, c.Psi_LQR, stack.Pi[i],
+                                      stack.Gamma[i], stack.SigmaHat[i])
 
 
 @pytest.fixture(scope="module", params=["s1", "s2", "seed41"])
@@ -101,3 +124,60 @@ def test_riccati_residual_is_schur_complement_norm(solved):
     scale = 1.0 + float(np.linalg.norm(A))
     assert ub_riccati_residual(ub, c.estimator) == pytest.approx(
         float(np.linalg.norm(schur)), abs=1e-12 * scale)
+
+
+def _assert_same_stacks(program, reference):
+    for name in ("_const", "_basis", "_w_obj", "_w_con"):
+        a, b = getattr(program, name), getattr(reference, name)
+        assert np.array_equal(a, b), name
+        # the memory layout picks the BLAS kernels, hence the Newton path
+        assert a.strides == b.strides, name
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "seed11", "seed41", "seed59",
+                                  "seed83"])
+def test_programs_equal_the_coordinate_assembly(request, name):
+    """The batched per-step map at the unit vectors builds the same barrier
+    arrays, bit for bit, as the assembly one coordinate at a time."""
+    c = _consts(request, name)
+    p = {"s1": 2.0, "s2": 120.0}.get(name, 1.3 * c.minimal_cost + 0.1)
+    _assert_same_stacks(UBProgram(c, p).barrier_program(),
+                        oracles.ub_program_by_coordinates(c, p))
+    relaxation = chain_relaxation(c)
+    for h in (1, 2, 5, 16):
+        _assert_same_stacks(
+            SCOPProgram(c, p, h, relaxation).barrier_program(),
+            oracles.scop_program_by_coordinates(c, p, h, relaxation))
+
+
+def _two_input_state_feedback_plant():
+    """Random plant 41 (k = m = p = 2) with G set to K_p J; the filter does
+    not depend on G, so the observer reconstructs the controller state."""
+    model, weights = random_system(41)
+    K_p = ProblemConstants.compute(model, weights).K_p
+    return SystemModel(F=model.F, G=K_p @ model.J, H=model.H, J=model.J,
+                       W=model.W, V=model.V, L=model.L), weights
+
+
+@pytest.mark.parametrize("name", ["scalar", "two-input"])
+def test_state_feedback_program_equals_the_coordinate_assembly(
+        request, monkeypatch, name):
+    if name == "scalar":
+        model, weights = (request.getfixturevalue("state_feedback_model"),
+                          request.getfixturevalue("w1"))
+    else:
+        model, weights = _two_input_state_feedback_plant()
+    c = ProblemConstants.compute(model, weights)
+    p = 1.3 * c.minimal_cost + 0.1
+    solve, programs = upper_bound.solve_barrier, []
+
+    def record(program, *args):
+        programs.append(program)
+        return solve(program, *args)
+
+    monkeypatch.setattr(upper_bound, "solve_barrier", record)
+    sol = solve_ub(BudgetedProblem(model, weights, p), consts=c)
+    assert len(programs) == 1
+    assert not sol.decision.Gamma.any() and not sol.decision.SigmaHat.any()
+    _assert_same_stacks(programs[0],
+                        oracles.state_feedback_program_by_coordinates(c, p))

@@ -67,10 +67,8 @@ class TestHorizonLadder:
     def test_chained_lmis_feasible(self, ladder, c1):
         for h, sol in ladder.items():
             prog = SCOPProgram(c1, 2.0, h)
-            pis = [None] + [t[0] for t in sol.per_time]
-            gammas = [None, None] + [t[1] for t in sol.per_time[1:]]
-            sigmas = [None, np.zeros((1, 1))] + [t[2] for t in sol.per_time]
-            v = prog.pack(pis, gammas, sigmas)
+            pis, gammas, _ = (np.array(t) for t in zip(*sol.per_time))
+            v = prog.pack(pis, gammas, np.array(sol.sigma_hats))
             assert min(prog.barrier_program().min_slacks(v)) >= -1e-8
             assert sol.cost <= 2.0 + 1e-8
 
