@@ -4,7 +4,7 @@ Library surface:
 
 - model: system/cost types, validation, estimator reduction
 - constants: steady-state constants, the per-step decision map, cost floor
-- riccati: filter/control/policy Riccati solvers, recursions, PBH tests
+- riccati: Riccati equation type, filter/control/policy solvers, PBH tests
 - upper_bound: the determinant-maximization capacity upper bound
 - lower_bound: policy extraction, evaluation, tightness certificates
 - scop: the finite-horizon sequential program and its averaging argument
@@ -35,8 +35,11 @@ from .riccati import (
     PBHResult,
     Policy,
     PolicyRiccatiSolution,
+    RiccatiEquation,
+    control_equation,
+    filter_equation,
     pbh_test,
-    riccati_recursion,
+    policy_equation,
     solve_control_riccati,
     solve_filter_riccati,
     solve_policy_riccati,
@@ -76,6 +79,7 @@ __all__ = [
     "Policy",
     "PolicyRiccatiSolution",
     "ProblemConstants",
+    "RiccatiEquation",
     "SCOPSolution",
     "SimConfig",
     "SimReport",
@@ -87,13 +91,15 @@ __all__ = [
     "ValidationReport",
     "average_variables",
     "compare_to_theory",
+    "control_equation",
     "evaluate_policy",
     "extract_policy",
     "feasibility",
+    "filter_equation",
     "pbh_test",
+    "policy_equation",
     "rate_from_psi",
     "reduce_to_estimator",
-    "riccati_recursion",
     "simulate",
     "solve_control_riccati",
     "solve_filter_riccati",

@@ -103,7 +103,9 @@ class BarrierProgram:
                                            idx[con] - n_obj))
             start = stop
         self._const = np.concatenate(consts)
-        self._basis = np.concatenate(bases)          # (N, D)
+        # F order whatever the blocks' layout: the layout picks the BLAS
+        # kernels, hence the Newton path
+        self._basis = np.asfortranarray(np.concatenate(bases))   # (N, D)
         self._w_obj = np.concatenate(w_obj)
         self._w_con = np.concatenate([np.repeat(g.con, g.d * g.d)
                                       for g in self._groups]).astype(float)
@@ -335,6 +337,4 @@ class SymPacker:
         return a[..., self.rows, self.cols]
 
     def unpack(self, v: np.ndarray) -> np.ndarray:
-        # take returns C order, unlike v[..., pos]; programs built from unit
-        # stacks keep the layout, hence the BLAS kernels, of dense assembly
         return np.take(v, self.pos, axis=-1)

@@ -214,14 +214,11 @@ def cmd_scop(cfg: RunConfig, args) -> int:
     horizons = cfg.horizons or (1, 2, 4, 8)
     consts = ProblemConstants.compute(cfg.model, cfg.weights)
     prob = BudgetedProblem(cfg.model, cfg.weights, budget)
-    # the SCOP's acceptance checks live at coarser scales than the single-
-    # letter bound, so it keeps its own default tolerance unless overridden
-    scop_tol = cfg.solver.tol if cfg.solver_set else 1e-7
+    opts = cfg.solver if cfg.solver_set else None
     rows = []
     for h in horizons:
         try:
-            sol = solve_scop(prob, h, tol=scop_tol,
-                             max_iter=cfg.solver.max_iter, consts=consts)
+            sol = solve_scop(prob, h, opts, consts=consts)
         except Infeasible as e:
             log.info("horizon %d infeasible: %s", h, e)
             rows.append({"horizon": h, "status": "Infeasible",

@@ -100,16 +100,13 @@ def evaluate_policy(estimator: EstimatorModel, weights: CostWeights,
 def _stabilizability_pair(estimator: EstimatorModel, policy: Policy):
     """(F^s, G^s W^s) whose stabilizability certifies Riccati uniqueness."""
     G, J, K_p, Psi = estimator.G, estimator.J, estimator.K_p, estimator.Psi
-    m, p, k = estimator.m, estimator.p, estimator.k
-    Ht = estimator.H + J @ policy.GammaBar
-    Ft_full = estimator.F + G @ policy.GammaBar
+    m, p = estimator.m, estimator.p
     M = policy.M
-    _, C, Y = decision_map(estimator, M, np.zeros((m, k)), np.zeros((k, k)))
-    jmj = Y + Psi
-    Fs = Ft_full - la.solve_pd(jmj, (C + K_p @ Psi).T).T @ Ht
+    eq = riccati.policy_equation(estimator, policy)
+    Fs = eq.Ft - la.solve_pd(eq.R, eq.S.T).T @ eq.Ht
     cross = np.vstack([M @ J.T, Psi])          # (m+p) x p
     Ws = np.block([[M, np.zeros((m, p))], [np.zeros((p, m)), Psi]]) \
-        - cross @ la.solve_pd(jmj, cross.T)
+        - cross @ la.solve_pd(eq.R, cross.T)
     Gs = np.hstack([G, K_p])                   # k x (m+p)
     return Fs, Gs @ la.sym(Ws)
 
@@ -138,9 +135,8 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     residual = ub_riccati_residual(ub, estimator)
     sig_norm = float(np.linalg.norm(ub.decision.SigmaHat))
     res_tol = 1e-6 * (1.0 + sig_norm)
-    Ft = estimator.F + estimator.G @ policy.GammaBar
-    Ht = estimator.H + estimator.J @ policy.GammaBar
-    detectable = bool(pbh_test(Ft, Ht, "detectable"))
+    eq = riccati.policy_equation(estimator, policy)
+    detectable = bool(pbh_test(eq.Ft, eq.Ht, "detectable"))
     Fs, GsWs = _stabilizability_pair(estimator, policy)
     stabilizable = bool(pbh_test(Fs, GsWs, "stabilizable"))
     sigma_match = float(np.linalg.norm(lb.riccati.SigmaHat - ub.decision.SigmaHat))

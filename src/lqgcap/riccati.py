@@ -1,16 +1,18 @@
-"""Discrete Riccati equations (filter, control, policy-induced) and PBH tests.
+"""Discrete Riccati equations and PBH tests.
 
-All three steady-state equations are limits of a recursion of one filter
-form, which `_solve_dare` reaches by structured doubling (the 2^j-th iterate
-in j steps) and polishes by Newton steps.  PBH eigenvector tests check the
-regularity conditions under which that limit is the stabilizing solution.
+Every Riccati equation of the library is a RiccatiEquation (Ft, Ht, Q, S, R)
+built by filter_equation, control_equation, policy_equation or
+upper_bound.damped_equation.  `_solve_dare` reaches its steady state by
+structured doubling (the 2^j-th iterate in j steps) and polishes it by
+Newton steps.  PBH eigenvector tests check the regularity conditions under
+which that limit is the stabilizing solution.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +83,69 @@ class PolicyRiccatiSolution:
     iterations: int
     residual: float
     bootstrapped: bool = False
+
+
+class RiccatiEquation(NamedTuple):
+    """The recursion X <- Ft X Ft' + Q - K Psi K' with (K, Psi) = gain(X);
+    R must be positive definite."""
+
+    Ft: np.ndarray
+    Ht: np.ndarray
+    Q: np.ndarray
+    S: np.ndarray
+    R: np.ndarray
+
+    def gain(self, X: np.ndarray):
+        """(K, Psi) = ((Ft X Ht' + S) Psi^-1, Ht X Ht' + R) at X."""
+        Psi = la.sym(self.Ht @ X @ self.Ht.T + self.R)
+        K = np.linalg.solve(Psi, self.Ht @ X @ self.Ft.T + self.S.T).T
+        return K, Psi
+
+    def step(self, X: np.ndarray) -> np.ndarray:
+        K, Psi = self.gain(X)
+        return la.sym(self.Ft @ X @ self.Ft.T + self.Q - K @ Psi @ K.T)
+
+    def closed_loop(self, X: np.ndarray) -> np.ndarray:
+        """Ft - K Ht with the gain at X."""
+        return self.Ft - self.gain(X)[0] @ self.Ht
+
+    def recursion(self, x0: np.ndarray, steps: int) -> list[np.ndarray]:
+        """x0 and the next `steps` iterates, steps + 1 matrices in all."""
+        if steps < 0:
+            raise ValueError("steps must be nonnegative")
+        trace = [la.sym(la.as_matrix(x0))]
+        for _ in range(steps):
+            trace.append(self.step(trace[-1]))
+        return trace
+
+    def reduced(self):
+        """(Ft - S R^-1 Ht, Q - S R^-1 S'): the pair with no cross term."""
+        SRinv = np.linalg.solve(self.R, self.S.T).T
+        return self.Ft - SRinv @ self.Ht, la.sym(self.Q - SRinv @ self.S.T)
+
+
+def filter_equation(model: SystemModel) -> RiccatiEquation:
+    """The one-step prediction-error equation; its gain is (K_p, Psi)."""
+    return RiccatiEquation(model.F, model.H, model.W, model.L, model.V)
+
+
+def control_equation(model: SystemModel,
+                     weights: CostWeights) -> RiccatiEquation:
+    """The backward LQR equation; its gain is (K_LQR', Psi_LQR)."""
+    return RiccatiEquation(model.F.T, model.G.T, weights.Q,
+                           np.zeros((model.k, model.m)), weights.R)
+
+
+def policy_equation(estimator: EstimatorModel,
+                    policy: Policy) -> RiccatiEquation:
+    """The observer error-covariance equation of a policy; its gain is
+    (K_Y, Psi_Y)."""
+    G, J, M, K_p, Psi = (estimator.G, estimator.J, policy.M, estimator.K_p,
+                         estimator.Psi)
+    return RiccatiEquation(
+        estimator.F + G @ policy.GammaBar, estimator.H + J @ policy.GammaBar,
+        G @ M @ G.T + K_p @ Psi @ K_p.T, G @ M @ J.T + K_p @ Psi,
+        J @ M @ J.T + Psi)
 
 
 @dataclass(frozen=True)
@@ -160,9 +225,8 @@ def filter_regularity(model: SystemModel) -> list[tuple[str, PBHResult]]:
     """PBH conditions of the filter equation, as (name, result) pairs: the
     first two give a unique stabilizing solution, the third convergence from
     Sigma_1 = 0."""
-    LVinv = np.linalg.solve(model.V.T, model.L.T).T
-    Fs = model.F - LVinv @ model.H
-    Bs = la.psd_sqrt(la.sym(model.W - LVinv @ model.L.T))
+    Fs, Ws = filter_equation(model).reduced()
+    Bs = la.psd_sqrt(Ws)
     pair = "(F - L V^-1 H, W - L V^-1 L^T)"
     return [
         ("(F, H) detectable", pbh_test(model.F, model.H, "detectable")),
@@ -182,27 +246,26 @@ def control_regularity(model: SystemModel,
     ]
 
 
-def _solve_dare(Ft: np.ndarray, Ht: np.ndarray, Q: np.ndarray, S: np.ndarray,
-                R: np.ndarray, x0: np.ndarray | None = None, accept=None):
-    """Limit from x0 (default 0) of the filter-form recursion
-    X <- Ft X Ft' + Q - (Ft X Ht' + S)(Ht X Ht' + R)^-1 (Ft X Ht' + S)'.
+def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
+                accept=None):
+    """Limit of eq.recursion from x0 (default 0).
 
     Structured doubling (Chu, Fan, Lin & Wang, Int. J. Control 77(8), 2004)
-    on A = (Ft - S R^-1 Ht)', G = Ht' R^-1 Ht, H = Q - S R^-1 S': after j
-    doublings the 2^j-th iterate is H_j + A_j' x0 (I + G_j x0)^-1 A_j.  Up to
-    NEWTON_STEPS Newton (Hewer) steps, each one Stein equation, then polish
-    the limit; a step is kept only if it lowers the equation residual.
+    on A = Fr', G = Ht' R^-1 Ht, H = Qr with (Fr, Qr) = eq.reduced(): after
+    j doublings the 2^j-th iterate is H_j + A_j' x0 (I + G_j x0)^-1 A_j.  Up
+    to NEWTON_STEPS Newton (Hewer) steps, each one Stein equation, then
+    polish the limit; a step is kept only if it lowers the equation residual.
 
     Returns (X, steps, res): doublings plus Newton steps tried, and the
     relative size of the last update kept.  Raises NonConvergence on a non-finite
     update or a doubling limit that fails `accept`, MaxIterations after
     MAX_DOUBLINGS doublings.
     """
+    Ft, Ht, Q, S, R = eq
     eye = np.eye(len(Ft))
-    SRinv = np.linalg.solve(R, S.T).T
-    A = (Ft - SRinv @ Ht).T
+    Fr, H = eq.reduced()
+    A = Fr.T
     G = la.sym(Ht.T @ np.linalg.solve(R, Ht))
-    H = la.sym(Q - SRinv @ S.T)
     X = np.zeros_like(Q) if x0 is None else x0
     for j in range(MAX_DOUBLINGS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -229,7 +292,7 @@ def _solve_dare(Ft: np.ndarray, Ht: np.ndarray, Q: np.ndarray, S: np.ndarray,
 
     def newton_data(X):
         # with the gain at X, Acl X Acl' + C is the recursion's image of X
-        K = np.linalg.solve(Ht @ X @ Ht.T + R, Ht @ X @ Ft.T + S.T).T
+        K, _ = eq.gain(X)
         Acl = Ft - K @ Ht
         C = la.sym(Q - K @ S.T - S @ K.T + K @ R @ K.T)
         return Acl, C, float(np.linalg.norm(Acl @ X @ Acl.T + C - X))
@@ -250,16 +313,30 @@ def _solve_dare(Ft: np.ndarray, Ht: np.ndarray, Q: np.ndarray, S: np.ndarray,
     return X, j, res
 
 
-def filter_gain(model: SystemModel, Sigma: np.ndarray):
-    """(K_p, Psi) evaluated at a given error covariance."""
-    Psi = la.sym(model.H @ Sigma @ model.H.T + model.V)
-    K = np.linalg.solve(Psi.T, (model.F @ Sigma @ model.H.T + model.L).T).T
-    return K, Psi
-
-
-def _filter_step(model: SystemModel, Sigma: np.ndarray) -> np.ndarray:
-    K, Psi = filter_gain(model, Sigma)
-    return model.F @ Sigma @ model.F.T + model.W - K @ Psi @ K.T
+def _stabilizing_solution(eq: RiccatiEquation,
+                          checks: list[tuple[str, PBHResult]], name: str,
+                          loop: str):
+    """(X, K, Psi, iterations, residual) at the limit of eq.recursion from 0,
+    which must be stabilizing.  A failed doubling raises RegularityViolation
+    naming the first failed check, if any; a passing limit with failed
+    checks only logs them."""
+    failed = [cond for cond, res in checks if not res]
+    try:
+        X, iters, res = _solve_dare(eq)
+    except (NonConvergence, MaxIterations):
+        if failed:
+            raise RegularityViolation(failed[0]) from None
+        raise
+    K, Psi = eq.gain(X)
+    if la.spectral_radius(eq.Ft - K @ eq.Ht) >= 1.0:
+        raise RegularityViolation(
+            failed[0] if failed else "stabilizing solution",
+            f"closed loop {loop} is not stable at the fixed point")
+    if failed:
+        log.warning("%s regularity condition failed (%s) but the recursion "
+                    "converged to a stabilizing solution", name,
+                    "; ".join(failed))
+    return X, K, Psi, iters, res
 
 
 def solve_filter_riccati(model: SystemModel) -> FilterConstants:
@@ -270,41 +347,13 @@ def solve_filter_riccati(model: SystemModel) -> FilterConstants:
     """
     la.require_pd(model.V, "V")
     *unique, (_, stabilizable) = filter_regularity(model)
-    failed = [name for name, res in unique if not res]
     if not stabilizable:
         log.warning("filter pair not stabilizable; convergence from Sigma_1 = 0 "
                     "is not guaranteed")
-
-    try:
-        Sigma, iters, res = _solve_dare(model.F, model.H, model.W, model.L,
-                                        model.V)
-    except (NonConvergence, MaxIterations):
-        if failed:
-            raise RegularityViolation(failed[0]) from None
-        raise
-    K_p, Psi = filter_gain(model, Sigma)
-    if la.spectral_radius(model.F - K_p @ model.H) >= 1.0:
-        raise RegularityViolation(
-            failed[0] if failed else "stabilizing solution",
-            "closed loop F - K_p H is not stable at the fixed point")
-    if failed:
-        log.warning("filter regularity condition failed (%s) but the recursion "
-                    "converged to a stabilizing solution", "; ".join(failed))
+    Sigma, K_p, Psi, iters, res = _stabilizing_solution(
+        filter_equation(model), unique, "filter", "F - K_p H")
     return FilterConstants(Sigma=Sigma, K_p=K_p, Psi=Psi,
                            iterations=iters, residual=res)
-
-
-def control_gain(model: SystemModel, weights: CostWeights, E: np.ndarray):
-    """(K_LQR, Psi_LQR) evaluated at a given cost-to-go matrix."""
-    PsiL = la.sym(weights.R + model.G.T @ E @ model.G)
-    K = np.linalg.solve(PsiL, model.G.T @ E @ model.F)
-    return K, PsiL
-
-
-def _control_step(model: SystemModel, weights: CostWeights,
-                  E: np.ndarray) -> np.ndarray:
-    K, PsiL = control_gain(model, weights, E)
-    return model.F.T @ E @ model.F + weights.Q - K.T @ PsiL @ K
 
 
 def solve_control_riccati(model: SystemModel,
@@ -312,49 +361,11 @@ def solve_control_riccati(model: SystemModel,
     """Stabilizing solution of the backward control equation: the limit of
     its recursion from 0, whose first iterate is Q."""
     la.require_pd(weights.R, "R")
-    failed = [name for name, res in control_regularity(model, weights)
-              if not res]
-    try:
-        E, iters, res = _solve_dare(model.F.T, model.G.T, weights.Q,
-                                    np.zeros((model.k, model.m)), weights.R)
-    except (NonConvergence, MaxIterations):
-        if failed:
-            raise RegularityViolation(failed[0]) from None
-        raise
-    K, PsiL = control_gain(model, weights, E)
-    if la.spectral_radius(model.F - model.G @ K) >= 1.0:
-        raise RegularityViolation(
-            failed[0] if failed else "stabilizing solution",
-            "closed loop F - G K_LQR is not stable at the fixed point")
-    if failed:
-        log.warning("control regularity condition failed (%s) but the recursion "
-                    "converged to a stabilizing solution", "; ".join(failed))
-    return ControlConstants(E=E, K_LQR=K, Psi_LQR=PsiL,
+    E, K, PsiL, iters, res = _stabilizing_solution(
+        control_equation(model, weights), control_regularity(model, weights),
+        "control", "F - G K_LQR")
+    return ControlConstants(E=E, K_LQR=K.T, Psi_LQR=PsiL,
                             iterations=iters, residual=res)
-
-
-def policy_innovation(estimator: EstimatorModel, policy: Policy,
-                      SigmaHat: np.ndarray, M: np.ndarray | None = None):
-    """(K_Y, Psi_Y) of the observer filter at a given error covariance."""
-    if M is None:
-        M = policy.M
-    Ft = estimator.F + estimator.G @ policy.GammaBar
-    Ht = estimator.H + estimator.J @ policy.GammaBar
-    PsiY = la.sym(Ht @ SigmaHat @ Ht.T + estimator.J @ M @ estimator.J.T
-                  + estimator.Psi)
-    C = (Ft @ SigmaHat @ Ht.T + estimator.G @ M @ estimator.J.T
-         + estimator.K_p @ estimator.Psi)
-    K_Y = la.solve_pd(PsiY, C.T).T
-    return K_Y, PsiY
-
-
-def _policy_step(estimator: EstimatorModel, policy: Policy,
-                 X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    Ft = estimator.F + estimator.G @ policy.GammaBar
-    K_Y, PsiY = policy_innovation(estimator, policy, X, M)
-    return (Ft @ X @ Ft.T + estimator.G @ M @ estimator.G.T
-            + estimator.K_p @ estimator.Psi @ estimator.K_p.T
-            - K_Y @ PsiY @ K_Y.T)
 
 
 def solve_policy_riccati(estimator: EstimatorModel,
@@ -370,76 +381,34 @@ def solve_policy_riccati(estimator: EstimatorModel,
     k, m = estimator.k, estimator.m
     if policy.GammaBar.shape != (m, k) or policy.M.shape != (m, m):
         raise DimensionMismatch("policy dimensions do not match the estimator")
-    Ft = estimator.F + estimator.G @ policy.GammaBar
-    Ht = estimator.H + estimator.J @ policy.GammaBar
-    detect = pbh_test(Ft, Ht, "detectable")
+    eq = policy_equation(estimator, policy)
+    detect = pbh_test(eq.Ft, eq.Ht, "detectable")
     if not detect:
         log.warning("policy pair (F+G GammaBar, H+J GammaBar) not detectable "
                     "(eigenvalue %s); attempting the recursion anyway",
                     detect.eigenvalue)
 
     def stabilizing(X: np.ndarray) -> bool:
-        K_Y, _ = policy_innovation(estimator, policy, X)
-        return la.spectral_radius(Ft - K_Y @ Ht) < 1.0 - 1e-9
+        return la.spectral_radius(eq.closed_loop(X)) < 1.0 - 1e-9
 
-    G, J, M, K_p, Psi = (estimator.G, estimator.J, policy.M, estimator.K_p,
-                         estimator.Psi)
-    equation = (Ft, Ht, G @ M @ G.T + K_p @ Psi @ K_p.T,
-                G @ M @ J.T + K_p @ Psi, J @ M @ J.T + Psi)
     bootstrapped = False
     try:
-        X, iters, _ = _solve_dare(*equation, accept=stabilizing)
+        X, iters, _ = _solve_dare(eq, accept=stabilizing)
     except (NonConvergence, MaxIterations) as first_err:
-        eps = 1e-6 * float(np.trace(Psi)) / estimator.p
-        x0 = la.sym(_policy_step(estimator, policy, np.zeros((k, k)),
-                                 eps * np.eye(m)))
+        eps = 1e-6 * float(np.trace(estimator.Psi)) / estimator.p
+        bootstrap = policy_equation(estimator,
+                                    replace(policy, M=eps * np.eye(m)))
+        x0 = bootstrap.step(np.zeros((k, k)))
         try:
-            X, iters, _ = _solve_dare(*equation, x0, accept=stabilizing)
+            X, iters, _ = _solve_dare(eq, x0, accept=stabilizing)
             bootstrapped = True
         except (NonConvergence, MaxIterations) as e2:
             if not detect:
                 raise DetectabilityFailure(str(e2)) from e2
             raise e2 from first_err
 
-    K_Y, PsiY = policy_innovation(estimator, policy, X)
-    eq_res = float(np.linalg.norm(X - la.sym(_policy_step(estimator, policy, X,
-                                                          policy.M))))
+    K_Y, PsiY = eq.gain(X)
     return PolicyRiccatiSolution(SigmaHat=X, K_Y=K_Y, Psi_Y=PsiY,
-                                 iterations=iters, residual=eq_res,
+                                 iterations=iters,
+                                 residual=float(np.linalg.norm(X - eq.step(X))),
                                  bootstrapped=bootstrapped)
-
-
-def riccati_recursion(kind: str, steps: int, *, model: SystemModel | None = None,
-                      weights: CostWeights | None = None,
-                      estimator: EstimatorModel | None = None,
-                      policy: Policy | None = None,
-                      start: np.ndarray | None = None) -> list[np.ndarray]:
-    """Exact finite recursion trace for one of the three Riccati recursions.
-
-    'filter' and 'policy' run forward (default starts: model.Sigma1 and 0);
-    'control' runs backward from the terminal weight Q.  The returned list
-    holds steps+1 matrices in iteration order, initial value first.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if kind == "filter":
-        if model is None:
-            raise DimensionMismatch("filter recursion needs a model")
-        x0, step = model.Sigma1, partial(_filter_step, model)
-    elif kind == "control":
-        if model is None or weights is None:
-            raise DimensionMismatch("control recursion needs a model and weights")
-        x0, step = weights.Q, partial(_control_step, model, weights)
-    elif kind == "policy":
-        if estimator is None or policy is None:
-            raise DimensionMismatch("policy recursion needs an estimator and policy")
-        x0 = np.zeros((estimator.k, estimator.k))
-        step = partial(_policy_step, estimator, policy, M=policy.M)
-    else:
-        raise ValueError(f"unknown recursion kind {kind!r}")
-    x = la.sym(x0 if start is None else la.as_matrix(start))
-    trace = [x]
-    for _ in range(steps):
-        x = la.sym(step(x))
-        trace.append(x)
-    return trace

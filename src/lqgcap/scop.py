@@ -6,14 +6,15 @@ the backward recursion and a terminal correction term in the cost.  Averaging
 the per-time variables produces a point feasible for the single-letter
 program up to an O(1/n) correction, which is what makes the single-letter
 bound the horizon limit.  Step i is the single-letter step map
-upper_bound.step_blocks with SigmaHat_next = SigmaHat_{i+1}.
+upper_bound.step_blocks with SigmaHat_next = SigmaHat_{i+1}.  The LQR
+schedule is the control equation's recursion from Q, and the strict start
+the damped equation's recursion from 0.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -22,12 +23,13 @@ from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from .constants import ProblemConstants
 from .errors import Infeasible
 from .model import BudgetedProblem
-from .riccati import control_gain, riccati_recursion
+from .riccati import control_equation
 from .upper_bound import (
     BOUNDARY_TOL,
+    SolverOptions,
     UBDecision,
     UBProgram,
-    damped_chain,
+    damped_equation,
     step_blocks,
     strict_start,
 )
@@ -36,6 +38,10 @@ log = logging.getLogger("lqgcap.scop")
 
 MAX_HORIZON_SCALAR = 64
 MAX_HORIZON_VECTOR = 16
+
+# The horizon program's acceptance checks live at coarser scales than the
+# single-letter bound's, so its default gap tolerance is coarser too.
+DEFAULT_OPTIONS = SolverOptions(tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,11 @@ class SCOPProgram:
         self.dim = (horizon * (self.pi_pack.dim + self.sig_pack.dim)
                     + (horizon - 1) * m * k)
         # E_1..E_{n+1} backward from E_{n+1} = Q, and K_i, PsiL_i at E_{i+1}
-        E = riccati_recursion("control", horizon, model=consts.model,
-                              weights=consts.weights)[::-1]
-        K, PsiL = zip(*(control_gain(consts.model, consts.weights, e)
-                        for e in E[1:]))
-        self.E, self.K, self.PsiL = np.array(E), np.array(K), np.array(PsiL)
+        control = control_equation(consts.model, consts.weights)
+        E = control.recursion(consts.weights.Q, horizon)[::-1]
+        Kt, PsiL = zip(*(control.gain(e) for e in E[1:]))
+        self.E, self.PsiL = np.array(E), np.array(PsiL)
+        self.K = np.array([kt.T for kt in Kt])
         self._build()
         self._barrier: BarrierProgram | None = None
 
@@ -175,13 +181,14 @@ class SCOPProgram:
 
     def strict_point(self) -> np.ndarray | None:
         """A strictly feasible packed point (Pi_i = eps I, Gamma_i = 0,
-        SigmaHat the damped chain) found by strict_start, or None."""
+        SigmaHat_1..SigmaHat_{n+1} the damped equation's recursion from 0)
+        found by strict_start, or None."""
         c, n = self.consts, self.n
         m, k = c.model.m, c.model.k
 
         def start(eps):
-            sigmas = np.array(list(islice(
-                damped_chain(c, eps, self.relaxation), n + 1)))
+            sigmas = np.array(damped_equation(c, eps, self.relaxation)
+                              .recursion(np.zeros((k, k)), n))
             return self.pack(np.broadcast_to(eps * np.eye(m), (n, m, m)),
                              np.zeros((n, m, k)), sigmas)
 
@@ -207,15 +214,18 @@ def chain_relaxation(consts: ProblemConstants) -> float:
 
 
 def solve_scop(problem: BudgetedProblem, horizon: int,
-               tol: float = 1e-7, max_iter: int = 50_000,
+               opts: SolverOptions | None = None,
                consts: ProblemConstants | None = None) -> SCOPSolution:
-    """Solve the horizon-n program with the shared barrier engine.
+    """Solve the horizon-n program with the shared barrier engine, to
+    DEFAULT_OPTIONS unless opts are given.
 
     For k > m the chained LMIs have no strict interior at early times (the
     one-step noise reaches only an m-dimensional slice), so a tiny PSD
     relaxation is added to make the stacked barrier runnable; it is reported
     in the solution and zero in the scalar case.
     """
+    if opts is None:
+        opts = DEFAULT_OPTIONS
     if consts is None:
         consts = ProblemConstants.for_problem(problem)
     k, m = consts.model.k, consts.model.m
@@ -240,7 +250,8 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     v0 = prog.strict_point()
     if v0 is None:
         raise Infeasible("no strictly feasible chain found")
-    v, info = solve_barrier(prog.barrier_program(), v0, tol, max_iter)
+    v, info = solve_barrier(prog.barrier_program(), v0, opts.tol,
+                            opts.max_iter)
     pis, gammas, sigmas = prog.unpack(v)
     return SCOPSolution(
         horizon=horizon,

@@ -7,7 +7,9 @@ relaxed-Riccati LMI tying SigmaHat to its one-step propagation.  Psi_Y and
 K_Y*Psi_Y are affine in the decisions, so the whole program is a
 determinant-maximization problem solved by the barrier engine.  Its blocks
 are the per-step map step_blocks at the unit vectors with SigmaHat_next =
-SigmaHat, the stationary case of the horizon-n program in scop.
+SigmaHat, the stationary case of the horizon-n program in scop.  The
+barrier starts from a strict point whose SigmaHat is the limit of the
+damped Riccati equation (damped_equation) of the zero-information policy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     SolverNonConvergence,
 )
 from .model import BudgetedProblem
-from .riccati import Policy, _policy_step
+from .riccati import Policy, RiccatiEquation, _solve_dare, policy_equation
 
 log = logging.getLogger("lqgcap.ub")
 
@@ -250,42 +251,33 @@ def _zero_solution(consts: ProblemConstants) -> UBSolution:
     )
 
 
-def damped_chain(consts: ProblemConstants, eps: float, relaxation: float):
-    """X_1 = 0, X_{i+1} = (T(X_i) + relaxation I)/2, with T the covariance
-    propagation of the (Gamma = 0, M = eps I) policy.  A step's Riccati-LMI
-    slack T(X_i) + relaxation I - X_{i+1} is X_{i+1} itself; the chain is
-    monotone, so also T(X_i) + relaxation I - X_i >= X_i."""
+def damped_equation(consts: ProblemConstants, eps: float,
+                    relaxation: float) -> RiccatiEquation:
+    """X <- (T(X) + relaxation I)/2, with T the observer equation of the
+    (Gamma = 0, M = eps I) policy: Ft and S scaled by sqrt(1/2), Q replaced
+    by (Q + relaxation I)/2.  An iterate's Riccati-LMI slack
+    T(X_i) + relaxation I - X_{i+1} is X_{i+1} itself; the recursion from 0
+    is monotone, so also T(X_i) + relaxation I - X_i >= X_i."""
     est = consts.estimator
-    pol = Policy(GammaBar=np.zeros((est.m, est.k)), M=eps * np.eye(est.m),
-                 K_LQR=consts.K_LQR)
-    x = np.zeros((est.k, est.k))
-    while True:
-        yield x
-        x = la.sym(0.5 * (_policy_step(est, pol, x, pol.M)
-                          + relaxation * np.eye(est.k)))
+    eq = policy_equation(est, Policy(GammaBar=np.zeros((est.m, est.k)),
+                                     M=eps * np.eye(est.m),
+                                     K_LQR=consts.K_LQR))
+    half = math.sqrt(0.5)
+    return eq._replace(Ft=half * eq.Ft, S=half * eq.S,
+                       Q=0.5 * (eq.Q + relaxation * np.eye(est.k)))
 
 
 def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
     """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat the
-    last strictly PD iterate of the unrelaxed damped chain, run until it
-    settles; it lies strictly inside the Riccati LMI.  None when the
-    iterates stay singular (degenerate feedback geometry, e.g. G = K_p J)."""
-    chain = damped_chain(prog.consts, eps, 0.0)
-    x = next(chain)
-    best = None
-    for x_next in islice(chain, 2000):
-        done = (float(np.linalg.norm(x_next - x))
-                <= 1e-10 * (1.0 + float(np.linalg.norm(x_next))))
-        x = x_next
-        if la.min_eig(x) > 1e-12 * (1.0 + float(np.linalg.norm(x))):
-            best = x
-        if done:
-            break
-    if best is None:
+    limit of the unrelaxed damped equation from 0; it lies strictly inside
+    the Riccati LMI.  None when that limit is singular (degenerate feedback
+    geometry, e.g. G = K_p J)."""
+    x, _, _ = _solve_dare(damped_equation(prog.consts, eps, 0.0))
+    if la.min_eig(x) <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
         return None
     m, k = prog.consts.model.m, prog.consts.model.k
     return prog.pack(UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)),
-                                SigmaHat=best))
+                                SigmaHat=x))
 
 
 def strict_start(prog, floor: float, start) -> np.ndarray | None:

@@ -3,8 +3,9 @@
 Everything here is deliberately written as plain loops / grid scans that do
 not share code with the library's solvers.  `simulate_stepwise` takes the
 library's gains and noise streams and replaces only the simulation loop;
-`iterate_fixed_point` runs the library's one-step Riccati maps
-(`riccati_recursion`'s) to their limit, one step per iteration;
+`iterate_fixed_point` runs one-step Riccati maps, such as the reference
+`_filter_step`, `_control_step` and `_policy_step` kept here, to their limit,
+one step per iteration;
 `solve_barrier_nu_over_t` runs the library's barrier programs to the gap
 bound nu/t of an exactly centred point; `ub_program_by_coordinates`,
 `scop_program_by_coordinates` and `state_feedback_program_by_coordinates`
@@ -15,21 +16,31 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from lqgcap import linalg as la
 from lqgcap import riccati
 from lqgcap.barrier import AffineBlock, BarrierInfo, BarrierProgram
-from lqgcap.constants import decision_map, trace_cost
+from lqgcap.constants import ProblemConstants, decision_map, trace_cost
 from lqgcap.errors import (
+    DimensionMismatch,
     MaxIterations,
     NonConvergence,
     NumericalOverflow,
     SolverNonConvergence,
 )
-from lqgcap.model import reduce_to_estimator
+from lqgcap.model import (
+    CostWeights,
+    EstimatorModel,
+    SystemModel,
+    reduce_to_estimator,
+)
+from lqgcap.riccati import Policy
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
+from lqgcap.upper_bound import UBDecision, UBProgram
 
 log = logging.getLogger("oracles")
 
@@ -139,6 +150,134 @@ def iterate_fixed_point(step, x0: np.ndarray, rel_tol: float = REL_TOL,
             res_prev_window = res
     raise MaxIterations(f"no convergence within {max_iter} iterations "
                         f"(last residual {history[-1]:.3e})")
+
+
+# The per-equation gains, steps and recursion the library ran before every
+# Riccati equation became one riccati.RiccatiEquation, and the damped chain
+# and its truncated search for the UB strict point.  The equation type must
+# match them: control bit for bit, the others to rounding.
+
+def filter_gain(model: SystemModel, Sigma: np.ndarray):
+    """(K_p, Psi) evaluated at a given error covariance."""
+    Psi = la.sym(model.H @ Sigma @ model.H.T + model.V)
+    K = np.linalg.solve(Psi.T, (model.F @ Sigma @ model.H.T + model.L).T).T
+    return K, Psi
+
+
+def _filter_step(model: SystemModel, Sigma: np.ndarray) -> np.ndarray:
+    K, Psi = filter_gain(model, Sigma)
+    return model.F @ Sigma @ model.F.T + model.W - K @ Psi @ K.T
+
+
+def control_gain(model: SystemModel, weights: CostWeights, E: np.ndarray):
+    """(K_LQR, Psi_LQR) evaluated at a given cost-to-go matrix."""
+    PsiL = la.sym(weights.R + model.G.T @ E @ model.G)
+    K = np.linalg.solve(PsiL, model.G.T @ E @ model.F)
+    return K, PsiL
+
+
+def _control_step(model: SystemModel, weights: CostWeights,
+                  E: np.ndarray) -> np.ndarray:
+    K, PsiL = control_gain(model, weights, E)
+    return model.F.T @ E @ model.F + weights.Q - K.T @ PsiL @ K
+
+
+def policy_innovation(estimator: EstimatorModel, policy: Policy,
+                      SigmaHat: np.ndarray, M: np.ndarray | None = None):
+    """(K_Y, Psi_Y) of the observer filter at a given error covariance."""
+    if M is None:
+        M = policy.M
+    Ft = estimator.F + estimator.G @ policy.GammaBar
+    Ht = estimator.H + estimator.J @ policy.GammaBar
+    PsiY = la.sym(Ht @ SigmaHat @ Ht.T + estimator.J @ M @ estimator.J.T
+                  + estimator.Psi)
+    C = (Ft @ SigmaHat @ Ht.T + estimator.G @ M @ estimator.J.T
+         + estimator.K_p @ estimator.Psi)
+    K_Y = la.solve_pd(PsiY, C.T).T
+    return K_Y, PsiY
+
+
+def _policy_step(estimator: EstimatorModel, policy: Policy,
+                 X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    Ft = estimator.F + estimator.G @ policy.GammaBar
+    K_Y, PsiY = policy_innovation(estimator, policy, X, M)
+    return (Ft @ X @ Ft.T + estimator.G @ M @ estimator.G.T
+            + estimator.K_p @ estimator.Psi @ estimator.K_p.T
+            - K_Y @ PsiY @ K_Y.T)
+
+
+def riccati_recursion(kind: str, steps: int, *, model: SystemModel | None = None,
+                      weights: CostWeights | None = None,
+                      estimator: EstimatorModel | None = None,
+                      policy: Policy | None = None,
+                      start: np.ndarray | None = None) -> list[np.ndarray]:
+    """Exact finite recursion trace for one of the three Riccati recursions.
+
+    'filter' and 'policy' run forward (default starts: model.Sigma1 and 0);
+    'control' runs backward from the terminal weight Q.  The returned list
+    holds steps+1 matrices in iteration order, initial value first.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if kind == "filter":
+        if model is None:
+            raise DimensionMismatch("filter recursion needs a model")
+        x0, step = model.Sigma1, partial(_filter_step, model)
+    elif kind == "control":
+        if model is None or weights is None:
+            raise DimensionMismatch("control recursion needs a model and weights")
+        x0, step = weights.Q, partial(_control_step, model, weights)
+    elif kind == "policy":
+        if estimator is None or policy is None:
+            raise DimensionMismatch("policy recursion needs an estimator and policy")
+        x0 = np.zeros((estimator.k, estimator.k))
+        step = partial(_policy_step, estimator, policy, M=policy.M)
+    else:
+        raise ValueError(f"unknown recursion kind {kind!r}")
+    x = la.sym(x0 if start is None else la.as_matrix(start))
+    trace = [x]
+    for _ in range(steps):
+        x = la.sym(step(x))
+        trace.append(x)
+    return trace
+
+
+def damped_chain(consts: ProblemConstants, eps: float, relaxation: float):
+    """X_1 = 0, X_{i+1} = (T(X_i) + relaxation I)/2, with T the covariance
+    propagation of the (Gamma = 0, M = eps I) policy.  A step's Riccati-LMI
+    slack T(X_i) + relaxation I - X_{i+1} is X_{i+1} itself; the chain is
+    monotone, so also T(X_i) + relaxation I - X_i >= X_i."""
+    est = consts.estimator
+    pol = Policy(GammaBar=np.zeros((est.m, est.k)), M=eps * np.eye(est.m),
+                 K_LQR=consts.K_LQR)
+    x = np.zeros((est.k, est.k))
+    while True:
+        yield x
+        x = la.sym(0.5 * (_policy_step(est, pol, x, pol.M)
+                          + relaxation * np.eye(est.k)))
+
+
+def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
+    """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat the
+    last strictly PD iterate of the unrelaxed damped chain, run until it
+    settles; it lies strictly inside the Riccati LMI.  None when the
+    iterates stay singular (degenerate feedback geometry, e.g. G = K_p J)."""
+    chain = damped_chain(prog.consts, eps, 0.0)
+    x = next(chain)
+    best = None
+    for x_next in islice(chain, 2000):
+        done = (float(np.linalg.norm(x_next - x))
+                <= 1e-10 * (1.0 + float(np.linalg.norm(x_next))))
+        x = x_next
+        if la.min_eig(x) > 1e-12 * (1.0 + float(np.linalg.norm(x))):
+            best = x
+        if done:
+            break
+    if best is None:
+        return None
+    m, k = prog.consts.model.m, prog.consts.model.k
+    return prog.pack(UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)),
+                                SigmaHat=best))
 
 
 def minimal_cost_oracle(F, G, H, J, W, V, L, Q, R):
@@ -538,8 +677,7 @@ def _lqr_schedule(consts, n: int):
     PsiL = [None] * (n + 1)
     E[n + 1] = Q.copy()
     for i in range(n, 0, -1):
-        K[i], PsiL[i] = riccati.control_gain(consts.model, consts.weights,
-                                             E[i + 1])
+        K[i], PsiL[i] = control_gain(consts.model, consts.weights, E[i + 1])
         E[i] = la.sym(F.T @ E[i + 1] @ F + Q - K[i].T @ PsiL[i] @ K[i])
     return E, K, PsiL
 

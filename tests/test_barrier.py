@@ -156,6 +156,23 @@ class TestBarrierProgram:
         g0, h0 = fresh.grad_hess(unseen, t)
         assert np.array_equal(g, g0) and np.array_equal(h, h0)
 
+    def test_basis_layout_does_not_depend_on_the_blocks(self):
+        # Equal blocks with F-ordered unit stacks once gave a C-ordered
+        # basis, other BLAS kernels and a solution 1.5e-13 away.
+        program, v0 = _ub_start(_bundled_consts("vector3"), 120.0)
+
+        def fortran(b):
+            return AffineBlock(b.const, np.asfortranarray(b.basis))
+
+        other = BarrierProgram(
+            objective=[(w, fortran(b)) for w, b in program.objective],
+            constraints=[fortran(b) for b in program.constraints])
+        assert other._basis.strides == program._basis.strides
+        v, info = solve_barrier(program, v0, TOL)
+        w, other_info = solve_barrier(other, v0, TOL)
+        assert np.array_equal(v, w)
+        assert info.iterations == other_info.iterations
+
     def test_feasible_tests_constraint_blocks_only(self):
         pk = SymPacker(1)
         program = BarrierProgram(

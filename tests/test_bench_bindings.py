@@ -4,7 +4,8 @@
 tracer does not know, breaks that run without failing any library test.
 This runs one scalar sweep item and the scalar and vector3 scop items at
 horizon 2 under the tracer, as a traced benchmark pass does, and reads bench/
-without changing it.  The vector3 item builds the relaxed (k > m) horizon
+without changing it; the Riccati solvers and `ProblemConstants.compute` must
+show in the trace.  The vector3 item builds the relaxed (k > m) horizon
 program."""
 
 import pathlib
@@ -47,3 +48,7 @@ def test_traced_items_pass_the_gate_and_the_trace_checks():
     assert 0 < summary["scop.newton_steps"] < summary["barrier.newton_steps"]
     assert summary["scop.dim"] > 0
     assert summary["upper_bound.feasibility_ms"] > 0
+    # the Riccati solvers and the constants, one computation per item
+    for name in ("filter", "control", "policy"):
+        assert summary[f"riccati.{name}_iters"] > 0, name
+    assert summary["constants.compute_calls"] == 3

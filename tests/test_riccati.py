@@ -1,5 +1,6 @@
 import pathlib
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,19 +12,24 @@ from lqgcap import (
     Policy,
     ProblemConstants,
     SystemModel,
+    control_equation,
+    filter_equation,
     pbh_test,
-    riccati,
-    riccati_recursion,
+    policy_equation,
     solve_control_riccati,
     solve_filter_riccati,
     solve_policy_riccati,
     solve_ub,
 )
+from lqgcap import upper_bound
 from lqgcap.config import load_config
 from lqgcap.errors import DetectabilityFailure, RegularityViolation
 from lqgcap.linalg import spectral_radius, sym
 from lqgcap.lower_bound import extract_policy
+from lqgcap.scop import chain_relaxation
+from lqgcap.upper_bound import UBProgram, damped_equation
 
+import oracles
 from oracles import (
     iterate_fixed_point,
     quad_root_sigma_s1,
@@ -154,18 +160,18 @@ class TestPolicyRiccati:
 
 class TestRecursions:
     def test_filter_one_step_from_zero(self, s1):
-        trace = riccati_recursion("filter", 1, model=s1, start=np.zeros((1, 1)))
+        trace = filter_equation(s1).recursion(np.zeros((1, 1)), 1)
         assert len(trace) == 2
         assert trace[1][0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_filter_one_step_with_cross_covariance(self, w1):
         model = SystemModel(F=0.5, G=1, H=1, J=1, W=2, V=1, L=0.5)
-        trace = riccati_recursion("filter", 1, model=model, start=np.zeros((1, 1)))
+        trace = filter_equation(model).recursion(np.zeros((1, 1)), 1)
         assert trace[1][0, 0] == pytest.approx(2 - 0.5 ** 2 / 1.0, abs=1e-14)
 
     def test_control_converges_geometrically(self, s1, w1):
         cc = solve_control_riccati(s1, w1)
-        trace = riccati_recursion("control", 50, model=s1, weights=w1)
+        trace = control_equation(s1, w1).recursion(w1.Q, 50)
         assert np.linalg.norm(trace[-1] - cc.E) <= 1e-10
 
     def test_policy_zero_dither_map(self, c1):
@@ -177,8 +183,7 @@ class TestRecursions:
         h_t = (est.H + est.J * gbar)[0, 0]
         psi = c1.Psi[0, 0]
         start = np.array([[0.3]])
-        trace = riccati_recursion("policy", 5, estimator=est, policy=pol,
-                                  start=start)
+        trace = policy_equation(est, pol).recursion(start, 5)
         x = start[0, 0]
         for step in trace[1:]:
             x = f_s ** 2 * x * psi / (h_t ** 2 * x + psi)
@@ -190,15 +195,12 @@ class TestRecursions:
                      K_LQR=c1.K_LQR)
         est = c1.estimator
         prs = solve_policy_riccati(est, pol)
+        eq = policy_equation(est, pol)
         top = prs.SigmaHat[0, 0]
         for x in np.linspace(0.01, 0.99, 15) * top:
-            nxt = riccati_recursion("policy", 1, estimator=est, policy=pol,
-                                    start=np.array([[x]]))[1][0, 0]
-            assert nxt > x
+            assert eq.step(np.array([[x]]))[0, 0] > x
         for x in top * np.linspace(1.01, 3.0, 15):
-            nxt = riccati_recursion("policy", 1, estimator=est, policy=pol,
-                                    start=np.array([[x]]))[1][0, 0]
-            assert nxt < x
+            assert eq.step(np.array([[x]]))[0, 0] < x
 
 
 class TestPBH:
@@ -283,7 +285,7 @@ def rel_dist(a, b):
     return np.linalg.norm(a - b) / (1 + np.linalg.norm(b))
 
 
-def policy_equation(est, pol):
+def policy_equation_terms(est, pol):
     """(Ft, Ht, Q, S, R) of the policy equation in filter form,
     X = Ft X Ft' + Q - (Ft X Ht' + S)(Ht X Ht' + R)^-1 (Ft X Ht' + S)'."""
     G, J, M, K_p, Psi = est.G, est.J, pol.M, est.K_p, est.Psi
@@ -292,7 +294,7 @@ def policy_equation(est, pol):
             J @ M @ J.T + Psi)
 
 
-@pytest.fixture(scope="module", params=["s1", "s2", 11, 41, 59],
+@pytest.fixture(scope="module", params=["s1", "s2", 11, 41, 59, 83],
                 ids=lambda p: p if isinstance(p, str) else f"plant{p}")
 def dare_case(request, s1, w1, s2, w2, c1):
     """A plant, its weights, its constants and the policies whose equations
@@ -320,7 +322,7 @@ def dare_case(request, s1, w1, s2, w2, c1):
 def test_filter_matches_oracle_and_scipy(dare_case):
     model, _, _, _ = dare_case
     fc = solve_filter_riccati(model)
-    want, _, _ = iterate_fixed_point(partial(riccati._filter_step, model),
+    want, _, _ = iterate_fixed_point(partial(oracles._filter_step, model),
                                      np.zeros((model.k, model.k)))
     ref = scipy.linalg.solve_discrete_are(model.F.T, model.H.T, model.W,
                                           model.V, s=model.L)
@@ -333,7 +335,7 @@ def test_control_matches_oracle_and_scipy(dare_case):
     model, weights, _, _ = dare_case
     cc = solve_control_riccati(model, weights)
     want, _, _ = iterate_fixed_point(
-        partial(riccati._control_step, model, weights), weights.Q)
+        partial(oracles._control_step, model, weights), weights.Q)
     ref = scipy.linalg.solve_discrete_are(model.F, model.G, weights.Q,
                                           weights.R)
     assert rel_dist(cc.E, want) <= ORACLE_TOL
@@ -345,15 +347,15 @@ def test_policy_matches_oracle_and_scipy(dare_case):
     _, _, consts, policies = dare_case
     est = consts.estimator
     for pol in policies:
-        Ft, Ht, Q, S, R = policy_equation(est, pol)
+        Ft, Ht, Q, S, R = policy_equation_terms(est, pol)
         prs = solve_policy_riccati(est, pol)
 
         def stabilizing(X):
-            K_Y, _ = riccati.policy_innovation(est, pol, X)
+            K_Y, _ = oracles.policy_innovation(est, pol, X)
             return spectral_radius(Ft - K_Y @ Ht) < 1.0 - 1e-9
 
         want, _, _ = iterate_fixed_point(
-            partial(riccati._policy_step, est, pol, M=pol.M),
+            partial(oracles._policy_step, est, pol, M=pol.M),
             np.zeros((est.k, est.k)), accept=stabilizing)
         ref = scipy.linalg.solve_discrete_are(Ft.T, Ht.T, Q, R, s=S)
         X = prs.SigmaHat
@@ -361,6 +363,76 @@ def test_policy_matches_oracle_and_scipy(dare_case):
         assert rel_dist(X, ref) <= SCIPY_TOL
         assert prs.residual <= RESIDUAL_TOL * (1 + np.linalg.norm(X))
         assert stabilizing(X)
+
+
+# The equation type and the per-equation reference maps associate the gain
+# alike only for control; elsewhere they agree to rounding.
+REFERENCE_TOL = 1e-14
+
+
+def step_scale(eq, X):
+    """1 + the size of the terms a step sums, which bounds its rounding: at
+    a slow closed loop they are far larger than the step itself."""
+    K, Psi = eq.gain(X)
+    return 1.0 + sum(float(np.linalg.norm(t)) for t in
+                     (eq.Ft @ X @ eq.Ft.T, eq.Q, K @ Psi @ K.T))
+
+
+def test_equations_match_the_reference_maps(dare_case):
+    """Each equation's gain and step against the reference maps, at 0, at a
+    random PSD point and at the equation's solution; the UB strict point
+    and the horizon program's start against the damped chain."""
+    model, weights, consts, policies = dare_case
+    est = consts.estimator
+    rng = np.random.default_rng(0)
+
+    def points(x):
+        a = rng.standard_normal(x.shape)
+        return [np.zeros_like(x), a @ a.T, x]
+
+    control = control_equation(model, weights)
+    for X in points(consts.E):
+        K, Psi = control.gain(X)
+        K_ref, Psi_ref = oracles.control_gain(model, weights, X)
+        assert np.array_equal(K.T, K_ref) and np.array_equal(Psi, Psi_ref)
+        assert np.array_equal(control.step(X),
+                              sym(oracles._control_step(model, weights, X)))
+
+    cases = [(filter_equation(model), partial(oracles.filter_gain, model),
+              partial(oracles._filter_step, model), consts.Sigma)]
+    cases += [(policy_equation(est, pol),
+               partial(oracles.policy_innovation, est, pol),
+               partial(oracles._policy_step, est, pol, M=pol.M),
+               solve_policy_riccati(est, pol).SigmaHat) for pol in policies]
+    for eq, gain, step, x in cases:
+        for X in points(x):
+            (K, Psi), (K_ref, Psi_ref) = eq.gain(X), gain(X)
+            assert rel_dist(K, K_ref) <= REFERENCE_TOL
+            assert rel_dist(Psi, Psi_ref) <= REFERENCE_TOL
+            assert (np.linalg.norm(eq.step(X) - sym(step(X)))
+                    <= REFERENCE_TOL * step_scale(eq, X))
+
+    p = 1.3 * consts.minimal_cost + 0.1
+    prog = UBProgram(consts, p)
+    eps = (p - consts.minimal_cost) / (2.0 * (np.trace(consts.Psi_LQR) + 1.0))
+    for e in (eps, 1e-3 * eps):
+        want = oracles._strict_point(prog, e)
+        assert rel_dist(upper_bound._strict_point(prog, e), want) <= 1e-9
+    relaxation = chain_relaxation(consts)
+    start = damped_equation(consts, eps, relaxation).recursion(
+        np.zeros((model.k, model.k)), 8)
+    chain = islice(oracles.damped_chain(consts, eps, relaxation), 9)
+    for x, want in zip(start, chain, strict=True):
+        assert rel_dist(x, want) <= REFERENCE_TOL
+
+
+def test_damped_limit_is_singular_under_state_feedback(state_feedback_model,
+                                                        w1):
+    # G = K_p J: the zero-information policy's observer error stays at 0
+    consts = ProblemConstants.compute(state_feedback_model, w1)
+    prog = UBProgram(consts, 1.3 * consts.minimal_cost + 0.1)
+    assert oracles._strict_point(prog, 1e-2) is None
+    assert upper_bound._strict_point(prog, 1e-2) is None
 
 
 def test_scalar_floor_policy_solves_in_few_steps():

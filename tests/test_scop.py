@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem, average_variables, solve_scop, solve_ub
-from lqgcap.errors import Infeasible
-from lqgcap.scop import SCOPProgram, SCOPSolution
+from lqgcap import (BudgetedProblem, SolverOptions, average_variables,
+                    solve_scop, solve_ub)
+from lqgcap.errors import ConfigError, Infeasible
+from lqgcap.scop import DEFAULT_OPTIONS, SCOPProgram, SCOPSolution
 
 
 def horizon_one_value_oracle(c, budget):
@@ -119,6 +120,26 @@ class TestAveraging:
             solve_scop(BudgetedProblem(s1, w1, 2.0), 65, consts=c1)
         with pytest.raises(ValueError):
             solve_scop(BudgetedProblem(s2, w2, 200.0), 17, consts=c2)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("bad", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+        {"max_iter": 0}, {"max_iter": -5}], ids=str)
+    def test_bad_values_raise(self, s1, w1, c1, bad):
+        # these ran 8,511 Newton steps, or stopped after 1 with a warning,
+        # when solve_scop took tol and max_iter unchecked
+        with pytest.raises(ConfigError):
+            solve_scop(BudgetedProblem(s1, w1, 2.0), 4, SolverOptions(**bad),
+                       consts=c1)
+
+    def test_options_reach_the_barrier(self, s1, w1, c1):
+        prob = BudgetedProblem(s1, w1, 2.0)
+        coarse = solve_scop(prob, 4, SolverOptions(tol=1e-3), consts=c1)
+        default = solve_scop(prob, 4, consts=c1)
+        assert coarse.duality_gap <= 1e-3
+        assert default.duality_gap <= DEFAULT_OPTIONS.tol
+        assert coarse.iterations < default.iterations
 
 
 def test_vector_scop_runs_with_relaxation(s2, w2, c2):
