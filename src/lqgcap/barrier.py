@@ -15,17 +15,20 @@ where dO and dB are the blocks' changes along the step.  The Newton equation
 is the dual equality, so when the point is dual feasible f(v) minus its dual
 objective is a certified duality gap; the solver stops on that gap.
 
-BarrierProgram stacks every block of one size d, objective or constraint,
-when it is built: B blocks become one (B, d, d) constant and one (B*d*d, D)
-basis.  The merit takes one matrix-vector product for all blocks and one
-batched Cholesky factorization S = L L^T per block size; the log-dets are
-the factors' diagonals, weighted by t*w for objective blocks and by 1 for
-constraint blocks.  The Newton system is formed from the same factors, kept
-from the merit evaluation at the accepted point: with Y_j = L^-1 C_j L^-T
-per block, the gradient is -sum w tr Y_j and the Hessian is one product of
-the flattened, weight-scaled Y with itself.  The gap reuses the same rows:
-E = sum_j step_j Y_j per block, and one batched Cholesky factorization of
-I - E per block size tests dual feasibility and gives log det(I - E).
+BarrierProgram stacks every block, objective or constraint, when it is
+built: B blocks become one (B, d, d) constant and one (B*d*d, D) basis, d
+the largest block size.  A smaller block is padded with an identity, zero
+basis rows and a constant I on the pad's diagonal, which adds log 1 = 0 to
+the merit and the gap and zero rows to the Newton system.  The merit takes
+one matrix-vector product and one batched Cholesky factorization
+S = L L^T; the log-dets are the factors' diagonals, weighted by t*w for
+objective blocks and by 1 for constraint blocks.  The Newton system is
+formed from the same factors, kept from the merit evaluation at the
+accepted point: with Y_j = L^-1 C_j L^-T per block, from one batched
+inverse of the factors, the gradient is -sum w tr Y_j and the Hessian is one
+product of the flattened, weight-scaled Y with itself.  The gap reuses the
+same rows: E = sum_j step_j Y_j per block, and one batched Cholesky
+factorization of I - E tests dual feasibility and gives log det(I - E).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,57 +68,47 @@ class AffineBlock:
         return self.const + np.tensordot(v, self.basis, axes=(0, 0))
 
 
-class _SizeGroup(NamedTuple):
-    """The B blocks of one size d: entries sl of the stacked values reshape
-    to (B, d, d); con marks the constraint blocks among them and cidx gives
-    their positions in BarrierProgram.constraints."""
-
-    d: int
-    sl: slice
-    con: np.ndarray
-    cidx: np.ndarray
-
-
 class BarrierProgram:
     """Objective blocks (weight, block) and PSD constraint blocks, stacked
-    by block size when the program is built."""
+    into one padded (B, d, d) stack when the program is built."""
 
     def __init__(self, objective: list[tuple[float, AffineBlock]],
                  constraints: list[AffineBlock]):
         self.objective = list(objective)
         self.constraints = list(constraints)
-        n_obj = len(self.objective)
-        blocks = [b for _, b in self.objective] + self.constraints
-        # objective weight of each block, 0 for a constraint block
-        weights = [w for w, _ in self.objective] + [0.0] * len(self.constraints)
-        consts, bases, w_obj, self._groups = [], [], [], []
-        start = 0
-        for d in sorted({b.dim for b in blocks}):
-            idx = np.array([i for i, b in enumerate(blocks) if b.dim == d])
-            consts += [sym(blocks[i].const).ravel() for i in idx]
-            # row (a, c) of a block holds the coefficients of its entry (a, c)
-            bases += [sym(blocks[i].basis).reshape(-1, d * d).T for i in idx]
-            w_obj += [np.full(d * d, float(weights[i])) for i in idx]
-            con = idx >= n_obj
-            stop = start + idx.size * d * d
-            self._groups.append(_SizeGroup(d, slice(start, stop), con,
-                                           idx[con] - n_obj))
-            start = stop
-        self._const = np.concatenate(consts)
+        # (weight, block, is a constraint), sorted by size and stable within
+        # a size, so the Newton rows keep the order of one stack per size
+        # with only zero rows inserted
+        entries = sorted([(float(w), b, False) for w, b in self.objective]
+                         + [(0.0, b, True) for b in self.constraints],
+                         key=lambda e: e[1].dim)
+        d = max(b.dim for _, b, _ in entries)
+        self._shape = (len(entries), d, d)
+        const = np.tile(np.eye(d), (len(entries), 1, 1))
+        basis = np.zeros(self._shape + (entries[0][1].basis.shape[0],))
+        for k, (_, b, _) in enumerate(entries):
+            const[k, :b.dim, :b.dim] = sym(b.const)
+            # entry (a, c) holds the coefficients of the block's entry (a, c)
+            basis[k, :b.dim, :b.dim] = np.moveaxis(sym(b.basis), 0, -1)
+        self._const = const.ravel()
         # F order whatever the blocks' layout: the layout picks the BLAS
         # kernels, hence the Newton path
-        self._basis = np.asfortranarray(np.concatenate(bases))   # (N, D)
-        self._w_obj = np.concatenate(w_obj)
-        self._w_con = np.concatenate([np.repeat(g.con, g.d * g.d)
-                                      for g in self._groups]).astype(float)
-        diag = np.concatenate([np.tile(np.eye(g.d, dtype=bool).ravel(),
-                                       g.con.size) for g in self._groups])
-        self._is_diag = diag.astype(float)
-        self._diag_idx = np.flatnonzero(diag)
+        self._basis = np.asfortranarray(basis.reshape(self._const.size, -1))
+        self._con = np.array([con for _, _, con in entries])
+        self._w_obj = np.repeat([w for w, _, _ in entries], d * d)
+        self._w_con = np.repeat(self._con, d * d).astype(float)
+        # the blocks' own diagonal entries, without the pads'
+        self._diag_idx = np.concatenate(
+            [k * d * d + (d + 1) * np.arange(b.dim)
+             for k, (_, b, _) in enumerate(entries)])
+        self._is_diag = np.zeros(self._const.size)
+        self._is_diag[self._diag_idx] = 1.0
         # objective and constraint weights of each diagonal entry
-        self._w_diag = np.stack([self._w_obj[diag], self._w_con[diag]])
+        self._w_diag = np.stack([self._w_obj[self._diag_idx],
+                                 self._w_con[self._diag_idx]])
+        self._eye = np.eye(d)
         self._key: bytes | None = None     # the v whose factors _chol holds
-        self._chol: list[np.ndarray] = []
+        self._chol: np.ndarray | None = None
         self._newton_rows = None            # (z, root_w, t) of grad_hess
 
     @property
@@ -124,21 +116,16 @@ class BarrierProgram:
         return float(sum(b.dim for b in self.constraints))
 
     def _values(self, v: np.ndarray) -> np.ndarray:
-        """Every block's entries at v, stacked in group order."""
-        return self._const + self._basis @ v
+        """Every block's padded value at v, as one (B, d, d) stack."""
+        return (self._const + self._basis @ v).reshape(self._shape)
 
-    def _stack(self, s: np.ndarray, g: _SizeGroup) -> np.ndarray:
-        return s[g.sl].reshape(-1, g.d, g.d)
-
-    def _factors(self, v: np.ndarray) -> list[np.ndarray]:
-        """Cholesky factors of every group at v, kept for the next call at
+    def _factors(self, v: np.ndarray) -> np.ndarray:
+        """Cholesky factors of every block at v, kept for the next call at
         the same v; raises LinAlgError outside the PD cone."""
         v = np.asarray(v, dtype=float)
         key = v.tobytes()
         if key != self._key:
-            s = self._values(v)
-            self._chol = [np.linalg.cholesky(self._stack(s, g))
-                          for g in self._groups]
+            self._chol = np.linalg.cholesky(self._values(v))
             self._key = key
         return self._chol
 
@@ -146,8 +133,7 @@ class BarrierProgram:
         """Whether every constraint block is PD at v."""
         s = self._values(np.asarray(v, dtype=float))
         try:
-            for g in self._groups:
-                np.linalg.cholesky(self._stack(s, g)[g.con])
+            np.linalg.cholesky(s[self._con])
         except np.linalg.LinAlgError:
             return False
         return True
@@ -158,8 +144,7 @@ class BarrierProgram:
             factors = self._factors(v)
         except np.linalg.LinAlgError:
             return np.inf
-        entries = np.concatenate([c.ravel() for c in factors])
-        log_diag = np.log(entries[self._diag_idx])
+        log_diag = np.log(factors.ravel()[self._diag_idx])
         obj, con = self._w_diag @ log_diag
         total = -2.0 * float(t * obj + con)
         return total if math.isfinite(total) else np.inf
@@ -172,17 +157,14 @@ class BarrierProgram:
         weight-scaled rows are kept for duality_gap."""
         self._newton_rows = None     # never hold two sets of rows at once
         factors = self._factors(v)
-        dim = self._basis.shape[1]
-        rows = []
-        for g, c in zip(self._groups, factors):
-            n, d = c.shape[0], g.d
-            inv = np.linalg.inv(c)
-            # L^-1 C_j for every j at once, then L^-1 (L^-1 C_j)^T = Y_j
-            half = inv @ self._basis[g.sl].reshape(n, d, d * dim)
-            half = half.reshape(n, d, d, dim).transpose(0, 2, 1, 3)
-            rows.append((inv @ half.reshape(n, d, d * dim)).reshape(-1, dim))
+        (n, d, _), dim = factors.shape, self._basis.shape[1]
+        inv = np.linalg.inv(factors)
+        # L^-1 C_j for every j at once, then L^-1 (L^-1 C_j)^T = Y_j
+        half = inv @ self._basis.reshape(n, d, d * dim)
+        half = half.reshape(n, d, d, dim).transpose(0, 2, 1, 3)
+        rows = (inv @ half.reshape(n, d, d * dim)).reshape(-1, dim)
         root_w = np.sqrt(t * self._w_obj + self._w_con)
-        z = np.concatenate(rows) * root_w[:, None]
+        z = rows * root_w[:, None]
         self._newton_rows = (z, root_w, t)
         return -(root_w * self._is_diag) @ z, z.T @ z
 
@@ -200,22 +182,17 @@ class BarrierProgram:
         z, root_w, t = self._newton_rows
         e = (z @ step) / root_w
         try:
-            factors = [np.linalg.cholesky(np.eye(g.d) - self._stack(e, g))
-                       for g in self._groups]
+            factors = np.linalg.cholesky(self._eye - e.reshape(self._shape))
         except np.linalg.LinAlgError:
             return np.inf
-        entries = np.concatenate([c.ravel() for c in factors])
-        log_det, _ = self._w_diag @ np.log(entries[self._diag_idx])
+        log_det, _ = self._w_diag @ np.log(factors.ravel()[self._diag_idx])
         tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
         return float((self.nu - tr_con) / t - 2.0 * log_det - tr_obj)
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
-        s = self._values(np.asarray(v, dtype=float))
-        out = np.empty(len(self.constraints))
-        for g in self._groups:
-            out[g.cidx] = np.linalg.eigvalsh(self._stack(s, g)[g.con])[:, 0]
-        return out.tolist()
+        return [float(np.linalg.eigvalsh(b.value(v))[0])
+                for b in self.constraints]
 
 
 @dataclass
@@ -227,15 +204,16 @@ class BarrierInfo:
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """-h^-1 g by Cholesky; a failed factorization retries with a ridge that
-    starts at 1e-14 of h's mean diagonal and grows tenfold, and least
-    squares takes over after 12 tries."""
+    """-h^-1 g = -L^-T L^-1 g from one inverse of the Cholesky factor L; a
+    failed factorization retries with a ridge that starts at 1e-14 of h's
+    mean diagonal and grows tenfold, and least squares takes over after 12
+    tries."""
     scale = max(float(np.trace(h)) / h.shape[0], 1.0)
     a, ridge = h, 0.0
     for _ in range(12):
         try:
-            c = np.linalg.cholesky(a)
-            return -np.linalg.solve(c.T, np.linalg.solve(c, g))
+            ci = np.linalg.inv(np.linalg.cholesky(a))
+            return -(ci.T @ (ci @ g))
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-14 * scale)
             a = h + ridge * np.eye(h.shape[0])

@@ -9,7 +9,10 @@ one step per iteration;
 `solve_barrier_nu_over_t` runs the library's barrier programs to the gap
 bound nu/t of an exactly centred point; `ub_program_by_coordinates`,
 `scop_program_by_coordinates` and `state_feedback_program_by_coordinates`
-assemble the programs' bases one coordinate at a time.
+assemble the programs' bases one coordinate at a time;
+`BarrierProgramBySize` evaluates a barrier program one stack per block size
+and `newton_direction_two_solves` solves its Newton system with two solves
+on the Cholesky factor.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import logging
 import math
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from lqgcap.errors import (
     NumericalOverflow,
     SolverNonConvergence,
 )
+from lqgcap.linalg import sym
 from lqgcap.model import (
     CostWeights,
     EstimatorModel,
@@ -761,3 +766,176 @@ def state_feedback_program_by_coordinates(c, budget: float) -> BarrierProgram:
                         (-cost).reshape(D, 1, 1)),
         ],
     )
+
+
+# The barrier program the library used before it stacked every block into one
+# padded stack: one stack per block size, with a Cholesky factorization, an
+# inverse and a gap factorization per size, and the Newton direction from two
+# general solves on the Cholesky factor.  The padded program must match them
+# to rounding.
+class _SizeGroup(NamedTuple):
+    """The B blocks of one size d: entries sl of the stacked values reshape
+    to (B, d, d); con marks the constraint blocks among them and cidx gives
+    their positions in BarrierProgram.constraints."""
+
+    d: int
+    sl: slice
+    con: np.ndarray
+    cidx: np.ndarray
+
+
+class BarrierProgramBySize:
+    """Objective blocks (weight, block) and PSD constraint blocks, stacked
+    by block size when the program is built."""
+
+    def __init__(self, objective: list[tuple[float, AffineBlock]],
+                 constraints: list[AffineBlock]):
+        self.objective = list(objective)
+        self.constraints = list(constraints)
+        n_obj = len(self.objective)
+        blocks = [b for _, b in self.objective] + self.constraints
+        # objective weight of each block, 0 for a constraint block
+        weights = [w for w, _ in self.objective] + [0.0] * len(self.constraints)
+        consts, bases, w_obj, self._groups = [], [], [], []
+        start = 0
+        for d in sorted({b.dim for b in blocks}):
+            idx = np.array([i for i, b in enumerate(blocks) if b.dim == d])
+            consts += [sym(blocks[i].const).ravel() for i in idx]
+            # row (a, c) of a block holds the coefficients of its entry (a, c)
+            bases += [sym(blocks[i].basis).reshape(-1, d * d).T for i in idx]
+            w_obj += [np.full(d * d, float(weights[i])) for i in idx]
+            con = idx >= n_obj
+            stop = start + idx.size * d * d
+            self._groups.append(_SizeGroup(d, slice(start, stop), con,
+                                           idx[con] - n_obj))
+            start = stop
+        self._const = np.concatenate(consts)
+        # F order whatever the blocks' layout: the layout picks the BLAS
+        # kernels, hence the Newton path
+        self._basis = np.asfortranarray(np.concatenate(bases))   # (N, D)
+        self._w_obj = np.concatenate(w_obj)
+        self._w_con = np.concatenate([np.repeat(g.con, g.d * g.d)
+                                      for g in self._groups]).astype(float)
+        diag = np.concatenate([np.tile(np.eye(g.d, dtype=bool).ravel(),
+                                       g.con.size) for g in self._groups])
+        self._is_diag = diag.astype(float)
+        self._diag_idx = np.flatnonzero(diag)
+        # objective and constraint weights of each diagonal entry
+        self._w_diag = np.stack([self._w_obj[diag], self._w_con[diag]])
+        self._key: bytes | None = None     # the v whose factors _chol holds
+        self._chol: list[np.ndarray] = []
+        self._newton_rows = None            # (z, root_w, t) of grad_hess
+
+    @property
+    def nu(self) -> float:
+        return float(sum(b.dim for b in self.constraints))
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        """Every block's entries at v, stacked in group order."""
+        return self._const + self._basis @ v
+
+    def _stack(self, s: np.ndarray, g: _SizeGroup) -> np.ndarray:
+        return s[g.sl].reshape(-1, g.d, g.d)
+
+    def _factors(self, v: np.ndarray) -> list[np.ndarray]:
+        """Cholesky factors of every group at v, kept for the next call at
+        the same v; raises LinAlgError outside the PD cone."""
+        v = np.asarray(v, dtype=float)
+        key = v.tobytes()
+        if key != self._key:
+            s = self._values(v)
+            self._chol = [np.linalg.cholesky(self._stack(s, g))
+                          for g in self._groups]
+            self._key = key
+        return self._chol
+
+    def feasible(self, v: np.ndarray) -> bool:
+        """Whether every constraint block is PD at v."""
+        s = self._values(np.asarray(v, dtype=float))
+        try:
+            for g in self._groups:
+                np.linalg.cholesky(self._stack(s, g)[g.con])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def merit(self, v: np.ndarray, t: float) -> float:
+        """t*f(v) + phi(v); +inf outside the domain."""
+        try:
+            factors = self._factors(v)
+        except np.linalg.LinAlgError:
+            return np.inf
+        entries = np.concatenate([c.ravel() for c in factors])
+        log_diag = np.log(entries[self._diag_idx])
+        obj, con = self._w_diag @ log_diag
+        total = -2.0 * float(t * obj + con)
+        return total if math.isfinite(total) else np.inf
+
+    def grad_hess(self, v: np.ndarray, t: float):
+        """Gradient and Hessian of the merit at v, from the factors at v.
+
+        With S_b = L_b L_b^T and Y_bj = L_b^-1 C_bj L_b^-T, the gradient is
+        -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>.  The
+        weight-scaled rows are kept for duality_gap."""
+        self._newton_rows = None     # never hold two sets of rows at once
+        factors = self._factors(v)
+        dim = self._basis.shape[1]
+        rows = []
+        for g, c in zip(self._groups, factors):
+            n, d = c.shape[0], g.d
+            inv = np.linalg.inv(c)
+            # L^-1 C_j for every j at once, then L^-1 (L^-1 C_j)^T = Y_j
+            half = inv @ self._basis[g.sl].reshape(n, d, d * dim)
+            half = half.reshape(n, d, d, dim).transpose(0, 2, 1, 3)
+            rows.append((inv @ half.reshape(n, d, d * dim)).reshape(-1, dim))
+        root_w = np.sqrt(t * self._w_obj + self._w_con)
+        z = np.concatenate(rows) * root_w[:, None]
+        self._newton_rows = (z, root_w, t)
+        return -(root_w * self._is_diag) @ z, z.T @ z
+
+    def duality_gap(self, step: np.ndarray) -> float:
+        """f(v) - g(W, Z) at the dual point of a Newton step from the last
+        grad_hess call at (v, t); +inf when that point is not dual feasible.
+
+        With E_b = sum_j step_j Y_bj, i.e. L_b^-1 dS_b L_b^-T for the change
+        dS_b of block b along the step, the dual point is
+        W_o = w_o S_o^-1/2 (I - E_o) S_o^-1/2 for each objective block and
+        Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2 for each constraint block.
+        The Newton equation is their dual equality, so when every I - E_b is
+        PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
+        + tr E_o) bounds f(v) minus the optimum from above."""
+        z, root_w, t = self._newton_rows
+        e = (z @ step) / root_w
+        try:
+            factors = [np.linalg.cholesky(np.eye(g.d) - self._stack(e, g))
+                       for g in self._groups]
+        except np.linalg.LinAlgError:
+            return np.inf
+        entries = np.concatenate([c.ravel() for c in factors])
+        log_det, _ = self._w_diag @ np.log(entries[self._diag_idx])
+        tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
+        return float((self.nu - tr_con) / t - 2.0 * log_det - tr_obj)
+
+    def min_slacks(self, v: np.ndarray) -> list[float]:
+        """Smallest eigenvalue of each constraint block at v."""
+        s = self._values(np.asarray(v, dtype=float))
+        out = np.empty(len(self.constraints))
+        for g in self._groups:
+            out[g.cidx] = np.linalg.eigvalsh(self._stack(s, g)[g.con])[:, 0]
+        return out.tolist()
+
+
+def newton_direction_two_solves(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-h^-1 g by Cholesky; a failed factorization retries with a ridge that
+    starts at 1e-14 of h's mean diagonal and grows tenfold, and least
+    squares takes over after 12 tries."""
+    scale = max(float(np.trace(h)) / h.shape[0], 1.0)
+    a, ridge = h, 0.0
+    for _ in range(12):
+        try:
+            c = np.linalg.cholesky(a)
+            return -np.linalg.solve(c.T, np.linalg.solve(c, g))
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10.0, 1e-14 * scale)
+            a = h + ridge * np.eye(h.shape[0])
+    return -np.linalg.lstsq(h, g, rcond=None)[0]

@@ -4,15 +4,19 @@ import pathlib
 import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem, ProblemConstants
-from lqgcap.barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
+from lqgcap import BudgetedProblem, ProblemConstants, solve_ub
+from lqgcap import upper_bound
+from lqgcap.barrier import (T_START, AffineBlock, BarrierProgram, SymPacker,
+                            _newton_direction, solve_barrier)
 from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
 from lqgcap.linalg import pinv, psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
 from lqgcap.scop import SCOPProgram, chain_relaxation
 from lqgcap.upper_bound import SolverOptions, feasibility
 
+import oracles
 from oracles import solve_barrier_nu_over_t
+from test_decision_map import _two_input_state_feedback_plant
 from test_random_systems import random_system
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -334,6 +338,221 @@ class TestCertifiedStop:
             _, info = solve_barrier(program, v0, TOL)
             assert info.iterations <= 120, budget
             assert info.duality_gap <= TOL, budget
+
+
+def _state_feedback_start(monkeypatch, model, weights):
+    """The state-feedback program solve_ub builds for `model`, and its start."""
+    c = ProblemConstants.compute(model, weights)
+    solve, seen = upper_bound.solve_barrier, []
+
+    def record(program, v0, *args):
+        seen.append((program, np.array(v0)))
+        return solve(program, v0, *args)
+
+    monkeypatch.setattr(upper_bound, "solve_barrier", record)
+    solve_ub(BudgetedProblem(model, weights, 1.3 * c.minimal_cost + 0.1),
+             consts=c)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _plant(seed):
+    return ProblemConstants.compute(*random_system(seed))
+
+
+def _plant_ub_start(seed):
+    c = _plant(seed)
+    return _ub_start(c, 1.3 * c.minimal_cost + 0.1)
+
+
+REFERENCE_CASES = {
+    "mixed": lambda r, m: (_mixed_program(np.random.default_rng(3)),
+                           np.zeros(4)),
+    "ub-s1": lambda r, m: _ub_start(r.getfixturevalue("c1"), 2.0),
+    "ub-vector3": lambda r, m: _ub_start(r.getfixturevalue("c2"), 120.0),
+    **{f"ub-seed{s}": (lambda r, m, s=s: _plant_ub_start(s))
+       for s in (11, 41, 59, 83)},
+    **{f"scop-scalar-h{h}": (lambda r, m, h=h: _scop_start(
+        r.getfixturevalue("c1"), 2.0, h)) for h in (2, 5, 16)},
+    **{f"scop-vector3-h{h}": (lambda r, m, h=h: _scop_start(
+        r.getfixturevalue("c2"), 120.0, h)) for h in (1, 2)},
+    **{f"scop-seed41-h{h}": (lambda r, m, h=h: (lambda c: _scop_start(
+        c, 1.3 * c.minimal_cost + 0.1, h))(_plant(41))) for h in (2, 5)},
+    "state-feedback-scalar": lambda r, m: _state_feedback_start(
+        m, r.getfixturevalue("state_feedback_model"),
+        r.getfixturevalue("w1")),
+    "state-feedback-two-input": lambda r, m: _state_feedback_start(
+        m, *_two_input_state_feedback_plant()),
+}
+
+EPS = np.finfo(float).eps
+
+
+def _direction_agrees(h, g):
+    """The library's direction against the two-solve reference on one Newton
+    system: both solve it to a backward error of 1e-12, and they agree
+    within 1e-12 relative, or cond(h) * eps where h is that ill-conditioned."""
+    step, ref = _newton_direction(h, g), oracles.newton_direction_two_solves(h, g)
+    for s in (step, ref):
+        assert (np.linalg.norm(h @ s + g)
+                <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(s))
+    tol = max(1e-12, np.linalg.cond(h) * EPS)
+    assert _rel(step, ref) <= tol
+    return ref
+
+
+def _assert_same_evaluations(program, ref, v, t):
+    """merit, gradient, Hessian, gap, feasible and min_slacks of the padded
+    stack against the per-size program at (v, t).
+
+    Agreement is 1e-12 relative, or kappa * eps if larger, kappa the largest
+    condition number of a block at v: the two stacks round `basis @ v` in
+    different BLAS row blocks, and near an active LMI one ulp of a block is
+    amplified by kappa in its inverse.  The gradient is compared on the scale of its
+    terms, sqrt(sum_b w_b d_b * tr H) by Cauchy-Schwarz, since it cancels
+    to near zero at a centred point."""
+    blocks = [b for _, b in program.objective] + program.constraints
+    kappa = max(np.linalg.cond(sym(b.value(v))) for b in blocks)
+    tol = max(1e-12, kappa * EPS)
+    assert program.feasible(v) and ref.feasible(v)
+    f, f0 = program.merit(v, t), ref.merit(v, t)
+    assert abs(f - f0) <= tol * (1.0 + abs(f0))
+    g, h = program.grad_hess(v, t)
+    g0, h0 = ref.grad_hess(v, t)
+    weight = (t * sum(w * b.dim for w, b in program.objective)
+              + sum(b.dim for b in program.constraints))
+    assert (np.linalg.norm(g - g0)
+            <= tol * np.sqrt(weight * np.trace(h0)))
+    assert _rel(h, h0) <= tol
+    assert np.array_equal(h, h.T)
+    step = _direction_agrees(h0, g0)
+    for scale in (1.0, 0.1):
+        gap, gap0 = (program.duality_gap(scale * step),
+                     ref.duality_gap(scale * step))
+        if gap0 == np.inf:
+            assert gap == np.inf
+        else:
+            assert abs(gap - gap0) <= tol * abs(gap0)
+    # Weyl: an eigenvalue moves by at most the rounding of its block's terms
+    for s, s0, b in zip(program.min_slacks(v), ref.min_slacks(v),
+                        program.constraints):
+        terms = np.linalg.norm(b.const) + np.abs(v) @ np.linalg.norm(
+            b.basis, axis=(1, 2))
+        assert abs(s - s0) <= 1e-12 * terms
+
+
+def _exit_point(program, v, direction):
+    """Twice the step along `direction` at which the first constraint block
+    leaves the PD cone; None if none leaves."""
+    rate = max(np.linalg.eigvals(np.linalg.solve(
+        sym(b.value(v)), -np.tensordot(direction, b.basis, axes=(0, 0)))).real.max()
+        for b in program.constraints)
+    return v + (2.0 / rate) * direction if rate > 0 else None
+
+
+class TestAgainstPerSizeProgram:
+    """The single padded stack against the program it replaced, which kept
+    one stack and one factorization per block size, on every program the
+    library builds."""
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_evaluations_match_at_the_start_and_the_solution(
+            self, request, monkeypatch, case):
+        program, v0 = REFERENCE_CASES[case](request, monkeypatch)
+        ref = oracles.BarrierProgramBySize(program.objective,
+                                           program.constraints)
+        v, info = solve_barrier(program, v0, TOL)
+        assert info.duality_gap <= TOL
+        _assert_same_evaluations(program, ref, v0, T_START)
+        _assert_same_evaluations(program, ref, v, info.t_final)
+
+        # outside the domain both give +inf and call the point infeasible
+        g, h = ref.grad_hess(v0, T_START)
+        step = _newton_direction(h, g)
+        exits = [_exit_point(program, v0, d) for d in (step, -step)]
+        assert any(out is not None for out in exits)
+        for out in filter(lambda out: out is not None, exits):
+            assert not program.feasible(out) and not ref.feasible(out)
+            assert program.merit(out, T_START) == np.inf
+            assert ref.merit(out, T_START) == np.inf
+        program.grad_hess(v0, T_START)
+        assert program.duality_gap(1e6 * step) == np.inf
+        assert ref.duality_gap(1e6 * step) == np.inf
+
+
+class TestNewtonDirection:
+    def _count_factorizations(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        return calls
+
+    def test_ridge_branch_matches_the_reference(self, monkeypatch):
+        # singular PSD: the third pivot is exactly 0, so the first
+        # factorization fails and a ridge of 1e-14 * mean diagonal is added
+        h = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 0.0], [0.0, 0.0, 0.0]])
+        g = np.array([1.0, -2.0, 0.0])
+        calls = self._count_factorizations(monkeypatch)
+        step = _newton_direction(h, g)
+        assert len(calls) == 2
+        ref = oracles.newton_direction_two_solves(h, g)
+        assert len(calls) == 4
+        assert _rel(step, ref) <= 1e-12
+        ridge = 1e-14 * np.trace(h) / 3
+        assert _rel(step, -np.linalg.solve(h + ridge * np.eye(3), g)) <= 1e-12
+
+    def test_least_squares_branch_matches_the_reference(self, monkeypatch):
+        # indefinite: every ridge up to 1e-4 of the mean diagonal fails
+        h = np.array([[1.0, 2.0], [2.0, 1.0]])
+        g = np.array([1.0, 3.0])
+        calls = self._count_factorizations(monkeypatch)
+        step = _newton_direction(h, g)
+        assert len(calls) == 12
+        assert _rel(step, oracles.newton_direction_two_solves(h, g)) <= 1e-12
+        assert _rel(step, -np.linalg.solve(h, g)) <= 1e-12
+
+
+class TestKernelCallCount:
+    """np.linalg calls per Newton system: one factorization in the merit of
+    the step, one inverse for the Newton rows, a factorization and an
+    inverse for the direction and one factorization for the gap, whatever
+    the number of block sizes."""
+
+    def _calls_per_system(self, monkeypatch, program, v0):
+        counts = {"linalg": 0, "systems": 0}
+        for name in ("cholesky", "inv", "solve"):
+            def counted(*args, _f=getattr(np.linalg, name)):
+                counts["linalg"] += 1
+                return _f(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        grad_hess = type(program).grad_hess
+
+        def counted_grad_hess(self, *args):
+            counts["systems"] += 1
+            return grad_hess(self, *args)
+
+        monkeypatch.setattr(type(program), "grad_hess", counted_grad_hess)
+        _, info = solve_barrier(program, v0, TOL)
+        monkeypatch.undo()
+        assert info.duality_gap <= TOL
+        assert counts["systems"] > info.iterations > 0
+        return counts["linalg"] / counts["systems"]
+
+    @pytest.mark.parametrize("case", ["ub-vector3", "mixed"])
+    def test_at_most_five_calls_per_newton_system(self, request, monkeypatch,
+                                                  case):
+        program, v0 = REFERENCE_CASES[case](request, monkeypatch)
+        assert self._calls_per_system(monkeypatch, program, v0) <= 5
+
+    def test_the_per_size_program_exceeds_the_bound(self, monkeypatch):
+        # three block sizes: a factorization, an inverse and a gap
+        # factorization per size, so the guard catches a per-size kernel
+        program, v0 = REFERENCE_CASES["mixed"](None, monkeypatch)
+        ref = oracles.BarrierProgramBySize(program.objective,
+                                           program.constraints)
+        assert self._calls_per_system(monkeypatch, ref, v0) > 9
 
 
 class TestLinalgHelpers:
