@@ -76,6 +76,7 @@ class BarrierProgram:
                  constraints: list[AffineBlock]):
         self.objective = list(objective)
         self.constraints = list(constraints)
+        self.nu = float(sum(b.dim for b in self.constraints))  # barrier parameter
         # (weight, block, is a constraint), sorted by size and stable within
         # a size, so the Newton rows keep the order of one stack per size
         # with only zero rows inserted
@@ -110,10 +111,6 @@ class BarrierProgram:
         self._key: bytes | None = None     # the v whose factors _chol holds
         self._chol: np.ndarray | None = None
         self._newton_rows = None            # (z, root_w, t) of grad_hess
-
-    @property
-    def nu(self) -> float:
-        return float(sum(b.dim for b in self.constraints))
 
     def _values(self, v: np.ndarray) -> np.ndarray:
         """Every block's padded value at v, as one (B, d, d) stack."""

@@ -6,11 +6,15 @@ x_i = -K_LQR * (observer estimate) + GammaBar * (estimation error) + dither.
 Empirical cost, covariances, rate, and innovation whiteness are accumulated
 for comparison against the theoretical values.
 
-The loop is one linear recursion z_{i+1} = A z_i + B e_i in z = [s, s_hat,
-s_obs], driven by each step's raw draws e_i, with one output map C z_i + D e_i
-to every signal the statistics use.  All trajectories advance together in
-chunks of CHUNK steps, one matrix product per step; each chunk's moments are
-then added with 2-D products over its rows.  Memory: the draws plus a chunk.
+The loop is one linear recursion z_{i+1} = A z_i + B e_i in the error
+coordinates z = [s - s_hat, s_hat - s_obs, s_obs], driven by each step's raw
+draws e_i.  All trajectories advance together in chunks of CHUNK steps, one
+matrix product per step.  Each retained chunk adds its rows Y = [z_i, e_i] to
+one Gram Y^T Y, and one product C Y^T gives the per-trajectory cost and the
+innovations psi, whose lagged sums psi_{i-1}^T Y_i give the whiteness.  The
+covariances are C G C^T or diagonal blocks of the Gram G.  Estimation error
+and filter disagreement are coordinates, so no second moment is a difference
+of large ones.  Memory: the draws plus one chunk.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 trajectory index), so identical seeds give identical reports and a
@@ -100,36 +104,42 @@ class SimTolerances:
     rate_floor: float = 5e-3       # absolute slack when the rate is near zero
 
 
-def _traj_noise(seed: int, idx: int, n: int, k: int, p: int, m: int):
-    """Standard-normal draws for one trajectory from its own Philox stream."""
+def _traj_noise(seed: int, idx: int, s1: np.ndarray, wv: np.ndarray,
+                m: np.ndarray) -> None:
+    """Fill one trajectory's draws in place from its own Philox stream.
+
+    The stream keyed by (seed mod 2^64, idx) fills s1 (k,), then wv
+    (n, k + p), then m (n, m), each a C-contiguous view, with standard normals.
+    """
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [seed % (1 << 64), idx], dtype=np.uint64)))
-    z_s1 = gen.standard_normal(k)
-    z_wv = gen.standard_normal((n, k + p))
-    z_m = gen.standard_normal((n, m))
-    return z_s1, z_wv, z_m
+    for out in (s1, wv, m):
+        gen.standard_normal(out=out)
 
 
 def _closed_loop(model, weights, policy, K_p, K_Y):
-    """The step map [A, B]^T and the output map [C, D]^T on rows [z, e].
+    """The step map [A, B]^T on rows [z, e] and the moment map [C_cost; C_psi].
 
-    e = [z_wv, z_m]; each signal below is the matrix mapping [z, e] to it.
-    The outputs' first k + m columns, Q^1/2 s and R^1/2 x, square to the cost.
+    z = [s - s_hat, s_hat - s_obs, s_obs] and e = [z_wv, z_m]; each signal
+    below is the matrix mapping [z, e] to it.  C_cost's k + m rows, Q^1/2 s
+    and R^1/2 x, square to the cost; C_psi's p rows give psi.
     """
     F, G, H, J, K = model.F, model.G, model.H, model.J, policy.K_LQR
     k, m, p = model.k, model.m, model.p
     eye = np.eye(4 * k + p + m)
-    s, s_hat, s_obs, e_wv, e_m = np.vsplit(eye, np.cumsum([k, k, k, k + p]))
+    err, d, s_obs, e_wv, e_m = np.vsplit(eye, np.cumsum([k, k, k, k + p]))
+    s_hat = d + s_obs
+    s = err + s_hat
     w, v = np.vsplit(la.psd_sqrt(model.joint_noise()) @ e_wv, [k])
-    x = -K @ s_obs + policy.GammaBar @ (s_hat - s_obs) \
-        + la.psd_sqrt(policy.M) @ e_m
+    x = -K @ s_obs + policy.GammaBar @ d + la.psd_sqrt(policy.M) @ e_m
     psi = H @ s + J @ x + v - (H - J @ K) @ s_obs    # y minus its prediction
-    step = np.vstack([F @ s + G @ x + w,
-                      F @ s_hat + G @ x + K_p @ (H @ s + v - H @ s_hat),
-                      (F - G @ K) @ s_obs + K_Y @ psi])
-    out = np.vstack([la.psd_sqrt(weights.Q) @ s, la.psd_sqrt(weights.R) @ x,
-                     s_hat, psi, s_hat - s_obs, s - s_hat])
-    return step.T.copy(), out.T.copy()     # contiguous: faster products
+    s_next = F @ s + G @ x + w
+    s_hat_next = F @ s_hat + G @ x + K_p @ (H @ s + v - H @ s_hat)
+    s_obs_next = (F - G @ K) @ s_obs + K_Y @ psi
+    step = np.vstack([s_next - s_hat_next, s_hat_next - s_obs_next, s_obs_next])
+    moments = np.vstack([la.psd_sqrt(weights.Q) @ s,
+                         la.psd_sqrt(weights.R) @ x, psi])
+    return step.T.copy(), moments      # contiguous step map: faster products
 
 
 def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
@@ -143,54 +153,68 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
     prs = riccati.solve_policy_riccati(est, policy)
     k, m, p = model.k, model.m, model.p
     n, N, burn = cfg.horizon, cfg.trajectories, cfg.burn_in
-    # rows: z_{i+1} = [z_i, e_i] ABT, out_i = [z_i, e_i] CDT
-    ABT, CDT = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
-    cut = np.cumsum([0, k + m, k, p, k, k])
-    cost_, shat_, psi_, d_, err_ = (slice(a, b) for a, b in zip(cut, cut[1:]))
+    # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
+    ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
+    dim = len(ABT)
+    err_, d_, obs_ = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
 
-    # per-trajectory streams, stored time-major: e[i, j] drives step i of j
-    buf = np.zeros((CHUNK + 1, N, 4 * k + p + m))   # [z_i, e_i] over a chunk
-    e = np.empty((n, N, k + p + m))
+    # per-trajectory streams, drawn in place, trajectory-major
+    s1, e_wv, e_m = np.empty((N, k)), np.empty((N, n, k + p)), np.empty((N, n, m))
     for j in range(N):
-        buf[0, j, :k], e[:, j, :k + p], e[:, j, k + p:] = _traj_noise(
-            cfg.seed, j, n, k, p, m)
-    buf[0, :, :k] = buf[0, :, :k] @ la.psd_sqrt(model.Sigma1).T
+        _traj_noise(cfg.seed, j, s1[j], e_wv[j], e_m[j])
+    buf = np.zeros((CHUNK + 1, N, dim))     # [z_i, e_i] over a chunk, time-major
+    buf[0, :, :k] = s1 @ la.psd_sqrt(model.Sigma1).T   # s_hat_0 = s_obs_0 = 0
 
     cost_sum = np.zeros(N)
-    gram = np.zeros((cut[-1], cut[-1]))     # sum of out^T out, retained steps
-    lag_gram = np.zeros((p, p + k))         # sum of psi_{i-1}^T [psi_i, d_i]
-    obs_sq = 0.0                            # sum of |d_i|^2 over the same i
-    psi_prev = np.empty((0, p))             # last retained psi so far
+    gram = np.zeros((dim, dim))     # sum of [z_i, e_i]^T [z_i, e_i], retained i
+    lag = np.zeros((p, dim))        # sum of psi_{i-1}^T [z_i, e_i], both retained
+    psi_prev = None                 # last retained psi so far
+    d_head = 0.0                    # |d|^2 at the first retained step
+    # |s| <= 3 max |z| since s = err + d + s_obs; a chunk's draws, standard
+    # normals, stay far below
+    limit = OVERFLOW_LIMIT / 3
     for t0 in range(0, n, CHUNK):
         T = min(CHUNK, n - t0)
-        buf[:T, :, 3 * k:] = e[t0:t0 + T]
+        buf[:T, :, 3 * k:4 * k + p] = e_wv[:, t0:t0 + T].transpose(1, 0, 2)
+        buf[:T, :, 4 * k + p:] = e_m[:, t0:t0 + T].transpose(1, 0, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(T):
                 np.matmul(buf[t], ABT, out=buf[t + 1, :, :3 * k])
-            ok = np.abs(buf[1:T + 1, :, :k]).max(axis=(1, 2)) <= OVERFLOW_LIMIT
-        if not ok.all():                    # also catches inf and nan
-            raise NumericalOverflow(
-                f"trajectory diverged at step {t0 + 1 + int(np.argmin(ok))}; "
-                "the policy does not stabilize the closed loop")
+            block = buf[1:T + 1]
+            if not (block.max() <= limit and block.min() >= -limit):  # or nan
+                s = block[..., err_] + block[..., d_] + block[..., obs_]
+                ok = np.abs(s).max(axis=(1, 2)) <= OVERFLOW_LIMIT
+                if not ok.all():
+                    raise NumericalOverflow(
+                        f"trajectory diverged at step {t0 + 1 + int(np.argmin(ok))}"
+                        "; the policy does not stabilize the closed loop")
         r0 = min(max(burn - t0, 0), T)      # first retained step of the chunk
         if r0 < T:
-            out = buf[r0:T].reshape((T - r0) * N, -1) @ CDT
-            gram += out.T @ out
-            q = out[:, cost_].reshape(T - r0, N, k + m)
-            cost_sum += np.einsum("tnc,tnc->n", q, q)
-            psi = out[:, psi_]
-            prev = np.vstack([psi_prev, psi[:-N]])
-            cur = out[len(out) - len(prev):]    # rows i with psi_{i-1} kept
-            lag_gram += prev.T @ cur[:, psi_.start:d_.stop]
-            obs_sq += float(np.sum(cur[:, d_] ** 2))
-            psi_prev = psi[-N:]
+            rows = buf[r0:T].reshape(-1, dim)
+            gram += rows.T @ rows
+            q = C @ rows.T
+            c = q[:k + m].reshape(k + m, T - r0, N)
+            cost_sum += np.einsum("ctn,ctn->n", c, c)
+            psi = q[k + m:]
+            if psi_prev is None:
+                d_head = float(np.sum(rows[:N, d_] ** 2))
+            else:
+                lag += psi_prev @ rows[:N]
+            lag += psi[:, :-N] @ rows[N:]
+            psi_prev = psi[:, -N:].copy()
         buf[0, :, :3 * k] = buf[T, :, :3 * k]
 
     n_ret = n - burn
     total, lag_pairs = N * n_ret, max(N * (n_ret - 1), 1)
     per_traj_cost = cost_sum / n_ret
     stderr = float(np.std(per_traj_cost, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
-    emp_psi_y = la.sym(gram[psi_, psi_] / total)
+    C_psi = C[k + m:]
+    emp_psi_y = la.sym(C_psi @ gram @ C_psi.T / total)
+    shat_sq = np.trace(gram[d_, d_] + gram[d_, obs_] + gram[obs_, d_]
+                       + gram[obs_, obs_])      # s_hat = d + s_obs
+    # a difference of sums of squares: rounding can take it below zero only
+    # when one step is retained and d is at rounding level
+    obs_sq = max(float(np.trace(gram[d_, d_])) - d_head, 0.0)
     return SimReport(
         empirical_cost=float(np.mean(per_traj_cost)),
         cost_stderr=stderr,
@@ -198,15 +222,15 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
         empirical_PsiY=emp_psi_y,
         empirical_rate=0.5 * (la.slogdet_pd(emp_psi_y, "empirical Psi_Y")
                               - la.slogdet_pd(est.Psi, "Psi")),
-        innovation_whiteness=float(np.linalg.norm(lag_gram[:, :p] / lag_pairs)
+        innovation_whiteness=float(np.linalg.norm(lag @ C_psi.T / lag_pairs)
                                    / max(np.linalg.norm(emp_psi_y), 1e-300)),
         samples=total,
-        cross_state_err=gram[err_, shat_] / total,
-        cross_obs_psi=lag_gram[:, p:].T / lag_pairs,
+        cross_state_err=(gram[err_, d_] + gram[err_, obs_]) / total,
+        cross_obs_psi=lag[:, d_].T / lag_pairs,
         state_err_scale=math.sqrt(np.trace(gram[err_, err_]) / total),
-        shat_scale=math.sqrt(np.trace(gram[shat_, shat_]) / total),
+        shat_scale=math.sqrt(shat_sq / total),
         obs_err_scale=math.sqrt(obs_sq / lag_pairs),
-        psi_scale=math.sqrt(np.trace(gram[psi_, psi_]) / total),
+        psi_scale=math.sqrt(np.trace(emp_psi_y)),
     )
 
 

@@ -402,8 +402,7 @@ def simulate_stepwise(model, weights, policy, cfg):
     z_wv = np.empty((N, n, k + p))
     z_m = np.empty((N, n, m))
     for i in range(N):
-        a, b, c = _traj_noise(cfg.seed, i, n, k, p, m)
-        z_s1[i], z_wv[i], z_m[i] = a, b, c
+        _traj_noise(cfg.seed, i, z_s1[i], z_wv[i], z_m[i])
     wv = z_wv @ joint_factor.T
     w_seq, v_seq = wv[:, :, :k], wv[:, :, k:]
     m_seq = z_m @ m_factor.T

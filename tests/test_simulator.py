@@ -68,12 +68,35 @@ class TestReproducibility:
         b = simulate(s1, w1, policy, other)
         assert a.empirical_cost != b.empirical_cost
 
+    @staticmethod
+    def _draws(seed, j, n, k, p, m):
+        s1, wv, m_ = np.empty(k), np.empty((n, k + p)), np.empty((n, m))
+        _traj_noise(seed, j, s1, wv, m_)
+        return s1, wv, m_
+
     def test_streams_keyed_by_trajectory(self):
-        z1 = _traj_noise(7, 0, 10, 1, 1, 1)
-        z2 = _traj_noise(7, 1, 10, 1, 1, 1)
+        z1 = self._draws(7, 0, 10, 1, 1, 1)
+        z2 = self._draws(7, 1, 10, 1, 1, 1)
         assert not np.array_equal(z1[1], z2[1])
-        z1_again = _traj_noise(7, 0, 10, 1, 1, 1)
+        z1_again = self._draws(7, 0, 10, 1, 1, 1)
         assert np.array_equal(z1[1], z1_again[1])
+
+    @pytest.mark.parametrize("seed, j, n, k, p, m", [
+        (20240801, 0, 2000, 1, 1, 1), (20240802, 99, 50, 3, 1, 1),
+        (7, 3, 17, 2, 2, 2), (-1, 5, 9, 1, 2, 1), ((1 << 64) + 11, 0, 4, 2, 1, 3),
+    ])
+    def test_in_place_draws_follow_the_stream_contract(self, seed, j, n, k, p, m):
+        """The draws are a fresh Philox(key=[seed mod 2^64, j]) stream's
+        standard_normal(k), then ((n, k + p)), then ((n, m)), bit for bit;
+        bench/reference.json's simulate entries rest on this."""
+        gen = np.random.Generator(np.random.Philox(key=np.array(
+            [seed % (1 << 64), j], dtype=np.uint64)))
+        want = (gen.standard_normal(k), gen.standard_normal((n, k + p)),
+                gen.standard_normal((n, m)))
+        s1, wv, m_ = np.empty((3, k)), np.empty((3, n, k + p)), np.empty((3, n, m))
+        _traj_noise(seed, j, s1[1], wv[1], m_[1])      # views into larger arrays
+        for got, ref in zip((s1[1], wv[1], m_[1]), want):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestAgainstTheory:
@@ -83,6 +106,11 @@ class TestAgainstTheory:
         cfg = SimConfig(horizon=2000, trajectories=200, seed=12345, burn_in=200)
         rep = simulate(s1, w1, pol, cfg)
         assert abs(rep.empirical_cost - c1.minimal_cost) <= 3 * rep.cost_stderr
+        # the observer's estimate is the controller's: s_hat - s_obs is
+        # rounding, which a Gram over raw [s, s_hat, s_obs] rows cancels away
+        tiny = 1e-10 * rep.state_err_scale
+        assert np.sqrt(np.trace(rep.empirical_SigmaHat)) <= tiny
+        assert rep.obs_err_scale <= tiny
 
     def test_extracted_policy_statistics(self, s1, w1, s1_p2_lb):
         policy, lb = s1_p2_lb
