@@ -201,16 +201,16 @@ class BarrierInfo:
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """-h^-1 g = -L^-T L^-1 g from one inverse of the Cholesky factor L; a
-    failed factorization retries with a ridge that starts at 1e-14 of h's
-    mean diagonal and grows tenfold, and least squares takes over after 12
-    tries."""
+    """-h^-1 g by one solve, once a Cholesky factorization has shown h
+    positive definite; a failed factorization retries with a ridge that
+    starts at 1e-14 of h's mean diagonal and grows tenfold, and least
+    squares takes over after 12 tries."""
     scale = max(float(np.trace(h)) / h.shape[0], 1.0)
     a, ridge = h, 0.0
     for _ in range(12):
         try:
-            ci = np.linalg.inv(np.linalg.cholesky(a))
-            return -(ci.T @ (ci @ g))
+            np.linalg.cholesky(a)
+            return -np.linalg.solve(a, g)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-14 * scale)
             a = h + ridge * np.eye(h.shape[0])

@@ -224,13 +224,15 @@ def cmd_scop(cfg: RunConfig, args) -> int:
             rows.append({"horizon": h, "status": "Infeasible",
                          "value": float("nan"), "cost": float("nan"),
                          "slack_E_n": float("nan"), "avg_slack": float("nan"),
-                         "iterations": 0})
+                         "duality_gap": float("nan"), "iterations": 0})
             continue
         av = average_variables(sol)
         rows.append({"horizon": h, "status": "ok",
                      "value": _in_units(sol.value, cfg.units),
                      "cost": sol.cost, "slack_E_n": sol.slack_E_n,
-                     "avg_slack": av.slack, "iterations": sol.iterations})
+                     "avg_slack": av.slack,
+                     "duality_gap": _in_units(sol.duality_gap, cfg.units),
+                     "iterations": sol.iterations})
     write_csv(rows, args.output)
     return 0
 

@@ -9,12 +9,23 @@ bound the horizon limit.  Step i is the single-letter step map
 upper_bound.step_blocks with SigmaHat_next = SigmaHat_{i+1}.  The LQR
 schedule is the control equation's recursion from Q, and the strict start
 the damped equation's recursion from 0.
+
+The program is solved on its face.  From SigmaHat_1 = 0 the chained LMIs
+only reach the i-step Krylov subspace of the innovation form
+(F - K_p H, G - K_p J), so SigmaHat_{i+1} = V_i S_i V_i^T and
+Gamma_{i+1} = Gamma~_i V_i^T with V_i an orthonormal basis of that subspace,
+and each block, a chained LMI congruent to its innovation form, is
+restricted to the range of its constant and basis parts.  For k > m the unreduced LMIs
+have no strict interior; the reduced ones do (Borwein & Wolkowicz, J.
+Austral. Math. Soc. A 30, 1981; Permenter & Parrilo, Math. Program. 171,
+2018).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,8 +51,16 @@ MAX_HORIZON_SCALAR = 64
 MAX_HORIZON_VECTOR = 16
 
 # The horizon program's acceptance checks live at coarser scales than the
-# single-letter bound's, so its default gap tolerance is coarser too.
-DEFAULT_OPTIONS = SolverOptions(tol=1e-7)
+# single-letter bound's, so its default gap tolerance is coarser too.  Where
+# the value barely moves with the budget (vector3 at p=120, h=1: 5e-5 nats
+# per unit) a certified gap of 1e-7 still leaves 1.8e-3 of the budget
+# unspent; 5e-8 leaves 3.6e-4.
+DEFAULT_OPTIONS = SolverOptions(tol=5e-8)
+
+# A Krylov direction shorter than this fraction of the norms of F and G
+# enters the blocks squared, under float64's resolution, so it is left off
+# the face.
+KRYLOV_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -53,7 +72,6 @@ class SCOPSolution:
     cost: float                # left-hand side of the cost constraint
     duality_gap: float = 0.0   # certified: value + duality_gap >= the optimum
     iterations: int = 0
-    relaxation: float = 0.0    # PSD slack added to the chained LMIs (k > m)
     consts: ProblemConstants | None = None
     budget: float = 0.0
 
@@ -78,25 +96,66 @@ class AveragedVariables:
     slack: float               # max of the averaging corrections/violations
 
 
-class SCOPProgram:
-    """Stacked affine assembly of the horizon-n program over Pi_1..Pi_n,
-    Gamma_2..Gamma_n and SigmaHat_2..SigmaHat_{n+1} (Gamma_1 = SigmaHat_1 = 0);
-    step i's blocks are step_blocks with SigmaHat_next = SigmaHat_{i+1},
-    priced by K_i and PsiL_i, for all n steps in one batched evaluation."""
+def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
+    """Orthonormal bases V_0..V_n of the Krylov subspaces
+    span(G, F G, ..., F^(i-1) G), i = 0..n (V_0 has no columns), by
+    Gram-Schmidt with reorthogonalization: V_{i+1} adds to V_i what F maps
+    V_i's newest directions to.  The identity once a subspace is the whole
+    state space."""
+    k = F.shape[0]
+    tol = KRYLOV_RTOL * max(np.linalg.norm(G), np.linalg.norm(F))
+    V = np.zeros((k, 0))
+    bases, new = [V], G
+    for _ in range(n):
+        r = V.shape[1]
+        for w in new.T:
+            for _ in range(2):
+                w = w - V @ (V.T @ w)
+            size = np.linalg.norm(w)
+            if size > tol:
+                V = np.column_stack([V, w / size])
+        new = F @ V[:, r:]
+        bases.append(np.eye(k) if V.shape[1] == k else V)
+    return bases
 
-    def __init__(self, consts: ProblemConstants, budget: float, horizon: int,
-                 relaxation: float = 0.0):
+
+def _blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                     [np.zeros((b.shape[0], a.shape[1])), b]])
+
+
+class SCOPProgram:
+    """Stacked affine assembly of the horizon-n program on its face, over
+    Pi_1..Pi_n, Gamma~_1..Gamma~_n and S_0..S_n, where
+    Gamma_i = Gamma~_{i-1} V_{i-1}^T and SigmaHat_i = V_{i-1} S_{i-1} V_{i-1}^T
+    with V_0..V_n the Krylov bases of the innovation form
+    (F - K_p H, G - K_p J, H, J); V_0 has no columns, which pins
+    SigmaHat_1 = 0 and Gamma_1 = 0.  Step i's blocks are step_blocks of the
+    innovation form, whose chained LMI is the plant's under the congruence
+    [[I, -K_p], [0, I]], with SigmaHat_next = SigmaHat_{i+1}, priced by K_i
+    and PsiL_i, for all n steps in one batched evaluation; each block is
+    then restricted to the face."""
+
+    def __init__(self, consts: ProblemConstants, budget: float, horizon: int):
         self.consts = consts
         self.budget = float(budget)
         self.n = horizon
-        self.relaxation = relaxation
-        m, k = consts.model.m, consts.model.k
+        model, K_p = consts.model, consts.K_p
+        m = model.m
+        self.innovation = SimpleNamespace(F=model.F - K_p @ model.H,
+                                          G=model.G - K_p @ model.J,
+                                          H=model.H, J=model.J)
+        self.bases = krylov_bases(self.innovation.F, self.innovation.G,
+                                  horizon)
         self.pi_pack = SymPacker(m)
-        self.sig_pack = SymPacker(k)
-        self.dim = (horizon * (self.pi_pack.dim + self.sig_pack.dim)
-                    + (horizon - 1) * m * k)
+        self.sig_packs = [SymPacker(V.shape[1]) for V in self.bases]
+        sizes = ([horizon * self.pi_pack.dim]
+                 + [m * V.shape[1] for V in self.bases[:-1]]
+                 + [pk.dim for pk in self.sig_packs])
+        self._splits = np.cumsum(sizes)[:-1]
+        self.dim = int(sum(sizes))
         # E_1..E_{n+1} backward from E_{n+1} = Q, and K_i, PsiL_i at E_{i+1}
-        control = control_equation(consts.model, consts.weights)
+        control = control_equation(model, consts.weights)
         E = control.recursion(consts.weights.Q, horizon)[::-1]
         Kt, PsiL = zip(*(control.gain(e) for e in E[1:]))
         self.E, self.PsiL = np.array(E), np.array(PsiL)
@@ -123,45 +182,51 @@ class SCOPProgram:
     # -- packing -----------------------------------------------------------
 
     def pack(self, pis, gammas, sigmas) -> np.ndarray:
-        """The inverse of unpack at one point: the pinned Gamma_1 and
-        SigmaHat_1 are dropped."""
-        return np.concatenate([self.pi_pack.pack(pis).ravel(),
-                               gammas[1:].ravel(),
-                               self.sig_pack.pack(sigmas[1:]).ravel()])
+        """The coordinates of per-time Pi_1..Pi_n, Gamma_1..Gamma_n and
+        SigmaHat_1..SigmaHat_{n+1}, projected on the face."""
+        return np.concatenate(
+            [self.pi_pack.pack(pis).ravel()]
+            + [(g @ V).ravel() for g, V in zip(gammas, self.bases)]
+            + [pk.pack(V.T @ s @ V)
+               for s, V, pk in zip(sigmas, self.bases, self.sig_packs)])
 
     def unpack(self, v: np.ndarray):
         """Pi_1..Pi_n, Gamma_1..Gamma_n and SigmaHat_1..SigmaHat_{n+1} at v,
         each stacked on a time axis after v's own leading axes."""
-        n, m, k = self.n, self.consts.model.m, self.consts.model.k
+        n, m = self.n, self.consts.model.m
         lead = v.shape[:-1]
-        a = n * self.pi_pack.dim
-        b = a + (n - 1) * m * k
-        gammas = np.concatenate([np.zeros(lead + (m * k,)), v[..., a:b]], -1)
-        sigmas = np.concatenate([np.zeros(lead + (self.sig_pack.dim,)),
-                                 v[..., b:]], -1)
-        return (self.pi_pack.unpack(v[..., :a].reshape(lead + (n, -1))),
-                gammas.reshape(lead + (n, m, k)),
-                self.sig_pack.unpack(sigmas.reshape(lead + (n + 1, -1))))
+        parts = np.split(v, self._splits, axis=-1)
+        gammas = [g.reshape(lead + (m, V.shape[1])) @ V.T
+                  for g, V in zip(parts[1:n + 1], self.bases)]
+        sigmas = [V @ pk.unpack(x) @ V.T
+                  for x, V, pk in zip(parts[n + 1:], self.bases,
+                                      self.sig_packs)]
+        return (self.pi_pack.unpack(parts[0].reshape(lead + (n, -1))),
+                np.stack(gammas, axis=-3), np.stack(sigmas, axis=-3))
 
     # -- blocks ------------------------------------------------------------
 
     def _build(self):
         c, n = self.consts, self.n
-        m, k = c.model.m, c.model.k
+        m, p = c.model.m, c.model.p
+        V = self.bases
         pis, gammas, sigmas = self.unpack(np.eye(self.dim))
         cov, lmi, psiy, cost = step_blocks(
-            c.model, self.K, self.PsiL,
+            self.innovation, self.K, self.PsiL,
             UBDecision(pis, gammas, sigmas[:, :-1]), sigmas[:, 1:])
-        KpPsi = c.K_p @ c.Psi
-        lmi_const = np.block([[KpPsi @ c.K_p.T + self.relaxation * np.eye(k),
-                               KpPsi], [KpPsi.T, c.Psi]])
-        # SigmaHat_1 = 0 pins Gamma_1 = 0, shrinking the first covariance
-        # LMI to Pi_1 >= 0
-        covariance = ([AffineBlock(np.zeros((m, m)), cov[:, 0, :m, :m])]
-                      + [AffineBlock(np.zeros((m + k, m + k)), cov[:, i])
-                         for i in range(1, n)])
-        terminal = AffineBlock(np.zeros((k, k)), sigmas[:, n])
-        chained = [AffineBlock(lmi_const, lmi[:, i]) for i in range(n)]
+        covariance, chained = [], []
+        for i in range(n):
+            e = _blkdiag(np.eye(m), V[i])
+            covariance.append(AffineBlock(np.zeros((e.shape[1],) * 2),
+                                          e.T @ cov[:, i] @ e))
+            # the innovation form's constant [[0, 0], [0, Psi]] lies in the
+            # face
+            e = _blkdiag(V[i + 1], np.eye(p))
+            chained.append(AffineBlock(
+                _blkdiag(np.zeros((V[i + 1].shape[1],) * 2), c.Psi),
+                e.T @ lmi[:, i] @ e))
+        terminal = AffineBlock(np.zeros((V[n].shape[1],) * 2),
+                               V[n].T @ sigmas[:, n] @ V[n])
         # each coordinate is priced at the one step that holds it
         self.cost_coeffs = (cost / n).sum(axis=1)
         slack0 = self.budget - self.cost_constant()
@@ -181,13 +246,13 @@ class SCOPProgram:
 
     def strict_point(self) -> np.ndarray | None:
         """A strictly feasible packed point (Pi_i = eps I, Gamma_i = 0,
-        SigmaHat_1..SigmaHat_{n+1} the damped equation's recursion from 0)
-        found by strict_start, or None."""
+        SigmaHat_1..SigmaHat_{n+1} the damped equation's recursion from 0,
+        which stays on the face) found by strict_start, or None."""
         c, n = self.consts, self.n
         m, k = c.model.m, c.model.k
 
         def start(eps):
-            sigmas = np.array(damped_equation(c, eps, self.relaxation)
+            sigmas = np.array(damped_equation(c, eps)
                               .recursion(np.zeros((k, k)), n))
             return self.pack(np.broadcast_to(eps * np.eye(m), (n, m, m)),
                              np.zeros((n, m, k)), sigmas)
@@ -204,25 +269,16 @@ class SCOPProgram:
         return total - 0.5 * la.slogdet_pd(self.consts.Psi, "Psi")
 
 
-def chain_relaxation(consts: ProblemConstants) -> float:
-    """PSD slack solve_scop adds to the chained LMIs: none for k <= m, else
-    1e-9 (1 + Tr(K_p Psi K_p^T))."""
-    if consts.model.k <= consts.model.m:
-        return 0.0
-    c = consts
-    return 1e-9 * (1.0 + float(np.trace(c.K_p @ c.Psi @ c.K_p.T)))
-
-
 def solve_scop(problem: BudgetedProblem, horizon: int,
                opts: SolverOptions | None = None,
                consts: ProblemConstants | None = None) -> SCOPSolution:
     """Solve the horizon-n program with the shared barrier engine, to
     DEFAULT_OPTIONS unless opts are given.
 
-    For k > m the chained LMIs have no strict interior at early times (the
-    one-step noise reaches only an m-dimensional slice), so a tiny PSD
-    relaxation is added to make the stacked barrier runnable; it is reported
-    in the solution and zero in the scalar case.
+    The program is solved on its face (SCOPProgram): for k > m the chained
+    LMIs reach only the Krylov subspaces of the innovation form, and the
+    barrier runs on their restriction there, which has a strict interior.
+    Nothing is relaxed.
     """
     if opts is None:
         opts = DEFAULT_OPTIONS
@@ -232,8 +288,7 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     cap = MAX_HORIZON_SCALAR if consts.model.is_scalar() else MAX_HORIZON_VECTOR
     if not 1 <= horizon <= cap:
         raise ValueError(f"horizon must be in [1, {cap}] for k={k}")
-    relaxation = chain_relaxation(consts)
-    prog = SCOPProgram(consts, problem.budget, horizon, relaxation)
+    prog = SCOPProgram(consts, problem.budget, horizon)
     const_cost = prog.cost_constant()
     if problem.budget < const_cost - BOUNDARY_TOL:
         raise Infeasible(
@@ -261,7 +316,6 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
         cost=prog.cost(v),
         duality_gap=info.duality_gap,
         iterations=info.iterations,
-        relaxation=relaxation,
         consts=consts,
         budget=problem.budget,
     )

@@ -251,28 +251,25 @@ def _zero_solution(consts: ProblemConstants) -> UBSolution:
     )
 
 
-def damped_equation(consts: ProblemConstants, eps: float,
-                    relaxation: float) -> RiccatiEquation:
-    """X <- (T(X) + relaxation I)/2, with T the observer equation of the
-    (Gamma = 0, M = eps I) policy: Ft and S scaled by sqrt(1/2), Q replaced
-    by (Q + relaxation I)/2.  An iterate's Riccati-LMI slack
-    T(X_i) + relaxation I - X_{i+1} is X_{i+1} itself; the recursion from 0
-    is monotone, so also T(X_i) + relaxation I - X_i >= X_i."""
+def damped_equation(consts: ProblemConstants, eps: float) -> RiccatiEquation:
+    """X <- T(X)/2, with T the observer equation of the (Gamma = 0,
+    M = eps I) policy: Ft and S scaled by sqrt(1/2), Q halved.  An iterate's
+    Riccati-LMI slack T(X_i) - X_{i+1} is X_{i+1} itself; the recursion
+    from 0 is monotone, so also T(X_i) - X_i >= X_i."""
     est = consts.estimator
     eq = policy_equation(est, Policy(GammaBar=np.zeros((est.m, est.k)),
                                      M=eps * np.eye(est.m),
                                      K_LQR=consts.K_LQR))
     half = math.sqrt(0.5)
-    return eq._replace(Ft=half * eq.Ft, S=half * eq.S,
-                       Q=0.5 * (eq.Q + relaxation * np.eye(est.k)))
+    return eq._replace(Ft=half * eq.Ft, S=half * eq.S, Q=0.5 * eq.Q)
 
 
 def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
     """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat the
-    limit of the unrelaxed damped equation from 0; it lies strictly inside
+    limit of the damped equation from 0; it lies strictly inside
     the Riccati LMI.  None when that limit is singular (degenerate feedback
     geometry, e.g. G = K_p J)."""
-    x, _, _ = _solve_dare(damped_equation(prog.consts, eps, 0.0))
+    x, _, _ = _solve_dare(damped_equation(prog.consts, eps))
     if la.min_eig(x) <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
         return None
     m, k = prog.consts.model.m, prog.consts.model.k

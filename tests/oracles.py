@@ -10,9 +10,12 @@ one step per iteration;
 bound nu/t of an exactly centred point; `ub_program_by_coordinates`,
 `scop_program_by_coordinates` and `state_feedback_program_by_coordinates`
 assemble the programs' bases one coordinate at a time;
-`BarrierProgramBySize` evaluates a barrier program one stack per block size
-and `newton_direction_two_solves` solves its Newton system with two solves
-on the Cholesky factor.
+`RelaxedSCOPProgram` is the horizon program as it was solved before facial
+reduction, with `chain_relaxation` and the relaxed `damped_equation`;
+`BarrierProgramBySize` evaluates a barrier program one stack per block size,
+and `newton_direction_two_solves` and `newton_direction_one_inverse` solve
+its Newton system with two solves on the Cholesky factor or one inverse of
+it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from lqgcap.model import (
 )
 from lqgcap.riccati import Policy
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
-from lqgcap.upper_bound import UBDecision, UBProgram
+from lqgcap.upper_bound import UBDecision, UBProgram, strict_start
 
 log = logging.getLogger("oracles")
 
@@ -747,6 +750,93 @@ def scop_program_by_coordinates(c, budget: float, horizon: int,
         constraints=covariance + [terminal] + chained + [budget_block])
 
 
+def chain_relaxation(consts: ProblemConstants) -> float:
+    """PSD slack the horizon program's chained LMIs took before it was
+    solved on its face: none for k <= m, else
+    1e-9 (1 + Tr(K_p Psi K_p^T))."""
+    if consts.model.k <= consts.model.m:
+        return 0.0
+    c = consts
+    return 1e-9 * (1.0 + float(np.trace(c.K_p @ c.Psi @ c.K_p.T)))
+
+
+def damped_equation(consts: ProblemConstants, eps: float,
+                    relaxation: float) -> riccati.RiccatiEquation:
+    """X <- (T(X) + relaxation I)/2, with T the observer equation of the
+    (Gamma = 0, M = eps I) policy: Ft and S scaled by sqrt(1/2), Q replaced
+    by (Q + relaxation I)/2.  An iterate's Riccati-LMI slack
+    T(X_i) + relaxation I - X_{i+1} is X_{i+1} itself; the recursion from 0
+    is monotone, so also T(X_i) + relaxation I - X_i >= X_i."""
+    est = consts.estimator
+    eq = riccati.policy_equation(est, Policy(GammaBar=np.zeros((est.m, est.k)),
+                                             M=eps * np.eye(est.m),
+                                             K_LQR=consts.K_LQR))
+    half = math.sqrt(0.5)
+    return eq._replace(Ft=half * eq.Ft, S=half * eq.S,
+                       Q=0.5 * (eq.Q + relaxation * np.eye(est.k)))
+
+
+class RelaxedSCOPProgram:
+    """The horizon program as it was solved before facial reduction: the
+    coordinate assembly over Pi_1..Pi_n, Gamma_2..Gamma_n and
+    SigmaHat_2..SigmaHat_{n+1} with every chained LMI's constant raised by
+    `relaxation` I (chain_relaxation unless given), started from the
+    relaxed damped recursion.  Its blocks are the library's former
+    SCOPProgram's, bit for bit."""
+
+    def __init__(self, consts: ProblemConstants, budget: float, horizon: int,
+                 relaxation: float | None = None):
+        self.consts, self.budget, self.n = consts, float(budget), horizon
+        self.relaxation = (chain_relaxation(consts) if relaxation is None
+                           else relaxation)
+        self.program = scop_program_by_coordinates(consts, budget, horizon,
+                                                   self.relaxation)
+        self._budget_block = self.program.constraints[-1]
+        self.floor = self.budget - float(self._budget_block.const[0, 0])
+
+    def barrier_program(self) -> BarrierProgram:
+        return self.program
+
+    def pack(self, pis, gammas, sigmas) -> np.ndarray:
+        """Coordinates of Pi_1..Pi_n, Gamma_1..Gamma_n and
+        SigmaHat_1..SigmaHat_{n+1}; the pinned Gamma_1, SigmaHat_1 dropped."""
+        m, k = self.consts.model.m, self.consts.model.k
+        return np.concatenate(
+            [SymPackerLoops(m).pack(x) for x in pis]
+            + [np.ravel(x) for x in gammas[1:]]
+            + [SymPackerLoops(k).pack(x) for x in sigmas[1:]])
+
+    def sigma_hats(self, v: np.ndarray) -> list[np.ndarray]:
+        """SigmaHat_2..SigmaHat_{n+1} at v."""
+        n, m, k = self.n, self.consts.model.m, self.consts.model.k
+        pk = SymPackerLoops(k)
+        base = n * SymPackerLoops(m).dim + (n - 1) * m * k
+        return [pk.unpack(v[base + i * pk.dim:base + (i + 1) * pk.dim])
+                for i in range(n)]
+
+    def cost(self, v: np.ndarray) -> float:
+        return self.budget - float(self._budget_block.value(v)[0, 0])
+
+    def value(self, v: np.ndarray) -> float:
+        return (sum(w * la.slogdet_pd(b.value(v))
+                    for w, b in self.program.objective)
+                - 0.5 * la.slogdet_pd(self.consts.Psi))
+
+    def strict_point(self) -> np.ndarray | None:
+        """Pi_i = eps I, Gamma_i = 0 and SigmaHat_i the relaxed damped
+        recursion from 0, shrunk by upper_bound.strict_start."""
+        c, n = self.consts, self.n
+        m, k = c.model.m, c.model.k
+
+        def start(eps):
+            sigmas = damped_equation(c, eps, self.relaxation).recursion(
+                np.zeros((k, k)), n)
+            return self.pack([eps * np.eye(m)] * n, [np.zeros((m, k))] * n,
+                             sigmas)
+
+        return strict_start(self, self.floor, start)
+
+
 def state_feedback_program_by_coordinates(c, budget: float) -> BarrierProgram:
     """The state-feedback reduction: max log det(J Pi J^T + Psi) under
     Tr(Pi Psi_LQR) <= budget - minimal cost, Pi >= 0."""
@@ -934,6 +1024,23 @@ def newton_direction_two_solves(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         try:
             c = np.linalg.cholesky(a)
             return -np.linalg.solve(c.T, np.linalg.solve(c, g))
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10.0, 1e-14 * scale)
+            a = h + ridge * np.eye(h.shape[0])
+    return -np.linalg.lstsq(h, g, rcond=None)[0]
+
+
+def newton_direction_one_inverse(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-h^-1 g = -L^-T L^-1 g from one inverse of the Cholesky factor L; a
+    failed factorization retries with a ridge that starts at 1e-14 of h's
+    mean diagonal and grows tenfold, and least squares takes over after 12
+    tries."""
+    scale = max(float(np.trace(h)) / h.shape[0], 1.0)
+    a, ridge = h, 0.0
+    for _ in range(12):
+        try:
+            ci = np.linalg.inv(np.linalg.cholesky(a))
+            return -(ci.T @ (ci @ g))
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-14 * scale)
             a = h + ridge * np.eye(h.shape[0])

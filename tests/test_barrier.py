@@ -11,7 +11,7 @@ from lqgcap.barrier import (T_START, AffineBlock, BarrierProgram, SymPacker,
 from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
 from lqgcap.linalg import pinv, psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
-from lqgcap.scop import SCOPProgram, chain_relaxation
+from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import SolverOptions, feasibility
 
 import oracles
@@ -84,7 +84,7 @@ def _ub_start(consts, budget):
 
 
 def _scop_start(consts, budget, horizon):
-    prog = SCOPProgram(consts, budget, horizon, chain_relaxation(consts))
+    prog = SCOPProgram(consts, budget, horizon)
     return prog.barrier_program(), prog.strict_point()
 
 
@@ -118,8 +118,7 @@ class TestBarrierProgram:
         }[case]()
         blocks = [b for _, b in program.objective] + program.constraints
         # Agreement between two float64 evaluations is limited by the
-        # conditioning of the blocks: the relaxed chained LMIs of the vector
-        # horizon program reach condition numbers near 1e11 at their start.
+        # conditioning of the blocks.
         kappa = max(np.linalg.cond(sym(b.value(v))) for b in blocks)
         tol = max(1e-10, kappa * np.finfo(float).eps)
         assert program.feasible(v)
@@ -390,15 +389,19 @@ EPS = np.finfo(float).eps
 
 
 def _direction_agrees(h, g):
-    """The library's direction against the two-solve reference on one Newton
-    system: both solve it to a backward error of 1e-12, and they agree
-    within 1e-12 relative, or cond(h) * eps where h is that ill-conditioned."""
-    step, ref = _newton_direction(h, g), oracles.newton_direction_two_solves(h, g)
-    for s in (step, ref):
+    """The library's direction against the two-solve and the one-inverse
+    references on one Newton system: all three solve it to a backward error
+    of 1e-12, and the library's agrees with each within 1e-12 relative, or
+    cond(h) * eps where h is that ill-conditioned."""
+    step = _newton_direction(h, g)
+    ref = oracles.newton_direction_two_solves(h, g)
+    one_inverse = oracles.newton_direction_one_inverse(h, g)
+    tol = max(1e-12, np.linalg.cond(h) * EPS)
+    for s in (step, ref, one_inverse):
         assert (np.linalg.norm(h @ s + g)
                 <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(s))
-    tol = max(1e-12, np.linalg.cond(h) * EPS)
     assert _rel(step, ref) <= tol
+    assert _rel(step, one_inverse) <= tol
     return ref
 
 
@@ -500,6 +503,7 @@ class TestNewtonDirection:
         ref = oracles.newton_direction_two_solves(h, g)
         assert len(calls) == 4
         assert _rel(step, ref) <= 1e-12
+        assert _rel(step, oracles.newton_direction_one_inverse(h, g)) <= 1e-12
         ridge = 1e-14 * np.trace(h) / 3
         assert _rel(step, -np.linalg.solve(h + ridge * np.eye(3), g)) <= 1e-12
 
@@ -511,14 +515,15 @@ class TestNewtonDirection:
         step = _newton_direction(h, g)
         assert len(calls) == 12
         assert _rel(step, oracles.newton_direction_two_solves(h, g)) <= 1e-12
+        assert _rel(step, oracles.newton_direction_one_inverse(h, g)) <= 1e-12
         assert _rel(step, -np.linalg.solve(h, g)) <= 1e-12
 
 
 class TestKernelCallCount:
     """np.linalg calls per Newton system: one factorization in the merit of
-    the step, one inverse for the Newton rows, a factorization and an
-    inverse for the direction and one factorization for the gap, whatever
-    the number of block sizes."""
+    the step, one inverse for the Newton rows, a factorization that tests h
+    and a solve for the direction, and one factorization for the gap,
+    whatever the number of block sizes."""
 
     def _calls_per_system(self, monkeypatch, program, v0):
         counts = {"linalg": 0, "systems": 0}

@@ -1,0 +1,39 @@
+"""The benchmark's gate reads only a horizon solve's value and cost, so a
+solve that stops uncertified passes it.  This solves every item of the
+benchmark's `scop` ladder (bench/workloads.SCOP_LADDER, read without
+changing bench/) at the library's default options and checks that each
+certifies its duality gap without an early-stop warning."""
+
+import logging
+import pathlib
+import sys
+
+import pytest
+
+from lqgcap import BudgetedProblem, ProblemConstants
+from lqgcap.config import load_config
+from lqgcap.errors import Infeasible
+from lqgcap.scop import DEFAULT_OPTIONS, solve_scop
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import SCOP_INFEASIBLE, SCOP_LADDER  # noqa: E402
+
+LADDER = [(name, p, h) for name, p, horizons in SCOP_LADDER for h in horizons]
+
+
+@pytest.mark.parametrize("name,budget,horizon", LADDER,
+                         ids=[f"{n}-h{h}" for n, _, h in LADDER])
+def test_ladder_item_certifies(caplog, name, budget, horizon):
+    cfg = load_config(str(ROOT / "configs" / f"{name}.json"))
+    consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    prob = BudgetedProblem(cfg.model, cfg.weights, budget)
+    if (name, horizon) in SCOP_INFEASIBLE:
+        with pytest.raises(Infeasible):
+            solve_scop(prob, horizon, consts=consts)
+        return
+    with caplog.at_level(logging.WARNING, logger="lqgcap.barrier"):
+        sol = solve_scop(prob, horizon, consts=consts)
+    assert sol.duality_gap <= DEFAULT_OPTIONS.tol
+    assert not [r for r in caplog.records if r.name == "lqgcap.barrier"]

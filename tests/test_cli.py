@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -12,6 +13,7 @@ from lqgcap.cli import run, write_csv
 from lqgcap.config import load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
 from lqgcap.errors import ConfigError
+from lqgcap.scop import DEFAULT_OPTIONS
 from lqgcap.upper_bound import UBProgram
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -240,9 +242,14 @@ class TestCommands:
         assert run(["scop", "--config", write_cfg(tmp_path, doc)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ("horizon,status,value,cost,slack_E_n,avg_slack,"
-                            "iterations")
+                            "duality_gap,iterations")
         assert lines[1].split(",")[1] == "Infeasible"
-        assert lines[2].split(",")[1] == "ok"
+        assert lines[1].split(",")[6] == "nan"
+        for line in lines[2:]:
+            row = line.split(",")
+            assert row[1] == "ok"
+            # the certified gap of an ok row, in the value's units
+            assert 0.0 <= float(row[6]) <= DEFAULT_OPTIONS.tol / math.log(2.0)
 
     def test_simulate_command(self, tmp_path, capsys):
         doc = scalar_doc()

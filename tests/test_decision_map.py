@@ -1,7 +1,8 @@
 """Cross-path checks of the per-step decision map: every program block,
 residual and budget built from decision_map and trace_cost must agree with
 them at the same point, on random plants and on both fixtures, and every
-program's stacked arrays must equal the coordinate-by-coordinate assembly."""
+program's stacked arrays must equal the coordinate-by-coordinate assembly,
+restricted to its face for the horizon program."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lqgcap import (BudgetedProblem, ProblemConstants, SystemModel,
 from lqgcap import upper_bound
 from lqgcap.constants import decision_map, trace_cost
 from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
-from lqgcap.scop import SCOPProgram, chain_relaxation
+from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import UBProgram
 
 import oracles
@@ -143,11 +144,49 @@ def test_programs_equal_the_coordinate_assembly(request, name):
     p = {"s1": 2.0, "s2": 120.0}.get(name, 1.3 * c.minimal_cost + 0.1)
     _assert_same_stacks(UBProgram(c, p).barrier_program(),
                         oracles.ub_program_by_coordinates(c, p))
-    relaxation = chain_relaxation(c)
+
+
+def _blkdiag(a, b):
+    return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                     [np.zeros((b.shape[0], a.shape[1])), b]])
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "seed8", "seed11", "seed41",
+                                  "seed59", "seed83"])
+def test_scop_program_is_the_coordinate_assembly_on_its_face(request, name):
+    """Each block of the horizon program is the unrelaxed coordinate
+    assembly's block at the lifted point, under the congruence that
+    restricts it to the face: diag(I, V_{i-1}) for a covariance LMI (the
+    assembly's first is Pi_1 alone), V_n for the terminal block, and [[V_i, 0], [-K_p^T V_i, I]]
+    for a chained LMI, the innovation form's [[I, 0], [-K_p^T, I]] followed
+    by diag(V_i, I)."""
+    c = _consts(request, name)
+    p = {"s1": 2.0, "s2": 120.0}.get(name, 1.3 * c.minimal_cost + 0.1)
+    m, p_out = c.model.m, c.model.p
     for h in (1, 2, 5, 16):
-        _assert_same_stacks(
-            SCOPProgram(c, p, h, relaxation).barrier_program(),
-            oracles.scop_program_by_coordinates(c, p, h, relaxation))
+        prog = SCOPProgram(c, p, h)
+        ref = oracles.RelaxedSCOPProgram(c, p, h, relaxation=0.0)
+        # column j: the assembly's coordinates of the face's unit vector j
+        lift = np.stack([ref.pack(*prog.unpack(e))
+                         for e in np.eye(prog.dim)], axis=1)
+        V = prog.bases
+        congruences = (
+            [np.eye(m)] + [_blkdiag(np.eye(m), b) for b in V[1:-1]] + [V[-1]]
+            + [np.block([[b, np.zeros((b.shape[0], p_out))],
+                         [-c.K_p.T @ b, np.eye(p_out)]]) for b in V[1:]]
+            + [np.eye(1)])
+        got, want = prog.barrier_program(), ref.program
+        pairs = ([(a, b, np.eye(p_out)) for (_, a), (_, b)
+                  in zip(got.objective, want.objective, strict=True)]
+                 + list(zip(got.constraints, want.constraints, congruences,
+                            strict=True)))
+        for a, b, t in pairs:
+            const = t.T @ b.const @ t
+            basis = t.T @ np.tensordot(lift.T, b.basis, axes=1) @ t
+            scale = np.linalg.norm(b.const) + np.linalg.norm(
+                np.tensordot(lift.T, b.basis, axes=1))
+            assert np.linalg.norm(a.const - const) <= 1e-12 * scale
+            assert np.linalg.norm(a.basis - basis) <= 1e-12 * scale
 
 
 def _two_input_state_feedback_plant():

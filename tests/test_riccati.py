@@ -26,7 +26,6 @@ from lqgcap.config import load_config
 from lqgcap.errors import DetectabilityFailure, RegularityViolation
 from lqgcap.linalg import spectral_radius, sym
 from lqgcap.lower_bound import extract_policy
-from lqgcap.scop import chain_relaxation
 from lqgcap.upper_bound import UBProgram, damped_equation
 
 import oracles
@@ -418,8 +417,14 @@ def test_equations_match_the_reference_maps(dare_case):
     for e in (eps, 1e-3 * eps):
         want = oracles._strict_point(prog, e)
         assert rel_dist(upper_bound._strict_point(prog, e), want) <= 1e-9
-    relaxation = chain_relaxation(consts)
-    start = damped_equation(consts, eps, relaxation).recursion(
+    start = damped_equation(consts, eps).recursion(
+        np.zeros((model.k, model.k)), 8)
+    chain = islice(oracles.damped_chain(consts, eps, 0.0), 9)
+    for x, want in zip(start, chain, strict=True):
+        assert rel_dist(x, want) <= REFERENCE_TOL
+    # the relaxed start of the horizon program's reference path
+    relaxation = oracles.chain_relaxation(consts)
+    start = oracles.damped_equation(consts, eps, relaxation).recursion(
         np.zeros((model.k, model.k)), 8)
     chain = islice(oracles.damped_chain(consts, eps, relaxation), 9)
     for x, want in zip(start, chain, strict=True):

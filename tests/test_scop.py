@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lqgcap import (BudgetedProblem, SolverOptions, average_variables,
-                    solve_scop, solve_ub)
+from lqgcap import (BudgetedProblem, ProblemConstants, SolverOptions,
+                    average_variables, solve_scop, solve_ub)
+from lqgcap import barrier
 from lqgcap.errors import ConfigError, Infeasible
-from lqgcap.scop import DEFAULT_OPTIONS, SCOPProgram, SCOPSolution
+from lqgcap.linalg import sym
+from lqgcap.scop import (DEFAULT_OPTIONS, SCOPProgram, SCOPSolution,
+                         krylov_bases)
+
+import oracles
+from test_random_systems import random_system
 
 
 def horizon_one_value_oracle(c, budget):
@@ -142,18 +149,143 @@ class TestSolverOptions:
         assert coarse.iterations < default.iterations
 
 
-def test_vector_scop_runs_with_relaxation(s2, w2, c2):
-    """k > m needs the PSD relaxation to open an interior.  The value is NOT
-    compared against the single-letter bound here: at short horizons the
-    backward-recursion constants (E_i ramping up from Q) price control much
-    cheaper than steady state for this slowly-converging system, so the
-    finite-horizon program can legitimately sit above the steady-state one.
+def test_vector_scop_runs_on_its_face(s2, w2, c2):
+    """k > m: the chained LMIs have a strict interior only on their face.
+    The value is NOT compared against the single-letter bound here: at
+    short horizons the backward-recursion constants (E_i ramping up from Q)
+    price control much cheaper than steady state for this slowly-converging
+    system, so the finite-horizon program can legitimately sit above the
+    steady-state one.
     """
     p = 1.5 * c2.minimal_cost
     sol = solve_scop(BudgetedProblem(s2, w2, p), 4, consts=c2)
-    assert sol.relaxation > 0
     assert sol.value >= 0
     assert sol.cost <= p + 1e-8
     av = average_variables(sol)
     assert av.lmi1_min_eig >= -1e-8
     assert av.correction_norm > 0
+
+
+def _krylov_projectors(c, n):
+    """Orthogonal projectors on span(G~, F~ G~, ..., F~^(i-1) G~), i = 1..n,
+    of the innovation form (F~, G~) = (F - K_p H, G - K_p J), from the
+    controllability matrices."""
+    F = c.model.F - c.K_p @ c.model.H
+    G = c.model.G - c.K_p @ c.model.J
+    blocks, out = [G], []
+    for _ in range(n):
+        q = scipy.linalg.orth(np.hstack(blocks))
+        out.append(q @ q.T)
+        blocks.append(F @ blocks[-1])
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 8, 41, 59, 83, 132])
+def test_krylov_bases_span_the_controllability_subspaces(c2, seed):
+    c = c2 if seed is None else ProblemConstants.compute(*random_system(seed))
+    F = c.model.F - c.K_p @ c.model.H
+    G = c.model.G - c.K_p @ c.model.J
+    bases = krylov_bases(F, G, 5)
+    assert bases[0].shape == (c.model.k, 0)
+    for V, proj in zip(bases[1:], _krylov_projectors(c, 5), strict=True):
+        assert np.allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-14)
+        assert np.allclose(V @ V.T, proj, rtol=0, atol=1e-12)
+    # an uncontrollable direction stays off every basis; G = 0 gives none
+    F2 = np.diag([0.5, 0.3, 0.2])
+    G2 = np.array([[1.0], [1.0], [0.0]])
+    assert [V.shape[1] for V in krylov_bases(F2, G2, 4)] == [0, 1, 2, 2, 2]
+    assert [V.shape[1] for V in krylov_bases(F2, 0 * G2, 2)] == [0, 0, 0]
+
+
+def test_state_feedback_horizon_program_solves(state_feedback_model, w1):
+    """G = K_p J: the observer error never leaves 0, so the face has no
+    SigmaHat or Gamma coordinates at all, while the unreduced program has no
+    strict point.  The horizon value
+    approaches the single-letter bound from above at rate 1/n."""
+    c = ProblemConstants.compute(state_feedback_model, w1)
+    prob = BudgetedProblem(state_feedback_model, w1, 1.3 * c.minimal_cost + 0.1)
+    ub = solve_ub(prob, consts=c)
+    excess = []
+    for h in (4, 8, 16):
+        sol = solve_scop(prob, h, consts=c)
+        assert sol.duality_gap <= DEFAULT_OPTIONS.tol
+        assert sol.cost <= prob.budget
+        assert not any(t[1].any() or t[2].any() for t in sol.per_time)
+        excess.append(sol.value - ub.rate)
+    assert excess[0] > 0
+    for a, b in zip(excess, excess[1:]):
+        assert 0.4 * a <= b <= 0.6 * a
+
+
+RELAXED_CASES = ([("vector3", h) for h in (1, 2, 4)]
+                 + [(f"seed{s}", 3) for s in (8, 59, 83)])
+
+
+class TestAgainstRelaxedProgram:
+    """The program on its face against the relaxed program it replaced
+    (oracles.RelaxedSCOPProgram), solved as it was solved then: from the
+    relaxed damped start, with the one-inverse Newton direction."""
+
+    @staticmethod
+    def _relaxed(monkeypatch, c, p, h, scale):
+        monkeypatch.setattr(barrier, "_newton_direction",
+                            oracles.newton_direction_one_inverse)
+        ref = oracles.RelaxedSCOPProgram(c, p, h,
+                                         scale * oracles.chain_relaxation(c))
+        v, info = barrier.solve_barrier(ref.program, ref.strict_point(),
+                                        DEFAULT_OPTIONS.tol)
+        monkeypatch.undo()
+        assert info.duality_gap <= DEFAULT_OPTIONS.tol
+        return ref, v, info
+
+    @pytest.mark.parametrize("name,h", RELAXED_CASES,
+                             ids=[f"{n}-h{h}" for n, h in RELAXED_CASES])
+    def test_value_and_cost(self, monkeypatch, c2, name, h):
+        if name == "vector3":
+            c, p = c2, 120.0
+        else:
+            c = ProblemConstants.compute(*random_system(int(name[4:])))
+            p = 1.3 * c.minimal_cost + 0.1
+        sol = solve_scop(BudgetedProblem(c.model, c.weights, p), h, consts=c)
+        assert sol.duality_gap <= DEFAULT_OPTIONS.tol
+        assert sol.cost <= p
+        ref, v, info = self._relaxed(monkeypatch, c, p, h, 1.0)
+        relaxed = ref.value(v)
+        # the face holds every point of the unrelaxed program, which the
+        # relaxation contains
+        assert sol.value <= relaxed + info.duality_gap
+        # The relaxed optimum exceeds the unrelaxed one by about
+        # a sqrt(relaxation): 1.7e-6 nats on vector3 at h=4 and 2.5e-6 to
+        # 6.4e-6 on the plants.  Its limit at no relaxation, extrapolated
+        # from the relaxation and its double, is the face's value.
+        ref2, v2, _ = self._relaxed(monkeypatch, c, p, h, 2.0)
+        limit = relaxed - (ref2.value(v2) - relaxed) / (np.sqrt(2.0) - 1.0)
+        assert abs(sol.value - limit) <= 1e-6
+        # the relaxed SigmaHat_{i+1} reaches outside the Krylov subspace
+        # only by about the relaxation
+        k = c.model.k
+        for s, proj in zip(ref.sigma_hats(v), _krylov_projectors(c, h)):
+            out = np.eye(k) - proj
+            assert np.linalg.norm(out @ s @ out, 2) <= 10.0 * ref.relaxation
+
+
+class TestConditioning:
+    """On its face the vector horizon program's start is well conditioned,
+    and its Newton count does not depend on the start's last bit."""
+
+    def test_block_condition_at_the_strict_start(self, c2):
+        prog = SCOPProgram(c2, 120.0, 2)
+        program, v0 = prog.barrier_program(), prog.strict_point()
+        blocks = [b for _, b in program.objective] + program.constraints
+        assert max(np.linalg.cond(sym(b.value(v0))) for b in blocks) <= 1.7e8
+
+    def test_newton_count_under_last_bit_perturbations(self, c2):
+        prog = SCOPProgram(c2, 120.0, 2)
+        program, v0 = prog.barrier_program(), prog.strict_point()
+        counts = []
+        for s in range(-4, 5):
+            _, info = barrier.solve_barrier(
+                program, v0 * (1.0 + s * 2.0 ** -52), DEFAULT_OPTIONS.tol)
+            assert info.duality_gap <= DEFAULT_OPTIONS.tol
+            counts.append(info.iterations)
+        assert max(counts) - min(counts) <= 2
