@@ -29,6 +29,15 @@ inverse of the factors, the gradient is -sum w tr Y_j and the Hessian is one
 product of the flattened, weight-scaled Y with itself.  The gap reuses the
 same rows: E = sum_j step_j Y_j per block, and one batched Cholesky
 factorization of I - E tests dual feasibility and gives log det(I - E).
+
+A block-sparse program, such as the horizon program's chain, forms those
+rows on each matrix block's own coordinates, the basis columns it touches:
+(L^-1 (x) L^-1) C_loc, whose local Grams and trace terms are scatter-added
+into the Hessian and the gradient; 1x1 blocks keep dense rows, one each.
+The program takes that path when it saves LOCAL_OVERHEAD multiply-adds per
+Newton system over the dense rows, as counted from its block sizes and
+column sets when it is built.  The merit, the Newton direction and the gap's
+factorization are the same on both paths.
 """
 
 from __future__ import annotations
@@ -54,6 +63,11 @@ MAX_INNER = 400
 # The composite t*f + phi is self-concordant for t >= 2 (objective weights
 # are 1/2); start there so the damped step 1/(1+lambda) is safe.
 T_START = 2.0
+# A program forms its Newton rows on each block's own coordinates when that
+# saves at least this many multiply-adds per Newton system over dense rows:
+# the local path makes about a dozen more numpy calls and two scatter-adds,
+# some 20 us on an x86-64 core where dense rows run at 1e4 multiply-adds/us.
+LOCAL_OVERHEAD = 2e5
 
 
 class AffineBlock:
@@ -108,6 +122,7 @@ class BarrierProgram:
         self._w_diag = np.stack([self._w_obj[self._diag_idx],
                                  self._w_con[self._diag_idx]])
         self._eye = np.eye(d)
+        self._local = _LocalRows.build(basis, [b.dim for _, b, _ in entries])
         self._key: bytes | None = None     # the v whose factors _chol holds
         self._chol: np.ndarray | None = None
         self._newton_rows = None            # (z, root_w, t) of grad_hess
@@ -151,19 +166,19 @@ class BarrierProgram:
 
         With S_b = L_b L_b^T and Y_bj = L_b^-1 C_bj L_b^-T, the gradient is
         -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>.  The
-        weight-scaled rows are kept for duality_gap."""
+        weight-scaled rows are kept for duality_gap; a block-sparse program
+        forms them on each block's own coordinates (_LocalRows)."""
         self._newton_rows = None     # never hold two sets of rows at once
-        factors = self._factors(v)
-        (n, d, _), dim = factors.shape, self._basis.shape[1]
-        inv = np.linalg.inv(factors)
-        # L^-1 C_j for every j at once, then L^-1 (L^-1 C_j)^T = Y_j
-        half = inv @ self._basis.reshape(n, d, d * dim)
-        half = half.reshape(n, d, d, dim).transpose(0, 2, 1, 3)
-        rows = (inv @ half.reshape(n, d, d * dim)).reshape(-1, dim)
+        inv = np.linalg.inv(self._factors(v))
         root_w = np.sqrt(t * self._w_obj + self._w_con)
-        z = rows * root_w[:, None]
+        diag_w = root_w * self._is_diag
+        if self._local is None:
+            z = _y_rows(inv, self._basis) * root_w[:, None]
+            g, h = -diag_w @ z, z.T @ z
+        else:
+            z, g, h = self._local.grad_hess(inv, root_w, diag_w)
         self._newton_rows = (z, root_w, t)
-        return -(root_w * self._is_diag) @ z, z.T @ z
+        return g, h
 
     def duality_gap(self, step: np.ndarray) -> float:
         """f(v) - g(W, Z) at the dual point of a Newton step from the last
@@ -177,7 +192,8 @@ class BarrierProgram:
         PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
         + tr E_o) bounds f(v) minus the optimum from above."""
         z, root_w, t = self._newton_rows
-        e = (z @ step) / root_w
+        e = (z @ step if self._local is None
+             else self._local.changes(z, step)) / root_w
         try:
             factors = np.linalg.cholesky(self._eye - e.reshape(self._shape))
         except np.linalg.LinAlgError:
@@ -190,6 +206,97 @@ class BarrierProgram:
         """Smallest eigenvalue of each constraint block at v."""
         return [float(np.linalg.eigvalsh(b.value(v))[0])
                 for b in self.constraints]
+
+
+def _y_rows(inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows (a, c) of Y_bj = L_b^-1 C_bj L_b^-T for a stack of n factor
+    inverses L_b^-1 (n, d, d) and basis rows (n*d*d, D): L^-1 C_j for every
+    j at once, then L^-1 (L^-1 C_j)^T = Y_j."""
+    (n, d, _), dim = inv.shape, basis.shape[1]
+    half = inv @ basis.reshape(n, d, d * dim)
+    half = half.reshape(n, d, d, dim).transpose(0, 2, 1, 3)
+    return (inv @ half.reshape(n, d, d * dim)).reshape(-1, dim)
+
+
+class _LocalRows:
+    """The Newton rows of a block-sparse stack, each block's on its own
+    coordinates (its local index set: Vandenberghe & Andersen, "Chordal
+    graphs and semidefinite optimization", Found. Trends Optim. 1(4), 2015).
+
+    The stack's first n_one blocks are 1x1 and keep dense rows over all D
+    coordinates: a budget row touches nearly all of them.  Each later
+    (matrix) block keeps the basis columns it touches, padded to the widest
+    with column D, which is zero.  Its rows are (L^-1 (x) L^-1) C_loc, and
+    the gradient and Hessian scatter-add the blocks' local terms and Grams.
+    """
+
+    def __init__(self, basis: np.ndarray, n_one: int, cols: np.ndarray):
+        n, d, _, dim = basis.shape
+        self.n_one, self.dim = n_one, dim
+        self.cols = cols                                      # (n - n_one, w)
+        padded = np.concatenate([basis[n_one:],
+                                 np.zeros((n - n_one, d, d, 1))], axis=-1)
+        local = np.take_along_axis(padded, cols[:, None, None, :], axis=-1)
+        self.basis = local.reshape(-1, cols.shape[1])
+        self.one = np.ascontiguousarray(basis[:n_one, 0, 0])   # (n_one, D)
+        # where each entry of a local Gram lands in the flattened Hessian
+        # with a row and a column D, which are dropped
+        self.hess_idx = (cols[:, :, None] * (dim + 1)
+                         + cols[:, None, :]).ravel()
+
+    @classmethod
+    def build(cls, basis: np.ndarray, dims: list[int]) -> _LocalRows | None:
+        """The local rows of a stack (n, d, d, D) of blocks of sizes dims,
+        ascending, when they save LOCAL_OVERHEAD multiply-adds per Newton
+        system over dense rows; else None."""
+        n, d, _, dim = basis.shape
+        n_one = dims.count(1)
+        cols = [np.flatnonzero(basis[k].any(axis=(0, 1)))
+                for k in range(n_one, n)]
+        width = max(map(len, cols), default=0)
+        # two products with the factors' inverses and one Gram, of every
+        # padded row over all D coordinates, or of each matrix block's rows
+        # over its own and of each 1x1 block's one row over all
+        dense = n * d * d * dim * (dim + 2 * d)
+        local = ((n - n_one) * d * d * width * (width + 2 * d)
+                 + n_one * dim * (dim + 1))
+        if width == 0 or dense - local < LOCAL_OVERHEAD:
+            return None     # no matrix block has coordinates, or no saving
+        padded = np.full((n - n_one, width), dim)
+        for row, c in zip(padded, cols):
+            row[:c.size] = c
+        return cls(basis, n_one, padded)
+
+    def grad_hess(self, inv: np.ndarray, root_w: np.ndarray,
+                  diag_w: np.ndarray):
+        """Rows, gradient and Hessian from the factors' inverses (n, d, d),
+        the rows' root weights and the root weights on the blocks'
+        diagonals, each over the padded stack's rows."""
+        n_one, dim, d = self.n_one, self.dim, inv.shape[1]
+        start = n_one * d * d
+        # a 1x1 block's row is C / l^2
+        w_one = root_w[:start:d * d]
+        z_one = self.one * (w_one * inv[:n_one, 0, 0] ** 2)[:, None]
+        z_loc = _y_rows(inv[n_one:], self.basis) * root_w[start:, None]
+        z_loc = z_loc.reshape(-1, d * d, self.cols.shape[1])
+        g_loc = diag_w[start:].reshape(-1, 1, d * d) @ z_loc
+        g = -(w_one @ z_one) - np.bincount(
+            self.cols.ravel(), g_loc.ravel(), dim + 1)[:dim]
+        gram = z_loc.transpose(0, 2, 1) @ z_loc
+        h = np.bincount(self.hess_idx, gram.ravel(), (dim + 1) ** 2)
+        h = h.reshape(dim + 1, dim + 1)[:dim, :dim]
+        return (z_one, z_loc), g, h + z_one.T @ z_one
+
+    def changes(self, rows, step: np.ndarray) -> np.ndarray:
+        """sum_j step_j z_bj, flattened over the padded stack's rows, from
+        the rows of grad_hess."""
+        z_one, z_loc = rows
+        d2 = z_loc.shape[1]
+        e = np.zeros((self.n_one + z_loc.shape[0]) * d2)
+        e[:self.n_one * d2:d2] = z_one @ step
+        local = np.append(step, 0.0)[self.cols][:, :, None]
+        e[self.n_one * d2:] = (z_loc @ local).ravel()
+        return e
 
 
 @dataclass

@@ -132,13 +132,14 @@ def cmd_ub(cfg: RunConfig, args) -> int:
     sol = solve_ub(prob, cfg.solver)
     print(f"ub_rate_{cfg.units} = {_in_units(sol.rate, cfg.units):.12g}")
     print(f"cost = {sol.cost:.12g}")
-    print(f"duality_gap = {sol.duality_gap:.3g}")
+    gap = _in_units(sol.duality_gap, cfg.units)
+    print(f"duality_gap = {gap:.3g}")
     print(f"riccati_lmi_slack = {sol.riccati_lmi_slack:.3g}")
     print(f"iterations = {sol.iterations}")
     if args.output:
         write_csv([{"budget": prob.budget,
                     "ub_rate": _in_units(sol.rate, cfg.units),
-                    "cost": sol.cost, "duality_gap": sol.duality_gap,
+                    "cost": sol.cost, "duality_gap": gap,
                     "iterations": sol.iterations}], args.output)
     return 0
 

@@ -47,8 +47,7 @@ from .upper_bound import (
 
 log = logging.getLogger("lqgcap.scop")
 
-MAX_HORIZON_SCALAR = 64
-MAX_HORIZON_VECTOR = 16
+MAX_HORIZON = 64
 
 # The horizon program's acceptance checks live at coarser scales than the
 # single-letter bound's, so its default gap tolerance is coarser too.  Where
@@ -280,14 +279,13 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     barrier runs on their restriction there, which has a strict interior.
     Nothing is relaxed.
     """
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must be in [1, {MAX_HORIZON}]")
     if opts is None:
         opts = DEFAULT_OPTIONS
     if consts is None:
         consts = ProblemConstants.for_problem(problem)
     k, m = consts.model.k, consts.model.m
-    cap = MAX_HORIZON_SCALAR if consts.model.is_scalar() else MAX_HORIZON_VECTOR
-    if not 1 <= horizon <= cap:
-        raise ValueError(f"horizon must be in [1, {cap}] for k={k}")
     prog = SCOPProgram(consts, problem.budget, horizon)
     const_cost = prog.cost_constant()
     if problem.budget < const_cost - BOUNDARY_TOL:

@@ -176,6 +176,22 @@ class TestBarrierProgram:
         assert np.array_equal(v, w)
         assert info.iterations == other_info.iterations
 
+    @pytest.mark.parametrize("constant_matrix_block", [False, True])
+    def test_local_rows_need_a_matrix_block_with_coordinates(
+            self, constant_matrix_block):
+        # 1x1 blocks alone save dense - local = n*D multiply-adds, above
+        # LOCAL_OVERHEAD here, but have no local rows to form
+        rng = np.random.default_rng(7)
+        dim, n = 400, 600
+        blocks = [AffineBlock(np.eye(1), 1e-3 * rng.standard_normal((dim, 1, 1)))
+                  for _ in range(n)]
+        if constant_matrix_block:
+            blocks.append(AffineBlock(np.eye(2), np.zeros((dim, 2, 2))))
+        program = BarrierProgram([(0.5, blocks[0])], blocks[1:])
+        assert program._local is None
+        g, h = program.grad_hess(np.zeros(dim), 2.0)
+        assert g.shape == (dim,) and h.shape == (dim, dim)
+
     def test_feasible_tests_constraint_blocks_only(self):
         pk = SymPacker(1)
         program = BarrierProgram(
@@ -373,9 +389,9 @@ REFERENCE_CASES = {
     **{f"ub-seed{s}": (lambda r, m, s=s: _plant_ub_start(s))
        for s in (11, 41, 59, 83)},
     **{f"scop-scalar-h{h}": (lambda r, m, h=h: _scop_start(
-        r.getfixturevalue("c1"), 2.0, h)) for h in (2, 5, 16)},
+        r.getfixturevalue("c1"), 2.0, h)) for h in (2, 5, 16, 32)},
     **{f"scop-vector3-h{h}": (lambda r, m, h=h: _scop_start(
-        r.getfixturevalue("c2"), 120.0, h)) for h in (1, 2)},
+        r.getfixturevalue("c2"), 120.0, h)) for h in (1, 2, 16)},
     **{f"scop-seed41-h{h}": (lambda r, m, h=h: (lambda c: _scop_start(
         c, 1.3 * c.minimal_cost + 0.1, h))(_plant(41))) for h in (2, 5)},
     "state-feedback-scalar": lambda r, m: _state_feedback_start(
@@ -384,6 +400,11 @@ REFERENCE_CASES = {
     "state-feedback-two-input": lambda r, m: _state_feedback_start(
         m, *_two_input_state_feedback_plant()),
 }
+
+# The cases whose Newton rows are formed on each block's own coordinates;
+# every other case forms dense rows.
+LOCAL_ROW_CASES = {"scop-scalar-h16", "scop-scalar-h32", "scop-vector3-h16",
+                   "scop-seed41-h5"}
 
 EPS = np.finfo(float).eps
 
@@ -457,12 +478,13 @@ def _exit_point(program, v, direction):
 class TestAgainstPerSizeProgram:
     """The single padded stack against the program it replaced, which kept
     one stack and one factorization per block size, on every program the
-    library builds."""
+    library builds, with dense Newton rows and with local ones."""
 
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
     def test_evaluations_match_at_the_start_and_the_solution(
             self, request, monkeypatch, case):
         program, v0 = REFERENCE_CASES[case](request, monkeypatch)
+        assert (program._local is not None) == (case in LOCAL_ROW_CASES)
         ref = oracles.BarrierProgramBySize(program.objective,
                                            program.constraints)
         v, info = solve_barrier(program, v0, TOL)
@@ -523,7 +545,8 @@ class TestKernelCallCount:
     """np.linalg calls per Newton system: one factorization in the merit of
     the step, one inverse for the Newton rows, a factorization that tests h
     and a solve for the direction, and one factorization for the gap,
-    whatever the number of block sizes."""
+    whatever the number of block sizes and whether the rows are dense or
+    local."""
 
     def _calls_per_system(self, monkeypatch, program, v0):
         counts = {"linalg": 0, "systems": 0}
@@ -545,7 +568,8 @@ class TestKernelCallCount:
         assert counts["systems"] > info.iterations > 0
         return counts["linalg"] / counts["systems"]
 
-    @pytest.mark.parametrize("case", ["ub-vector3", "mixed"])
+    @pytest.mark.parametrize("case", ["ub-vector3", "mixed",
+                                      "scop-scalar-h32"])
     def test_at_most_five_calls_per_newton_system(self, request, monkeypatch,
                                                   case):
         program, v0 = REFERENCE_CASES[case](request, monkeypatch)

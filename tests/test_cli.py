@@ -127,6 +127,25 @@ class TestCommands:
         assert code == 0
         assert "ub_rate_nats = 0.145175" in out
 
+    def test_ub_reports_the_gap_in_the_config_units(self, tmp_path, capsys):
+        # the gap once came out in nats next to a rate in bits
+        rows = {}
+        for units in ("bits", "nats"):
+            path = write_cfg(tmp_path, scalar_doc(units=units), f"{units}.json")
+            out_csv = tmp_path / f"{units}.csv"
+            assert run(["ub", "--config", path, "--output", str(out_csv)]) == 0
+            printed = dict(line.split(" = ")
+                           for line in capsys.readouterr().out.splitlines())
+            header, values = out_csv.read_text().splitlines()
+            rows[units] = dict(zip(header.split(","),
+                                   map(float, values.split(","))))
+            assert printed["duality_gap"] == f"{rows[units]['duality_gap']:.3g}"
+        bits, nats = rows["bits"], rows["nats"]
+        assert bits["duality_gap"] > 0
+        for key in ("ub_rate", "duality_gap"):
+            assert bits[key] == pytest.approx(nats[key] / math.log(2.0),
+                                              rel=1e-10)
+
     def test_capacity_units_default_bits(self, tmp_path, capsys):
         path = write_cfg(tmp_path, scalar_doc())
         code = run(["capacity", "--config", path])
@@ -176,7 +195,9 @@ class TestCommands:
 
     def test_smallest_tol_still_certifies(self, tmp_path, capsys):
         path = write_cfg(tmp_path, scalar_doc())
-        assert run(["ub", "--config", path, "--tol", "1e-15"]) == 0
+        # tol is in nats, whatever the units of the report
+        assert run(["ub", "--config", path, "--tol", "1e-15",
+                    "--units", "nats"]) == 0
         out = capsys.readouterr().out
         assert float(out.split("duality_gap = ")[1].split()[0]) <= 1e-15
 

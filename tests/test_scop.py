@@ -4,7 +4,7 @@ import scipy.linalg
 
 from lqgcap import (BudgetedProblem, ProblemConstants, SolverOptions,
                     average_variables, solve_scop, solve_ub)
-from lqgcap import barrier
+from lqgcap import barrier, scop
 from lqgcap.errors import ConfigError, Infeasible
 from lqgcap.linalg import sym
 from lqgcap.scop import (DEFAULT_OPTIONS, SCOPProgram, SCOPSolution,
@@ -122,11 +122,19 @@ class TestAveraging:
         assert sol.value == 0.0
         assert all(np.all(t[0] == 0) for t in sol.per_time)
 
-    def test_horizon_cap(self, s1, w1, c1, s2, w2, c2):
-        with pytest.raises(ValueError):
-            solve_scop(BudgetedProblem(s1, w1, 2.0), 65, consts=c1)
-        with pytest.raises(ValueError):
-            solve_scop(BudgetedProblem(s2, w2, 200.0), 17, consts=c2)
+    def test_horizon_cap(self, monkeypatch, s1, w1, c1, s2, w2, c2):
+        # one cap for scalar and vector plants, checked before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(scop, "SCOPProgram", no_work)
+        monkeypatch.setattr(scop, "solve_barrier", no_work)
+        assert scop.MAX_HORIZON == 64
+        for prob, c in ((BudgetedProblem(s1, w1, 2.0), c1),
+                        (BudgetedProblem(s2, w2, 200.0), c2)):
+            for h in (0, 65):
+                with pytest.raises(ValueError, match=r"\[1, 64\]"):
+                    solve_scop(prob, h, consts=c)
 
 
 class TestSolverOptions:
@@ -164,6 +172,27 @@ def test_vector_scop_runs_on_its_face(s2, w2, c2):
     av = average_variables(sol)
     assert av.lmi1_min_eig >= -1e-8
     assert av.correction_norm > 0
+
+
+def test_vector_ladder_approaches_the_single_letter_bound(c2):
+    """vector3 at p=120: the horizon program's value and its averaged cost
+    sit above the single-letter UB and the budget at short horizons, and
+    both excesses shrink about like 1/n, the averaging correction: from
+    h=16 to 32 each falls to at most 0.6 of itself (0.53 and 0.47 here)."""
+    prob = BudgetedProblem(c2.model, c2.weights, 120.0)
+    ub = solve_ub(prob, consts=c2).rate
+    assert ub == pytest.approx(0.672995, abs=1e-6)
+    excess = []
+    for h in (16, 32):
+        sol = solve_scop(prob, h, consts=c2)
+        assert sol.cost <= 120.0 + 1e-6
+        assert sol.value > ub
+        excess.append((sol.value - ub,
+                       average_variables(sol).cost_value - 120.0))
+    (value16, cost16), (value32, cost32) = excess
+    assert cost16 > 0
+    assert value32 <= 0.6 * value16
+    assert 0 < cost32 <= 0.6 * cost16
 
 
 def _krylov_projectors(c, n):
