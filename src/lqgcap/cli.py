@@ -23,7 +23,7 @@ from .lower_bound import lower_bound_from_ub, tightness_certificate
 from .model import BudgetedProblem, validate_model
 from .riccati import control_regularity, filter_regularity
 from .scop import average_variables, solve_scop
-from .simulator import compare_to_theory, simulate
+from .simulator import compare_to_theory, simulate, usable_cpus
 from .upper_bound import SolverOptions, solve_scalar, solve_ub, verify_scalar_kkt
 
 log = logging.getLogger("lqgcap.cli")
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=int, default=usable_cpus())
     parser.add_argument("--lax", action="store_true",
                         help="ignore unknown config keys")
     return parser

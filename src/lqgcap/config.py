@@ -173,11 +173,9 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
         _check_keys("sim", doc["sim"], _SIM_KEYS, lax)
         blk = doc["sim"]
         try:
-            sim = SimConfig(horizon=int(blk["horizon"]),
-                            trajectories=int(blk["trajectories"]),
-                            seed=int(blk["seed"]),
-                            burn_in=(int(blk["burn_in"])
-                                     if "burn_in" in blk else None))
+            sim = SimConfig(horizon=blk["horizon"],
+                            trajectories=blk["trajectories"], seed=blk["seed"],
+                            burn_in=blk.get("burn_in"))
         except KeyError as e:
             raise ConfigError(f"sim.{e.args[0]}", "missing") from None
         except (TypeError, ValueError) as e:

@@ -395,6 +395,9 @@ def solve_policy_riccati(estimator: EstimatorModel,
     try:
         X, iters, _ = _solve_dare(eq, accept=stabilizing)
     except (NonConvergence, MaxIterations) as first_err:
+        log.warning("policy Riccati recursion from SigmaHat_1 = 0 failed (%s); "
+                    "restarting from a bootstrap step with M_1 = eps*I",
+                    first_err)
         eps = 1e-6 * float(np.trace(estimator.Psi)) / estimator.p
         bootstrap = policy_equation(estimator,
                                     replace(policy, M=eps * np.eye(m)))

@@ -20,11 +20,22 @@ Randomness comes from counter-based Philox streams keyed by (seed,
 trajectory index), so identical seeds give identical reports and a
 trajectory's draws do not depend on how many run; Gaussians use numpy's
 ziggurat sampler (Generator.standard_normal), pinned by numpy's contract.
+The streams are filled on W threads, W the number of CPUs the process may
+run on (usable_cpus) capped at the trajectory count: W - 1 threads each fill
+a contiguous range of trajectories while the calling thread solves for the
+gains, then fills the first range; numpy releases the interpreter lock while
+it draws.  Every thread is joined before simulate returns or raises, and a
+worker's exception is raised by the calling thread.  A stream's numbers do
+not depend on the thread that draws it, and the recursion and its sums run
+in one fixed order after the joins, so reports are bit-identical for every W.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +59,12 @@ class SimConfig:
     burn_in: int | None = None    # defaults to horizon // 10
 
     def __post_init__(self):
+        for name in ("horizon", "trajectories", "seed", "burn_in"):
+            value = getattr(self, name)
+            if name == "burn_in" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         burn = self.horizon // 10 if self.burn_in is None else self.burn_in
         if not (self.horizon > burn >= 0):
             raise ValueError("need horizon > burn_in >= 0")
@@ -117,6 +134,14 @@ def _traj_noise(seed: int, idx: int, s1: np.ndarray, wv: np.ndarray,
         gen.standard_normal(out=out)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity, if known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _closed_loop(model, weights, policy, K_p, K_Y):
     """The step map [A, B]^T on rows [z, e] and the moment map [C_cost; C_psi].
 
@@ -149,19 +174,44 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
     Steady-state gains are used from the first step; the configured burn-in
     lets the state transients decay before statistics accumulate.
     """
-    est = reduce_to_estimator(model)
-    prs = riccati.solve_policy_riccati(est, policy)
     k, m, p = model.k, model.m, model.p
     n, N, burn = cfg.horizon, cfg.trajectories, cfg.burn_in
-    # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
-    ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
+    # per-trajectory streams, drawn in place, trajectory-major; W - 1 threads
+    # fill the last W - 1 ranges while this one solves for the gains
+    s1, e_wv, e_m = np.empty((N, k)), np.empty((N, n, k + p)), np.empty((N, n, m))
+    W = min(usable_cpus(), N)
+    bounds = [N * w // W for w in range(W + 1)]
+    errors: list[Exception] = []
+
+    def fill(lo: int, hi: int) -> None:
+        for j in range(lo, hi):
+            _traj_noise(cfg.seed, j, s1[j], e_wv[j], e_m[j])
+
+    def fill_or_store(lo: int, hi: int) -> None:
+        try:
+            fill(lo, hi)
+        except Exception as e:      # raised by the calling thread after the joins
+            errors.append(e)
+
+    threads = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=fill_or_store, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        est = reduce_to_estimator(model)
+        prs = riccati.solve_policy_riccati(est, policy)
+        # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
+        ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
+        fill(0, bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     dim = len(ABT)
     err_, d_, obs_ = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
 
-    # per-trajectory streams, drawn in place, trajectory-major
-    s1, e_wv, e_m = np.empty((N, k)), np.empty((N, n, k + p)), np.empty((N, n, m))
-    for j in range(N):
-        _traj_noise(cfg.seed, j, s1[j], e_wv[j], e_m[j])
     buf = np.zeros((CHUNK + 1, N, dim))     # [z_i, e_i] over a chunk, time-major
     buf[0, :, :k] = s1 @ la.psd_sqrt(model.Sigma1).T   # s_hat_0 = s_obs_0 = 0
 

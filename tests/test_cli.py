@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from lqgcap.cli import run, write_csv
+from lqgcap.cli import build_parser, run, write_csv
 from lqgcap.config import load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
 from lqgcap.errors import ConfigError
 from lqgcap.scop import DEFAULT_OPTIONS
+from lqgcap.simulator import usable_cpus
 from lqgcap.upper_bound import UBProgram
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -74,6 +75,17 @@ class TestLoadConfig:
         doc = scalar_doc()
         doc["system"]["V"] = 0.0
         with pytest.raises(ConfigError, match="NotPositiveDefinite"):
+            load_config(write_cfg(tmp_path, doc))
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 2000.7), ("horizon", 2000.0), ("trajectories", 2.5),
+        ("seed", 0.5), ("burn_in", 20.5), ("seed", "7"), ("trajectories", True),
+    ])
+    def test_non_integral_sim_fields_rejected(self, tmp_path, field, value):
+        # these were once truncated by int(), or ran seed 0's streams
+        sim = {"seed": 7, "trajectories": 4, "horizon": 200, "burn_in": 20}
+        doc = scalar_doc(sim={**sim, field: value})
+        with pytest.raises(ConfigError, match=f"sim: {field} must be an integer"):
             load_config(write_cfg(tmp_path, doc))
 
     def test_set_system_entry(self):
@@ -216,6 +228,13 @@ class TestCommands:
                     "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes() == out3.read_bytes()
+
+    def test_jobs_default_is_the_usable_cpu_count(self, monkeypatch):
+        assert build_parser().parse_args(
+            ["sweep", "--config", "x"]).jobs == usable_cpus()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1},
+                            raising=False)
+        assert build_parser().parse_args(["sweep", "--config", "x"]).jobs == 1
 
     def test_sweep_computes_the_constants_once(self, tmp_path, monkeypatch):
         compute = ProblemConstants.__dict__["compute"].__func__

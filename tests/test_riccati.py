@@ -1,3 +1,4 @@
+import logging
 import pathlib
 from functools import partial
 from itertools import islice
@@ -135,7 +136,7 @@ class TestPolicyRiccati:
         assert prs.Psi_Y[0, 0] == pytest.approx(
             prs.SigmaHat[0, 0] + 1.0 + c1.Psi[0, 0], abs=1e-9)
 
-    def test_zero_dither_maximal_root(self, c1):
+    def test_zero_dither_maximal_root(self, c1, caplog):
         # GammaBar chosen to destabilize the zero fixed point: the bootstrap
         # must push the recursion to the maximal solution
         gbar = 1.5
@@ -144,10 +145,31 @@ class TestPolicyRiccati:
         est = c1.estimator
         f_s = (est.F + est.G * gbar - est.K_p @ (est.H + est.J * gbar))[0, 0]
         assert abs(f_s) > 1
-        prs = solve_policy_riccati(est, pol)
+        with caplog.at_level(logging.WARNING, logger="lqgcap.riccati"):
+            prs = solve_policy_riccati(est, pol)
         want = c1.Psi[0, 0] * (f_s ** 2 - 1) / (est.H + est.J * gbar)[0, 0] ** 2
         assert prs.bootstrapped
         assert prs.SigmaHat[0, 0] == pytest.approx(want, rel=1e-8)
+        # the restart is announced once, with the first recursion's error
+        warned = [r for r in caplog.records if r.name == "lqgcap.riccati"]
+        assert len(warned) == 1
+        assert warned[0].levelno == logging.WARNING
+        assert "rejected limit" in warned[0].getMessage()
+        assert "M_1 = eps*I" in warned[0].getMessage()
+
+    @pytest.mark.parametrize("name, point", [("scalar", 2.0), ("vector3", 120.0)])
+    def test_bundled_policies_need_no_bootstrap(self, name, point, caplog):
+        """Every bundled sweep point and the simulate point solve the policy
+        Riccati equation from SigmaHat_1 = 0, with nothing logged."""
+        cfg = load_config(str(SCALAR_CFG.with_name(f"{name}.json")))
+        consts = ProblemConstants.compute(cfg.model, cfg.weights)
+        with caplog.at_level(logging.WARNING, logger="lqgcap.riccati"):
+            for budget in [*cfg.budget_sweep.grid(), point]:
+                ub = solve_ub(BudgetedProblem(cfg.model, cfg.weights, budget),
+                              consts=consts)
+                pol = extract_policy(ub, consts.control)
+                assert not solve_policy_riccati(consts.estimator, pol).bootstrapped
+        assert not [r for r in caplog.records if r.name == "lqgcap.riccati"]
 
     def test_residual_invariant(self, c1):
         pol = Policy(GammaBar=np.array([[0.3]]), M=np.array([[0.2]]),

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from lqgcap import (
     simulate,
     solve_ub,
 )
+from lqgcap import simulator
 from lqgcap.errors import NumericalOverflow
 from lqgcap.linalg import psd_sqrt
 from lqgcap.simulator import CHUNK, SimReport, _traj_noise
@@ -45,6 +49,21 @@ class TestConfig:
             SimConfig(horizon=10, trajectories=1, seed=0, burn_in=10)
         with pytest.raises(ValueError):
             SimConfig(horizon=10, trajectories=0, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 10.5), ("horizon", 10.0), ("trajectories", 2.5),
+        ("seed", 0.5), ("burn_in", 1.5), ("trajectories", True),
+    ])
+    def test_non_integral_fields_rejected(self, field, value):
+        # seed=0.5 once ran seed 0's streams; horizon=10.5 failed in np.empty
+        fields = {"horizon": 10, "trajectories": 2, "seed": 0, "burn_in": 1}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{**fields, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(horizon=np.int64(10), trajectories=np.int32(2),
+                        seed=np.uint64(3))
+        assert cfg.burn_in == 1
 
 
 class TestReproducibility:
@@ -97,6 +116,83 @@ class TestReproducibility:
         _traj_noise(seed, j, s1[1], wv[1], m_[1])      # views into larger arrays
         for got, ref in zip((s1[1], wv[1], m_[1]), want):
             assert got.tobytes() == ref.tobytes()
+
+
+class TestThreadedDraws:
+    """simulate fills the streams on min(usable_cpus(), N) threads."""
+
+    CFG = SimConfig(horizon=CHUNK + 44, trajectories=5, seed=31, burn_in=20)
+
+    @pytest.fixture(scope="class", params=["s1", "s2"])
+    def case(self, request, s1, w1, c1, s2, w2, c2):
+        model, weights, consts, budget = {
+            "s1": (s1, w1, c1, 2.0), "s2": (s2, w2, c2, 120.0)}[request.param]
+        ub = solve_ub(BudgetedProblem(model, weights, budget), consts=consts)
+        return model, weights, extract_policy(ub, consts.control)
+
+    @staticmethod
+    def _count_threads(monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    def test_reports_bit_identical_for_every_worker_count(self, case, monkeypatch):
+        model, weights, policy = case
+        started = self._count_threads(monkeypatch)
+        threads = threading.active_count()
+        reports, spawned = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)      # interleave the threads finely
+        try:
+            for workers in (1, 2, 3, self.CFG.trajectories + 3):
+                monkeypatch.setattr(simulator, "usable_cpus", lambda w=workers: w)
+                before = len(started)
+                reports.append(simulate(model, weights, policy, self.CFG))
+                spawned.append(len(started) - before)
+                assert threading.active_count() == threads     # all joined
+        finally:
+            sys.setswitchinterval(interval)
+        assert spawned == [0, 1, 2, self.CFG.trajectories - 1]
+        for field in dataclasses.fields(SimReport):
+            want = np.asarray(getattr(reports[0], field.name))
+            for rep in reports[1:]:
+                got = np.asarray(getattr(rep, field.name))
+                assert got.tobytes() == want.tobytes(), field.name
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0, 4])
+    def test_a_failed_draw_reaches_the_caller(self, case, monkeypatch, workers,
+                                              bad):
+        """Trajectory 0 is the calling thread's; with two or more workers,
+        trajectory 4 is the last worker's."""
+        model, weights, policy = case
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: workers)
+        draw = simulator._traj_noise
+
+        def failing(seed, idx, *out):
+            if idx == bad:
+                raise RuntimeError(f"no draws for trajectory {idx}")
+            draw(seed, idx, *out)
+
+        monkeypatch.setattr(simulator, "_traj_noise", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"trajectory {bad}$"):
+            simulate(model, weights, policy, self.CFG)
+        assert threading.active_count() == threads
+
+    def test_usable_cpus_follows_the_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                            raising=False)
+        assert simulator.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulator.usable_cpus() == 1
 
 
 class TestAgainstTheory:
