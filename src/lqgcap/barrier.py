@@ -26,9 +26,15 @@ objective blocks and by 1 for constraint blocks.  The Newton system is
 formed from the same factors, kept from the merit evaluation at the
 accepted point: with Y_j = L^-1 C_j L^-T per block, from one batched
 inverse of the factors, the gradient is -sum w tr Y_j and the Hessian is one
-product of the flattened, weight-scaled Y with itself.  The gap reuses the
-same rows: E = sum_j step_j Y_j per block, and one batched Cholesky
-factorization of I - E tests dual feasibility and gives log det(I - E).
+product of the flattened, weight-scaled Y with itself.  The unweighted Y are
+kept with the factors, so the Newton system at the same point and a new t,
+which opens each round after the first, only re-weights them.  The gap
+reuses the same rows: E = sum_j step_j Y_j per block, and one batched
+Cholesky factorization of I - E tests dual feasibility and gives
+log det(I - E).  That factorization is skipped where the gap cannot
+certify: each objective term -log det(I - E_o) - tr E_o is >= 0, so a finite
+gap is at least (nu - tr E_con)/t, and solve_barrier asks for the gap of an
+uncentred iterate only when that bound is at most 2 tol.
 
 A block-sparse program, such as the horizon program's chain, forms those
 rows on each matrix block's own coordinates, the basis columns it touches:
@@ -125,6 +131,8 @@ class BarrierProgram:
         self._local = _LocalRows.build(basis, [b.dim for _, b, _ in entries])
         self._key: bytes | None = None     # the v whose factors _chol holds
         self._chol: np.ndarray | None = None
+        self._y = (None, None)              # (key, unweighted rows) at a v
+        self._weights = (None, None, None)  # (t, root_w, diag_w)
         self._newton_rows = None            # (z, root_w, t) of grad_hess
 
     def _values(self, v: np.ndarray) -> np.ndarray:
@@ -166,21 +174,31 @@ class BarrierProgram:
 
         With S_b = L_b L_b^T and Y_bj = L_b^-1 C_bj L_b^-T, the gradient is
         -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>.  The
-        weight-scaled rows are kept for duality_gap; a block-sparse program
-        forms them on each block's own coordinates (_LocalRows)."""
+        unweighted rows Y are kept with the factors' key, so a call at the
+        same v with another t, as at a round change, only re-weights them;
+        the weight-scaled rows are kept for duality_gap.  A block-sparse
+        program forms them on each block's own coordinates (_LocalRows)."""
         self._newton_rows = None     # never hold two sets of rows at once
-        inv = np.linalg.inv(self._factors(v))
-        root_w = np.sqrt(t * self._w_obj + self._w_con)
-        diag_w = root_w * self._is_diag
+        factors = self._factors(v)
+        if self._y[0] != self._key:
+            self._y = (None, None)   # nor two points' unweighted rows
+            inv = np.linalg.inv(factors)
+            self._y = (self._key, _y_rows(inv, self._basis)
+                       if self._local is None else self._local.rows(inv))
+        y = self._y[1]
+        if t != self._weights[0]:
+            root_w = np.sqrt(t * self._w_obj + self._w_con)
+            self._weights = (t, root_w, root_w * self._is_diag)
+        _, root_w, diag_w = self._weights
         if self._local is None:
-            z = _y_rows(inv, self._basis) * root_w[:, None]
+            z = y * root_w[:, None]
             g, h = -diag_w @ z, z.T @ z
         else:
-            z, g, h = self._local.grad_hess(inv, root_w, diag_w)
+            z, g, h = self._local.grad_hess(y, root_w, diag_w)
         self._newton_rows = (z, root_w, t)
         return g, h
 
-    def duality_gap(self, step: np.ndarray) -> float:
+    def duality_gap(self, step: np.ndarray, cutoff: float = np.inf) -> float:
         """f(v) - g(W, Z) at the dual point of a Newton step from the last
         grad_hess call at (v, t); +inf when that point is not dual feasible.
 
@@ -190,17 +208,25 @@ class BarrierProgram:
         Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2 for each constraint block.
         The Newton equation is their dual equality, so when every I - E_b is
         PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
-        + tr E_o) bounds f(v) minus the optimum from above."""
+        + tr E_o) bounds f(v) minus the optimum from above.
+
+        Each objective term -log det(I - E_o) - tr E_o is >= 0 when
+        I - E_o is PD, so a finite gap is at least (nu - tr E_con)/t.  When
+        that bound exceeds cutoff, the gap the caller asks for cannot be at
+        most cutoff, and +inf is returned without factoring I - E."""
         z, root_w, t = self._newton_rows
         e = (z @ step if self._local is None
              else self._local.changes(z, step)) / root_w
+        tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
+        bound = (self.nu - tr_con) / t
+        if bound > cutoff:
+            return np.inf
         try:
             factors = np.linalg.cholesky(self._eye - e.reshape(self._shape))
         except np.linalg.LinAlgError:
             return np.inf
         log_det, _ = self._w_diag @ np.log(factors.ravel()[self._diag_idx])
-        tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
-        return float((self.nu - tr_con) / t - 2.0 * log_det - tr_obj)
+        return float(bound - 2.0 * log_det - tr_obj)
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
@@ -232,7 +258,7 @@ class _LocalRows:
 
     def __init__(self, basis: np.ndarray, n_one: int, cols: np.ndarray):
         n, d, _, dim = basis.shape
-        self.n_one, self.dim = n_one, dim
+        self.n_one, self.dim, self.d2 = n_one, dim, d * d
         self.cols = cols                                      # (n - n_one, w)
         padded = np.concatenate([basis[n_one:],
                                  np.zeros((n - n_one, d, d, 1))], axis=-1)
@@ -267,19 +293,25 @@ class _LocalRows:
             row[:c.size] = c
         return cls(basis, n_one, padded)
 
-    def grad_hess(self, inv: np.ndarray, root_w: np.ndarray,
-                  diag_w: np.ndarray):
-        """Rows, gradient and Hessian from the factors' inverses (n, d, d),
+    def rows(self, inv: np.ndarray):
+        """The unweighted rows from the factors' inverses (n, d, d): each
+        1x1 block's 1 / l^2 (its row is C / l^2) and the matrix blocks'
+        local rows."""
+        return inv[:self.n_one, 0, 0] ** 2, _y_rows(inv[self.n_one:],
+                                                     self.basis)
+
+    def grad_hess(self, rows, root_w: np.ndarray, diag_w: np.ndarray):
+        """Weighted rows, gradient and Hessian from the unweighted rows,
         the rows' root weights and the root weights on the blocks'
         diagonals, each over the padded stack's rows."""
-        n_one, dim, d = self.n_one, self.dim, inv.shape[1]
-        start = n_one * d * d
-        # a 1x1 block's row is C / l^2
-        w_one = root_w[:start:d * d]
-        z_one = self.one * (w_one * inv[:n_one, 0, 0] ** 2)[:, None]
-        z_loc = _y_rows(inv[n_one:], self.basis) * root_w[start:, None]
-        z_loc = z_loc.reshape(-1, d * d, self.cols.shape[1])
-        g_loc = diag_w[start:].reshape(-1, 1, d * d) @ z_loc
+        inv_sq, y_loc = rows
+        n_one, dim, d2 = self.n_one, self.dim, self.d2
+        start = n_one * d2
+        w_one = root_w[:start:d2]
+        z_one = self.one * (w_one * inv_sq)[:, None]
+        z_loc = y_loc * root_w[start:, None]
+        z_loc = z_loc.reshape(-1, d2, self.cols.shape[1])
+        g_loc = diag_w[start:].reshape(-1, 1, d2) @ z_loc
         g = -(w_one @ z_one) - np.bincount(
             self.cols.ravel(), g_loc.ravel(), dim + 1)[:dim]
         gram = z_loc.transpose(0, 2, 1) @ z_loc
@@ -312,14 +344,14 @@ def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     positive definite; a failed factorization retries with a ridge that
     starts at 1e-14 of h's mean diagonal and grows tenfold, and least
     squares takes over after 12 tries."""
-    scale = max(float(np.trace(h)) / h.shape[0], 1.0)
     a, ridge = h, 0.0
     for _ in range(12):
         try:
             np.linalg.cholesky(a)
             return -np.linalg.solve(a, g)
         except np.linalg.LinAlgError:
-            ridge = max(ridge * 10.0, 1e-14 * scale)
+            ridge = (10.0 * ridge if ridge
+                     else 1e-14 * max(float(np.trace(h)) / h.shape[0], 1.0))
             a = h + ridge * np.eye(h.shape[0])
     return -np.linalg.lstsq(h, g, rcond=None)[0]
 
@@ -335,12 +367,22 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
     damped by 1/(1+lambda) and halved only while they leave the merit's
     domain.
 
+    The gap is computed at every centred iterate (decrement <= CENTRED),
+    which ends its round, and elsewhere only when its lower bound
+    (nu - tr E_con)/t is at most 2 tol; above that the gap exceeds tol and
+    cannot stop the solve.  The margin of tol covers the rounding of the
+    gap's objective part, which is >= 0 exactly and came out at most 2.8e-17
+    below 0 over every step of the bundled sweeps, against tol >= 1e-15.  So
+    the iterates, the counts and the certified point returned are those of
+    computing every gap.
+
     v0 must be strictly feasible.  Float64 can run out before the gap
     reaches tol: a factorization fails, no step stays in the domain, the
     Newton budget max_iter is spent, or a round ends uncertified although
     nu/t <= MU_FACTOR * tol, where an exactly centred point would certify.
-    The iterate with the smallest gap so far is then returned with a
-    warning, and SolverNonConvergence is raised if no gap was finite.
+    The iterate with the smallest gap among those computed, which include
+    every centred iterate, is then returned with a warning, and
+    SolverNonConvergence is raised if no computed gap was finite.
     """
     v = np.asarray(v0, dtype=float).copy()
     if not program.feasible(v):
@@ -363,7 +405,8 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                 if not math.isfinite(lam):
                     raise SolverNonConvergence(
                         f"Newton step not finite at t={t:.3e}")
-                gap = program.duality_gap(step)
+                gap = program.duality_gap(
+                    step, np.inf if lam <= CENTRED else 2.0 * tol)
                 if gap < best[0]:
                     best = (gap, v, t, lam)
                 if gap <= tol or lam <= CENTRED:

@@ -110,15 +110,24 @@ def cmd_check(cfg: RunConfig, args) -> int:
     print(f"validation: {report}")
     if not report.ok:
         return 1
-    checks = (filter_regularity(cfg.model)
-              + control_regularity(cfg.model, cfg.weights))
-    ok = True
+    try:
+        consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    except Exception:
+        # a solver that raised returned no checks: report them, then the error
+        _print_regularity(filter_regularity(cfg.model)
+                          + control_regularity(cfg.model, cfg.weights))
+        raise
+    ok = _print_regularity(consts.filter.regularity
+                           + consts.control.regularity)
+    print(f"minimal LQG cost J* = {consts.minimal_cost:.12g}")
+    return 0 if ok else 1
+
+
+def _print_regularity(checks) -> bool:
+    """Print each (name, PBH result) pair; whether all passed."""
     for name, res in checks:
         print(f"regularity {name}: {'pass' if res.ok else 'FAIL'}")
-        ok = ok and res.ok
-    jstar = ProblemConstants.compute(cfg.model, cfg.weights).minimal_cost
-    print(f"minimal LQG cost J* = {jstar:.12g}")
-    return 0 if ok else 1
+    return all(res.ok for _, res in checks)
 
 
 def _require_budget(cfg: RunConfig) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,16 @@ def _matrix(field: str, raw) -> np.ndarray:
     return mat
 
 
+def _integer(field: str, raw) -> int:
+    """raw as an int: an integer, numpy's included, or an integral float;
+    a bool, a fraction or a non-number is rejected."""
+    if isinstance(raw, numbers.Integral) and not isinstance(raw, bool):
+        return int(raw)
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    raise ConfigError(field, f"must be an integer, got {raw!r}")
+
+
 def _check_keys(field: str, block: dict, allowed: set[str], lax: bool):
     if not isinstance(block, dict):
         raise ConfigError(field, "expected an object")
@@ -89,7 +100,7 @@ def _sweep_spec(field: str, block: dict, lax: bool) -> SweepSpec:
     try:
         lo = float(block["min"])
         hi = float(block["max"])
-        points = int(block["points"])
+        points = _integer(f"{field}.points", block["points"])
     except KeyError as e:
         raise ConfigError(field, f"missing key {e.args[0]!r}") from None
     scale = block.get("scale", "linear")
@@ -161,10 +172,12 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
     solver = SolverOptions()
     if "solver" in doc:
         _check_keys("solver", doc["solver"], _SOLVER_KEYS, lax)
+        max_iter = _integer("solver.max_iter",
+                            doc["solver"].get("max_iter", solver.max_iter))
         try:
             solver = SolverOptions(
                 tol=float(doc["solver"].get("tol", solver.tol)),
-                max_iter=int(doc["solver"].get("max_iter", solver.max_iter)))
+                max_iter=max_iter)
         except (TypeError, ValueError):
             raise ConfigError("solver", "bad tol/max_iter") from None
 
@@ -199,7 +212,8 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
     if "horizons" in doc:
         raw = doc["horizons"]
         if (not isinstance(raw, list) or not raw
-                or not all(isinstance(h, int) and h >= 1 for h in raw)):
+                or not all(isinstance(h, int) and not isinstance(h, bool)
+                           and h >= 1 for h in raw)):
             raise ConfigError("horizons", "expected a list of positive integers")
         horizons = tuple(raw)
 

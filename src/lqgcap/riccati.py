@@ -11,7 +11,7 @@ which that limit is the stabilizing solution.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,25 +38,30 @@ class FilterConstants:
     """Steady-state Kalman filter triple (Sigma, K_p, Psi).
 
     iterations counts the solver's doublings plus Newton steps tried;
-    residual is the relative size of its last update kept."""
+    residual is the relative size of its last update kept; regularity holds
+    the (name, result) pairs of filter_regularity the solver evaluated."""
 
     Sigma: np.ndarray
     K_p: np.ndarray
     Psi: np.ndarray
     iterations: int = 0
     residual: float = 0.0
+    regularity: tuple[tuple[str, PBHResult], ...] = field(
+        default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ControlConstants:
-    """Steady-state LQR triple (E, K_LQR, Psi_LQR); iterations and residual
-    as in FilterConstants."""
+    """Steady-state LQR triple (E, K_LQR, Psi_LQR); iterations, residual
+    and regularity (of control_regularity) as in FilterConstants."""
 
     E: np.ndarray
     K_LQR: np.ndarray
     Psi_LQR: np.ndarray
     iterations: int = 0
     residual: float = 0.0
+    regularity: tuple[tuple[str, PBHResult], ...] = field(
+        default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -346,14 +351,16 @@ def solve_filter_riccati(model: SystemModel) -> FilterConstants:
     to a warning if the recursion still reaches a stabilizing fixed point.
     """
     la.require_pd(model.V, "V")
-    *unique, (_, stabilizable) = filter_regularity(model)
+    checks = filter_regularity(model)
+    *unique, (_, stabilizable) = checks
     if not stabilizable:
         log.warning("filter pair not stabilizable; convergence from Sigma_1 = 0 "
                     "is not guaranteed")
     Sigma, K_p, Psi, iters, res = _stabilizing_solution(
         filter_equation(model), unique, "filter", "F - K_p H")
     return FilterConstants(Sigma=Sigma, K_p=K_p, Psi=Psi,
-                           iterations=iters, residual=res)
+                           iterations=iters, residual=res,
+                           regularity=tuple(checks))
 
 
 def solve_control_riccati(model: SystemModel,
@@ -361,11 +368,12 @@ def solve_control_riccati(model: SystemModel,
     """Stabilizing solution of the backward control equation: the limit of
     its recursion from 0, whose first iterate is Q."""
     la.require_pd(weights.R, "R")
+    checks = control_regularity(model, weights)
     E, K, PsiL, iters, res = _stabilizing_solution(
-        control_equation(model, weights), control_regularity(model, weights),
-        "control", "F - G K_LQR")
+        control_equation(model, weights), checks, "control", "F - G K_LQR")
     return ControlConstants(E=E, K_LQR=K.T, Psi_LQR=PsiL,
-                            iterations=iters, residual=res)
+                            iterations=iters, residual=res,
+                            regularity=tuple(checks))
 
 
 def solve_policy_riccati(estimator: EstimatorModel,

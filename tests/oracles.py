@@ -15,7 +15,9 @@ reduction, with `chain_relaxation` and the relaxed `damped_equation`;
 `BarrierProgramBySize` evaluates a barrier program one stack per block size,
 and `newton_direction_two_solves` and `newton_direction_one_inverse` solve
 its Newton system with two solves on the Cholesky factor or one inverse of
-it.
+it; `solve_barrier_every_gap` replaces only the certified-stop loop: it
+runs the library's programs and Newton direction, computes the gap of every
+Newton step and forms the Newton rows at every call.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from lqgcap import barrier
 from lqgcap import linalg as la
 from lqgcap import riccati
 from lqgcap.barrier import AffineBlock, BarrierInfo, BarrierProgram
@@ -982,7 +985,7 @@ class BarrierProgramBySize:
         self._newton_rows = (z, root_w, t)
         return -(root_w * self._is_diag) @ z, z.T @ z
 
-    def duality_gap(self, step: np.ndarray) -> float:
+    def duality_gap(self, step: np.ndarray, cutoff: float = np.inf) -> float:
         """f(v) - g(W, Z) at the dual point of a Newton step from the last
         grad_hess call at (v, t); +inf when that point is not dual feasible.
 
@@ -992,7 +995,9 @@ class BarrierProgramBySize:
         Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2 for each constraint block.
         The Newton equation is their dual equality, so when every I - E_b is
         PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
-        + tr E_o) bounds f(v) minus the optimum from above."""
+        + tr E_o) bounds f(v) minus the optimum from above.  Every gap is
+        computed: the cutoff above which solve_barrier does not need it is
+        accepted and not used."""
         z, root_w, t = self._newton_rows
         e = (z @ step) / root_w
         try:
@@ -1045,3 +1050,71 @@ def newton_direction_one_inverse(h: np.ndarray, g: np.ndarray) -> np.ndarray:
             ridge = max(ridge * 10.0, 1e-14 * scale)
             a = h + ridge * np.eye(h.shape[0])
     return -np.linalg.lstsq(h, g, rcond=None)[0]
+
+
+# The certified-stop loop the library ran before it skipped gap
+# factorizations that cannot certify and reused the Newton rows across a
+# round change: the same schedule, rows formed afresh at every grad_hess call
+# and the gap of every Newton step.  The library's loop must follow the same
+# iterates bit for bit.
+def solve_barrier_every_gap(program: BarrierProgram, v0: np.ndarray,
+                            tol: float, max_iter: int = 50_000
+                            ) -> tuple[np.ndarray, BarrierInfo]:
+    """barrier.solve_barrier's schedule with the gap of every Newton step and
+    the program's kept rows and weights dropped before every grad_hess call.
+    On a float64 stop it returns the iterate with the smallest gap of all
+    steps, with a warning."""
+    v = np.asarray(v0, dtype=float).copy()
+    if not program.feasible(v):
+        raise SolverNonConvergence("initial point is not strictly feasible")
+    nu = program.nu
+    w_min = min((w for w, _ in program.objective), default=1.0)
+    t = max(barrier.T_START, 1.0 / w_min)
+    best = (np.inf, v, t, np.inf)       # (gap, iterate, t, decrement)
+    total = 0
+    stop = None
+    try:
+        while True:
+            program.merit(v, t)
+            for _ in range(barrier.MAX_INNER):
+                program._y = (None, None)
+                program._weights = (None, None, None)
+                g, h = program.grad_hess(v, t)
+                step = barrier._newton_direction(h, g)
+                lam = math.sqrt(max(float(-g @ step), 0.0))
+                if not math.isfinite(lam):
+                    raise SolverNonConvergence(
+                        f"Newton step not finite at t={t:.3e}")
+                gap = program.duality_gap(step)
+                if gap < best[0]:
+                    best = (gap, v, t, lam)
+                if gap <= tol or lam <= barrier.CENTRED:
+                    break
+                alpha = 1.0 / (1.0 + lam)
+                while not math.isfinite(program.merit(v + alpha * step, t)):
+                    alpha *= barrier.BACKTRACK
+                    if alpha < 1e-16:
+                        raise SolverNonConvergence(
+                            f"no step stays in the domain at t={t:.3e}")
+                v = v + alpha * step
+                total += 1
+                if total > max_iter:
+                    raise SolverNonConvergence(
+                        f"Newton budget {max_iter} exhausted at t={t:.3e}")
+            if gap <= tol:
+                break
+            if nu / t <= barrier.MU_FACTOR * tol:
+                raise SolverNonConvergence(f"round at nu/t={nu / t:.3e} "
+                                           "ended uncertified")
+            t /= barrier.MU_FACTOR
+    except (np.linalg.LinAlgError, SolverNonConvergence) as err:
+        stop = err
+    gap, v, t_best, lam = best
+    if not math.isfinite(gap):
+        raise SolverNonConvergence(
+            f"numerical breakdown before any certified point: {stop}")
+    if stop is not None:
+        log.warning("stopping early at duality gap %.3e (requested %.3e): "
+                    "float64 exhausted at t=%.3e (%s)", gap, tol, t, stop)
+    return v, BarrierInfo(iterations=total, t_final=t_best, duality_gap=gap,
+                          newton_decrement=lam)

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from lqgcap import riccati
 from lqgcap.cli import build_parser, run, write_csv
-from lqgcap.config import load_config, set_system_entry
+from lqgcap.config import _integer, load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
 from lqgcap.errors import ConfigError
 from lqgcap.scop import DEFAULT_OPTIONS
@@ -88,6 +89,46 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"sim: {field} must be an integer"):
             load_config(write_cfg(tmp_path, doc))
 
+    @pytest.mark.parametrize("section, value", [
+        ("budget", 4.7), ("budget", True), ("budget", "4"),
+        ("param_sweep", 50.9), ("param_sweep", False),
+        ("solver", 50.9), ("solver", True), ("solver", "50"),
+    ])
+    def test_non_integral_count_fields_rejected(self, tmp_path, section,
+                                                value):
+        # these were once truncated by int(): 4.7 points ran 4, 50.9
+        # Newton steps 50
+        field = {"solver": "solver.max_iter"}.get(section, f"{section}.points")
+        doc = {
+            "budget": scalar_doc(budget={"min": 1.5, "max": 2.5,
+                                         "points": value}),
+            "param_sweep": scalar_doc(param_sweep={
+                "name": "G", "min": 0.5, "max": 1.5, "points": value}),
+            "solver": scalar_doc(solver={"max_iter": value}),
+        }[section]
+        with pytest.raises(ConfigError, match=f"{field}: must be an integer"):
+            load_config(write_cfg(tmp_path, doc))
+
+    def test_integral_count_fields_accepted(self, tmp_path):
+        doc = scalar_doc(budget={"min": 1.5, "max": 2.5, "points": 4.0},
+                         param_sweep={"name": "G", "min": 0.5, "max": 1.5,
+                                      "points": 3},
+                         solver={"max_iter": 5e4})
+        cfg = load_config(write_cfg(tmp_path, doc))
+        assert cfg.budget_sweep.points == 4
+        assert cfg.param_sweep.spec.points == 3
+        assert cfg.solver.max_iter == 50_000
+        for n in (cfg.budget_sweep.points, cfg.param_sweep.spec.points,
+                  cfg.solver.max_iter, _integer("points", np.int64(3))):
+            assert type(n) is int
+
+    @pytest.mark.parametrize("horizons", [[True], [1, True], [2.0], [0]])
+    def test_horizons_must_be_positive_integers(self, tmp_path, horizons):
+        # true was once horizon 1
+        doc = scalar_doc(horizons=horizons)
+        with pytest.raises(ConfigError, match="horizons"):
+            load_config(write_cfg(tmp_path, doc))
+
     def test_set_system_entry(self):
         cfg = load_config(str(VECTOR_CFG))
         varied = set_system_entry(cfg.model, "F[0,0]", 0.9)
@@ -131,6 +172,42 @@ class TestCommands:
         assert "validation: valid" in out
         assert "J* = 1.3031677711" in out
         assert out.count("pass") == 5
+
+    @pytest.mark.parametrize("cfg_path", [SCALAR_CFG, VECTOR_CFG])
+    def test_check_evaluates_each_regularity_check_once(self, monkeypatch,
+                                                        capsys, cfg_path):
+        # the report once evaluated the five checks, and then the solvers
+        # again; a detectability check makes two pbh_test calls
+        cfg = load_config(str(cfg_path))
+        calls = []
+        pbh_test = riccati.pbh_test
+        monkeypatch.setattr(riccati, "pbh_test",
+                            lambda *a: calls.append(a[2]) or pbh_test(*a))
+        checks = (riccati.filter_regularity(cfg.model)
+                  + riccati.control_regularity(cfg.model, cfg.weights))
+        once, calls[:] = list(calls), []
+        assert run(["check", "--config", str(cfg_path)]) == 0
+        assert calls == once
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:6] == [f"regularity {name}: pass" for name, _ in checks]
+
+    @pytest.mark.parametrize("system, cost, failed", [
+        ({"F": 2, "G": 1, "H": 0, "J": 1, "W": 1, "V": 1, "L": 0},
+         {"Q": 1, "R": 1}, "(F, H) detectable"),
+        ({"F": [[2.0, 0.0], [0.0, 0.5]], "G": [[0], [1]], "H": [[1, 1]],
+          "J": 1, "W": [[1, 0], [0, 1]], "V": 1, "L": [[0], [0]]},
+         {"Q": [[1, 0], [0, 1]], "R": 1}, "(F, G) stabilizable"),
+    ])
+    def test_check_reports_the_checks_when_a_solver_raises(
+            self, tmp_path, capsys, system, cost, failed):
+        path = write_cfg(tmp_path, scalar_doc(system=system, cost=cost))
+        assert run(["check", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "validation: valid" and len(lines) == 6
+        assert [ln for ln in lines if ln.endswith("FAIL")] == [
+            f"regularity {failed}: FAIL"]
+        assert f"RegularityViolation: {failed}" in err
 
     def test_ub_command(self, tmp_path, capsys):
         path = write_cfg(tmp_path, scalar_doc())
