@@ -7,8 +7,8 @@ Programs have the form
 
 with every matrix an affine function of the decision vector v.  Linear scalar
 inequalities enter as 1x1 blocks.  The composite t*f + phi is self-concordant,
-so damped Newton steps follow the central path as t grows.  Each Newton step
-also gives a dual point of the maxdet dual (Vandenberghe, Boyd & Wu, SIAM J.
+so Newton steps follow the central path as t grows.  Each Newton step also
+gives a dual point of the maxdet dual (Vandenberghe, Boyd & Wu, SIAM J.
 Matrix Anal. Appl. 19(2), 1998; Boyd & Vandenberghe, Convex Optimization,
 11.2.2): W_o = w_o (O^-1 - O^-1 dO O^-1) and Z_c = (B^-1 - B^-1 dB B^-1)/t,
 where dO and dB are the blocks' changes along the step.  The Newton equation
@@ -28,13 +28,19 @@ accepted point: with Y_j = L^-1 C_j L^-T per block, from one batched
 inverse of the factors, the gradient is -sum w tr Y_j and the Hessian is one
 product of the flattened, weight-scaled Y with itself.  The unweighted Y are
 kept with the factors, so the Newton system at the same point and a new t,
-which opens each round after the first, only re-weights them.  The gap
-reuses the same rows: E = sum_j step_j Y_j per block, and one batched
-Cholesky factorization of I - E tests dual feasibility and gives
-log det(I - E).  That factorization is skipped where the gap cannot
-certify: each objective term -log det(I - E_o) - tr E_o is >= 0, so a finite
-gap is at least (nu - tr E_con)/t, and solve_barrier asks for the gap of an
-uncentred iterate only when that bound is at most 2 tol.
+which opens each round after the first, only re-weights them.
+
+The same rows give each block's change along a Newton step,
+E = sum_j step_j Y_j = L^-1 dS L^-T, and one batched eigen-decomposition of
+the E stack gives its eigenvalues mu (NewtonLine).  Along the step a block's
+log-det changes by sum_i log(1 + alpha mu_i), so the merit along the whole
+line has a closed form, and solve_barrier takes an exact line search on it
+instead of the damped step 1/(1+lambda), as Vandenberghe, Boyd & Wu do.  The
+dual point is feasible when every mu < 1, and its gap is
+(nu - tr E_con)/t - sum_o w_o sum_i (log(1 - mu_oi) + mu_oi).  Each
+objective term is >= 0, so a finite gap is at least (nu - tr E_con)/t, and
+solve_barrier forms the log terms of an uncentred iterate only when that
+bound is at most 2 tol.
 
 A block-sparse program, such as the horizon program's chain, forms those
 rows on each matrix block's own coordinates, the basis columns it touches:
@@ -42,8 +48,8 @@ rows on each matrix block's own coordinates, the basis columns it touches:
 into the Hessian and the gradient; 1x1 blocks keep dense rows, one each.
 The program takes that path when it saves LOCAL_OVERHEAD multiply-adds per
 Newton system over the dense rows, as counted from its block sizes and
-column sets when it is built.  The merit, the Newton direction and the gap's
-factorization are the same on both paths.
+column sets when it is built.  The merit, the Newton direction and the
+step's eigenvalues are the same on both paths.
 """
 
 from __future__ import annotations
@@ -60,12 +66,24 @@ from .linalg import sym
 log = logging.getLogger("lqgcap.barrier")
 
 # Path-following schedule: barrier parameter mu = 1/t shrinks by this factor
-# per round; a round ends at Newton decrement CENTRED, and a damped step that
-# leaves the domain is shortened by BACKTRACK.
+# per round; a round ends at Newton decrement CENTRED, and a step that float64
+# finds outside the domain is shortened by BACKTRACK.
 MU_FACTOR = 0.2
 CENTRED = 0.25
 BACKTRACK = 0.5
 MAX_INNER = 400
+# The line search along a Newton direction stops once the merit's slope is
+# at most LINE_TOL * lambda^2 in size (it is -lambda^2 at the start of the
+# line), or after LINE_ITER safeguarded Newton iterations.
+LINE_TOL = 0.01
+LINE_ITER = 30
+# The search needs a direction that solves the Newton system: the line's
+# curvature at 0, step^T H step, is then lambda^2.  Where they differ by more
+# than NEWTON_MISMATCH * lambda^2 (at most 1.6e-11 on the bundled sweeps and
+# the scop ladder, up to 4 on the relaxed horizon program, whose Hessians have
+# condition numbers near 1e19), the direction is not trusted beyond the damped
+# step 1/(1+lambda).
+NEWTON_MISMATCH = 1e-6
 # The composite t*f + phi is self-concordant for t >= 2 (objective weights
 # are 1/2); start there so the damped step 1/(1+lambda) is safe.
 T_START = 2.0
@@ -127,12 +145,14 @@ class BarrierProgram:
         # objective and constraint weights of each diagonal entry
         self._w_diag = np.stack([self._w_obj[self._diag_idx],
                                  self._w_con[self._diag_idx]])
-        self._eye = np.eye(d)
+        # objective and constraint weights of each eigenvalue of a step's E
+        self._w_mu = np.repeat([w for w, _, _ in entries], d)
+        self._con_mu = np.repeat(self._con, d).astype(float)
         self._local = _LocalRows.build(basis, [b.dim for _, b, _ in entries])
         self._key: bytes | None = None     # the v whose factors _chol holds
         self._chol: np.ndarray | None = None
         self._y = (None, None)              # (key, unweighted rows) at a v
-        self._weights = (None, None, None)  # (t, root_w, diag_w)
+        self._weights = (None, None, None, None)  # (t, root_w, diag_w, omega)
         self._newton_rows = None            # (z, root_w, t) of grad_hess
 
     def _values(self, v: np.ndarray) -> np.ndarray:
@@ -176,20 +196,21 @@ class BarrierProgram:
         -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>.  The
         unweighted rows Y are kept with the factors' key, so a call at the
         same v with another t, as at a round change, only re-weights them;
-        the weight-scaled rows are kept for duality_gap.  A block-sparse
+        the weight-scaled rows are kept for newton_line.  A block-sparse
         program forms them on each block's own coordinates (_LocalRows)."""
         self._newton_rows = None     # never hold two sets of rows at once
         factors = self._factors(v)
         if self._y[0] != self._key:
             self._y = (None, None)   # nor two points' unweighted rows
-            inv = np.linalg.inv(factors)
-            self._y = (self._key, _y_rows(inv, self._basis)
-                       if self._local is None else self._local.rows(inv))
+            self._y = (self._key,
+                       _y_rows(np.linalg.inv(factors), self._basis)
+                       if self._local is None else self._local.rows(factors))
         y = self._y[1]
         if t != self._weights[0]:
             root_w = np.sqrt(t * self._w_obj + self._w_con)
-            self._weights = (t, root_w, root_w * self._is_diag)
-        _, root_w, diag_w = self._weights
+            self._weights = (t, root_w, root_w * self._is_diag,
+                             t * self._w_mu + self._con_mu)
+        _, root_w, diag_w, _ = self._weights
         if self._local is None:
             z = y * root_w[:, None]
             g, h = -diag_w @ z, z.T @ z
@@ -198,35 +219,19 @@ class BarrierProgram:
         self._newton_rows = (z, root_w, t)
         return g, h
 
-    def duality_gap(self, step: np.ndarray, cutoff: float = np.inf) -> float:
-        """f(v) - g(W, Z) at the dual point of a Newton step from the last
-        grad_hess call at (v, t); +inf when that point is not dual feasible.
-
-        With E_b = sum_j step_j Y_bj, i.e. L_b^-1 dS_b L_b^-T for the change
-        dS_b of block b along the step, the dual point is
-        W_o = w_o S_o^-1/2 (I - E_o) S_o^-1/2 for each objective block and
-        Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2 for each constraint block.
-        The Newton equation is their dual equality, so when every I - E_b is
-        PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
-        + tr E_o) bounds f(v) minus the optimum from above.
-
-        Each objective term -log det(I - E_o) - tr E_o is >= 0 when
-        I - E_o is PD, so a finite gap is at least (nu - tr E_con)/t.  When
-        that bound exceeds cutoff, the gap the caller asks for cannot be at
-        most cutoff, and +inf is returned without factoring I - E."""
+    def newton_line(self, step: np.ndarray) -> NewtonLine:
+        """The merit and the dual point along a Newton step from the last
+        grad_hess call at (v, t): the eigenvalues of every block's
+        E_b = sum_j step_j Y_bj, i.e. L_b^-1 dS_b L_b^-T for the change dS_b
+        of block b along the step, from one batched eigvalsh of the padded
+        stack (a pad's eigenvalues are 0)."""
         z, root_w, t = self._newton_rows
         e = (z @ step if self._local is None
              else self._local.changes(z, step)) / root_w
-        tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
-        bound = (self.nu - tr_con) / t
-        if bound > cutoff:
-            return np.inf
-        try:
-            factors = np.linalg.cholesky(self._eye - e.reshape(self._shape))
-        except np.linalg.LinAlgError:
-            return np.inf
-        log_det, _ = self._w_diag @ np.log(factors.ravel()[self._diag_idx])
-        return float(bound - 2.0 * log_det - tr_obj)
+        tr_con = self._w_diag[1] @ e[self._diag_idx]
+        mu = np.linalg.eigvalsh(e.reshape(self._shape)).ravel()
+        return NewtonLine(mu, self._weights[3], self._w_mu,
+                          (self.nu - tr_con) / t)
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
@@ -293,12 +298,14 @@ class _LocalRows:
             row[:c.size] = c
         return cls(basis, n_one, padded)
 
-    def rows(self, inv: np.ndarray):
-        """The unweighted rows from the factors' inverses (n, d, d): each
+    def rows(self, factors: np.ndarray):
+        """The unweighted rows from the Cholesky factors (n, d, d): each
         1x1 block's 1 / l^2 (its row is C / l^2) and the matrix blocks'
-        local rows."""
-        return inv[:self.n_one, 0, 0] ** 2, _y_rows(inv[self.n_one:],
-                                                     self.basis)
+        local rows, from one batched inverse of the matrix blocks' factors
+        only."""
+        inv_one = 1.0 / factors[:self.n_one, 0, 0]
+        return inv_one ** 2, _y_rows(np.linalg.inv(factors[self.n_one:]),
+                                     self.basis)
 
     def grad_hess(self, rows, root_w: np.ndarray, diag_w: np.ndarray):
         """Weighted rows, gradient and Hessian from the unweighted rows,
@@ -332,6 +339,71 @@ class _LocalRows:
 
 
 @dataclass
+class NewtonLine:
+    """The merit and the dual point along one Newton step, in closed form
+    from the eigenvalues mu of every block's E = L^-1 dS L^-T, with omega
+    the merit weight of each eigenvalue's block (t*w_o, or 1 for a
+    constraint), w_obj its objective weight (0 for a constraint) and bound
+    the gap's lower bound (nu - tr E_con)/t."""
+
+    mu: np.ndarray
+    omega: np.ndarray
+    w_obj: np.ndarray
+    bound: float
+
+    def merit(self, alpha: float) -> float:
+        """merit(v + alpha step) - merit(v) = -sum omega log(1 + alpha mu),
+        convex in alpha on [0, alpha_max), alpha_max = min -1/mu over the
+        negative mu."""
+        return -float(self.omega @ np.log1p(alpha * self.mu))
+
+    def gap(self, cutoff: float = np.inf) -> float:
+        """f(v) - g(W, Z) at the step's dual point W_o = w_o S_o^-1/2
+        (I - E_o) S_o^-1/2, Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2; +inf
+        when it is not dual feasible, i.e. some mu >= 1.  The Newton
+        equation is their dual equality, so a finite gap bounds f(v) minus
+        the optimum from above.  Each objective term -log(1 - mu) - mu is
+        >= 0, so a finite gap is at least bound; when bound exceeds cutoff,
+        the gap cannot be at most cutoff and +inf is returned without
+        forming the log terms."""
+        if self.bound > cutoff or self.mu.max() >= 1.0:
+            return np.inf
+        return float(self.bound
+                     - self.w_obj @ (np.log1p(-self.mu) + self.mu))
+
+    def search(self, lam: float) -> float:
+        """A step length that minimizes the line's merit to a slope of
+        LINE_TOL * lam^2, by safeguarded Newton iterations on the convex
+        merit from the damped step 1/(1+lam), bracketed in [0, alpha_max).
+        The slope at 0 is -lam^2 for a Newton step of decrement lam.  A
+        length whose merit is above the damped step's is never returned, so
+        each step keeps the damped step's self-concordant decrease (Boyd &
+        Vandenberghe, Convex Optimization, 9.6).  A direction whose
+        curvature misses lam^2 by more than NEWTON_MISMATCH takes the damped
+        step."""
+        mu, omega = self.mu, self.omega
+        damped = alpha = 1.0 / (1.0 + lam)
+        lam2 = lam * lam
+        if abs(float(omega @ (mu * mu)) - lam2) > NEWTON_MISMATCH * lam2:
+            return damped
+        neg = mu[mu < 0.0]
+        lo, hi = 0.0, float(np.min(-1.0 / neg)) if neg.size else np.inf
+        for _ in range(LINE_ITER):
+            r = mu / (1.0 + alpha * mu)
+            slope = -float(omega @ r)
+            if abs(slope) <= LINE_TOL * lam2:
+                break
+            if slope < 0.0:
+                lo = alpha
+            else:
+                hi = alpha
+            alpha -= slope / float(omega @ (r * r))
+            if not lo < alpha < hi:
+                alpha = 0.5 * (lo + hi)
+        return alpha if self.merit(alpha) <= self.merit(damped) else damped
+
+
+@dataclass
 class BarrierInfo:
     iterations: int = 0
     t_final: float = 0.0
@@ -360,20 +432,22 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                   max_iter: int = 50_000) -> tuple[np.ndarray, BarrierInfo]:
     """Follow the central path until the certified duality gap is <= tol.
 
-    Every Newton step gives a dual point and its gap
-    (BarrierProgram.duality_gap); the solve returns the first iterate whose
-    gap is at most tol.  A round at parameter t ends once the Newton
-    decrement is at most CENTRED, and t then grows by 1/MU_FACTOR.  Steps are
-    damped by 1/(1+lambda) and halved only while they leave the merit's
-    domain.
+    Every Newton step gives a dual point and its gap (NewtonLine.gap); the
+    solve returns the first iterate whose gap is at most tol.  A round at
+    parameter t ends once the Newton decrement is at most CENTRED, and t then
+    grows by 1/MU_FACTOR.  Each step's length comes from the exact line
+    search on the step's eigenvalues (NewtonLine.search), whose merit is
+    never above the damped step's; it is halved only while float64 finds the
+    point outside the merit's domain, and the merit at the accepted point
+    supplies the factors of the next Newton system.
 
-    The gap is computed at every centred iterate (decrement <= CENTRED),
-    which ends its round, and elsewhere only when its lower bound
+    The gap's log terms are formed at every centred iterate (decrement <=
+    CENTRED), which ends its round, and elsewhere only when its lower bound
     (nu - tr E_con)/t is at most 2 tol; above that the gap exceeds tol and
     cannot stop the solve.  The margin of tol covers the rounding of the
-    gap's objective part, which is >= 0 exactly and came out at most 2.8e-17
-    below 0 over every step of the bundled sweeps, against tol >= 1e-15.  So
-    the iterates, the counts and the certified point returned are those of
+    gap's objective part, which is >= 0 exactly and never came out below 0
+    over every step of the bundled sweeps, against tol >= 1e-15.  So the
+    iterates, the counts and the certified point returned are those of
     computing every gap.
 
     v0 must be strictly feasible.  Float64 can run out before the gap
@@ -405,15 +479,16 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                 if not math.isfinite(lam):
                     raise SolverNonConvergence(
                         f"Newton step not finite at t={t:.3e}")
-                gap = program.duality_gap(
-                    step, np.inf if lam <= CENTRED else 2.0 * tol)
+                line = program.newton_line(step)
+                gap = line.gap(np.inf if lam <= CENTRED else 2.0 * tol)
                 if gap < best[0]:
                     best = (gap, v, t, lam)
                 if gap <= tol or lam <= CENTRED:
                     break
-                # damped Newton: 1/(1+lambda) stays in the domain and lowers
-                # a self-concordant merit; halve only if float64 leaves it
-                alpha = 1.0 / (1.0 + lam)
+                # the line's minimizer stays in the domain and lowers the
+                # merit at least as much as the damped step; halve only if
+                # float64 leaves the domain
+                alpha = line.search(lam)
                 while not math.isfinite(program.merit(v + alpha * step, t)):
                     alpha *= BACKTRACK
                     if alpha < 1e-16:

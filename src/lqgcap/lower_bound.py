@@ -53,7 +53,9 @@ def extract_policy(ub: UBSolution, control: ControlConstants,
     """GammaBar = Gamma* SigmaHat*^+, M = Pi* - Gamma* SigmaHat*^+ Gamma*^T.
 
     M is symmetrized and eigenvalue-clipped at zero; the first LMI guarantees
-    it is PSD up to numerical slack, and the clipped amount is recorded.
+    it is PSD up to numerical slack, and the clipped amount is recorded.  A
+    clip beyond that slack, la.PSD_SLACK * max(1, lambda_max(M)), is logged
+    as a warning, a smaller one at debug level.
 
     The pseudo-inverse drops SigmaHat* eigenvalues below rank_tol.  A barrier
     optimizer cannot land exactly on a low-rank face, it stops at a distance
@@ -71,7 +73,11 @@ def extract_policy(ub: UBSolution, control: ControlConstants,
     gamma_bar = ub.decision.Gamma @ sig_pinv
     m_raw = la.sym(ub.decision.Pi - gamma_bar @ ub.decision.Gamma.T)
     m_clipped, clip = la.psd_clip(m_raw)
-    if clip > 0:
+    slack = la.PSD_SLACK * max(1.0, float(np.linalg.eigvalsh(m_raw)[-1]))
+    if clip > slack:
+        log.warning("extract_policy clipped M eigenvalues by %.3e, beyond "
+                    "the PSD slack %.3e", clip, slack)
+    elif clip > 0:
         log.debug("extract_policy clipped M eigenvalues by %.3e", clip)
     return Policy(GammaBar=gamma_bar, M=m_clipped, K_LQR=control.K_LQR,
                   m_clip=clip)

@@ -15,9 +15,13 @@ reduction, with `chain_relaxation` and the relaxed `damped_equation`;
 `BarrierProgramBySize` evaluates a barrier program one stack per block size,
 and `newton_direction_two_solves` and `newton_direction_one_inverse` solve
 its Newton system with two solves on the Cholesky factor or one inverse of
-it; `solve_barrier_every_gap` replaces only the certified-stop loop: it
-runs the library's programs and Newton direction, computes the gap of every
-Newton step and forms the Newton rows at every call.
+it; `cholesky_gap` certifies a Newton step's dual point by a Cholesky
+factorization of I - E instead of E's eigenvalues; `solve_barrier_damped`
+is the certified-stop loop with the damped step 1/(1+lambda) the library
+took before its exact line search; `solve_barrier_every_gap` replaces only
+the certified-stop loop: it runs the library's programs, Newton direction
+and step rule, computes the Cholesky gap of every Newton step and forms the
+Newton rows at every call.
 """
 
 from __future__ import annotations
@@ -862,9 +866,9 @@ def state_feedback_program_by_coordinates(c, budget: float) -> BarrierProgram:
 
 # The barrier program the library used before it stacked every block into one
 # padded stack: one stack per block size, with a Cholesky factorization, an
-# inverse and a gap factorization per size, and the Newton direction from two
-# general solves on the Cholesky factor.  The padded program must match them
-# to rounding.
+# inverse and an eigvalsh of a step's E per size, and the Newton direction
+# from two general solves on the Cholesky factor.  The padded program must
+# match them to rounding.
 class _SizeGroup(NamedTuple):
     """The B blocks of one size d: entries sl of the stacked values reshape
     to (B, d, d); con marks the constraint blocks among them and cidx gives
@@ -968,7 +972,7 @@ class BarrierProgramBySize:
 
         With S_b = L_b L_b^T and Y_bj = L_b^-1 C_bj L_b^-T, the gradient is
         -sum_b w_b tr Y_bj and the Hessian sum_b w_b <Y_bj, Y_bl>.  The
-        weight-scaled rows are kept for duality_gap."""
+        weight-scaled rows are kept for newton_line."""
         self._newton_rows = None     # never hold two sets of rows at once
         factors = self._factors(v)
         dim = self._basis.shape[1]
@@ -985,30 +989,22 @@ class BarrierProgramBySize:
         self._newton_rows = (z, root_w, t)
         return -(root_w * self._is_diag) @ z, z.T @ z
 
-    def duality_gap(self, step: np.ndarray, cutoff: float = np.inf) -> float:
-        """f(v) - g(W, Z) at the dual point of a Newton step from the last
-        grad_hess call at (v, t); +inf when that point is not dual feasible.
-
-        With E_b = sum_j step_j Y_bj, i.e. L_b^-1 dS_b L_b^-T for the change
-        dS_b of block b along the step, the dual point is
-        W_o = w_o S_o^-1/2 (I - E_o) S_o^-1/2 for each objective block and
-        Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2 for each constraint block.
-        The Newton equation is their dual equality, so when every I - E_b is
-        PD the gap sum_c (d_c - tr E_c)/t - sum_o w_o (log det(I - E_o)
-        + tr E_o) bounds f(v) minus the optimum from above.  Every gap is
-        computed: the cutoff above which solve_barrier does not need it is
-        accepted and not used."""
+    def newton_line(self, step: np.ndarray) -> barrier.NewtonLine:
+        """The eigenvalues of every block's E_b = sum_j step_j Y_bj along a
+        Newton step from the last grad_hess call at (v, t), from one
+        eigvalsh per block size, with each eigenvalue's merit and objective
+        weights."""
         z, root_w, t = self._newton_rows
         e = (z @ step) / root_w
-        try:
-            factors = [np.linalg.cholesky(np.eye(g.d) - self._stack(e, g))
-                       for g in self._groups]
-        except np.linalg.LinAlgError:
-            return np.inf
-        entries = np.concatenate([c.ravel() for c in factors])
-        log_det, _ = self._w_diag @ np.log(entries[self._diag_idx])
-        tr_obj, tr_con = self._w_diag @ e[self._diag_idx]
-        return float((self.nu - tr_con) / t - 2.0 * log_det - tr_obj)
+        mu = np.concatenate([np.linalg.eigvalsh(self._stack(e, g)).ravel()
+                             for g in self._groups])
+        # objective weight and constraint flag of each block, per eigenvalue
+        w_obj = np.concatenate([np.repeat(self._w_obj[g.sl][::g.d * g.d], g.d)
+                                for g in self._groups])
+        con = np.concatenate([np.repeat(g.con, g.d) for g in self._groups])
+        tr_con = self._w_diag[1] @ e[self._diag_idx]
+        return barrier.NewtonLine(mu, t * w_obj + con, w_obj,
+                                  (self.nu - tr_con) / t)
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
@@ -1052,18 +1048,37 @@ def newton_direction_one_inverse(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -np.linalg.lstsq(h, g, rcond=None)[0]
 
 
-# The certified-stop loop the library ran before it skipped gap
-# factorizations that cannot certify and reused the Newton rows across a
-# round change: the same schedule, rows formed afresh at every grad_hess call
-# and the gap of every Newton step.  The library's loop must follow the same
-# iterates bit for bit.
-def solve_barrier_every_gap(program: BarrierProgram, v0: np.ndarray,
-                            tol: float, max_iter: int = 50_000
-                            ) -> tuple[np.ndarray, BarrierInfo]:
-    """barrier.solve_barrier's schedule with the gap of every Newton step and
-    the program's kept rows and weights dropped before every grad_hess call.
-    On a float64 stop it returns the iterate with the smallest gap of all
-    steps, with a warning."""
+def cholesky_gap(program: BarrierProgram, step: np.ndarray,
+                 cutoff: float = np.inf) -> float:
+    """f(v) - g(W, Z) at the dual point of a Newton step from the program's
+    last grad_hess call at (v, t), certified as the library did before it
+    took E's eigenvalues: one batched Cholesky factorization of I - E tests
+    dual feasibility (+inf when it fails) and gives log det(I - E), and the
+    gap is (nu - tr E_con)/t - sum_o w_o (log det(I - E_o) + tr E_o).  Above
+    cutoff, the lower bound (nu - tr E_con)/t returns +inf unfactored."""
+    z, root_w, t = program._newton_rows
+    e = (z @ step if program._local is None
+         else program._local.changes(z, step)) / root_w
+    tr_obj, tr_con = program._w_diag @ e[program._diag_idx]
+    bound = (program.nu - tr_con) / t
+    if bound > cutoff:
+        return np.inf
+    d = program._shape[1]
+    try:
+        factors = np.linalg.cholesky(np.eye(d) - e.reshape(program._shape))
+    except np.linalg.LinAlgError:
+        return np.inf
+    log_det, _ = program._w_diag @ np.log(factors.ravel()[program._diag_idx])
+    return float(bound - 2.0 * log_det - tr_obj)
+
+
+def _certified_stop(program: BarrierProgram, v0: np.ndarray, tol: float,
+                    max_iter: int, newton_system, gap_of, step_length
+                    ) -> tuple[np.ndarray, BarrierInfo]:
+    """barrier.solve_barrier's certified-stop schedule, with the Newton
+    system, the gap (step, lam) and the step length (step, lam) supplied.
+    On a float64 stop it returns the iterate with the smallest computed gap,
+    with a warning."""
     v = np.asarray(v0, dtype=float).copy()
     if not program.feasible(v):
         raise SolverNonConvergence("initial point is not strictly feasible")
@@ -1077,20 +1092,18 @@ def solve_barrier_every_gap(program: BarrierProgram, v0: np.ndarray,
         while True:
             program.merit(v, t)
             for _ in range(barrier.MAX_INNER):
-                program._y = (None, None)
-                program._weights = (None, None, None)
-                g, h = program.grad_hess(v, t)
+                g, h = newton_system(v, t)
                 step = barrier._newton_direction(h, g)
                 lam = math.sqrt(max(float(-g @ step), 0.0))
                 if not math.isfinite(lam):
                     raise SolverNonConvergence(
                         f"Newton step not finite at t={t:.3e}")
-                gap = program.duality_gap(step)
+                gap = gap_of(step, lam)
                 if gap < best[0]:
                     best = (gap, v, t, lam)
                 if gap <= tol or lam <= barrier.CENTRED:
                     break
-                alpha = 1.0 / (1.0 + lam)
+                alpha = step_length(step, lam)
                 while not math.isfinite(program.merit(v + alpha * step, t)):
                     alpha *= barrier.BACKTRACK
                     if alpha < 1e-16:
@@ -1118,3 +1131,39 @@ def solve_barrier_every_gap(program: BarrierProgram, v0: np.ndarray,
                     "float64 exhausted at t=%.3e (%s)", gap, tol, t, stop)
     return v, BarrierInfo(iterations=total, t_final=t_best, duality_gap=gap,
                           newton_decrement=lam)
+
+
+# The certified-stop loop the library ran before its exact line search: the
+# damped step 1/(1+lambda), halved only while it leaves the domain, and the
+# Cholesky gap, factored only where it can certify.
+def solve_barrier_damped(program: BarrierProgram, v0: np.ndarray,
+                         tol: float, max_iter: int = 50_000
+                         ) -> tuple[np.ndarray, BarrierInfo]:
+    """The certified stop with damped Newton steps."""
+    def gap_of(step, lam):
+        cutoff = np.inf if lam <= barrier.CENTRED else 2.0 * tol
+        return cholesky_gap(program, step, cutoff)
+
+    return _certified_stop(program, v0, tol, max_iter, program.grad_hess,
+                           gap_of, lambda step, lam: 1.0 / (1.0 + lam))
+
+
+# The library's loop with nothing skipped: the Newton rows formed afresh at
+# every grad_hess call and the Cholesky gap of every Newton step, with the
+# library's step rule.  The library's loop must follow the same iterates bit
+# for bit.
+def solve_barrier_every_gap(program: BarrierProgram, v0: np.ndarray,
+                            tol: float, max_iter: int = 50_000
+                            ) -> tuple[np.ndarray, BarrierInfo]:
+    """barrier.solve_barrier's schedule and step rule with the Cholesky gap
+    of every Newton step and the program's kept rows and weights dropped
+    before every grad_hess call."""
+    def newton_system(v, t):
+        program._y = (None, None)
+        program._weights = (None, None, None, None)
+        return program.grad_hess(v, t)
+
+    return _certified_stop(
+        program, v0, tol, max_iter, newton_system,
+        lambda step, lam: cholesky_gap(program, step),
+        lambda step, lam: program.newton_line(step).search(lam))

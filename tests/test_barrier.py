@@ -1,5 +1,7 @@
 import functools
+import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lqgcap import BudgetedProblem, ProblemConstants, solve_ub
-from lqgcap import upper_bound
+from lqgcap import barrier, upper_bound
 from lqgcap.barrier import (CENTRED, T_START, AffineBlock, BarrierProgram,
-                            SymPacker, _newton_direction, solve_barrier)
+                            NewtonLine, SymPacker, _newton_direction, _y_rows,
+                            solve_barrier)
 from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
 from lqgcap.linalg import pinv, psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
@@ -48,17 +51,24 @@ class TestSymPacker:
         assert np.allclose(np.tensordot(v, pk.basis(), axes=(0, 0)), a)
 
 
-def _mixed_program(rng, dim=4):
+def _mixed_program(rng, dim=4, local=False):
     """Blocks of sizes 1, 2 and 3 over `dim` variables, two of them in a
-    weighted objective, PD near v = 0."""
+    weighted objective, PD near v = 0.  With `local`, each matrix block
+    touches only half of the coordinates and the program forms its Newton
+    rows on them, whatever they save."""
 
     def block(d, scale):
         basis = np.stack([sym(rng.standard_normal((d, d))) for _ in range(dim)])
+        if local and d > 1:
+            basis[rng.permutation(dim)[:dim // 2]] = 0.0
         return AffineBlock(np.eye(d) * scale, basis)
 
-    return BarrierProgram(
-        objective=[(0.5, block(2, 5.0)), (0.25, block(1, 4.0))],
-        constraints=[block(3, 5.0), block(2, 6.0), block(1, 3.0), block(3, 4.0)])
+    with mock.patch.object(barrier, "LOCAL_OVERHEAD",
+                           -np.inf if local else barrier.LOCAL_OVERHEAD):
+        return BarrierProgram(
+            objective=[(0.5, block(2, 5.0)), (0.25, block(1, 4.0))],
+            constraints=[block(3, 5.0), block(2, 6.0), block(1, 3.0),
+                         block(3, 4.0)])
 
 
 def _oracle(program, v, t):
@@ -244,13 +254,18 @@ class TestSolveBarrier:
 
 
 def _assert_follows_every_gap_loop(program, v0, tol):
-    """solve_barrier and the loop that forms the Newton rows at every call
-    and computes the gap of every step reach the same iterate, bit for bit,
-    with the same counts and certificate; returns the library's info."""
+    """solve_barrier and the loop with the same step rule that forms the
+    Newton rows at every call and computes the gap of every step by a
+    Cholesky factorization of I - E reach the same iterate, bit for bit,
+    with the same counts, round and decrement, and a gap that agrees with
+    the Cholesky gap to 1e-15 absolute (the two gaps round differently);
+    returns the library's info."""
     v, info = solve_barrier(program, v0, tol)
     v_ref, ref = oracles.solve_barrier_every_gap(program, v0, tol)
     assert np.array_equal(v, v_ref)
-    assert info == ref
+    assert (info.iterations, info.t_final, info.newton_decrement) == (
+        ref.iterations, ref.t_final, ref.newton_decrement)
+    assert abs(info.duality_gap - ref.duality_gap) <= 1e-15
     return info
 
 
@@ -327,7 +342,7 @@ class TestDualCertificate:
         t = info.t_final
         g, h = program.grad_hess(v, t)
         step = np.linalg.solve(h, -g)
-        gap = program.duality_gap(step)
+        gap = program.newton_line(step).gap()
         W, Z, residual, dual_gap = _explicit_dual(program, v, t, step)
         assert residual <= 1e-8
         assert all(np.linalg.eigvalsh(w)[0] > 0 for w in W)
@@ -341,8 +356,8 @@ class TestDualCertificate:
             sym(b.value(v)), np.tensordot(step, b.basis, axes=(0, 0)))).real.max()
                     for b in blocks)
         assert e_max > 0
-        assert program.duality_gap((2.0 / e_max) * step) == np.inf
-        assert np.isfinite(program.duality_gap((0.5 / e_max) * step))
+        assert program.newton_line((2.0 / e_max) * step).gap() == np.inf
+        assert np.isfinite(program.newton_line((0.5 / e_max) * step).gap())
 
 
 class TestCertifiedStop:
@@ -358,15 +373,17 @@ class TestCertifiedStop:
             info = _against_oracle(consts, mult * consts.minimal_cost + 0.1)
             assert info.duality_gap <= TOL
 
-    @pytest.mark.parametrize("name", ["scalar", "vector3"])
-    def test_every_bundled_sweep_point_certifies_within_120_steps(self, name):
-        # and follows the loop that forms every row and computes every gap
-        consts = _bundled_consts(name)
-        for budget in _bundled(name).budget_sweep.grid():
-            program, v0 = _ub_start(consts, float(budget))
+    def test_every_bundled_sweep_point_certifies_within_40_steps(self):
+        # and 1,500 in all, and follows the loop that forms every row and
+        # computes every gap
+        total = 0
+        for name, budget in SWEEP_POINTS:
+            program, v0 = _ub_start(_bundled_consts(name), budget)
             info = _assert_follows_every_gap_loop(program, v0, TOL)
-            assert info.iterations <= 120, budget
-            assert info.duality_gap <= TOL, budget
+            assert info.iterations <= 40, (name, budget)
+            assert info.duality_gap <= TOL, (name, budget)
+            total += info.iterations
+        assert total <= 1500
 
 
 def _state_feedback_start(monkeypatch, model, weights):
@@ -466,8 +483,8 @@ def _assert_same_evaluations(program, ref, v, t):
     assert np.array_equal(h, h.T)
     step = _direction_agrees(h0, g0)
     for scale in (1.0, 0.1):
-        gap, gap0 = (program.duality_gap(scale * step),
-                     ref.duality_gap(scale * step))
+        gap, gap0 = (program.newton_line(scale * step).gap(),
+                     ref.newton_line(scale * step).gap())
         if gap0 == np.inf:
             assert gap == np.inf
         else:
@@ -516,8 +533,32 @@ class TestAgainstPerSizeProgram:
             assert program.merit(out, T_START) == np.inf
             assert ref.merit(out, T_START) == np.inf
         program.grad_hess(v0, T_START)
-        assert program.duality_gap(1e6 * step) == np.inf
-        assert ref.duality_gap(1e6 * step) == np.inf
+        assert program.newton_line(1e6 * step).gap() == np.inf
+        assert ref.newton_line(1e6 * step).gap() == np.inf
+
+
+class TestLocalRows:
+    @pytest.mark.parametrize("case", sorted(LOCAL_ROW_CASES))
+    def test_rows_invert_only_the_matrix_blocks_factors(
+            self, request, monkeypatch, case):
+        # a 1x1 block's inverse factor is 1/l; the rows are those of one
+        # inverse of every factor, bit for bit, at the start and the solution
+        program, v0 = REFERENCE_CASES[case](request, monkeypatch)
+        local = program._local
+        v, _ = solve_barrier(program, v0, TOL)
+        inv, inverted = np.linalg.inv, []
+        for point in (v0, v):
+            factors = program._factors(point)
+            full = inv(factors)
+            monkeypatch.setattr(np.linalg, "inv", lambda a: (
+                inverted.append(a.shape[0]) or inv(a)))
+            inv_sq, y_loc = local.rows(factors)
+            monkeypatch.undo()
+            assert np.array_equal(inv_sq, full[:local.n_one, 0, 0] ** 2)
+            assert np.array_equal(y_loc, _y_rows(full[local.n_one:],
+                                                 local.basis))
+        assert 0 < local.n_one < len(factors)
+        assert inverted == [len(factors) - local.n_one] * 2
 
 
 def _gap_bound(program, v, t, step):
@@ -560,14 +601,14 @@ class TestGapSkip:
         assume(program.merit(v, t) < np.inf)
         program.grad_hess(v, t)
         step = 10.0 ** log_step * rng.standard_normal(4)
-        full = program.duality_gap(step)
+        full = program.newton_line(step).gap()
         bound, scale = _gap_bound(program, v, t, step)
         slack = 1e-12 * scale
         if full < np.inf:
             assert full >= bound - slack
         # a cutoff clear of the bound's rounding on either side
-        got = program.duality_gap(
-            step, bound + (shift if above else -shift) * scale)
+        got = program.newton_line(step).gap(
+            bound + (shift if above else -shift) * scale)
         assert got == (full if above else np.inf)
 
     def test_a_stop_returns_the_best_computed_gap(self, request, monkeypatch,
@@ -575,21 +616,110 @@ class TestGapSkip:
         program, v0 = REFERENCE_CASES["ub-vector3"](request, monkeypatch)
         _, full = solve_barrier(program, v0, TOL)
         budget = full.iterations // 2
+        computed = []
+        gap = NewtonLine.gap
+
+        def recorded(self, *args):
+            computed.append(gap(self, *args))
+            return computed[-1]
+
+        monkeypatch.setattr(NewtonLine, "gap", recorded)
         with caplog.at_level("WARNING", logger="lqgcap.barrier"):
             v, info = solve_barrier(program, v0, TOL, max_iter=budget)
+        monkeypatch.undo()
         assert "stopping early" in caplog.text
         assert f"Newton budget {budget} exhausted" in caplog.text
+        assert info.iterations == budget + 1
         assert TOL < info.duality_gap < np.inf
+        # the smallest of every gap the solve computed
+        assert info.duality_gap == min(computed)
         assert info.newton_decrement <= CENTRED
         # the returned gap is the returned iterate's own
         g, h = program.grad_hess(v, info.t_final)
-        assert program.duality_gap(_newton_direction(h, g)) == info.duality_gap
-        # the loop that computes every gap stops at the same step, and its
-        # best gap is the smallest over a superset of the library's
-        _, ref = oracles.solve_barrier_every_gap(program, v0, TOL,
-                                                 max_iter=budget)
-        assert ref.iterations == info.iterations == budget + 1
-        assert ref.duality_gap <= info.duality_gap
+        assert (program.newton_line(_newton_direction(h, g)).gap()
+                == info.duality_gap)
+
+
+class TestNewtonLine:
+    """The merit and the gap along a Newton step in closed form from its
+    blocks' eigenvalues, and the step length the line search takes, on dense
+    and local Newton rows."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), local=st.booleans(),
+           v_scale=st.floats(0.0, 0.2), log_t=st.floats(0.61, 8.0),
+           log_scale=st.floats(-2.0, 1.0), frac=st.floats(0.0, 0.95))
+    def test_the_line_matches_the_program(self, seed, local, v_scale, log_t,
+                                          log_scale, frac):
+        rng = np.random.default_rng(seed)
+        program = _mixed_program(rng, local=local)
+        assert (program._local is not None) == local
+        # t >= 4 keeps t*w >= 1 for the weight-1/4 block, as solve_barrier
+        v, t = v_scale * rng.standard_normal(4), 10.0 ** log_t
+        f0 = program.merit(v, t)
+        assume(f0 < np.inf)
+        g, h = program.grad_hess(v, t)
+        step = _newton_direction(h, g)
+        lam = math.sqrt(max(float(-g @ step), 0.0))
+        line = program.newton_line(step)
+        neg = line.mu[line.mu < 0]
+        alpha_max = float(np.min(-1.0 / neg)) if neg.size else np.inf
+
+        # the closed-form merit change at a point inside the domain
+        alpha = frac * min(alpha_max, 10.0)
+        f = program.merit(v + alpha * step, t)
+        assert abs(line.merit(alpha) - (f - f0)) <= 1e-12 * (abs(f0) + abs(f))
+
+        # the eigenvalue gap is the Cholesky gap, +inf on the same steps, at
+        # steps scaled in and out of dual feasibility
+        scaled = 10.0 ** log_scale * step
+        scaled_line = program.newton_line(scaled)
+        assume(abs(scaled_line.mu.max() - 1.0) > 1e-9)
+        gap, ref = scaled_line.gap(), oracles.cholesky_gap(program, scaled)
+        if ref == np.inf:
+            assert gap == np.inf
+        else:
+            _, scale = _gap_bound(program, v, t, scaled)
+            logs = scaled_line.w_obj @ np.abs(np.log1p(-scaled_line.mu))
+            assert abs(gap - ref) <= 1e-12 * (scale + logs)
+
+        # the accepted length lies in the domain, and its merit is no higher
+        # than the damped step's
+        accepted, damped = line.search(lam), 1.0 / (1.0 + lam)
+        assert 0.0 < accepted < alpha_max
+        assert line.merit(accepted) <= line.merit(damped)
+        f_accepted = program.merit(v + accepted * step, t)
+        f_damped = program.merit(v + damped * step, t)
+        assert f_accepted <= f_damped + 1e-12 * abs(f0)
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_no_more_newton_systems_than_the_damped_step(
+            self, request, monkeypatch, case):
+        program, v0 = REFERENCE_CASES[case](request, monkeypatch)
+        systems = []
+        grad_hess = BarrierProgram.grad_hess
+
+        def counted(self, *args):
+            systems[-1] += 1
+            return grad_hess(self, *args)
+
+        monkeypatch.setattr(BarrierProgram, "grad_hess", counted)
+        results = []
+        for solve in (solve_barrier, oracles.solve_barrier_damped):
+            systems.append(0)
+            results.append(solve(program, v0, TOL))
+        monkeypatch.undo()
+        assert systems[0] <= systems[1]
+
+        def objective(v):
+            return sum(-w * slogdet_pd(sym(b.value(v)))
+                       for w, b in program.objective)
+
+        (v, info), (v_ref, ref) = results
+        assert info.duality_gap <= TOL and ref.duality_gap <= TOL
+        # both values lie within their gap above the optimum
+        assert abs(objective(v) - objective(v_ref)) <= TOL
 
 
 class TestNewtonDirection:
@@ -630,13 +760,16 @@ class TestNewtonDirection:
 class TestKernelCallCount:
     """np.linalg calls per Newton system: one factorization in the merit of
     the step, one inverse for the Newton rows except at a round change, a
-    factorization that tests h and a solve for the direction, and a
-    factorization for the gap only where it can certify, whatever the number
-    of block sizes and whether the rows are dense or local."""
+    factorization that tests h and a solve for the direction, and one
+    eigvalsh of the step's E for the line search and the gap, whatever the
+    number of block sizes and whether the rows are dense or local."""
 
-    def _calls_per_system(self, monkeypatch, program, v0):
+    FACTORIZATIONS = ("cholesky", "inv", "solve")
+
+    def _calls(self, monkeypatch, program, v0, names):
+        """(np.linalg calls to `names`, Newton systems) of one solve."""
         counts = {"linalg": 0, "systems": 0}
-        for name in ("cholesky", "inv", "solve"):
+        for name in names:
             def counted(*args, _f=getattr(np.linalg, name)):
                 counts["linalg"] += 1
                 return _f(*args)
@@ -652,7 +785,12 @@ class TestKernelCallCount:
         monkeypatch.undo()
         assert info.duality_gap <= TOL
         assert counts["systems"] > info.iterations > 0
-        return counts["linalg"] / counts["systems"]
+        return counts["linalg"], counts["systems"]
+
+    def _calls_per_system(self, monkeypatch, program, v0,
+                          names=FACTORIZATIONS):
+        calls, systems = self._calls(monkeypatch, program, v0, names)
+        return calls / systems
 
     @pytest.mark.parametrize("case", ["ub-vector3", "mixed",
                                       "scop-scalar-h32"])
@@ -661,13 +799,26 @@ class TestKernelCallCount:
         program, v0 = REFERENCE_CASES[case](request, monkeypatch)
         assert self._calls_per_system(monkeypatch, program, v0) <= 4
 
+    # cholesky + inv + solve over one solve with the damped step, which
+    # factored I - E for the gap instead of taking E's eigenvalues
+    DAMPED_CALLS = {"ub-vector3": 380, "mixed": 235, "scop-scalar-h32": 933}
+
+    @pytest.mark.parametrize("case", list(DAMPED_CALLS))
+    def test_fewer_kernel_calls_per_solve_than_the_damped_step(
+            self, request, monkeypatch, case):
+        program, v0 = REFERENCE_CASES[case](request, monkeypatch)
+        calls, _ = self._calls(monkeypatch, program, v0,
+                               self.FACTORIZATIONS + ("eigvalsh",))
+        assert calls < self.DAMPED_CALLS[case]
+
     def test_the_per_size_program_exceeds_the_bound(self, monkeypatch):
-        # three block sizes: a factorization, an inverse and a gap
-        # factorization per size, so the guard catches a per-size kernel
+        # three block sizes: a factorization, an inverse and an eigvalsh per
+        # size, so the guard catches a per-size kernel
         program, v0 = REFERENCE_CASES["mixed"](None, monkeypatch)
         ref = oracles.BarrierProgramBySize(program.objective,
                                            program.constraints)
-        assert self._calls_per_system(monkeypatch, ref, v0) > 9
+        assert self._calls_per_system(
+            monkeypatch, ref, v0, self.FACTORIZATIONS + ("eigvalsh",)) > 9
 
 
 class TestLinalgHelpers:

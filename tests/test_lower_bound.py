@@ -60,6 +60,19 @@ class TestExtractPolicy:
         assert pol.M[0, 0] == 0.0
         assert pol.m_clip == pytest.approx(0.15)
 
+    @pytest.mark.parametrize("pi,level", [(0.1, "WARNING"),
+                                          (0.25 - 1e-12, "DEBUG")])
+    def test_a_clip_beyond_the_psd_slack_warns(self, c1, caplog, pi, level):
+        # M = Pi - Gamma^2 / SigmaHat = Pi - 0.25: a clip of 0.15, or of
+        # 1e-12 within the slack 1e-10 of a matrix of norm <= 1
+        dec = UBDecision(Pi=np.array([[pi]]), Gamma=np.array([[0.5]]),
+                         SigmaHat=np.array([[1.0]]))
+        with caplog.at_level("DEBUG", logger="lqgcap.lb"):
+            pol = extract_policy(_ub_with_decision(c1, dec), c1.control)
+        assert pol.m_clip == pytest.approx(0.25 - pi, rel=1e-3)
+        records = [r for r in caplog.records if "clipped M" in r.getMessage()]
+        assert [r.levelname for r in records] == [level]
+
 
 class TestEvaluatePolicy:
     def test_pure_lqg_policy_rate_zero_budget_floor(self, c1, w1):

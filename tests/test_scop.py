@@ -318,3 +318,4 @@ class TestConditioning:
             assert info.duality_gap <= DEFAULT_OPTIONS.tol
             counts.append(info.iterations)
         assert max(counts) - min(counts) <= 2
+        assert max(counts) <= 100
