@@ -103,5 +103,18 @@ def slogdet_pd(a: np.ndarray, name: str = "matrix") -> float:
     return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
+def block(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+          d: np.ndarray) -> np.ndarray:
+    """The block matrix [[a, b], [c, d]], or one per matrix of a stack."""
+    return np.concatenate([np.concatenate([a, b], axis=-1),
+                           np.concatenate([c, d], axis=-1)], axis=-2)
+
+
+def blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix [[a, 0], [0, b]]."""
+    return block(a, np.zeros((a.shape[0], b.shape[1])),
+                 np.zeros((b.shape[0], a.shape[1])), b)
+
+
 def spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))

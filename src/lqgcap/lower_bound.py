@@ -106,13 +106,11 @@ def evaluate_policy(estimator: EstimatorModel, weights: CostWeights,
 def _stabilizability_pair(estimator: EstimatorModel, policy: Policy):
     """(F^s, G^s W^s) whose stabilizability certifies Riccati uniqueness."""
     G, J, K_p, Psi = estimator.G, estimator.J, estimator.K_p, estimator.Psi
-    m, p = estimator.m, estimator.p
     M = policy.M
     eq = riccati.policy_equation(estimator, policy)
     Fs = eq.Ft - la.solve_pd(eq.R, eq.S.T).T @ eq.Ht
     cross = np.vstack([M @ J.T, Psi])          # (m+p) x p
-    Ws = np.block([[M, np.zeros((m, p))], [np.zeros((p, m)), Psi]]) \
-        - cross @ la.solve_pd(eq.R, cross.T)
+    Ws = la.blkdiag(M, Psi) - cross @ la.solve_pd(eq.R, cross.T)
     Gs = np.hstack([G, K_p])                   # k x (m+p)
     return Fs, Gs @ la.sym(Ws)
 
@@ -132,10 +130,11 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
 
     (a) the Riccati equation holds at the UB optimizer; (b) the policy pair
     (F + G GammaBar, H + J GammaBar) is detectable; (c) (F^s, G^s W^s) is
-    stabilizable.  When (c) fails with a singular M (the scalar zero-dither
-    regime), agreement of the recursion limit with the UB optimizer
-    (sigma_match) substitutes for it and the verdict records the
-    direct-recursion route.
+    stabilizable; (d) the policy's recursion limit agrees with the UB
+    optimizer's SigmaHat (sigma_match), so the lower bound is evaluated at
+    the point the upper bound was solved at.  When (c) fails with a singular
+    M (the scalar zero-dither regime), (d) alone identifies the limit and
+    the verdict records the direct-recursion route.
     """
     policy = lb.policy
     residual = ub_riccati_residual(ub, estimator)
@@ -155,13 +154,9 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
         reasons.append("policy pair not detectable")
     if rate_gap > 1e-6:
         reasons.append(f"rate_gap {rate_gap:.3e} > 1e-6")
-    route = "stabilizable"
-    if not stabilizable:
-        if sigma_match <= res_tol:
-            route = "direct-recursion"
-        else:
-            reasons.append("(F^s, G^s W^s) not stabilizable and "
-                           f"sigma_match {sigma_match:.3e} > {res_tol:.3e}")
+    if sigma_match > res_tol:
+        reasons.append(f"sigma_match {sigma_match:.3e} > {res_tol:.3e}")
+    route = "stabilizable" if stabilizable else "direct-recursion"
     verdict = "CertifiedTight" if not reasons else "NotCertified"
     return TightnessCertificate(
         riccati_residual=residual,

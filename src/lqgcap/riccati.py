@@ -262,9 +262,9 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
     polish the limit; a step is kept only if it lowers the equation residual.
 
     Returns (X, steps, res): doublings plus Newton steps tried, and the
-    relative size of the last update kept.  Raises NonConvergence on a non-finite
-    update or a doubling limit that fails `accept`, MaxIterations after
-    MAX_DOUBLINGS doublings.
+    relative size of the last update kept.  Raises NonConvergence on a
+    singular or non-finite update or a doubling limit that fails `accept`,
+    MaxIterations after MAX_DOUBLINGS doublings.
     """
     Ft, Ht, Q, S, R = eq
     eye = np.eye(len(Ft))
@@ -274,13 +274,17 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
     X = np.zeros_like(Q) if x0 is None else x0
     for j in range(MAX_DOUBLINGS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            if j:
-                W = eye + G @ H
-                WA = np.linalg.solve(W, A)
-                A, G, H = (A @ WA, la.sym(G + A @ np.linalg.solve(W, G) @ A.T),
-                           la.sym(H + A.T @ H @ WA))
-            X_next = H if x0 is None else la.sym(
-                H + A.T @ x0 @ np.linalg.solve(eye + G @ x0, A))
+            try:
+                if j:
+                    W = eye + G @ H
+                    WA = np.linalg.solve(W, A)
+                    A, G, H = (A @ WA,
+                               la.sym(G + A @ np.linalg.solve(W, G) @ A.T),
+                               la.sym(H + A.T @ H @ WA))
+                X_next = H if x0 is None else la.sym(
+                    H + A.T @ x0 @ np.linalg.solve(eye + G @ x0, A))
+            except np.linalg.LinAlgError:
+                raise NonConvergence(f"singular doubling at step {j}") from None
             res = (float(np.linalg.norm(X_next - X))
                    / (1.0 + float(np.linalg.norm(X_next))))
         if not np.isfinite(res):

@@ -10,20 +10,20 @@ upper_bound.step_blocks with SigmaHat_next = SigmaHat_{i+1}.  The LQR
 schedule is the control equation's recursion from Q, and the strict start
 the damped equation's recursion from 0.
 
-The program is solved on its face.  From SigmaHat_1 = 0 the chained LMIs
-only reach the i-step Krylov subspace of the innovation form
-(F - K_p H, G - K_p J), so SigmaHat_{i+1} = V_i S_i V_i^T and
-Gamma_{i+1} = Gamma~_i V_i^T with V_i an orthonormal basis of that subspace,
-and each block, a chained LMI congruent to its innovation form, is
-restricted to the range of its constant and basis parts.  For k > m the unreduced LMIs
-have no strict interior; the reduced ones do (Borwein & Wolkowicz, J.
-Austral. Math. Soc. A 30, 1981; Permenter & Parrilo, Math. Program. 171,
-2018).
+The program is solved on its face, as the single-letter one is.  From
+SigmaHat_1 = 0 the chained LMIs only reach the i-step Krylov subspace of
+the innovation form (F - K_p H, G - K_p J) (upper_bound.krylov_bases, whose
+last basis is the single-letter program's face), so
+SigmaHat_{i+1} = V_i S_i V_i^T and Gamma_{i+1} = Gamma~_i V_i^T with V_i an
+orthonormal basis of that subspace, and each block, a chained LMI congruent
+to its innovation form, is restricted to the range of its constant and
+basis parts.  For k > m the unreduced LMIs have no strict interior; the
+reduced ones do (Borwein & Wolkowicz, J. Austral. Math. Soc. A 30, 1981;
+Permenter & Parrilo, Math. Program. 171, 2018).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -41,11 +41,10 @@ from .upper_bound import (
     UBDecision,
     UBProgram,
     damped_equation,
+    krylov_bases,
     step_blocks,
     strict_start,
 )
-
-log = logging.getLogger("lqgcap.scop")
 
 MAX_HORIZON = 64
 
@@ -55,11 +54,6 @@ MAX_HORIZON = 64
 # per unit) a certified gap of 1e-7 still leaves 1.8e-3 of the budget
 # unspent; 5e-8 leaves 3.6e-4.
 DEFAULT_OPTIONS = SolverOptions(tol=5e-8)
-
-# A Krylov direction shorter than this fraction of the norms of F and G
-# enters the blocks squared, under float64's resolution, so it is left off
-# the face.
-KRYLOV_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -93,34 +87,6 @@ class AveragedVariables:
     cost_epsilon: float        # |budget - cost_value|, the eps'_n correction
     correction_norm: float     # ||SigmaHat_{n+1} - SigmaHat_1||_F / n
     slack: float               # max of the averaging corrections/violations
-
-
-def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
-    """Orthonormal bases V_0..V_n of the Krylov subspaces
-    span(G, F G, ..., F^(i-1) G), i = 0..n (V_0 has no columns), by
-    Gram-Schmidt with reorthogonalization: V_{i+1} adds to V_i what F maps
-    V_i's newest directions to.  The identity once a subspace is the whole
-    state space."""
-    k = F.shape[0]
-    tol = KRYLOV_RTOL * max(np.linalg.norm(G), np.linalg.norm(F))
-    V = np.zeros((k, 0))
-    bases, new = [V], G
-    for _ in range(n):
-        r = V.shape[1]
-        for w in new.T:
-            for _ in range(2):
-                w = w - V @ (V.T @ w)
-            size = np.linalg.norm(w)
-            if size > tol:
-                V = np.column_stack([V, w / size])
-        new = F @ V[:, r:]
-        bases.append(np.eye(k) if V.shape[1] == k else V)
-    return bases
-
-
-def _blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
-                     [np.zeros((b.shape[0], a.shape[1])), b]])
 
 
 class SCOPProgram:
@@ -210,19 +176,20 @@ class SCOPProgram:
         m, p = c.model.m, c.model.p
         V = self.bases
         pis, gammas, sigmas = self.unpack(np.eye(self.dim))
-        cov, lmi, psiy, cost = step_blocks(
-            self.innovation, self.K, self.PsiL,
-            UBDecision(pis, gammas, sigmas[:, :-1]), sigmas[:, 1:])
+        dec = UBDecision(pis, gammas, sigmas[:, :-1])
+        lmi, psiy, cost = step_blocks(self.innovation, self.K, self.PsiL, dec,
+                                      sigmas[:, 1:])
+        cov = dec.first_lmi()
         covariance, chained = [], []
         for i in range(n):
-            e = _blkdiag(np.eye(m), V[i])
+            e = la.blkdiag(np.eye(m), V[i])
             covariance.append(AffineBlock(np.zeros((e.shape[1],) * 2),
                                           e.T @ cov[:, i] @ e))
             # the innovation form's constant [[0, 0], [0, Psi]] lies in the
             # face
-            e = _blkdiag(V[i + 1], np.eye(p))
+            e = la.blkdiag(V[i + 1], np.eye(p))
             chained.append(AffineBlock(
-                _blkdiag(np.zeros((V[i + 1].shape[1],) * 2), c.Psi),
+                la.blkdiag(np.zeros((V[i + 1].shape[1],) * 2), c.Psi),
                 e.T @ lmi[:, i] @ e))
         terminal = AffineBlock(np.zeros((V[n].shape[1],) * 2),
                                V[n].T @ sigmas[:, n] @ V[n])

@@ -7,14 +7,19 @@ relaxed-Riccati LMI tying SigmaHat to its one-step propagation.  Psi_Y and
 K_Y*Psi_Y are affine in the decisions, so the whole program is a
 determinant-maximization problem solved by the barrier engine.  Its blocks
 are the per-step map step_blocks at the unit vectors with SigmaHat_next =
-SigmaHat, the stationary case of the horizon-n program in scop.  The
-barrier starts from a strict point whose SigmaHat is the limit of the
-damped Riccati equation (damped_equation) of the zero-information policy.
+SigmaHat, the stationary case of the horizon-n program in scop, and like it
+the program is solved on its face: SigmaHat = V S V^T and Gamma = Gamma~ V^T,
+V an orthonormal basis of the Krylov subspace of the innovation form
+(F - K_p H, G - K_p J), the only one SigmaHat and Gamma^T reach.  The
+covariance LMI is [[Pi, Gamma~], [Gamma~^T, S]], and the Riccati LMI is
+restricted to its range [[V, (I - V V^T) K_p], [0, I]].  State feedback,
+G = K_p J, is the face with no columns.  The barrier starts from a strict
+point whose SigmaHat is the limit of the damped Riccati equation
+(damped_equation) of the zero-information policy.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,13 +40,16 @@ from .errors import (
 from .model import BudgetedProblem
 from .riccati import Policy, RiccatiEquation, _solve_dare, policy_equation
 
-log = logging.getLogger("lqgcap.ub")
-
 LN2 = math.log(2.0)
 
 # Budgets within this absolute band of the minimal cost have no interior;
 # the zero-rate solution is returned instead of running the barrier.
 BOUNDARY_TOL = 1e-9
+
+# A Krylov direction shorter than this fraction of the norms of F and G
+# enters the blocks squared, under float64's resolution, so it is left off
+# the face.
+KRYLOV_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 # The smallest duality gap a solve may be asked to certify: the gap's own
 # float64 rounding is about 1e-16, so a smaller one certifies nothing.
@@ -75,8 +83,8 @@ class UBDecision:
 
     def first_lmi(self) -> np.ndarray:
         """[[Pi, Gamma], [Gamma^T, SigmaHat]], for each decision of a stack."""
-        return np.block([[self.Pi, self.Gamma],
-                         [self.Gamma.swapaxes(-1, -2), self.SigmaHat]])
+        return la.block(self.Pi, self.Gamma, self.Gamma.swapaxes(-1, -2),
+                        self.SigmaHat)
 
 
 @dataclass(frozen=True)
@@ -134,61 +142,101 @@ def rate_from_psi(Psi_Y: np.ndarray, Psi: np.ndarray, units: str = "nats") -> fl
 def step_blocks(model, K_LQR: np.ndarray, Psi_LQR: np.ndarray,
                 dec: UBDecision, sigma_next: np.ndarray):
     """Linear parts of one step's blocks at a decision, or at each decision
-    of a stack: the covariance LMI, the Riccati LMI
-    [[P - SigmaHat_next, C], [C^T, Y]], Psi_Y's part Y, and the trace cost
-    priced by (K_LQR, Psi_LQR).  At the unit vectors of a packing they are
-    the bases of a program's blocks."""
+    of a stack: the Riccati LMI [[P - SigmaHat_next, C], [C^T, Y]], Psi_Y's
+    part Y, and the trace cost priced by (K_LQR, Psi_LQR).  At the unit
+    vectors of a packing they are the bases of a program's blocks; its
+    covariance LMI is UBDecision.first_lmi."""
     P, C, Y = decision_map(model, dec.Pi, dec.Gamma, dec.SigmaHat)
-    lmi = np.block([[P - sigma_next, C], [C.swapaxes(-1, -2), Y]])
-    return (dec.first_lmi(), lmi, Y,
-            trace_cost(K_LQR, Psi_LQR, dec.Pi, dec.Gamma, dec.SigmaHat))
+    lmi = la.block(P - sigma_next, C, C.swapaxes(-1, -2), Y)
+    return lmi, Y, trace_cost(K_LQR, Psi_LQR, dec.Pi, dec.Gamma, dec.SigmaHat)
+
+
+def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
+    """Orthonormal bases V_0..V_n of the Krylov subspaces
+    span(G, F G, ..., F^(i-1) G), i = 0..n (V_0 has no columns), by
+    Gram-Schmidt with reorthogonalization: V_{i+1} adds to V_i what F maps
+    V_i's newest directions to.  The identity once a subspace is the whole
+    state space."""
+    k = F.shape[0]
+    tol = KRYLOV_RTOL * max(np.linalg.norm(G), np.linalg.norm(F))
+    V = np.zeros((k, 0))
+    bases, new = [V], G
+    for _ in range(n):
+        r = V.shape[1]
+        for w in new.T:
+            for _ in range(2):
+                w = w - V @ (V.T @ w)
+            size = math.sqrt(w @ w)
+            if size > tol:
+                V = np.concatenate([V, (w / size)[:, None]], axis=1)
+        new = F @ V[:, r:]
+        bases.append(np.eye(k) if V.shape[1] == k else V)
+    return bases
 
 
 class UBProgram:
-    """Affine assembly of the upper-bound program for the barrier engine."""
+    """Affine assembly of the upper-bound program for the barrier engine,
+    over Pi, Gamma~ and S on the face V = self.face."""
 
     def __init__(self, consts: ProblemConstants, budget: float):
         self.consts = consts
         self.budget = float(budget)
-        m, k = consts.model.m, consts.model.k
+        model, K_p = consts.model, consts.K_p
+        self.face = krylov_bases(model.F - K_p @ model.H,
+                                 model.G - K_p @ model.J, model.k)[-1]
+        m, r = model.m, self.face.shape[1]
         self.pi_pack = SymPacker(m)
-        self.sig_pack = SymPacker(k)
-        self.dim = self.pi_pack.dim + m * k + self.sig_pack.dim
+        self.sig_pack = SymPacker(r)
+        self.dim = self.pi_pack.dim + m * r + self.sig_pack.dim
         self._build()
         self._barrier: BarrierProgram | None = None
 
     # -- packing ---------------------------------------------------------
 
     def pack(self, dec: UBDecision) -> np.ndarray:
+        """The face coordinates of a decision, projected on the face."""
+        V = self.face
         return np.concatenate([
             self.pi_pack.pack(dec.Pi),
-            dec.Gamma.reshape(-1),
-            self.sig_pack.pack(dec.SigmaHat),
+            (dec.Gamma @ V).reshape(-1),
+            self.sig_pack.pack(V.T @ dec.SigmaHat @ V),
         ])
+
+    def _face_decision(self, v: np.ndarray) -> UBDecision:
+        """(Pi, Gamma~, S) at v, or at each v of a stack."""
+        m, r = self.consts.model.m, self.face.shape[1]
+        a = self.pi_pack.dim
+        b = a + m * r
+        return UBDecision(
+            Pi=self.pi_pack.unpack(v[..., :a]),
+            Gamma=v[..., a:b].reshape(v.shape[:-1] + (m, r)),
+            SigmaHat=self.sig_pack.unpack(v[..., b:]),
+        )
 
     def unpack(self, v: np.ndarray) -> UBDecision:
         """The decision at v, or the stacked decisions at a stack of v's."""
-        m, k = self.consts.model.m, self.consts.model.k
-        a = self.pi_pack.dim
-        b = a + m * k
-        return UBDecision(
-            Pi=self.pi_pack.unpack(v[..., :a]),
-            Gamma=v[..., a:b].reshape(v.shape[:-1] + (m, k)),
-            SigmaHat=self.sig_pack.unpack(v[..., b:]),
-        )
+        V, dec = self.face, self._face_decision(v)
+        return UBDecision(dec.Pi, dec.Gamma @ V.T, V @ dec.SigmaHat @ V.T)
 
     # -- affine pieces -----------------------------------------------------
 
     def _build(self):
-        c = self.consts
+        c, V = self.consts, self.face
+        k, r, p = c.model.k, V.shape[1], c.model.p
+        face = self._face_decision(np.eye(self.dim))
         # the stationary step: SigmaHat_next is SigmaHat itself
-        unit = self.unpack(np.eye(self.dim))
-        lmi1, lmi2, psiy, cost = step_blocks(c.model, c.K_LQR, c.Psi_LQR,
-                                             unit, unit.SigmaHat)
+        unit = UBDecision(face.Pi, face.Gamma @ V.T, V @ face.SigmaHat @ V.T)
+        lmi2, psiy, cost = step_blocks(c.model, c.K_LQR, c.Psi_LQR,
+                                       unit, unit.SigmaHat)
+        # the Riccati LMI's range, spanned by [[V, K_p], [0, I]]
+        T = la.blkdiag(V, np.eye(p))
+        T[:k, r:] = c.K_p - V @ (V.T @ c.K_p)
         KpPsi = c.K_p @ c.Psi
+        lmi1 = face.first_lmi()
         self.block_lmi1 = AffineBlock(np.zeros(lmi1.shape[1:]), lmi1)
         self.block_lmi2 = AffineBlock(
-            np.block([[KpPsi @ c.K_p.T, KpPsi], [KpPsi.T, c.Psi]]), lmi2)
+            T.T @ la.block(KpPsi @ c.K_p.T, KpPsi, KpPsi.T, c.Psi) @ T,
+            T.T @ lmi2 @ T)
         self.block_psiy = AffineBlock(c.Psi.copy(), psiy)
         slack0 = self.budget - c.minimal_cost
         self.block_cost = AffineBlock(np.array([[slack0]]),
@@ -219,12 +267,12 @@ class UBProgram:
         c = self.consts
         dec = self.unpack(v)
         PsiY = self.psi_y(v)
-        k = c.model.k
-        lmi2 = self.block_lmi2.value(v)
+        P, C, _ = decision_map(c.model, dec.Pi, dec.Gamma, dec.SigmaHat)
+        KpPsi = c.K_p @ c.Psi
         # K_Y from the affine product K_Y Psi_Y by a PD solve, never an inverse
-        K_Y = la.solve_pd(PsiY, lmi2[:k, k:].T).T
-        A = la.sym(lmi2[:k, :k])
-        schur = la.sym(A - K_Y @ PsiY @ K_Y.T)
+        K_Y = la.solve_pd(PsiY, (C + KpPsi).T).T
+        schur = la.sym(P - dec.SigmaHat + KpPsi @ c.K_p.T
+                       - K_Y @ PsiY @ K_Y.T)
         return UBSolution(
             decision=dec,
             Psi_Y=PsiY,
@@ -267,10 +315,11 @@ def damped_equation(consts: ProblemConstants, eps: float) -> RiccatiEquation:
 def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
     """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat the
     limit of the damped equation from 0; it lies strictly inside
-    the Riccati LMI.  None when that limit is singular (degenerate feedback
-    geometry, e.g. G = K_p J)."""
+    the Riccati LMI.  None when that limit is singular on the face (an empty
+    face, under state feedback, is not)."""
     x, _, _ = _solve_dare(damped_equation(prog.consts, eps))
-    if la.min_eig(x) <= 1e-12 * (1.0 + float(np.linalg.norm(x))):
+    s = prog.face.T @ x @ prog.face
+    if s.size and la.min_eig(s) <= 1e-12 * (1.0 + float(np.linalg.norm(s))):
         return None
     m, k = prog.consts.model.m, prog.consts.model.k
     return prog.pack(UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)),
@@ -325,33 +374,6 @@ def feasibility(problem: BudgetedProblem,
                              detail=f"eps={point.Pi[0, 0]:.3e}", program=prog)
 
 
-def _is_state_feedback(consts: ProblemConstants) -> bool:
-    G, K_p, J = consts.model.G, consts.K_p, consts.model.J
-    return float(np.linalg.norm(G - K_p @ J)) <= 1e-10 * (1.0 + float(np.linalg.norm(G)))
-
-
-def _solve_state_feedback(prog: UBProgram, opts: SolverOptions) -> UBSolution:
-    """Reduced program when the observer can reconstruct the controller state:
-    SigmaHat and Gamma collapse to zero, leaving max log det(J Pi J^T + Psi)
-    under Tr(Pi Psi_LQR) <= budget - minimal cost, Pi >= 0, i.e. prog's
-    Psi_Y, Pi >= 0 and cost blocks on the Pi coordinates alone."""
-    c, m = prog.consts, prog.consts.model.m
-    pi = slice(prog.pi_pack.dim)
-    program = BarrierProgram(
-        objective=[(0.5, AffineBlock(prog.block_psiy.const,
-                                     prog.block_psiy.basis[pi]))],
-        constraints=[
-            AffineBlock(np.zeros((m, m)), prog.block_lmi1.basis[pi, :m, :m]),
-            AffineBlock(prog.block_cost.const, prog.block_cost.basis[pi]),
-        ],
-    )
-    eps = (prog.budget - c.minimal_cost) / (2.0 * float(np.trace(c.Psi_LQR)))
-    v, info = solve_barrier(program, prog.pi_pack.pack(eps * np.eye(m)),
-                            opts.tol, opts.max_iter)
-    return prog.solution_from(np.concatenate([v, np.zeros(prog.dim - v.size)]),
-                              info)
-
-
 def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
              consts: ProblemConstants | None = None) -> UBSolution:
     """Solve the determinant-maximization upper bound at the given budget."""
@@ -364,9 +386,6 @@ def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
         raise Infeasible(feas.detail)
     if feas.boundary:
         return _zero_solution(consts)
-    if _is_state_feedback(consts):
-        return _solve_state_feedback(
-            feas.program or UBProgram(consts, problem.budget), opts)
     if feas.point is None:
         raise SolverNonConvergence(f"no strictly feasible start: {feas.detail}")
     prog = feas.program
@@ -379,9 +398,9 @@ def solve_scalar(problem: BudgetedProblem, opts: SolverOptions | None = None,
                  consts: ProblemConstants | None = None) -> UBSolution:
     """Exact capacity of a scalar system via the same program.
 
-    Guards the standing assumptions: H != K_LQR * J is required, and
-    G = K_p * J dispatches to the state-feedback reduction.  The returned
-    rate is the capacity itself (capacity_exact set).
+    Guards the standing assumption H != K_LQR * J; G = K_p * J (state
+    feedback) is the program's empty face.  The returned rate is the
+    capacity itself (capacity_exact set).
     """
     if consts is None:
         consts = ProblemConstants.for_problem(problem)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lqgcap import riccati
+from lqgcap import CostWeights, SystemModel, riccati
 from lqgcap.cli import build_parser, run, write_csv
 from lqgcap.config import _integer, load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
@@ -17,6 +17,8 @@ from lqgcap.errors import ConfigError
 from lqgcap.scop import DEFAULT_OPTIONS
 from lqgcap.simulator import usable_cpus
 from lqgcap.upper_bound import UBProgram
+
+from test_random_systems import random_system
 
 ROOT = pathlib.Path(__file__).parent.parent
 SCALAR_CFG = ROOT / "configs" / "scalar.json"
@@ -164,6 +166,17 @@ class TestWriteCsv:
         assert parsed == rows
 
 
+def plant_doc(model, weights, mult):
+    """A config for a plant at mult times its cost floor + 0.1."""
+    floor = ProblemConstants.compute(model, weights).minimal_cost
+    return {
+        "system": {name: getattr(model, name).tolist()
+                   for name in ("F", "G", "H", "J", "W", "V", "L")},
+        "cost": {"Q": weights.Q.tolist(), "R": weights.R.tolist()},
+        "budget": mult * floor + 0.1,
+    }
+
+
 class TestCommands:
     def test_check_prints_jstar(self, tmp_path, capsys):
         code = run(["check", "--config", str(SCALAR_CFG)])
@@ -251,6 +264,24 @@ class TestCommands:
         assert code == 0
         assert "certificate = CertifiedTight" in out
         assert out_csv.read_text().startswith("budget,ub_rate,lb_rate")
+
+    def test_a_singular_policy_riccati_is_an_error_not_a_traceback(
+            self, tmp_path, capsys):
+        # random plant 78: the policy Riccati doubling meets a singular solve
+        path = write_cfg(tmp_path, plant_doc(*random_system(78), 1.3))
+        assert run(["lb", "--config", path]) == 1
+        assert "error: NonConvergence:" in capsys.readouterr().err
+
+    def test_ub_solves_a_plant_with_a_decoupled_mode(self, tmp_path, capsys):
+        # a stable mode that the output never sees and the input never
+        # moves lies off the program's face
+        model = SystemModel(F=np.diag([0.5, 0.8]), G=[[1.0], [0.0]],
+                            H=[[1.0, 0.0]], J=1.0, W=np.eye(2), V=1.0,
+                            L=[[0.0], [0.0]])
+        weights = CostWeights(Q=np.eye(2), R=1.0)
+        path = write_cfg(tmp_path, plant_doc(model, weights, 1.3))
+        assert run(["ub", "--config", path, "--units", "nats"]) == 0
+        assert "ub_rate_nats = 0.236063" in capsys.readouterr().out
 
     def test_infeasible_budget_exit_code(self, tmp_path, capsys):
         path = write_cfg(tmp_path, scalar_doc(budget=1.0))

@@ -2,7 +2,9 @@
 residual and budget built from decision_map and trace_cost must agree with
 them at the same point, on random plants and on both fixtures, and every
 program's stacked arrays must equal the coordinate-by-coordinate assembly,
-restricted to its face for the horizon program."""
+restricted to its face for the horizon program.  Under state feedback the
+single-letter program's face has no columns, and its rate must meet the
+reduced program's."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ import pytest
 from lqgcap import (BudgetedProblem, ProblemConstants, SystemModel,
                     UBDecision, solve_ub)
 from lqgcap import upper_bound
+from lqgcap.barrier import SymPacker
 from lqgcap.constants import decision_map, trace_cost
+from lqgcap.linalg import slogdet_pd
 from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
 from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import UBProgram
@@ -199,8 +203,11 @@ def _two_input_state_feedback_plant():
 
 
 @pytest.mark.parametrize("name", ["scalar", "two-input"])
-def test_state_feedback_program_equals_the_coordinate_assembly(
+def test_state_feedback_face_program_meets_the_coordinate_assembly(
         request, monkeypatch, name):
+    """Under state feedback the program's face has no columns; its one
+    barrier solve meets the reduced program, assembled one coordinate at a
+    time, within the two certified gaps."""
     if name == "scalar":
         model, weights = (request.getfixturevalue("state_feedback_model"),
                           request.getfixturevalue("w1"))
@@ -216,7 +223,13 @@ def test_state_feedback_program_equals_the_coordinate_assembly(
 
     monkeypatch.setattr(upper_bound, "solve_barrier", record)
     sol = solve_ub(BudgetedProblem(model, weights, p), consts=c)
+    monkeypatch.undo()
     assert len(programs) == 1
     assert not sol.decision.Gamma.any() and not sol.decision.SigmaHat.any()
-    _assert_same_stacks(programs[0],
-                        oracles.state_feedback_program_by_coordinates(c, p))
+    reduced = oracles.state_feedback_program_by_coordinates(c, p)
+    m = model.m
+    eps = (p - c.minimal_cost) / (2.0 * float(np.trace(c.Psi_LQR)))
+    v, info = solve(reduced, SymPacker(m).pack(eps * np.eye(m)), 5e-11)
+    rate = 0.5 * (slogdet_pd(reduced.objective[0][1].value(v))
+                  - slogdet_pd(c.Psi))
+    assert abs(sol.rate - rate) <= sol.duality_gap + info.duality_gap

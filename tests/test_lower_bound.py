@@ -4,6 +4,7 @@ import pytest
 from lqgcap import (
     BudgetedProblem,
     Policy,
+    ProblemConstants,
     UBDecision,
     UBSolution,
     evaluate_policy,
@@ -12,6 +13,8 @@ from lqgcap import (
     tightness_certificate,
 )
 from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
+
+from test_random_systems import random_system
 
 
 def _ub_with_decision(c, dec, gap=0.0):
@@ -157,6 +160,27 @@ class TestCertificate:
         assert not cert.stabilizable
         assert cert.route == "direct-recursion"
         assert cert.sigma_match <= 1e-6
+
+    @pytest.mark.parametrize("seed, mult", [(2, 1.3), (17, 2.5), (84, 1.1),
+                                            (132, 2.5), (132, 5.0)])
+    def test_a_recursion_limit_off_the_optimizer_is_not_certified(self, seed,
+                                                                   mult):
+        """These random plants' policies pass the stabilizability test, but
+        their recursion limits miss the UB optimizer's SigmaHat by 2.3 to
+        8.6e4 times res_tol, and they overspend the budget (plant 84 at 1.1x
+        by 13%): the lower bound is evaluated elsewhere than the upper bound
+        was solved, so nothing is certified."""
+        model, weights = random_system(seed)
+        c = ProblemConstants.compute(model, weights)
+        budget = mult * c.minimal_cost + 0.1
+        ub = solve_ub(BudgetedProblem(model, weights, budget), consts=c)
+        lb = lower_bound_from_ub(c, ub)
+        cert = tightness_certificate(ub, lb, c.estimator)
+        assert cert.stabilizable
+        assert cert.verdict == "NotCertified" and cert.route == ""
+        assert len(cert.reasons) == 1
+        assert cert.reasons[0].startswith("sigma_match")
+        assert lb.achieved_budget > budget
 
     def test_perturbed_policy_not_certified(self, s1, w1, c1):
         ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)

@@ -1,8 +1,12 @@
 """Randomized end-to-end property checks: valid random plants must satisfy
-weak duality, budget consistency, and (in practice) certify tight."""
+weak duality, budget consistency, and (in practice) certify tight, and a
+decoupled stable mode added to one must leave its bounds as they are."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lqgcap import (
     BudgetedProblem,
@@ -13,7 +17,9 @@ from lqgcap import (
     solve_ub,
     validate_model,
 )
+from lqgcap.errors import LqgcapError
 from lqgcap.lower_bound import lower_bound_from_ub
+from lqgcap.riccati import ControlConstants, FilterConstants
 
 
 def random_system(seed: int):
@@ -34,6 +40,86 @@ def random_system(seed: int):
                         L=joint[:k, k:])
     weights = CostWeights(Q=Qf @ Qf.T, R=np.eye(m) * (0.5 + rng.random()))
     return model, weights
+
+
+def with_decoupled_mode(model, weights, a: float, w: float, q: float):
+    """The plant with one more mode x <- a x + noise of variance w, which the
+    output never sees, the input never moves and no other mode feels, and
+    whose cost weight is q."""
+    m, p = model.m, model.p
+    return (SystemModel(F=scipy.linalg.block_diag(model.F, a),
+                        G=np.vstack([model.G, np.zeros((1, m))]),
+                        H=np.hstack([model.H, np.zeros((p, 1))]), J=model.J,
+                        W=scipy.linalg.block_diag(model.W, w), V=model.V,
+                        L=np.vstack([model.L, np.zeros((1, p))])),
+            CostWeights(Q=scipy.linalg.block_diag(weights.Q, q),
+                        R=weights.R))
+
+
+def _full_chain(consts, budget):
+    """(ub, lb, certificate) at the budget, or the name of the error."""
+    try:
+        ub = solve_ub(BudgetedProblem(consts.model, consts.weights, budget),
+                      consts=consts)
+        lb = lower_bound_from_ub(consts, ub)
+    except LqgcapError as e:
+        return type(e).__name__
+    return ub, lb, tightness_certificate(ub, lb, consts.estimator)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 199), a=st.floats(-0.95, 0.95),
+       w=st.floats(0.1, 3.0), q=st.floats(0.0, 3.0),
+       mult=st.sampled_from([1.1, 1.3, 2.5, 5.0]))
+@example(seed=132, a=0.0, w=1.0, q=1.8350721159524914, mult=2.5)
+def test_a_decoupled_stable_mode_leaves_the_bounds(seed, a, w, q, mult):
+    """The added mode lies off the program's face, so the plant keeps its
+    UB within the two certified gaps, its verdict and its errors, at the
+    budget shifted by the mode's cost q w / (1 - a^2).
+
+    The augmented plant's constants are the plain plant's with the mode's
+    own variance and cost-to-go appended, so that only the programs differ:
+    a Riccati solve in the larger state space rounds differently, which
+    ill-conditioned plants amplify (plant 39's floor moves by 0.33).  The
+    barrier then stops at another point within the gaps, and the LB is
+    evaluated there: two certified LBs agree within the certificate's rate
+    tolerance 1e-6.  Where the verdicts differ, the plain plant's own
+    verdict must change within a few ulps of its budget, as plant 132's
+    does at 2.5x."""
+    model, weights = random_system(seed)
+    try:
+        plain = ProblemConstants.compute(model, weights)
+    except LqgcapError:
+        assume(False)
+    model_a, weights_a = with_decoupled_mode(model, weights, a, w, q)
+    f, c = plain.filter, plain.control
+    aug = ProblemConstants(
+        model=model_a, weights=weights_a,
+        filter=FilterConstants(
+            Sigma=scipy.linalg.block_diag(f.Sigma, w / (1 - a * a)),
+            K_p=np.vstack([f.K_p, np.zeros((1, model.p))]), Psi=f.Psi),
+        control=ControlConstants(
+            E=scipy.linalg.block_diag(c.E, q / (1 - a * a)),
+            K_LQR=np.hstack([c.K_LQR, np.zeros((model.m, 1))]),
+            Psi_LQR=c.Psi_LQR))
+    shift = aug.minimal_cost - plain.minimal_cost
+    assert shift == pytest.approx(q * w / (1 - a * a),
+                                  abs=1e-12 * aug.minimal_cost)
+    budget = mult * plain.minimal_cost + 0.1
+    want, got = _full_chain(plain, budget), _full_chain(aug, budget + shift)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    (ub, lb, cert), (ub_a, lb_a, cert_a) = want, got
+    assert abs(ub_a.rate - ub.rate) <= ub.duality_gap + ub_a.duality_gap
+    assert not ub_a.decision.SigmaHat[-1].any()
+    assert not ub_a.decision.Gamma[:, -1].any()
+    if cert_a.verdict != cert.verdict:
+        nearby = {_full_chain(plain, budget + j * np.spacing(budget))[2].verdict
+                  for j in range(-8, 9)}
+        assert cert_a.verdict in nearby
+    elif cert.tight:
+        assert abs(lb_a.rate - lb.rate) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [11, 23, 37, 41, 59, 67, 83, 97, 113, 131])

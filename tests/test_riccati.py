@@ -24,9 +24,14 @@ from lqgcap import (
 )
 from lqgcap import upper_bound
 from lqgcap.config import load_config
-from lqgcap.errors import DetectabilityFailure, RegularityViolation
+from lqgcap.errors import (
+    DetectabilityFailure,
+    NonConvergence,
+    RegularityViolation,
+)
 from lqgcap.linalg import spectral_radius, sym
 from lqgcap.lower_bound import extract_policy
+from lqgcap.riccati import _solve_dare
 from lqgcap.upper_bound import UBProgram, damped_equation
 
 import oracles
@@ -455,11 +460,14 @@ def test_equations_match_the_reference_maps(dare_case):
 
 def test_damped_limit_is_singular_under_state_feedback(state_feedback_model,
                                                         w1):
-    # G = K_p J: the zero-information policy's observer error stays at 0
+    # G = K_p J: the zero-information policy's observer error stays at 0,
+    # and the program's face has no columns, so the strict point is the
+    # dither alone
     consts = ProblemConstants.compute(state_feedback_model, w1)
     prog = UBProgram(consts, 1.3 * consts.minimal_cost + 0.1)
     assert oracles._strict_point(prog, 1e-2) is None
-    assert upper_bound._strict_point(prog, 1e-2) is None
+    v = upper_bound._strict_point(prog, 1e-2)
+    assert v is not None and prog.barrier_program().feasible(v)
 
 
 def test_scalar_floor_policy_solves_in_few_steps():
@@ -498,3 +506,22 @@ class TestFailurePaths:
                      K_LQR=consts.control.K_LQR)
         with pytest.raises(DetectabilityFailure):
             solve_policy_riccati(consts.estimator, pol)
+
+    @pytest.mark.parametrize("mult", [1.1, 1.3])
+    def test_a_singular_doubling_is_a_nonconvergence(self, caplog, mult):
+        """Plant 78's extracted policy (floor 7.2e7) makes a doubling step's
+        linear system singular: a typed NonConvergence, which the bootstrap
+        sees and which the policy solve raises when the bootstrap fails
+        too."""
+        model, weights = random_system(78)
+        consts = ProblemConstants.compute(model, weights)
+        budget = mult * consts.minimal_cost + 0.1
+        ub = solve_ub(BudgetedProblem(model, weights, budget), consts=consts)
+        policy = extract_policy(ub, consts.control)
+        eq = policy_equation(consts.estimator, policy)
+        with pytest.raises(NonConvergence, match="singular doubling"):
+            _solve_dare(eq)
+        with caplog.at_level(logging.WARNING, logger="lqgcap.riccati"):
+            with pytest.raises(NonConvergence):
+                solve_policy_riccati(consts.estimator, policy)
+        assert "restarting from a bootstrap step" in caplog.text

@@ -11,7 +11,7 @@ from lqgcap.scop import (DEFAULT_OPTIONS, SCOPProgram, SCOPSolution,
                          krylov_bases)
 
 import oracles
-from test_random_systems import random_system
+from test_random_systems import random_system, with_decoupled_mode
 
 
 def horizon_one_value_oracle(c, budget):
@@ -224,6 +224,20 @@ def test_krylov_bases_span_the_controllability_subspaces(c2, seed):
     G2 = np.array([[1.0], [1.0], [0.0]])
     assert [V.shape[1] for V in krylov_bases(F2, G2, 4)] == [0, 1, 2, 2, 2]
     assert [V.shape[1] for V in krylov_bases(F2, 0 * G2, 2)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("h", [1, 2, 8])
+def test_a_decoupled_mode_leaves_the_horizon_value(s1, w1, c1, h):
+    # the mode's cost enters the horizon-h cost constant (h + 1)/h times
+    model, weights = with_decoupled_mode(s1, w1, 0.8, 1.0, 1.0)
+    c = ProblemConstants.compute(model, weights)
+    budget = 2.5 * c1.minimal_cost + 0.1
+    shift = (c.minimal_cost - c1.minimal_cost) * (h + 1) / h
+    plain = solve_scop(BudgetedProblem(s1, w1, budget), h, consts=c1)
+    sol = solve_scop(BudgetedProblem(model, weights, budget + shift), h,
+                     consts=c)
+    assert abs(sol.value - plain.value) <= 1e-12
+    assert sol.iterations == plain.iterations
 
 
 def test_state_feedback_horizon_program_solves(state_feedback_model, w1):

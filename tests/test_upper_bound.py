@@ -12,6 +12,7 @@ from lqgcap import (
     solve_ub,
     verify_scalar_kkt,
 )
+from lqgcap import tightness_certificate
 from lqgcap.barrier import AffineBlock, BarrierProgram, solve_barrier
 from lqgcap.errors import (
     AssumptionViolated,
@@ -21,7 +22,10 @@ from lqgcap.errors import (
     NotPositiveDefinite,
 )
 from lqgcap.linalg import min_eig
+from lqgcap.lower_bound import lower_bound_from_ub
 from lqgcap.upper_bound import UBProgram
+
+from test_random_systems import with_decoupled_mode
 
 
 class TestRateFromPsi:
@@ -151,6 +155,31 @@ class TestSpecialCases:
         assert sol.rate == pytest.approx(rate_ref, abs=1e-7)
         assert sol.Psi_Y[0, 0] == pytest.approx(
             sol.decision.Pi[0, 0] + consts.Psi[0, 0], abs=1e-10)
+
+    @pytest.mark.parametrize("mult", [1.1, 1.3, 2.5, 5.0])
+    def test_a_decoupled_mode_lies_off_the_face(self, s1, w1, c1, mult):
+        """S1 with a second stable mode (a = 0.8) that the output never sees
+        and the input never moves: the program's face has one column, and
+        the plant solves as S1 does at the budget shifted by the mode's cost
+        1/(1 - 0.8^2), with the same Newton steps and verdict."""
+        model, weights = with_decoupled_mode(s1, w1, 0.8, 1.0, 1.0)
+        consts = ProblemConstants.compute(model, weights)
+        assert UBProgram(consts, 2 * consts.minimal_cost).face.shape == (2, 1)
+        shift = consts.minimal_cost - c1.minimal_cost
+        assert shift == pytest.approx(1.0 / (1.0 - 0.64), rel=1e-12)
+        budget = mult * c1.minimal_cost + 0.1
+        ub1 = solve_ub(BudgetedProblem(s1, w1, budget), consts=c1)
+        ub2 = solve_ub(BudgetedProblem(model, weights, budget + shift),
+                       consts=consts)
+        assert abs(ub2.rate - ub1.rate) <= 1e-12
+        assert ub2.iterations == ub1.iterations
+        assert not ub2.decision.SigmaHat[1].any()
+        assert not ub2.decision.Gamma[:, 1].any()
+        lb1 = lower_bound_from_ub(c1, ub1)
+        lb2 = lower_bound_from_ub(consts, ub2)
+        assert abs(lb2.rate - lb1.rate) <= 1e-12
+        assert (tightness_certificate(ub2, lb2, consts.estimator).verdict
+                == tightness_certificate(ub1, lb1, c1.estimator).verdict)
 
 
 class TestSolveScalar:
