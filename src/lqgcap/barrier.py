@@ -16,17 +16,18 @@ is the dual equality, so when the point is dual feasible f(v) minus its dual
 objective is a certified duality gap; the solver stops on that gap.
 
 BarrierProgram stacks every block, objective or constraint, when it is
-built: B blocks become one (B, d, d) constant and one (B*d*d, D) basis, d
-the largest block size.  A smaller block is padded with an identity, zero
-basis rows and a constant I on the pad's diagonal, which adds log 1 = 0 to
-the merit and the gap and zero rows to the Newton system.  The merit takes
-one matrix-vector product and one batched Cholesky factorization
-S = L L^T; the log-dets are the factors' diagonals, weighted by t*w for
-objective blocks and by 1 for constraint blocks.  The Newton system is
-formed from the same factors, kept from the merit evaluation at the
-accepted point: with Y_j = L^-1 C_j L^-T per block, from one batched
-inverse of the factors, the gradient is -sum w tr Y_j and the Hessian is one
-product of the flattened, weight-scaled Y with itself.  The unweighted Y are
+built: B blocks become one (B, d, d) constant and, on dense rows, one
+(B*d*d, D) basis, d the largest block size.  A smaller block is padded with
+an identity, zero basis rows and a constant I on the pad's diagonal, which
+adds log 1 = 0 to the merit and the gap and zero rows to the Newton system.
+The merit takes the blocks' values, one matrix-vector product on dense rows,
+and one batched Cholesky factorization S = L L^T; the log-dets are the
+factors' diagonals, weighted by t*w for objective blocks and by 1 for
+constraint blocks.  The Newton system is formed from the same factors,
+kept from the merit evaluation at the accepted point: with
+Y_j = L^-1 C_j L^-T per block, from one batched inverse of the factors, the
+gradient is -sum w tr Y_j and the Hessian is one product of the flattened,
+weight-scaled Y with itself.  The unweighted Y are
 kept with the factors, so the Newton system at the same point and a new t,
 which opens each round after the first, only re-weights them.
 
@@ -42,14 +43,16 @@ objective term is >= 0, so a finite gap is at least (nu - tr E_con)/t, and
 solve_barrier forms the log terms of an uncentred iterate only when that
 bound is at most 2 tol.
 
-A block-sparse program, such as the horizon program's chain, forms those
-rows on each matrix block's own coordinates, the basis columns it touches:
-(L^-1 (x) L^-1) C_loc, whose local Grams and trace terms are scatter-added
-into the Hessian and the gradient; 1x1 blocks keep dense rows, one each.
+A block-sparse program, such as the horizon program's chain, declares
+each block's columns (AffineBlock.cols) and forms its values and rows on
+them: a matrix block's rows are (L^-1 (x) L^-1) C_loc and a 1x1 block's one
+row is C_loc / l^2, whose local Grams and trace terms are scatter-added into
+the Hessian and the gradient; only a 1x1 block wider than the matrix blocks,
+such as a budget row, keeps a dense row.  No (B*d*d, D) basis is formed.
 The program takes that path when it saves LOCAL_OVERHEAD multiply-adds per
 Newton system over the dense rows, as counted from its block sizes and
-column sets when it is built.  The merit, the Newton direction and the
-step's eigenvalues are the same on both paths.
+column sets when it is built.  The Newton direction and the step's
+eigenvalues are the same on both paths.
 """
 
 from __future__ import annotations
@@ -89,21 +92,37 @@ NEWTON_MISMATCH = 1e-6
 T_START = 2.0
 # A program forms its Newton rows on each block's own coordinates when that
 # saves at least this many multiply-adds per Newton system over dense rows:
-# the local path makes about a dozen more numpy calls and two scatter-adds,
-# some 20 us on an x86-64 core where dense rows run at 1e4 multiply-adds/us.
+# the local path makes about two dozen more numpy calls and two scatter-adds,
+# some 20 to 40 us on an x86-64 core where dense rows run at 1e4
+# multiply-adds/us.
 LOCAL_OVERHEAD = 2e5
 
 
 class AffineBlock:
-    """An affine symmetric-matrix function v -> C0 + sum_j v_j C_j."""
+    """An affine symmetric-matrix function v -> C0 + sum_j v_j C_j of a
+    program's D coordinates.  basis (w, d, d) holds the C_j of the w columns
+    cols, where index D marks a pad whose C_j is zero; cols None means all D
+    columns in order, basis (D, d, d)."""
 
-    def __init__(self, const: np.ndarray, basis: np.ndarray):
+    def __init__(self, const: np.ndarray, basis: np.ndarray,
+                 cols: np.ndarray | None = None):
         self.const = np.asarray(const, dtype=float)
-        self.basis = np.asarray(basis, dtype=float)  # (D, d, d)
+        self.basis = np.asarray(basis, dtype=float)
+        self.cols = None if cols is None else np.asarray(cols)
         self.dim = self.const.shape[0]
 
     def value(self, v: np.ndarray) -> np.ndarray:
+        if self.cols is not None:
+            v = np.append(v, 0.0)[self.cols]
         return self.const + np.tensordot(v, self.basis, axes=(0, 0))
+
+    def dense_basis(self, dim: int) -> np.ndarray:
+        """The (dim, d, d) basis over all of the program's dim columns."""
+        if self.cols is None:
+            return self.basis
+        out = np.zeros((dim + 1,) + self.basis.shape[1:])
+        out[self.cols] = self.basis
+        return out[:dim]
 
 
 class BarrierProgram:
@@ -121,25 +140,28 @@ class BarrierProgram:
         entries = sorted([(float(w), b, False) for w, b in self.objective]
                          + [(0.0, b, True) for b in self.constraints],
                          key=lambda e: e[1].dim)
-        d = max(b.dim for _, b, _ in entries)
+        blocks = [b for _, b, _ in entries]
+        # the number D of coordinates, the rows of a block over all of them
+        dim = next(b.basis.shape[0] for b in blocks if b.cols is None)
+        d = max(b.dim for b in blocks)
         self._shape = (len(entries), d, d)
         const = np.tile(np.eye(d), (len(entries), 1, 1))
-        basis = np.zeros(self._shape + (entries[0][1].basis.shape[0],))
-        for k, (_, b, _) in enumerate(entries):
-            const[k, :b.dim, :b.dim] = sym(b.const)
-            # entry (a, c) holds the coefficients of the block's entry (a, c)
-            basis[k, :b.dim, :b.dim] = np.moveaxis(sym(b.basis), 0, -1)
+        for idx, group in _same_size(enumerate(blocks),
+                                     lambda b: b.const.shape):
+            const[idx, :group[0].dim, :group[0].dim] = sym(
+                np.stack([b.const for b in group]))
         self._const = const.ravel()
-        # F order whatever the blocks' layout: the layout picks the BLAS
-        # kernels, hence the Newton path
-        self._basis = np.asfortranarray(basis.reshape(self._const.size, -1))
+        self._local = _LocalRows.build(blocks, d, dim)
+        self._basis = (_dense_basis(blocks, self._shape, dim)
+                       if self._local is None else None)
         self._con = np.array([con for _, _, con in entries])
         self._w_obj = np.repeat([w for w, _, _ in entries], d * d)
         self._w_con = np.repeat(self._con, d * d).astype(float)
         # the blocks' own diagonal entries, without the pads'
-        self._diag_idx = np.concatenate(
-            [k * d * d + (d + 1) * np.arange(b.dim)
-             for k, (_, b, _) in enumerate(entries)])
+        dims = np.array([b.dim for b in blocks])
+        first = np.repeat(np.arange(len(blocks)) * d * d, dims)
+        self._diag_idx = first + (d + 1) * (
+            np.arange(first.size) - np.repeat(np.cumsum(dims) - dims, dims))
         self._is_diag = np.zeros(self._const.size)
         self._is_diag[self._diag_idx] = 1.0
         # objective and constraint weights of each diagonal entry
@@ -148,7 +170,6 @@ class BarrierProgram:
         # objective and constraint weights of each eigenvalue of a step's E
         self._w_mu = np.repeat([w for w, _, _ in entries], d)
         self._con_mu = np.repeat(self._con, d).astype(float)
-        self._local = _LocalRows.build(basis, [b.dim for _, b, _ in entries])
         self._key: bytes | None = None     # the v whose factors _chol holds
         self._chol: np.ndarray | None = None
         self._y = (None, None)              # (key, unweighted rows) at a v
@@ -157,7 +178,8 @@ class BarrierProgram:
 
     def _values(self, v: np.ndarray) -> np.ndarray:
         """Every block's padded value at v, as one (B, d, d) stack."""
-        return (self._const + self._basis @ v).reshape(self._shape)
+        s = self._basis @ v if self._local is None else self._local.values(v)
+        return (self._const + s).reshape(self._shape)
 
     def _factors(self, v: np.ndarray) -> np.ndarray:
         """Cholesky factors of every block at v, kept for the next call at
@@ -239,6 +261,39 @@ class BarrierProgram:
                 for b in self.constraints]
 
 
+def _same_size(pairs, key):
+    """(indices, blocks) of each group of (index, block) pairs with one
+    key(block), to stack each group in one call."""
+    groups: dict = {}
+    for k, b in pairs:
+        groups.setdefault(key(b), []).append((k, b))
+    return [(np.array([k for k, _ in g]), [b for _, b in g])
+            for g in groups.values()]
+
+
+def _dense_basis(blocks: list[AffineBlock], shape: tuple, dim: int
+                 ) -> np.ndarray:
+    """The padded stack's basis rows (B*d*d, dim) over all columns, in F
+    order whatever the blocks' layout: the layout picks the BLAS kernels,
+    hence the Newton path."""
+    # entry (k, a, c, j), the coefficient of column j in block k's entry
+    # (a, c), lies at row k*d*d + a*d + c of column j; column dim takes pads
+    n, d, _ = shape
+    basis = np.zeros((dim + 1, n, d, d)).transpose(1, 2, 3, 0)
+    for idx, group in _same_size(
+            enumerate(blocks), lambda b: (b.basis.shape, b.cols is None)):
+        e = group[0].dim
+        rows = sym(np.stack([b.basis for b in group]))       # (g, w, e, e)
+        if group[0].cols is None:
+            basis[idx, :e, :e, :dim] = np.moveaxis(rows, 1, -1)
+        else:
+            cols = np.stack([b.cols for b in group])
+            basis[idx[:, None, None, None], np.arange(e)[:, None, None],
+                  np.arange(e)[:, None], cols[:, None, None, :]] = (
+                      np.moveaxis(rows, 1, -1))
+    return basis.reshape(n * d * d, dim + 1)[:, :dim]
+
+
 def _y_rows(inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows (a, c) of Y_bj = L_b^-1 C_bj L_b^-T for a stack of n factor
     inverses L_b^-1 (n, d, d) and basis rows (n*d*d, D): L^-1 C_j for every
@@ -250,53 +305,95 @@ def _y_rows(inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 class _LocalRows:
-    """The Newton rows of a block-sparse stack, each block's on its own
-    coordinates (its local index set: Vandenberghe & Andersen, "Chordal
-    graphs and semidefinite optimization", Found. Trends Optim. 1(4), 2015).
+    """The values and Newton rows of a block-sparse stack, each block's on
+    its own coordinates (its local index set: Vandenberghe & Andersen,
+    "Chordal graphs and semidefinite optimization", Found. Trends Optim.
+    1(4), 2015).
 
-    The stack's first n_one blocks are 1x1 and keep dense rows over all D
-    coordinates: a budget row touches nearly all of them.  Each later
-    (matrix) block keeps the basis columns it touches, padded to the widest
-    with column D, which is zero.  Its rows are (L^-1 (x) L^-1) C_loc, and
-    the gradient and Hessian scatter-add the blocks' local terms and Grams.
+    Each block keeps the columns it declares (AffineBlock.cols), padded to
+    the widest matrix block's width w with column D, which is zero.  A
+    matrix block's rows are (L^-1 (x) L^-1) C_loc, a 1x1 block's one row is
+    C_loc / l^2, and the gradient and Hessian scatter-add the blocks' local
+    terms and Grams.  A 1x1 block wider than w, such as a budget row over
+    nearly every coordinate, keeps one dense row over all D.  The stack's
+    first n_one blocks are its 1x1 blocks.
     """
 
-    def __init__(self, basis: np.ndarray, n_one: int, cols: np.ndarray):
-        n, d, _, dim = basis.shape
-        self.n_one, self.dim, self.d2 = n_one, dim, d * d
-        self.cols = cols                                      # (n - n_one, w)
-        padded = np.concatenate([basis[n_one:],
-                                 np.zeros((n - n_one, d, d, 1))], axis=-1)
-        local = np.take_along_axis(padded, cols[:, None, None, :], axis=-1)
-        self.basis = local.reshape(-1, cols.shape[1])
-        self.one = np.ascontiguousarray(basis[:n_one, 0, 0])   # (n_one, D)
+    def __init__(self, blocks: list[AffineBlock], d: int, width: int,
+                 dim: int):
+        n = len(blocks)
+        self.n, self.dim, self.d2, self.width = n, dim, d * d, width
+        self.n_one = sum(b.dim == 1 for b in blocks)
+        cols = np.full((n, width), dim)
+        basis = np.zeros((n, d, d, width))
+        wide = [k for k, b in enumerate(blocks)    # only 1x1 blocks are
+                if b.cols is None or b.cols.size > width]    # wider than w
+        for idx, group in _same_size(((k, b) for k, b in enumerate(blocks)
+                                      if k not in wide),
+                                     lambda b: b.basis.shape):
+            w, e = group[0].basis.shape[:2]
+            cols[idx, :w] = np.stack([b.cols for b in group])
+            basis[idx, :e, :e, :w] = np.moveaxis(
+                sym(np.stack([b.basis for b in group])), 1, -1)
+        self.wide = np.array(wide, dtype=int)
+        self.narrow = np.array([k for k in range(self.n_one) if k not in wide],
+                               dtype=int)
+        # the padded stack's rows of the wide and narrow blocks' entries (0, 0)
+        self.wide_at, self.narrow_at = self.wide * d * d, self.narrow * d * d
+        # in F order with the rows padded to a multiple of 4, so a wide
+        # block's value rounds as the dense stack's product rounds its row:
+        # BLAS's gemv takes the rows of an F-order matrix four at a time, and
+        # a budget row's slack cancels to far below its terms near the
+        # boundary
+        self.wide_rows = np.zeros((-(-len(wide) // 4) * 4, dim), order="F")
+        for row, k in zip(self.wide_rows, wide):
+            row[:] = blocks[k].dense_basis(dim)[:, 0, 0]
+        # every block's local rows, for the values (a wide block's are 0)
+        self.all_cols = cols
+        self.all_basis = basis.reshape(n, self.d2, width)
+        # the narrow 1x1 blocks' rows and the matrix blocks' rows
+        self.one_basis = basis[self.narrow, 0, 0]
+        self.basis = basis[self.n_one:].reshape(-1, width)
         # where each entry of a local Gram lands in the flattened Hessian
         # with a row and a column D, which are dropped
-        self.hess_idx = (cols[:, :, None] * (dim + 1)
-                         + cols[:, None, :]).ravel()
+        loc = np.concatenate([cols[self.narrow], cols[self.n_one:]])
+        self.loc_cols = loc.ravel()
+        self.hess_idx = (loc[:, :, None] * (dim + 1)
+                         + loc[:, None, :]).ravel()
 
     @classmethod
-    def build(cls, basis: np.ndarray, dims: list[int]) -> _LocalRows | None:
-        """The local rows of a stack (n, d, d, D) of blocks of sizes dims,
-        ascending, when they save LOCAL_OVERHEAD multiply-adds per Newton
-        system over dense rows; else None."""
-        n, d, _, dim = basis.shape
-        n_one = dims.count(1)
-        cols = [np.flatnonzero(basis[k].any(axis=(0, 1)))
-                for k in range(n_one, n)]
-        width = max(map(len, cols), default=0)
+    def build(cls, blocks: list[AffineBlock], d: int, dim: int
+              ) -> _LocalRows | None:
+        """The local rows of a stack of blocks, ascending in size and
+        padded to d, over dim coordinates, when some matrix block declares
+        fewer than dim columns and they save LOCAL_OVERHEAD multiply-adds per
+        Newton system over dense rows; else None."""
+        n = len(blocks)
+        width = max((dim if b.cols is None else b.cols.size
+                     for b in blocks if b.dim > 1), default=0)
+        n_one = sum(b.dim == 1 for b in blocks)
         # two products with the factors' inverses and one Gram, of every
         # padded row over all D coordinates, or of each matrix block's rows
-        # over its own and of each 1x1 block's one row over all
+        # over its own and of each 1x1 block's one row over all: a narrow
+        # 1x1 row costs less, but its values and rows take more calls
         dense = n * d * d * dim * (dim + 2 * d)
         local = ((n - n_one) * d * d * width * (width + 2 * d)
                  + n_one * dim * (dim + 1))
-        if width == 0 or dense - local < LOCAL_OVERHEAD:
-            return None     # no matrix block has coordinates, or no saving
-        padded = np.full((n - n_one, width), dim)
-        for row, c in zip(padded, cols):
-            row[:c.size] = c
-        return cls(basis, n_one, padded)
+        if not 0 < width < dim or dense - local < LOCAL_OVERHEAD:
+            return None     # no matrix block has its own columns, or no saving
+        return cls(blocks, d, width, dim)
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        """The blocks' linear parts at v, flattened over the padded stack's
+        rows."""
+        s = (self.all_basis @ self._on_cols(v)[:, :, None]).ravel()
+        s[self.wide_at] = (self.wide_rows @ v)[:self.wide.size]
+        return s
+
+    def _on_cols(self, x: np.ndarray) -> np.ndarray:
+        """x on every block's columns (n, w); a pad reads x's last entry,
+        against zero coefficients."""
+        return np.take(x, self.all_cols, mode="clip")
 
     def rows(self, factors: np.ndarray):
         """The unweighted rows from the Cholesky factors (n, d, d): each
@@ -312,29 +409,39 @@ class _LocalRows:
         the rows' root weights and the root weights on the blocks'
         diagonals, each over the padded stack's rows."""
         inv_sq, y_loc = rows
-        n_one, dim, d2 = self.n_one, self.dim, self.d2
-        start = n_one * d2
+        dim, d2, w = self.dim, self.d2, self.width
+        start = self.n_one * d2
         w_one = root_w[:start:d2]
-        z_one = self.one * (w_one * inv_sq)[:, None]
-        z_loc = y_loc * root_w[start:, None]
-        z_loc = z_loc.reshape(-1, d2, self.cols.shape[1])
+        scale = w_one * inv_sq
+        z_wide = self.wide_rows[:self.wide.size] * scale[self.wide, None]
+        z_one = self.one_basis * scale[self.narrow, None]
+        z_loc = (y_loc * root_w[start:, None]).reshape(-1, d2, w)
         g_loc = diag_w[start:].reshape(-1, 1, d2) @ z_loc
-        g = -(w_one @ z_one) - np.bincount(
-            self.cols.ravel(), g_loc.ravel(), dim + 1)[:dim]
-        gram = z_loc.transpose(0, 2, 1) @ z_loc
-        h = np.bincount(self.hess_idx, gram.ravel(), (dim + 1) ** 2)
-        h = h.reshape(dim + 1, dim + 1)[:dim, :dim]
-        return (z_one, z_loc), g, h + z_one.T @ z_one
+        terms = np.concatenate([(w_one[self.narrow, None] * z_one).ravel(),
+                                g_loc.ravel()])
+        g = -(w_one[self.wide] @ z_wide) - np.bincount(
+            self.loc_cols, terms, dim + 1)[:dim]
+        grams = np.empty(self.hess_idx.size)
+        k = z_one.shape[0] * w * w
+        np.multiply(z_one[:, :, None], z_one[:, None, :],
+                    out=grams[:k].reshape(-1, w, w))
+        np.matmul(z_loc.transpose(0, 2, 1), z_loc,
+                  out=grams[k:].reshape(-1, w, w))
+        h = np.bincount(self.hess_idx, grams, (dim + 1) ** 2)
+        # the wide rows' Gram, with the local ones added in place
+        out = np.einsum("ri,rj->ij", z_wide, z_wide)
+        out += h.reshape(dim + 1, dim + 1)[:dim, :dim]
+        return (z_wide, z_one, z_loc), g, out
 
     def changes(self, rows, step: np.ndarray) -> np.ndarray:
         """sum_j step_j z_bj, flattened over the padded stack's rows, from
         the rows of grad_hess."""
-        z_one, z_loc = rows
-        d2 = z_loc.shape[1]
-        e = np.zeros((self.n_one + z_loc.shape[0]) * d2)
-        e[:self.n_one * d2:d2] = z_one @ step
-        local = np.append(step, 0.0)[self.cols][:, :, None]
-        e[self.n_one * d2:] = (z_loc @ local).ravel()
+        z_wide, z_one, z_loc = rows
+        e = np.zeros(self.n * self.d2)
+        local = self._on_cols(step)
+        e[self.wide_at] = z_wide @ step
+        e[self.narrow_at] = np.einsum("bw,bw->b", z_one, local[self.narrow])
+        e[self.n_one * self.d2:] = (z_loc @ local[self.n_one:, :, None]).ravel()
         return e
 
 

@@ -104,13 +104,16 @@ def evaluate_policy(estimator: EstimatorModel, weights: CostWeights,
 
 
 def _stabilizability_pair(estimator: EstimatorModel, policy: Policy):
-    """(F^s, G^s W^s) whose stabilizability certifies Riccati uniqueness."""
+    """(F^s, G^s W^s) whose stabilizability certifies Riccati uniqueness,
+    with R^-1 applied by one solve."""
     G, J, K_p, Psi = estimator.G, estimator.J, estimator.K_p, estimator.Psi
     M = policy.M
     eq = riccati.policy_equation(estimator, policy)
-    Fs = eq.Ft - la.solve_pd(eq.R, eq.S.T).T @ eq.Ht
     cross = np.vstack([M @ J.T, Psi])          # (m+p) x p
-    Ws = la.blkdiag(M, Psi) - cross @ la.solve_pd(eq.R, cross.T)
+    k = eq.S.shape[0]
+    rinv = la.solve_pd(eq.R, np.hstack([eq.S.T, cross.T]))
+    Fs = eq.Ft - rinv[:, :k].T @ eq.Ht
+    Ws = la.blkdiag(M, Psi) - cross @ rinv[:, k:]
     Gs = np.hstack([G, K_p])                   # k x (m+p)
     return Fs, Gs @ la.sym(Ws)
 
@@ -134,14 +137,19 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     optimizer's SigmaHat (sigma_match), so the lower bound is evaluated at
     the point the upper bound was solved at.  When (c) fails with a singular
     M (the scalar zero-dither regime), (d) alone identifies the limit and
-    the verdict records the direct-recursion route.
+    the verdict records the direct-recursion route.  lb is evaluate_policy's
+    on this estimator, whose Riccati solve has run the test (b) needs.
     """
     policy = lb.policy
     residual = ub_riccati_residual(ub, estimator)
     sig_norm = float(np.linalg.norm(ub.decision.SigmaHat))
     res_tol = 1e-6 * (1.0 + sig_norm)
-    eq = riccati.policy_equation(estimator, policy)
-    detectable = bool(pbh_test(eq.Ft, eq.Ht, "detectable"))
+    # evaluate_policy's Riccati solve has tested the policy pair
+    detect = lb.riccati.detectability
+    if detect is None:
+        eq = riccati.policy_equation(estimator, policy)
+        detect = pbh_test(eq.Ft, eq.Ht, "detectable")
+    detectable = bool(detect)
     Fs, GsWs = _stabilizability_pair(estimator, policy)
     stabilizable = bool(pbh_test(Fs, GsWs, "stabilizable"))
     sigma_match = float(np.linalg.norm(lb.riccati.SigmaHat - ub.decision.SigmaHat))

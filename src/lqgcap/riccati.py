@@ -80,7 +80,9 @@ class PolicyRiccatiSolution:
     """Fixed point of the policy-induced error-covariance recursion.
 
     iterations counts the doublings plus Newton steps tried by the solve
-    that succeeded; residual is the equation residual ||X - step(X)||_F."""
+    that succeeded; residual is the equation residual ||X - step(X)||_F;
+    detectability is the PBH test of the policy pair
+    (F + G GammaBar, H + J GammaBar) the solve ran."""
 
     SigmaHat: np.ndarray
     K_Y: np.ndarray
@@ -88,6 +90,8 @@ class PolicyRiccatiSolution:
     iterations: int
     residual: float
     bootstrapped: bool = False
+    detectability: PBHResult | None = field(default=None, compare=False,
+                                             repr=False)
 
 
 class RiccatiEquation(NamedTuple):
@@ -107,21 +111,29 @@ class RiccatiEquation(NamedTuple):
         return K, Psi
 
     def step(self, X: np.ndarray) -> np.ndarray:
+        return self._step_gain(X)[0]
+
+    def _step_gain(self, X: np.ndarray):
+        """The next iterate and the gain (K, Psi) at X that forms it."""
         K, Psi = self.gain(X)
-        return la.sym(self.Ft @ X @ self.Ft.T + self.Q - K @ Psi @ K.T)
+        return la.sym(self.Ft @ X @ self.Ft.T + self.Q - K @ Psi @ K.T), K, Psi
 
     def closed_loop(self, X: np.ndarray) -> np.ndarray:
         """Ft - K Ht with the gain at X."""
         return self.Ft - self.gain(X)[0] @ self.Ht
 
-    def recursion(self, x0: np.ndarray, steps: int) -> list[np.ndarray]:
-        """x0 and the next `steps` iterates, steps + 1 matrices in all."""
+    def recursion(self, x0: np.ndarray, steps: int, gains: bool = False):
+        """x0 and the next `steps` iterates, steps + 1 matrices in all; with
+        gains, also the gains (K, Psi) at the first `steps` iterates, as the
+        steps formed them."""
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        trace = [la.sym(la.as_matrix(x0))]
+        trace, formed = [la.sym(la.as_matrix(x0))], []
         for _ in range(steps):
-            trace.append(self.step(trace[-1]))
-        return trace
+            x, K, Psi = self._step_gain(trace[-1])
+            trace.append(x)
+            formed.append((K, Psi))
+        return (trace, formed) if gains else trace
 
     def reduced(self):
         """(Ft - S R^-1 Ht, Q - S R^-1 S'): the pair with no cross term."""
@@ -426,4 +438,5 @@ def solve_policy_riccati(estimator: EstimatorModel,
     return PolicyRiccatiSolution(SigmaHat=X, K_Y=K_Y, Psi_Y=PsiY,
                                  iterations=iters,
                                  residual=float(np.linalg.norm(X - eq.step(X))),
-                                 bootstrapped=bootstrapped)
+                                 bootstrapped=bootstrapped,
+                                 detectability=detect)

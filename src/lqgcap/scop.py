@@ -20,6 +20,13 @@ to its innovation form, is restricted to the range of its constant and
 basis parts.  For k > m the unreduced LMIs have no strict interior; the
 reduced ones do (Borwein & Wolkowicz, J. Austral. Math. Soc. A 30, 1981;
 Permenter & Parrilo, Math. Program. 171, 2018).
+
+Step i touches only the coordinates of Pi_i, Gamma~_{i-1}, S_{i-1} and S_i,
+at most 16 on vector3 and 4 on scalar plants, so the program is assembled
+on each step's own coordinates (SCOPProgram._build) and its blocks carry
+them as their columns: apart from the budget row, no basis spans all D
+coordinates, and the barrier forms its rows on those columns when that
+saves work.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from .constants import ProblemConstants
-from .errors import Infeasible
+from .errors import Infeasible, NotPositiveDefinite
 from .model import BudgetedProblem
 from .riccati import control_equation
 from .upper_bound import (
@@ -90,7 +97,7 @@ class AveragedVariables:
 
 
 class SCOPProgram:
-    """Stacked affine assembly of the horizon-n program on its face, over
+    """Affine assembly of the horizon-n program on its face, over
     Pi_1..Pi_n, Gamma~_1..Gamma~_n and S_0..S_n, where
     Gamma_i = Gamma~_{i-1} V_{i-1}^T and SigmaHat_i = V_{i-1} S_{i-1} V_{i-1}^T
     with V_0..V_n the Krylov bases of the innovation form
@@ -98,8 +105,15 @@ class SCOPProgram:
     SigmaHat_1 = 0 and Gamma_1 = 0.  Step i's blocks are step_blocks of the
     innovation form, whose chained LMI is the plant's under the congruence
     [[I, -K_p], [0, I]], with SigmaHat_next = SigmaHat_{i+1}, priced by K_i
-    and PsiL_i, for all n steps in one batched evaluation; each block is
-    then restricted to the face."""
+    and PsiL_i.
+
+    Step i touches only its own columns, those of Pi_i, Gamma~_{i-1},
+    S_{i-1} and S_i, so the map is evaluated once for all n steps on each
+    step's own unit vectors: an (n, w) stack whose w slots are sized for the
+    widest face, V_n's, with column D in a slot that step's face lacks.  Each
+    kind of block is then restricted to the face by one batched congruence,
+    with the bases padded to V_n's width by zero columns, and every block but
+    the budget row carries its step's columns (AffineBlock.cols)."""
 
     def __init__(self, consts: ProblemConstants, budget: float, horizon: int):
         self.consts = consts
@@ -113,29 +127,34 @@ class SCOPProgram:
         self.bases = krylov_bases(self.innovation.F, self.innovation.G,
                                   horizon)
         self.pi_pack = SymPacker(m)
-        self.sig_packs = [SymPacker(V.shape[1]) for V in self.bases]
+        packers = {r: SymPacker(r) for r in {V.shape[1] for V in self.bases}}
+        self.sig_packs = [packers[V.shape[1]] for V in self.bases]
         sizes = ([horizon * self.pi_pack.dim]
                  + [m * V.shape[1] for V in self.bases[:-1]]
                  + [pk.dim for pk in self.sig_packs])
         self._splits = np.cumsum(sizes)[:-1]
         self.dim = int(sum(sizes))
-        # E_1..E_{n+1} backward from E_{n+1} = Q, and K_i, PsiL_i at E_{i+1}
+        # E_1..E_{n+1} backward from E_{n+1} = Q, and K_i, PsiL_i at E_{i+1},
+        # the gains the recursion formed
         control = control_equation(model, consts.weights)
-        E = control.recursion(consts.weights.Q, horizon)[::-1]
-        Kt, PsiL = zip(*(control.gain(e) for e in E[1:]))
-        self.E, self.PsiL = np.array(E), np.array(PsiL)
+        E, gains = control.recursion(consts.weights.Q, horizon, gains=True)
+        Kt, PsiL = zip(*gains[::-1])
+        self.E, self.PsiL = np.array(E[::-1]), np.array(PsiL)
         self.K = np.array([kt.T for kt in Kt])
+        traces = np.trace(K_p @ consts.Psi @ K_p.T @ self.E[1:], axis1=1,
+                          axis2=2)
+        kp_term = sum(map(float, traces)) / self.n
+        sigma_q = float(np.trace(consts.Sigma @ consts.weights.Q))
+        self._cost_constant = kp_term + sigma_q * (self.n + 1) / self.n
         self._build()
         self._barrier: BarrierProgram | None = None
 
     # -- constants ---------------------------------------------------------
 
     def cost_constant(self) -> float:
-        c = self.consts
-        kp_term = sum(float(np.trace(c.K_p @ c.Psi @ c.K_p.T @ e))
-                      for e in self.E[1:]) / self.n
-        sigma_q = float(np.trace(c.Sigma @ c.weights.Q))
-        return kp_term + sigma_q * (self.n + 1) / self.n
+        """The cost at zero decisions: (1/n) sum_i Tr(K_p Psi K_p^T E_{i+1})
+        + Tr(Sigma Q) (n + 1)/n."""
+        return self._cost_constant
 
     def slack_e_n(self, sigma_last: np.ndarray) -> float:
         """Terminal correction: (1/n)(Tr((Sigma + SigmaHat_{n+1}) Q)
@@ -148,60 +167,117 @@ class SCOPProgram:
 
     def pack(self, pis, gammas, sigmas) -> np.ndarray:
         """The coordinates of per-time Pi_1..Pi_n, Gamma_1..Gamma_n and
-        SigmaHat_1..SigmaHat_{n+1}, projected on the face."""
-        return np.concatenate(
-            [self.pi_pack.pack(pis).ravel()]
-            + [(g @ V).ravel() for g, V in zip(gammas, self.bases)]
-            + [pk.pack(V.T @ s @ V)
-               for s, V, pk in zip(sigmas, self.bases, self.sig_packs)])
+        SigmaHat_1..SigmaHat_{n+1}, projected on the face: each on the
+        widest face's slots, scattered to its columns."""
+        n, Vq = self.n, self._Vq
+        v = np.zeros(self.dim + 1)
+        v[self._pi_cols] = self.pi_pack.pack(pis)
+        v[self._gam_cols] = (gammas @ Vq[:n]).reshape(n, -1)
+        v[self._sig_cols] = self._face.pack(Vq.swapaxes(1, 2) @ sigmas @ Vq)
+        return v[:-1]
 
     def unpack(self, v: np.ndarray):
         """Pi_1..Pi_n, Gamma_1..Gamma_n and SigmaHat_1..SigmaHat_{n+1} at v,
-        each stacked on a time axis after v's own leading axes."""
-        n, m = self.n, self.consts.model.m
+        each stacked on a time axis after v's own leading axes; Gamma~ and S
+        are gathered on the widest face's slots, a slot a face lacks reading
+        0."""
+        n, m, Vq = self.n, self.consts.model.m, self._Vq
         lead = v.shape[:-1]
-        parts = np.split(v, self._splits, axis=-1)
-        gammas = [g.reshape(lead + (m, V.shape[1])) @ V.T
-                  for g, V in zip(parts[1:n + 1], self.bases)]
-        sigmas = [V @ pk.unpack(x) @ V.T
-                  for x, V, pk in zip(parts[n + 1:], self.bases,
-                                      self.sig_packs)]
-        return (self.pi_pack.unpack(parts[0].reshape(lead + (n, -1))),
-                np.stack(gammas, axis=-3), np.stack(sigmas, axis=-3))
+        x = np.concatenate([v, np.zeros(lead + (1,))], axis=-1)
+        gammas = x[..., self._gam_cols].reshape(lead + (n, m, Vq.shape[2]))
+        sigmas = self._face.unpack(x[..., self._sig_cols])
+        return (self.pi_pack.unpack(x[..., self._pi_cols]),
+                gammas @ Vq[:n].swapaxes(1, 2),
+                Vq @ sigmas @ Vq.swapaxes(1, 2))
 
     # -- blocks ------------------------------------------------------------
 
     def _build(self):
-        c, n = self.consts, self.n
-        m, p = c.model.m, c.model.p
-        V = self.bases
-        pis, gammas, sigmas = self.unpack(np.eye(self.dim))
-        dec = UBDecision(pis, gammas, sigmas[:, :-1])
-        lmi, psiy, cost = step_blocks(self.innovation, self.K, self.PsiL, dec,
-                                      sigmas[:, 1:])
-        cov = dec.first_lmi()
+        c, n, D = self.consts, self.n, self.dim
+        m, k, p = c.model.m, c.model.k, c.model.p
+        r = [V.shape[1] for V in self.bases]
+        q = r[-1]                              # the widest face
+        face = SymPacker(q)
+        pd, gd, sd = self.pi_pack.dim, m * q, face.dim
+        width = pd + gd + 2 * sd
+        self._face = face
+        self._pi_cols, self._gam_cols, self._sig_cols = self._step_columns(
+            r, face)
+        cols = np.concatenate([self._pi_cols, self._gam_cols,
+                               self._sig_cols[:n], self._sig_cols[1:]], axis=1)
+        self._Vq = Vq = np.zeros((n + 1, k, q))    # V_j padded to q columns
+        for V, pad in zip(self.bases, Vq):
+            pad[:, :V.shape[1]] = V
+        # SigmaHat at S_j's unit vectors on the widest face, j = 0..n (zero
+        # where S_j's face lacks the slot), and Gamma at Gamma~_j's
+        units = Vq[:, None] @ face.basis() @ Vq[:, None].swapaxes(-1, -2)
+        pis = np.zeros((n, width, m, m))
+        pis[:, :pd] = self.pi_pack.basis()
+        gammas = np.zeros((n, width, m, k))
+        gammas[:, pd:pd + gd] = (np.eye(gd).reshape(gd, m, q)
+                                 @ Vq[:n, None].swapaxes(-1, -2))
+        sigmas = np.zeros((n, width, k, k))
+        sigmas[:, pd + gd:width - sd] = units[:n]
+        sigma_next = np.zeros((n, width, k, k))
+        sigma_next[:, width - sd:] = units[1:]
+        dec = UBDecision(pis, gammas, sigmas)
+        lmi, psiy, cost = step_blocks(self.innovation, self.K[:, None],
+                                      self.PsiL[:, None], dec, sigma_next)
+        # the congruences diag(I, V_{i-1}) of a covariance LMI and
+        # diag(V_i, I) of a chained one, with each step's block leading
+        e = np.zeros((n, m + k, m + q))
+        e[:, :m, :m] = np.eye(m)
+        e[:, m:, m:] = Vq[:n]
+        cov = e[:, None].swapaxes(-1, -2) @ dec.first_lmi() @ e[:, None]
+        e = np.zeros((n, k + p, q + p))
+        e[:, :k, :q] = Vq[1:]
+        e[np.arange(n)[:, None], k + np.arange(p),
+          np.array(r[1:])[:, None] + np.arange(p)] = 1.0
+        lmi = e[:, None].swapaxes(-1, -2) @ lmi @ e[:, None]
+        # the innovation form's constant [[0, 0], [0, Psi]] lies in the face
+        const = {j: la.blkdiag(np.zeros((j, j)), c.Psi) for j in set(r)}
         covariance, chained = [], []
         for i in range(n):
-            e = la.blkdiag(np.eye(m), V[i])
-            covariance.append(AffineBlock(np.zeros((e.shape[1],) * 2),
-                                          e.T @ cov[:, i] @ e))
-            # the innovation form's constant [[0, 0], [0, Psi]] lies in the
-            # face
-            e = la.blkdiag(V[i + 1], np.eye(p))
-            chained.append(AffineBlock(
-                la.blkdiag(np.zeros((V[i + 1].shape[1],) * 2), c.Psi),
-                e.T @ lmi[:, i] @ e))
-        terminal = AffineBlock(np.zeros((V[n].shape[1],) * 2),
-                               V[n].T @ sigmas[:, n] @ V[n])
+            a, b = m + r[i], r[i + 1] + p
+            covariance.append(AffineBlock(np.zeros((a, a)),
+                                          cov[i, :, :a, :a], cols[i]))
+            chained.append(AffineBlock(const[r[i + 1]], lmi[i, :, :b, :b],
+                                       cols[i]))
+        terminal = AffineBlock(np.zeros((q, q)), Vq[n].T @ units[n] @ Vq[n],
+                               self._sig_cols[n])
         # each coordinate is priced at the one step that holds it
-        self.cost_coeffs = (cost / n).sum(axis=1)
-        slack0 = self.budget - self.cost_constant()
-        budget = AffineBlock(np.array([[slack0]]),
+        self.cost_coeffs = np.bincount(cols.ravel(), (cost / n).ravel(),
+                                       D + 1)[:D]
+        budget = AffineBlock(np.array([[self.budget - self._cost_constant]]),
                              (-self.cost_coeffs).reshape(-1, 1, 1))
         self._constraints = covariance + [terminal] + chained + [budget]
         # per-time objective: (1/(2n)) logdet Psi_Y,i
-        self._objective = [(0.5 / n, AffineBlock(c.Psi.copy(), psiy[:, i]))
+        self._cols, self._psiy = cols, psiy
+        self._objective = [(0.5 / n, AffineBlock(c.Psi.copy(), psiy[i],
+                                                 cols[i]))
                            for i in range(n)]
+
+    def _step_columns(self, r: list[int], face: SymPacker):
+        """The columns of Pi_1..Pi_n (n, pd), and of Gamma~_0..Gamma~_{n-1}
+        (n, m q) and S_0..S_n (n + 1, q(q+1)/2) on the widest face's slots,
+        with D where V_j lacks the slot.  A face as wide as the widest holds
+        its coordinates in slot order."""
+        n, D, m, q = self.n, self.dim, self.consts.model.m, r[-1]
+        start = np.concatenate([[0], self._splits])
+        pi_cols = np.arange(n * self.pi_pack.dim).reshape(n, -1)
+        gam_cols = start[1:n + 1, None] + np.arange(m * q)
+        sig_cols = start[n + 1:, None] + np.arange(face.dim)
+        row, col = np.divmod(np.arange(m * q), q)
+        for j in np.flatnonzero(np.array(r) < q):
+            on = face.cols < r[j]
+            sig_cols[j] = D
+            sig_cols[j, on] = start[n + 1 + j] + self.sig_packs[j].pos[
+                face.rows[on], face.cols[on]]
+            if j < n:
+                on = col < r[j]
+                gam_cols[j] = D
+                gam_cols[j, on] = start[1 + j] + row[on] * r[j] + col[on]
+        return pi_cols, gam_cols, sig_cols
 
     def barrier_program(self) -> BarrierProgram:
         """The program's blocks for the barrier engine, stacked once."""
@@ -229,10 +305,20 @@ class SCOPProgram:
         return float(self.cost_coeffs @ v) + self.cost_constant()
 
     def value(self, v: np.ndarray) -> float:
-        total = 0.0
-        for w, blk in self._objective:
-            total += w * la.slogdet_pd(blk.value(v), "Psi_Y,i")
-        return total - 0.5 * la.slogdet_pd(self.consts.Psi, "Psi")
+        """(1/(2n)) sum_i log det Psi_Y,i - (1/2) log det Psi at v, from one
+        batched Cholesky factorization of the n Psi_Y,i; raises
+        NotPositiveDefinite when one of them is not."""
+        n, w, p, _ = self._psiy.shape
+        local = np.append(v, 0.0)[self._cols][:, None]
+        psi_y = self.consts.Psi + (local @ self._psiy.reshape(n, w, p * p)
+                                   ).reshape(n, p, p)
+        try:
+            factors = np.linalg.cholesky(la.sym(psi_y))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("Psi_Y,i is not positive definite"
+                                      ) from None
+        log_det = float(np.log(np.diagonal(factors, axis1=1, axis2=2)).sum())
+        return log_det / n - 0.5 * la.slogdet_pd(self.consts.Psi, "Psi")
 
 
 def solve_scop(problem: BudgetedProblem, horizon: int,

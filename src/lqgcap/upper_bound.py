@@ -171,6 +171,8 @@ def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
                 V = np.concatenate([V, (w / size)[:, None]], axis=1)
         new = F @ V[:, r:]
         bases.append(np.eye(k) if V.shape[1] == k else V)
+        if not new.shape[1]:        # no new direction: the subspace is final
+            return bases + [bases[-1]] * (n + 1 - len(bases))
     return bases
 
 

@@ -9,7 +9,8 @@ one step per iteration;
 `solve_barrier_nu_over_t` runs the library's barrier programs to the gap
 bound nu/t of an exactly centred point; `ub_program_by_coordinates`,
 `scop_program_by_coordinates` and `state_feedback_program_by_coordinates`
-assemble the programs' bases one coordinate at a time;
+assemble the programs' bases one coordinate at a time, and
+`scop_dense_blocks` the horizon program's over all D columns at once;
 `RelaxedSCOPProgram` is the horizon program as it was solved before facial
 reduction, with `chain_relaxation` and the relaxed `damped_equation`;
 `BarrierProgramBySize` evaluates a barrier program one stack per block size,
@@ -55,7 +56,8 @@ from lqgcap.model import (
 )
 from lqgcap.riccati import Policy
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
-from lqgcap.upper_bound import UBDecision, UBProgram, strict_start
+from lqgcap.upper_bound import (UBDecision, UBProgram, step_blocks,
+                                strict_start)
 
 log = logging.getLogger("oracles")
 
@@ -757,6 +759,46 @@ def scop_program_by_coordinates(c, budget: float, horizon: int,
         constraints=covariance + [terminal] + chained + [budget_block])
 
 
+# The horizon program's assembly before it evaluated each step on its own
+# columns: the batched per-step map at all D unit vectors, each block
+# restricted to the face one step at a time, every basis over all D columns.
+def scop_dense_blocks(prog):
+    """(objective, constraints) of a scop.SCOPProgram, every block's basis
+    (D, d, d) over all D coordinates, in the program's block order."""
+    c, n = prog.consts, prog.n
+    m, p = c.model.m, c.model.p
+    V = prog.bases
+    # the unit vectors' decisions, one face at a time
+    parts = np.split(np.eye(prog.dim), prog._splits, axis=-1)
+    pis = prog.pi_pack.unpack(parts[0].reshape(prog.dim, n, -1))
+    gammas = np.stack([g.reshape(prog.dim, m, b.shape[1]) @ b.T
+                       for g, b in zip(parts[1:n + 1], V)], axis=-3)
+    sigmas = np.stack([b @ pk.unpack(x) @ b.T for x, b, pk
+                       in zip(parts[n + 1:], V, prog.sig_packs)], axis=-3)
+    dec = UBDecision(pis, gammas, sigmas[:, :-1])
+    lmi, psiy, cost = step_blocks(prog.innovation, prog.K, prog.PsiL, dec,
+                                  sigmas[:, 1:])
+    cov = dec.first_lmi()
+    covariance, chained = [], []
+    for i in range(n):
+        e = la.blkdiag(np.eye(m), V[i])
+        covariance.append(AffineBlock(np.zeros((e.shape[1],) * 2),
+                                      e.T @ cov[:, i] @ e))
+        e = la.blkdiag(V[i + 1], np.eye(p))
+        chained.append(AffineBlock(
+            la.blkdiag(np.zeros((V[i + 1].shape[1],) * 2), c.Psi),
+            e.T @ lmi[:, i] @ e))
+    terminal = AffineBlock(np.zeros((V[n].shape[1],) * 2),
+                           V[n].T @ sigmas[:, n] @ V[n])
+    cost_coeffs = (cost / n).sum(axis=1)
+    slack0 = prog.budget - prog.cost_constant()
+    budget = AffineBlock(np.array([[slack0]]),
+                         (-cost_coeffs).reshape(-1, 1, 1))
+    objective = [(0.5 / n, AffineBlock(c.Psi.copy(), psiy[:, i]))
+                 for i in range(n)]
+    return objective, covariance + [terminal] + chained + [budget]
+
+
 def chain_relaxation(consts: ProblemConstants) -> float:
     """PSD slack the horizon program's chained LMIs took before it was
     solved on its face: none for k <= m, else
@@ -890,6 +932,7 @@ class BarrierProgramBySize:
         self.constraints = list(constraints)
         n_obj = len(self.objective)
         blocks = [b for _, b in self.objective] + self.constraints
+        dim = next(b.basis.shape[0] for b in blocks if b.cols is None)
         # objective weight of each block, 0 for a constraint block
         weights = [w for w, _ in self.objective] + [0.0] * len(self.constraints)
         consts, bases, w_obj, self._groups = [], [], [], []
@@ -898,7 +941,8 @@ class BarrierProgramBySize:
             idx = np.array([i for i, b in enumerate(blocks) if b.dim == d])
             consts += [sym(blocks[i].const).ravel() for i in idx]
             # row (a, c) of a block holds the coefficients of its entry (a, c)
-            bases += [sym(blocks[i].basis).reshape(-1, d * d).T for i in idx]
+            bases += [sym(blocks[i].dense_basis(dim)).reshape(-1, d * d).T
+                      for i in idx]
             w_obj += [np.full(d * d, float(weights[i])) for i in idx]
             con = idx >= n_obj
             stop = start + idx.size * d * d

@@ -53,20 +53,25 @@ class TestSymPacker:
 
 def _mixed_program(rng, dim=4, local=False):
     """Blocks of sizes 1, 2 and 3 over `dim` variables, two of them in a
-    weighted objective, PD near v = 0.  With `local`, each matrix block
-    touches only half of the coordinates and the program forms its Newton
-    rows on them, whatever they save."""
+    weighted objective, PD near v = 0.  With `local`, each block but the
+    1x1 objective block declares half of the coordinates as its own
+    columns, and the program forms its Newton rows on them, whatever they
+    save: the 1x1 objective block keeps a dense row, the 1x1 constraint
+    block a narrow one."""
 
-    def block(d, scale):
+    def block(d, scale, own_cols=local):
         basis = np.stack([sym(rng.standard_normal((d, d))) for _ in range(dim)])
-        if local and d > 1:
-            basis[rng.permutation(dim)[:dim // 2]] = 0.0
-        return AffineBlock(np.eye(d) * scale, basis)
+        if not own_cols:
+            return AffineBlock(np.eye(d) * scale, basis)
+        zero = rng.permutation(dim)[:dim // 2]
+        cols = np.setdiff1d(np.arange(dim), zero)
+        return AffineBlock(np.eye(d) * scale, basis[cols], cols)
 
     with mock.patch.object(barrier, "LOCAL_OVERHEAD",
                            -np.inf if local else barrier.LOCAL_OVERHEAD):
         return BarrierProgram(
-            objective=[(0.5, block(2, 5.0)), (0.25, block(1, 4.0))],
+            objective=[(0.5, block(2, 5.0)),
+                       (0.25, block(1, 4.0, own_cols=False))],
             constraints=[block(3, 5.0), block(2, 6.0), block(1, 3.0),
                          block(3, 4.0)])
 
@@ -78,7 +83,7 @@ def _oracle(program, v, t):
                 + [(1.0, b) for b in program.constraints])
     for w, b in weighted:
         s = sym(b.value(v))
-        y = np.einsum("ab,jbc->jac", np.linalg.inv(s), b.basis)
+        y = np.einsum("ab,jbc->jac", np.linalg.inv(s), b.dense_basis(v.size))
         f -= w * slogdet_pd(s)
         g -= w * np.trace(y, axis1=1, axis2=2)
         h += w * np.einsum("jab,lba->jl", y, y)
@@ -275,11 +280,11 @@ def _explicit_dual(program, v, t, step):
     with dO the step's change of the block.  Returns (W, Z, dual-equality
     residual relative to its terms, f(v) - g(W, Z))."""
     def parts(b, scale):
-        s = sym(b.value(v))
+        s, basis = sym(b.value(v)), b.dense_basis(v.size)
         inv = np.linalg.inv(s)
-        ds = np.tensordot(step, b.basis, axes=(0, 0))
+        ds = np.tensordot(step, basis, axes=(0, 0))
         x = scale * sym(inv - inv @ ds @ inv)
-        return s, x, np.einsum("ab,jab->j", x, b.basis)
+        return s, x, np.einsum("ab,jab->j", x, basis)
 
     obj = [(w, b, *parts(b, w)) for w, b in program.objective]
     con = [(b, *parts(b, 1.0 / t)) for b in program.constraints]
@@ -353,7 +358,8 @@ class TestDualCertificate:
         # a step scaled out of the Dikin ellipsoid: some I - E_b is not PD
         blocks = [b for _, b in program.objective] + program.constraints
         e_max = max(np.linalg.eigvals(np.linalg.solve(
-            sym(b.value(v)), np.tensordot(step, b.basis, axes=(0, 0)))).real.max()
+            sym(b.value(v)), np.tensordot(step, b.dense_basis(v.size),
+                                          axes=(0, 0)))).real.max()
                     for b in blocks)
         assert e_max > 0
         assert program.newton_line((2.0 / e_max) * step).gap() == np.inf
@@ -493,7 +499,7 @@ def _assert_same_evaluations(program, ref, v, t):
     for s, s0, b in zip(program.min_slacks(v), ref.min_slacks(v),
                         program.constraints):
         terms = np.linalg.norm(b.const) + np.abs(v) @ np.linalg.norm(
-            b.basis, axis=(1, 2))
+            b.dense_basis(v.size), axis=(1, 2))
         assert abs(s - s0) <= 1e-12 * terms
 
 
@@ -501,7 +507,8 @@ def _exit_point(program, v, direction):
     """Twice the step along `direction` at which the first constraint block
     leaves the PD cone; None if none leaves."""
     rate = max(np.linalg.eigvals(np.linalg.solve(
-        sym(b.value(v)), -np.tensordot(direction, b.basis, axes=(0, 0)))).real.max()
+        sym(b.value(v)), -np.tensordot(direction, b.dense_basis(v.size),
+                                       axes=(0, 0)))).real.max()
         for b in program.constraints)
     return v + (2.0 / rate) * direction if rate > 0 else None
 
@@ -566,7 +573,7 @@ def _gap_bound(program, v, t, step):
     scale of the gap's terms: (nu + |tr E_con|)/t + sum_o w_o (d_o +
     |tr E_o|)."""
     def trace_e(b):
-        ds = np.tensordot(step, b.basis, axes=(0, 0))
+        ds = np.tensordot(step, b.dense_basis(v.size), axes=(0, 0))
         return float(np.trace(np.linalg.solve(sym(b.value(v)), ds)))
 
     tr_con = sum(map(trace_e, program.constraints))

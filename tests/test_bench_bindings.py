@@ -2,11 +2,12 @@
 (bench/tracing.py) and runs each workload's chain through module attributes
 (bench/workloads.py).  A renamed target, or a solve_barrier binding the
 tracer does not know, breaks that run without failing any library test.
-This runs one scalar sweep item and the scalar and vector3 scop items at
-horizon 2 under the tracer, as a traced benchmark pass does, and reads bench/
-without changing it; the Riccati solvers and `ProblemConstants.compute` must
-show in the trace.  The vector3 item builds the relaxed (k > m) horizon
-program."""
+This runs one scalar sweep item, the scalar and vector3 scop items at
+horizon 2 and the scalar scop item at horizon 32 under the tracer, as a
+traced benchmark pass does, and reads bench/ without changing it; the
+Riccati solvers and `ProblemConstants.compute` must show in the trace.  The
+vector3 item builds the horizon program on its k > m face, and the h=32 item
+solves on local Newton rows."""
 
 import pathlib
 import sys
@@ -21,7 +22,8 @@ from lqgcap.barrier import MAX_INNER  # noqa: E402
 
 ITEMS = (("sweep", "sweep/scalar/p=2.00740741"),
          ("scop-ladder", "scop/scalar/p=2/h=2"),
-         ("scop-ladder", "scop/vector3/p=120/h=2"))
+         ("scop-ladder", "scop/vector3/p=120/h=2"),
+         ("scop-ladder", "scop/scalar/p=2/h=32"))
 
 
 def test_traced_items_pass_the_gate_and_the_trace_checks():
@@ -43,7 +45,7 @@ def test_traced_items_pass_the_gate_and_the_trace_checks():
     for item, out in zip(items, outs):
         assert workloads.check(item, out) == [], item.id
     # one barrier solve per item, each seen by the tracer
-    assert summary["barrier.solve_calls"] == 3
+    assert summary["barrier.solve_calls"] == len(ITEMS)
     assert summary["barrier.newton_steps"] == sum(out["newton"] for out in outs)
     assert 0 < summary["scop.newton_steps"] < summary["barrier.newton_steps"]
     assert summary["scop.dim"] > 0
@@ -51,4 +53,4 @@ def test_traced_items_pass_the_gate_and_the_trace_checks():
     # the Riccati solvers and the constants, one computation per item
     for name in ("filter", "control", "policy"):
         assert summary[f"riccati.{name}_iters"] > 0, name
-    assert summary["constants.compute_calls"] == 3
+    assert summary["constants.compute_calls"] == len(ITEMS)

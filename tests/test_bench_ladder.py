@@ -2,8 +2,12 @@
 solve that stops uncertified passes it.  This solves every item of the
 benchmark's `scop` ladder (bench/workloads.SCOP_LADDER, read without
 changing bench/) at the library's default options and checks that each
-certifies its duality gap without an early-stop warning."""
+certifies its duality gap without an early-stop warning.  It also runs each
+item as the benchmark does and checks it against the benchmark's gate and
+its committed reference values (bench/reference.json), so a change that
+breaks them fails here first."""
 
+import json
 import logging
 import pathlib
 import sys
@@ -18,6 +22,7 @@ from lqgcap.scop import DEFAULT_OPTIONS, solve_scop
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+import workloads  # noqa: E402
 from workloads import SCOP_INFEASIBLE, SCOP_LADDER  # noqa: E402
 
 LADDER = [(name, p, h) for name, p, horizons in SCOP_LADDER for h in horizons]
@@ -37,3 +42,15 @@ def test_ladder_item_certifies(caplog, name, budget, horizon):
         sol = solve_scop(prob, horizon, consts=consts)
     assert sol.duality_gap <= DEFAULT_OPTIONS.tol
     assert not [r for r in caplog.records if r.name == "lqgcap.barrier"]
+
+
+REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("item", workloads.make_items(ROOT, "scop-ladder", 0),
+                         ids=lambda item: item.id)
+def test_ladder_item_passes_the_gate_and_the_reference(item):
+    out = workloads.run_item(item)
+    assert workloads.check(item, out) == []
+    ref = REFERENCE["scop-ladder"][item.id]
+    assert workloads.compare_reference(ref, out) == []

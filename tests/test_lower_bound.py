@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lqgcap import (
     solve_ub,
     tightness_certificate,
 )
+from lqgcap import lower_bound
 from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
 
 from test_random_systems import random_system
@@ -204,3 +207,41 @@ class TestCertificate:
         cert = tightness_certificate(ub, lb, c1.estimator)
         assert cert.riccati_residual == pytest.approx(
             ub_riccati_residual(ub, c1.estimator))
+
+
+class TestCertificateWork:
+    """The certificate reuses the detectability test of the policy Riccati
+    solve, which ran on the same pair (F + G GammaBar, H + J GammaBar), and
+    factors R once for the stabilizability pair."""
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "seed17"])
+    def test_detectability_is_the_policy_solves(self, request, monkeypatch,
+                                                name):
+        if name.startswith("seed"):
+            c = ProblemConstants.compute(*random_system(int(name[4:])))
+            p = 2.5 * c.minimal_cost + 0.1
+        else:
+            c = request.getfixturevalue("c1" if name == "s1" else "c2")
+            p = 2.0 if name == "s1" else 120.0
+        ub = solve_ub(BudgetedProblem(c.model, c.weights, p), consts=c)
+        lb = lower_bound_from_ub(c, ub)
+        assert lb.riccati.detectability is not None
+        untested = replace(lb, riccati=replace(lb.riccati, detectability=None))
+        want = tightness_certificate(ub, untested, c.estimator)
+        modes, pbh = [], lower_bound.pbh_test
+        monkeypatch.setattr(lower_bound, "pbh_test", lambda a, b, mode: (
+            modes.append(mode) or pbh(a, b, mode)))
+        assert tightness_certificate(ub, lb, c.estimator) == want
+        assert modes == ["stabilizable"]
+
+    def test_stabilizability_pair_factors_r_once(self, monkeypatch, c2):
+        ub = solve_ub(BudgetedProblem(c2.model, c2.weights, 120.0), consts=c2)
+        policy = extract_policy(ub, c2.control)
+        want = lower_bound._stabilizability_pair(c2.estimator, policy)
+        factored, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: (
+            factored.append(a.shape) or cholesky(a)))
+        got = lower_bound._stabilizability_pair(c2.estimator, policy)
+        assert factored == [(c2.model.p, c2.model.p)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,12 +7,14 @@ import scipy.linalg
 from lqgcap import (BudgetedProblem, ProblemConstants, SolverOptions,
                     average_variables, solve_scop, solve_ub)
 from lqgcap import barrier, scop
-from lqgcap.errors import ConfigError, Infeasible
-from lqgcap.linalg import sym
+from lqgcap.errors import ConfigError, Infeasible, NotPositiveDefinite
+from lqgcap.linalg import slogdet_pd, sym
+from lqgcap.riccati import control_equation
 from lqgcap.scop import (DEFAULT_OPTIONS, SCOPProgram, SCOPSolution,
                          krylov_bases)
 
 import oracles
+from test_decision_map import _consts
 from test_random_systems import random_system, with_decoupled_mode
 
 
@@ -333,3 +337,122 @@ class TestConditioning:
             counts.append(info.iterations)
         assert max(counts) - min(counts) <= 2
         assert max(counts) <= 100
+
+
+def _program_case(request, name):
+    c = _consts(request, name)
+    return c, {"s1": 2.0, "s2": 120.0}.get(name, 1.3 * c.minimal_cost + 0.1)
+
+
+LOCAL_CASES = [(name, h) for name in ("s1", "s2", "seed8", "seed11", "seed41",
+                                      "seed59", "seed83")
+               for h in (1, 2, 5, 16, 32)]
+
+
+class TestLocalAssembly:
+    """The horizon program evaluated on each step's own columns against the
+    dense assembly it replaced (oracles.scop_dense_blocks), which evaluated
+    the per-step map at all D unit vectors."""
+
+    @pytest.mark.parametrize("name,h", LOCAL_CASES,
+                             ids=[f"{n}-h{h}" for n, h in LOCAL_CASES])
+    def test_blocks_scatter_to_the_dense_assembly(self, request, name, h):
+        c, p = _program_case(request, name)
+        prog = SCOPProgram(c, p, h)
+        objective, constraints = oracles.scop_dense_blocks(prog)
+        program = prog.barrier_program()
+        pairs = list(zip([b for _, b in program.objective] + program.constraints,
+                         [b for _, b in objective] + constraints, strict=True))
+        assert [w for w, _ in program.objective] == [w for w, _ in objective]
+        # the budget row is the only block over all D columns
+        assert [b.cols is None for b, _ in pairs] == [False] * (
+            len(pairs) - 1) + [True]
+        if program._local is None:
+            # a dense-row program keeps its stacks bit for bit
+            for b, ref in pairs:
+                assert np.array_equal(b.const, ref.const)
+                assert np.array_equal(b.dense_basis(prog.dim), ref.basis)
+            ref = barrier.BarrierProgram(objective, constraints)
+            for attr in ("_const", "_basis", "_w_obj", "_w_con",
+                         "_diag_idx"):
+                a, b = getattr(program, attr), getattr(ref, attr)
+                assert np.array_equal(a, b), attr
+                assert a.strides == b.strides, attr
+        else:
+            for b, ref in pairs:
+                assert np.array_equal(b.const, ref.const)
+                diff = np.linalg.norm(b.dense_basis(prog.dim) - ref.basis)
+                assert diff <= 1e-12 * np.linalg.norm(ref.basis)
+            assert program._basis is None
+
+    @pytest.mark.parametrize("name,h,local", [
+        ("s1", 8, False), ("s1", 16, True), ("s2", 4, False),
+        ("s2", 8, True), ("seed41", 2, False), ("seed41", 5, True)])
+    def test_rows_are_local_where_they_were(self, request, name, h, local):
+        # scalar h <= 8 and vector3 h <= 4 keep dense rows
+        c, p = _program_case(request, name)
+        program = SCOPProgram(c, p, h).barrier_program()
+        assert (program._local is not None) == local
+
+    @pytest.mark.parametrize("name,h", [("s1", 16), ("s1", 32), ("s2", 16)])
+    def test_local_rows_solve_to_the_dense_assemblys_value(self, request,
+                                                           name, h):
+        c, p = _program_case(request, name)
+        prog = SCOPProgram(c, p, h)
+        v0 = prog.strict_point()
+        v, info = barrier.solve_barrier(prog.barrier_program(), v0,
+                                        DEFAULT_OPTIONS.tol)
+        dense = barrier.BarrierProgram(*oracles.scop_dense_blocks(prog))
+        assert prog.barrier_program()._local is not None
+        assert dense._local is None
+        w, ref = barrier.solve_barrier(dense, v0, DEFAULT_OPTIONS.tol)
+        assert (abs(prog.value(v) - prog.value(w))
+                <= info.duality_gap + ref.duality_gap)
+
+    def test_building_the_h64_program_stays_small(self, c2):
+        # a dense (B*d*d, D) basis alone would take 14.8 MB
+        tracemalloc.start()
+        try:
+            SCOPProgram(c2, 120.0, 64).barrier_program()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_the_lqr_schedule_is_the_recursions_gains(self, c2):
+        # K_i, PsiL_i are the control equation's gains at E_{i+1}, formed
+        # once by the backward recursion from E_{n+1} = Q
+        prog = SCOPProgram(c2, 120.0, 6)
+        control = control_equation(c2.model, c2.weights)
+        assert np.array_equal(prog.E[-1], sym(c2.weights.Q))
+        for e, K, PsiL in zip(prog.E[1:], prog.K, prog.PsiL, strict=True):
+            Kt, want = control.gain(e)
+            assert np.array_equal(K, Kt.T) and np.array_equal(PsiL, want)
+        for e, e_next in zip(prog.E, prog.E[1:]):
+            assert np.array_equal(e, control.step(e_next))
+
+    def test_value_is_one_batched_factorization(self, monkeypatch, c2):
+        prog = SCOPProgram(c2, 120.0, 5)
+        v = prog.strict_point()
+        want = (sum(w * slogdet_pd(b.value(v)) for w, b in prog._objective)
+                - 0.5 * slogdet_pd(c2.Psi))
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: (
+            factored.append(a.shape) or cholesky(a)))
+        got = prog.value(v)
+        monkeypatch.undo()
+        assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+        assert factored[0] == (5, 1, 1) and len(factored) == 2
+        # a Psi_Y,i that is not PD is reported as such
+        bad = v.copy()
+        bad[:prog.pi_pack.dim] = -1e6
+        with pytest.raises(NotPositiveDefinite, match="Psi_Y,i"):
+            prog.value(bad)
+
+    def test_cost_constant_is_computed_once(self, monkeypatch, c1, s1, w1):
+        prog = SCOPProgram(c1, 2.0, 4)
+        floor = prog.cost_constant()
+        monkeypatch.setattr(np, "trace", lambda *a, **k: pytest.fail("traced"))
+        assert prog.cost_constant() == floor
+        assert prog.cost(np.zeros(prog.dim)) == floor
