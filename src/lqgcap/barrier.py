@@ -44,15 +44,14 @@ solve_barrier forms the log terms of an uncentred iterate only when that
 bound is at most 2 tol.
 
 A block-sparse program, such as the horizon program's chain, declares
-each block's columns (AffineBlock.cols) and forms its values and rows on
-them: a matrix block's rows are (L^-1 (x) L^-1) C_loc and a 1x1 block's one
-row is C_loc / l^2, whose local Grams and trace terms are scatter-added into
-the Hessian and the gradient; only a 1x1 block wider than the matrix blocks,
-such as a budget row, keeps a dense row.  No (B*d*d, D) basis is formed.
-The program takes that path when it saves LOCAL_OVERHEAD multiply-adds per
-Newton system over the dense rows, as counted from its block sizes and
-column sets when it is built.  The Newton direction and the step's
-eigenvalues are the same on both paths.
+each block's columns (AffineBlock.cols) and forms its matrix blocks' values
+and rows on them: (L^-1 (x) L^-1) C_loc, whose local Grams and trace terms
+are scatter-added into the Hessian and the gradient; 1x1 blocks keep one
+dense row each, since a budget row touches nearly every coordinate.  No
+(B*d*d, D) basis is formed.  The program takes that path when it saves
+LOCAL_OVERHEAD multiply-adds per Newton system over the dense rows, as
+counted from its block sizes and column sets when it is built.  The Newton
+direction and the step's eigenvalues are the same on both paths.
 """
 
 from __future__ import annotations
@@ -100,29 +99,35 @@ LOCAL_OVERHEAD = 2e5
 
 class AffineBlock:
     """An affine symmetric-matrix function v -> C0 + sum_j v_j C_j of a
-    program's D coordinates.  basis (w, d, d) holds the C_j of the w columns
-    cols, where index D marks a pad whose C_j is zero; cols None means all D
-    columns in order, basis (D, d, d)."""
+    program's dim_total = D coordinates.  basis (w, d, d) holds the C_j of
+    the w columns cols, where index D marks a pad whose C_j is zero; cols
+    None means all D columns in order, basis (D, d, d)."""
 
     def __init__(self, const: np.ndarray, basis: np.ndarray,
-                 cols: np.ndarray | None = None):
+                 cols: np.ndarray | None = None, dim_total: int | None = None):
         self.const = np.asarray(const, dtype=float)
         self.basis = np.asarray(basis, dtype=float)
         self.cols = None if cols is None else np.asarray(cols)
         self.dim = self.const.shape[0]
+        if cols is None:
+            self.dim_total = self.basis.shape[0]
+        elif dim_total is None:
+            raise ValueError("a block with its own columns needs dim_total")
+        else:
+            self.dim_total = int(dim_total)
 
     def value(self, v: np.ndarray) -> np.ndarray:
         if self.cols is not None:
             v = np.append(v, 0.0)[self.cols]
         return self.const + np.tensordot(v, self.basis, axes=(0, 0))
 
-    def dense_basis(self, dim: int) -> np.ndarray:
-        """The (dim, d, d) basis over all of the program's dim columns."""
+    def dense_basis(self) -> np.ndarray:
+        """The (D, d, d) basis over all of the program's D columns."""
         if self.cols is None:
             return self.basis
-        out = np.zeros((dim + 1,) + self.basis.shape[1:])
+        out = np.zeros((self.dim_total + 1,) + self.basis.shape[1:])
         out[self.cols] = self.basis
-        return out[:dim]
+        return out[:-1]
 
 
 class BarrierProgram:
@@ -141,8 +146,9 @@ class BarrierProgram:
                          + [(0.0, b, True) for b in self.constraints],
                          key=lambda e: e[1].dim)
         blocks = [b for _, b, _ in entries]
-        # the number D of coordinates, the rows of a block over all of them
-        dim = next(b.basis.shape[0] for b in blocks if b.cols is None)
+        dim = blocks[0].dim_total
+        if any(b.dim_total != dim for b in blocks):
+            raise ValueError("blocks over different numbers of coordinates")
         d = max(b.dim for b in blocks)
         self._shape = (len(entries), d, d)
         const = np.tile(np.eye(d), (len(entries), 1, 1))
@@ -305,67 +311,50 @@ def _y_rows(inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 class _LocalRows:
-    """The values and Newton rows of a block-sparse stack, each block's on
-    its own coordinates (its local index set: Vandenberghe & Andersen,
-    "Chordal graphs and semidefinite optimization", Found. Trends Optim.
-    1(4), 2015).
+    """The values and Newton rows of a block-sparse stack, each matrix
+    block's on its own coordinates (its local index set: Vandenberghe &
+    Andersen, "Chordal graphs and semidefinite optimization", Found. Trends
+    Optim. 1(4), 2015).
 
-    Each block keeps the columns it declares (AffineBlock.cols), padded to
-    the widest matrix block's width w with column D, which is zero.  A
-    matrix block's rows are (L^-1 (x) L^-1) C_loc, a 1x1 block's one row is
-    C_loc / l^2, and the gradient and Hessian scatter-add the blocks' local
-    terms and Grams.  A 1x1 block wider than w, such as a budget row over
-    nearly every coordinate, keeps one dense row over all D.  The stack's
-    first n_one blocks are its 1x1 blocks.
+    The stack's first n_one blocks are 1x1 and keep dense rows over all D
+    coordinates: a budget row touches nearly all of them.  Each later
+    (matrix) block keeps the columns it declares (AffineBlock.cols), padded
+    to the widest with column D, which is zero.  Its rows are
+    (L^-1 (x) L^-1) C_loc, and the gradient and Hessian scatter-add the
+    blocks' local terms and Grams.
     """
 
     def __init__(self, blocks: list[AffineBlock], d: int, width: int,
                  dim: int):
-        n = len(blocks)
-        self.n, self.dim, self.d2, self.width = n, dim, d * d, width
-        self.n_one = sum(b.dim == 1 for b in blocks)
-        cols = np.full((n, width), dim)
-        basis = np.zeros((n, d, d, width))
-        wide = [k for k, b in enumerate(blocks)    # only 1x1 blocks are
-                if b.cols is None or b.cols.size > width]    # wider than w
-        for idx, group in _same_size(((k, b) for k, b in enumerate(blocks)
-                                      if k not in wide),
-                                     lambda b: b.basis.shape):
-            w, e = group[0].basis.shape[:2]
-            cols[idx, :w] = np.stack([b.cols for b in group])
-            basis[idx, :e, :e, :w] = np.moveaxis(
-                sym(np.stack([b.basis for b in group])), 1, -1)
-        self.wide = np.array(wide, dtype=int)
-        self.narrow = np.array([k for k in range(self.n_one) if k not in wide],
-                               dtype=int)
-        # the padded stack's rows of the wide and narrow blocks' entries (0, 0)
-        self.wide_at, self.narrow_at = self.wide * d * d, self.narrow * d * d
-        # in F order with the rows padded to a multiple of 4, so a wide
+        n_one = sum(b.dim == 1 for b in blocks)
+        self.n, self.n_one, self.dim, self.d2 = len(blocks), n_one, dim, d * d
+        # in F order with the rows padded to a multiple of 4, so a 1x1
         # block's value rounds as the dense stack's product rounds its row:
         # BLAS's gemv takes the rows of an F-order matrix four at a time, and
         # a budget row's slack cancels to far below its terms near the
         # boundary
-        self.wide_rows = np.zeros((-(-len(wide) // 4) * 4, dim), order="F")
-        for row, k in zip(self.wide_rows, wide):
-            row[:] = blocks[k].dense_basis(dim)[:, 0, 0]
-        # every block's local rows, for the values (a wide block's are 0)
-        self.all_cols = cols
-        self.all_basis = basis.reshape(n, self.d2, width)
-        # the narrow 1x1 blocks' rows and the matrix blocks' rows
-        self.one_basis = basis[self.narrow, 0, 0]
-        self.basis = basis[self.n_one:].reshape(-1, width)
+        self.one = np.zeros((-(-n_one // 4) * 4, dim), order="F")
+        for row, b in zip(self.one, blocks[:n_one]):
+            row[:] = b.dense_basis()[:, 0, 0]
+        self.cols = np.full((self.n - n_one, width), dim)
+        basis = np.zeros((self.n - n_one, d, d, width))
+        for idx, group in _same_size(enumerate(blocks[n_one:]),
+                                     lambda b: b.basis.shape):
+            w, e = group[0].basis.shape[:2]
+            self.cols[idx, :w] = np.stack([b.cols for b in group])
+            basis[idx, :e, :e, :w] = np.moveaxis(
+                sym(np.stack([b.basis for b in group])), 1, -1)
+        self.basis = basis.reshape(-1, width)
         # where each entry of a local Gram lands in the flattened Hessian
         # with a row and a column D, which are dropped
-        loc = np.concatenate([cols[self.narrow], cols[self.n_one:]])
-        self.loc_cols = loc.ravel()
-        self.hess_idx = (loc[:, :, None] * (dim + 1)
-                         + loc[:, None, :]).ravel()
+        self.hess_idx = (self.cols[:, :, None] * (dim + 1)
+                         + self.cols[:, None, :]).ravel()
 
     @classmethod
     def build(cls, blocks: list[AffineBlock], d: int, dim: int
               ) -> _LocalRows | None:
         """The local rows of a stack of blocks, ascending in size and
-        padded to d, over dim coordinates, when some matrix block declares
+        padded to d, over dim coordinates, when every matrix block declares
         fewer than dim columns and they save LOCAL_OVERHEAD multiply-adds per
         Newton system over dense rows; else None."""
         n = len(blocks)
@@ -374,8 +363,7 @@ class _LocalRows:
         n_one = sum(b.dim == 1 for b in blocks)
         # two products with the factors' inverses and one Gram, of every
         # padded row over all D coordinates, or of each matrix block's rows
-        # over its own and of each 1x1 block's one row over all: a narrow
-        # 1x1 row costs less, but its values and rows take more calls
+        # over its own and of each 1x1 block's one row over all
         dense = n * d * d * dim * (dim + 2 * d)
         local = ((n - n_one) * d * d * width * (width + 2 * d)
                  + n_one * dim * (dim + 1))
@@ -386,14 +374,17 @@ class _LocalRows:
     def values(self, v: np.ndarray) -> np.ndarray:
         """The blocks' linear parts at v, flattened over the padded stack's
         rows."""
-        s = (self.all_basis @ self._on_cols(v)[:, :, None]).ravel()
-        s[self.wide_at] = (self.wide_rows @ v)[:self.wide.size]
+        start = self.n_one * self.d2
+        s = np.zeros(self.n * self.d2)
+        s[:start:self.d2] = (self.one @ v)[:self.n_one]
+        s[start:] = (self.basis.reshape(-1, self.d2, self.cols.shape[1])
+                     @ self._on_cols(v)).ravel()
         return s
 
     def _on_cols(self, x: np.ndarray) -> np.ndarray:
-        """x on every block's columns (n, w); a pad reads x's last entry,
-        against zero coefficients."""
-        return np.take(x, self.all_cols, mode="clip")
+        """x on every matrix block's columns (n - n_one, w, 1); a pad reads
+        x's last entry, against zero coefficients."""
+        return np.take(x, self.cols, mode="clip")[:, :, None]
 
     def rows(self, factors: np.ndarray):
         """The unweighted rows from the Cholesky factors (n, d, d): each
@@ -409,39 +400,28 @@ class _LocalRows:
         the rows' root weights and the root weights on the blocks'
         diagonals, each over the padded stack's rows."""
         inv_sq, y_loc = rows
-        dim, d2, w = self.dim, self.d2, self.width
-        start = self.n_one * d2
+        n_one, dim, d2 = self.n_one, self.dim, self.d2
+        start = n_one * d2
         w_one = root_w[:start:d2]
-        scale = w_one * inv_sq
-        z_wide = self.wide_rows[:self.wide.size] * scale[self.wide, None]
-        z_one = self.one_basis * scale[self.narrow, None]
-        z_loc = (y_loc * root_w[start:, None]).reshape(-1, d2, w)
+        z_one = self.one[:n_one] * (w_one * inv_sq)[:, None]
+        z_loc = y_loc * root_w[start:, None]
+        z_loc = z_loc.reshape(-1, d2, self.cols.shape[1])
         g_loc = diag_w[start:].reshape(-1, 1, d2) @ z_loc
-        terms = np.concatenate([(w_one[self.narrow, None] * z_one).ravel(),
-                                g_loc.ravel()])
-        g = -(w_one[self.wide] @ z_wide) - np.bincount(
-            self.loc_cols, terms, dim + 1)[:dim]
-        grams = np.empty(self.hess_idx.size)
-        k = z_one.shape[0] * w * w
-        np.multiply(z_one[:, :, None], z_one[:, None, :],
-                    out=grams[:k].reshape(-1, w, w))
-        np.matmul(z_loc.transpose(0, 2, 1), z_loc,
-                  out=grams[k:].reshape(-1, w, w))
-        h = np.bincount(self.hess_idx, grams, (dim + 1) ** 2)
-        # the wide rows' Gram, with the local ones added in place
-        out = np.einsum("ri,rj->ij", z_wide, z_wide)
-        out += h.reshape(dim + 1, dim + 1)[:dim, :dim]
-        return (z_wide, z_one, z_loc), g, out
+        g = -(w_one @ z_one) - np.bincount(
+            self.cols.ravel(), g_loc.ravel(), dim + 1)[:dim]
+        gram = z_loc.transpose(0, 2, 1) @ z_loc
+        h = np.bincount(self.hess_idx, gram.ravel(), (dim + 1) ** 2)
+        h = h.reshape(dim + 1, dim + 1)[:dim, :dim]
+        return (z_one, z_loc), g, h + z_one.T @ z_one
 
     def changes(self, rows, step: np.ndarray) -> np.ndarray:
         """sum_j step_j z_bj, flattened over the padded stack's rows, from
         the rows of grad_hess."""
-        z_wide, z_one, z_loc = rows
+        z_one, z_loc = rows
+        start = self.n_one * self.d2
         e = np.zeros(self.n * self.d2)
-        local = self._on_cols(step)
-        e[self.wide_at] = z_wide @ step
-        e[self.narrow_at] = np.einsum("bw,bw->b", z_one, local[self.narrow])
-        e[self.n_one * self.d2:] = (z_loc @ local[self.n_one:, :, None]).ravel()
+        e[:start:self.d2] = z_one @ step
+        e[start:] = (z_loc @ self._on_cols(step)).ravel()
         return e
 
 

@@ -94,13 +94,14 @@ def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def slogdet_pd(a: np.ndarray, name: str = "matrix") -> float:
-    """log det of a symmetric PD matrix; raises NotPositiveDefinite otherwise."""
+    """log det of a symmetric PD matrix, or the sum over a stack of them, by
+    one Cholesky factorization; raises NotPositiveDefinite otherwise."""
     s = sym(a)
     try:
         c = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+    return 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1))))
 
 
 def block(a: np.ndarray, b: np.ndarray, c: np.ndarray,

@@ -103,12 +103,12 @@ def evaluate_policy(estimator: EstimatorModel, weights: CostWeights,
                       achieved_budget=budget)
 
 
-def _stabilizability_pair(estimator: EstimatorModel, policy: Policy):
+def _stabilizability_pair(estimator: EstimatorModel, policy: Policy,
+                          eq: riccati.RiccatiEquation):
     """(F^s, G^s W^s) whose stabilizability certifies Riccati uniqueness,
-    with R^-1 applied by one solve."""
+    from the policy's equation eq, with R^-1 applied by one solve."""
     G, J, K_p, Psi = estimator.G, estimator.J, estimator.K_p, estimator.Psi
     M = policy.M
-    eq = riccati.policy_equation(estimator, policy)
     cross = np.vstack([M @ J.T, Psi])          # (m+p) x p
     k = eq.S.shape[0]
     rinv = la.solve_pd(eq.R, np.hstack([eq.S.T, cross.T]))
@@ -137,20 +137,19 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     optimizer's SigmaHat (sigma_match), so the lower bound is evaluated at
     the point the upper bound was solved at.  When (c) fails with a singular
     M (the scalar zero-dither regime), (d) alone identifies the limit and
-    the verdict records the direct-recursion route.  lb is evaluate_policy's
-    on this estimator, whose Riccati solve has run the test (b) needs.
+    the verdict records the direct-recursion route.  Test (b) is the one
+    evaluate_policy's Riccati solve ran; ValueError is raised when lb's
+    equation is not the one of lb.policy on this estimator.
     """
     policy = lb.policy
+    eq = riccati.policy_equation(estimator, policy)
+    if not all(map(np.array_equal, eq, lb.riccati.equation)):
+        raise ValueError("lb was not evaluated on this estimator and policy")
     residual = ub_riccati_residual(ub, estimator)
     sig_norm = float(np.linalg.norm(ub.decision.SigmaHat))
     res_tol = 1e-6 * (1.0 + sig_norm)
-    # evaluate_policy's Riccati solve has tested the policy pair
-    detect = lb.riccati.detectability
-    if detect is None:
-        eq = riccati.policy_equation(estimator, policy)
-        detect = pbh_test(eq.Ft, eq.Ht, "detectable")
-    detectable = bool(detect)
-    Fs, GsWs = _stabilizability_pair(estimator, policy)
+    detectable = bool(lb.riccati.detectability)
+    Fs, GsWs = _stabilizability_pair(estimator, policy, eq)
     stabilizable = bool(pbh_test(Fs, GsWs, "stabilizable"))
     sigma_match = float(np.linalg.norm(lb.riccati.SigmaHat - ub.decision.SigmaHat))
     rate_gap = ub.rate - lb.rate

@@ -81,17 +81,17 @@ class PolicyRiccatiSolution:
 
     iterations counts the doublings plus Newton steps tried by the solve
     that succeeded; residual is the equation residual ||X - step(X)||_F;
-    detectability is the PBH test of the policy pair
-    (F + G GammaBar, H + J GammaBar) the solve ran."""
+    equation is the policy equation solved, and detectability the PBH test
+    of its pair (F + G GammaBar, H + J GammaBar) the solve ran."""
 
     SigmaHat: np.ndarray
     K_Y: np.ndarray
     Psi_Y: np.ndarray
     iterations: int
     residual: float
+    equation: RiccatiEquation = field(compare=False, repr=False)
+    detectability: PBHResult = field(compare=False, repr=False)
     bootstrapped: bool = False
-    detectability: PBHResult | None = field(default=None, compare=False,
-                                             repr=False)
 
 
 class RiccatiEquation(NamedTuple):
@@ -438,5 +438,5 @@ def solve_policy_riccati(estimator: EstimatorModel,
     return PolicyRiccatiSolution(SigmaHat=X, K_Y=K_Y, Psi_Y=PsiY,
                                  iterations=iters,
                                  residual=float(np.linalg.norm(X - eq.step(X))),
-                                 bootstrapped=bootstrapped,
-                                 detectability=detect)
+                                 equation=eq, detectability=detect,
+                                 bootstrapped=bootstrapped)

@@ -25,8 +25,8 @@ Step i touches only the coordinates of Pi_i, Gamma~_{i-1}, S_{i-1} and S_i,
 at most 16 on vector3 and 4 on scalar plants, so the program is assembled
 on each step's own coordinates (SCOPProgram._build) and its blocks carry
 them as their columns: apart from the budget row, no basis spans all D
-coordinates, and the barrier forms its rows on those columns when that
-saves work.
+coordinates, and the barrier forms its matrix blocks' rows on those columns
+when that saves work.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from .constants import ProblemConstants
-from .errors import Infeasible, NotPositiveDefinite
+from .errors import Infeasible
 from .model import BudgetedProblem
 from .riccati import control_equation
 from .upper_bound import (
@@ -240,11 +240,11 @@ class SCOPProgram:
         for i in range(n):
             a, b = m + r[i], r[i + 1] + p
             covariance.append(AffineBlock(np.zeros((a, a)),
-                                          cov[i, :, :a, :a], cols[i]))
+                                          cov[i, :, :a, :a], cols[i], D))
             chained.append(AffineBlock(const[r[i + 1]], lmi[i, :, :b, :b],
-                                       cols[i]))
+                                       cols[i], D))
         terminal = AffineBlock(np.zeros((q, q)), Vq[n].T @ units[n] @ Vq[n],
-                               self._sig_cols[n])
+                               self._sig_cols[n], D)
         # each coordinate is priced at the one step that holds it
         self.cost_coeffs = np.bincount(cols.ravel(), (cost / n).ravel(),
                                        D + 1)[:D]
@@ -252,9 +252,8 @@ class SCOPProgram:
                              (-self.cost_coeffs).reshape(-1, 1, 1))
         self._constraints = covariance + [terminal] + chained + [budget]
         # per-time objective: (1/(2n)) logdet Psi_Y,i
-        self._cols, self._psiy = cols, psiy
         self._objective = [(0.5 / n, AffineBlock(c.Psi.copy(), psiy[i],
-                                                 cols[i]))
+                                                 cols[i], D))
                            for i in range(n)]
 
     def _step_columns(self, r: list[int], face: SymPacker):
@@ -308,17 +307,14 @@ class SCOPProgram:
         """(1/(2n)) sum_i log det Psi_Y,i - (1/2) log det Psi at v, from one
         batched Cholesky factorization of the n Psi_Y,i; raises
         NotPositiveDefinite when one of them is not."""
-        n, w, p, _ = self._psiy.shape
-        local = np.append(v, 0.0)[self._cols][:, None]
-        psi_y = self.consts.Psi + (local @ self._psiy.reshape(n, w, p * p)
+        blocks = [b for _, b in self._objective]
+        basis = np.stack([b.basis for b in blocks])
+        n, w, p, _ = basis.shape
+        local = np.append(v, 0.0)[np.stack([b.cols for b in blocks])]
+        psi_y = self.consts.Psi + (local[:, None] @ basis.reshape(n, w, p * p)
                                    ).reshape(n, p, p)
-        try:
-            factors = np.linalg.cholesky(la.sym(psi_y))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("Psi_Y,i is not positive definite"
-                                      ) from None
-        log_det = float(np.log(np.diagonal(factors, axis1=1, axis2=2)).sum())
-        return log_det / n - 0.5 * la.slogdet_pd(self.consts.Psi, "Psi")
+        return 0.5 * (la.slogdet_pd(psi_y, "Psi_Y,i") / n
+                      - la.slogdet_pd(self.consts.Psi, "Psi"))
 
 
 def solve_scop(problem: BudgetedProblem, horizon: int,

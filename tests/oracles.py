@@ -932,7 +932,6 @@ class BarrierProgramBySize:
         self.constraints = list(constraints)
         n_obj = len(self.objective)
         blocks = [b for _, b in self.objective] + self.constraints
-        dim = next(b.basis.shape[0] for b in blocks if b.cols is None)
         # objective weight of each block, 0 for a constraint block
         weights = [w for w, _ in self.objective] + [0.0] * len(self.constraints)
         consts, bases, w_obj, self._groups = [], [], [], []
@@ -941,7 +940,7 @@ class BarrierProgramBySize:
             idx = np.array([i for i, b in enumerate(blocks) if b.dim == d])
             consts += [sym(blocks[i].const).ravel() for i in idx]
             # row (a, c) of a block holds the coefficients of its entry (a, c)
-            bases += [sym(blocks[i].dense_basis(dim)).reshape(-1, d * d).T
+            bases += [sym(blocks[i].dense_basis()).reshape(-1, d * d).T
                       for i in idx]
             w_obj += [np.full(d * d, float(weights[i])) for i in idx]
             con = idx >= n_obj

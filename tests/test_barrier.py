@@ -53,25 +53,23 @@ class TestSymPacker:
 
 def _mixed_program(rng, dim=4, local=False):
     """Blocks of sizes 1, 2 and 3 over `dim` variables, two of them in a
-    weighted objective, PD near v = 0.  With `local`, each block but the
-    1x1 objective block declares half of the coordinates as its own
-    columns, and the program forms its Newton rows on them, whatever they
-    save: the 1x1 objective block keeps a dense row, the 1x1 constraint
-    block a narrow one."""
+    weighted objective, PD near v = 0.  With `local`, each block declares
+    half of the coordinates as its own columns, and the program forms its
+    Newton rows on them, whatever they save; its 1x1 blocks keep dense
+    rows."""
 
-    def block(d, scale, own_cols=local):
+    def block(d, scale):
         basis = np.stack([sym(rng.standard_normal((d, d))) for _ in range(dim)])
-        if not own_cols:
+        if not local:
             return AffineBlock(np.eye(d) * scale, basis)
         zero = rng.permutation(dim)[:dim // 2]
         cols = np.setdiff1d(np.arange(dim), zero)
-        return AffineBlock(np.eye(d) * scale, basis[cols], cols)
+        return AffineBlock(np.eye(d) * scale, basis[cols], cols, dim)
 
     with mock.patch.object(barrier, "LOCAL_OVERHEAD",
                            -np.inf if local else barrier.LOCAL_OVERHEAD):
         return BarrierProgram(
-            objective=[(0.5, block(2, 5.0)),
-                       (0.25, block(1, 4.0, own_cols=False))],
+            objective=[(0.5, block(2, 5.0)), (0.25, block(1, 4.0))],
             constraints=[block(3, 5.0), block(2, 6.0), block(1, 3.0),
                          block(3, 4.0)])
 
@@ -83,7 +81,7 @@ def _oracle(program, v, t):
                 + [(1.0, b) for b in program.constraints])
     for w, b in weighted:
         s = sym(b.value(v))
-        y = np.einsum("ab,jbc->jac", np.linalg.inv(s), b.dense_basis(v.size))
+        y = np.einsum("ab,jbc->jac", np.linalg.inv(s), b.dense_basis())
         f -= w * slogdet_pd(s)
         g -= w * np.trace(y, axis1=1, axis2=2)
         h += w * np.einsum("jab,lba->jl", y, y)
@@ -209,6 +207,24 @@ class TestBarrierProgram:
         g, h = program.grad_hess(np.zeros(dim), 2.0)
         assert g.shape == (dim,) and h.shape == (dim, dim)
 
+    def test_blocks_carry_the_programs_coordinate_count(self):
+        # a block on its own columns needs D; a program of such blocks only
+        # builds, and blocks over different D are refused
+        basis = np.stack([np.eye(2), np.ones((2, 2))])
+        with pytest.raises(ValueError, match="dim_total"):
+            AffineBlock(np.eye(2), basis, np.array([0, 2]))
+        block = AffineBlock(np.eye(2), basis, np.array([0, 2]), 3)
+        assert np.array_equal(block.dense_basis(),
+                              [np.eye(2), np.zeros((2, 2)), np.ones((2, 2))])
+        budget = AffineBlock(np.eye(1), np.ones((1, 1, 1)), np.array([1]), 3)
+        program = BarrierProgram([(0.5, block)], [budget])
+        v = np.array([0.1, -0.2, 0.3])
+        assert program.merit(v, 2.0) == pytest.approx(
+            -slogdet_pd(block.value(v)) - np.log(0.8))
+        with pytest.raises(ValueError, match="coordinates"):
+            BarrierProgram([(0.5, block)],
+                           [AffineBlock(np.eye(1), np.ones((4, 1, 1)))])
+
     def test_feasible_tests_constraint_blocks_only(self):
         pk = SymPacker(1)
         program = BarrierProgram(
@@ -280,7 +296,7 @@ def _explicit_dual(program, v, t, step):
     with dO the step's change of the block.  Returns (W, Z, dual-equality
     residual relative to its terms, f(v) - g(W, Z))."""
     def parts(b, scale):
-        s, basis = sym(b.value(v)), b.dense_basis(v.size)
+        s, basis = sym(b.value(v)), b.dense_basis()
         inv = np.linalg.inv(s)
         ds = np.tensordot(step, basis, axes=(0, 0))
         x = scale * sym(inv - inv @ ds @ inv)
@@ -358,7 +374,7 @@ class TestDualCertificate:
         # a step scaled out of the Dikin ellipsoid: some I - E_b is not PD
         blocks = [b for _, b in program.objective] + program.constraints
         e_max = max(np.linalg.eigvals(np.linalg.solve(
-            sym(b.value(v)), np.tensordot(step, b.dense_basis(v.size),
+            sym(b.value(v)), np.tensordot(step, b.dense_basis(),
                                           axes=(0, 0)))).real.max()
                     for b in blocks)
         assert e_max > 0
@@ -499,7 +515,7 @@ def _assert_same_evaluations(program, ref, v, t):
     for s, s0, b in zip(program.min_slacks(v), ref.min_slacks(v),
                         program.constraints):
         terms = np.linalg.norm(b.const) + np.abs(v) @ np.linalg.norm(
-            b.dense_basis(v.size), axis=(1, 2))
+            b.dense_basis(), axis=(1, 2))
         assert abs(s - s0) <= 1e-12 * terms
 
 
@@ -507,7 +523,7 @@ def _exit_point(program, v, direction):
     """Twice the step along `direction` at which the first constraint block
     leaves the PD cone; None if none leaves."""
     rate = max(np.linalg.eigvals(np.linalg.solve(
-        sym(b.value(v)), -np.tensordot(direction, b.dense_basis(v.size),
+        sym(b.value(v)), -np.tensordot(direction, b.dense_basis(),
                                        axes=(0, 0)))).real.max()
         for b in program.constraints)
     return v + (2.0 / rate) * direction if rate > 0 else None
@@ -573,7 +589,7 @@ def _gap_bound(program, v, t, step):
     scale of the gap's terms: (nu + |tr E_con|)/t + sum_o w_o (d_o +
     |tr E_o|)."""
     def trace_e(b):
-        ds = np.tensordot(step, b.dense_basis(v.size), axes=(0, 0))
+        ds = np.tensordot(step, b.dense_basis(), axes=(0, 0))
         return float(np.trace(np.linalg.solve(sym(b.value(v)), ds)))
 
     tr_con = sum(map(trace_e, program.constraints))

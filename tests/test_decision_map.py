@@ -190,7 +190,7 @@ def test_scop_program_is_the_coordinate_assembly_on_its_face(request, name):
             scale = np.linalg.norm(b.const) + np.linalg.norm(
                 np.tensordot(lift.T, b.basis, axes=1))
             assert np.linalg.norm(a.const - const) <= 1e-12 * scale
-            assert (np.linalg.norm(a.dense_basis(prog.dim) - basis)
+            assert (np.linalg.norm(a.dense_basis() - basis)
                     <= 1e-12 * scale)
 
 

@@ -14,7 +14,7 @@ from lqgcap import (
     solve_ub,
     tightness_certificate,
 )
-from lqgcap import lower_bound
+from lqgcap import lower_bound, riccati
 from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
 
 from test_random_systems import random_system
@@ -225,23 +225,38 @@ class TestCertificateWork:
             p = 2.0 if name == "s1" else 120.0
         ub = solve_ub(BudgetedProblem(c.model, c.weights, p), consts=c)
         lb = lower_bound_from_ub(c, ub)
-        assert lb.riccati.detectability is not None
-        untested = replace(lb, riccati=replace(lb.riccati, detectability=None))
-        want = tightness_certificate(ub, untested, c.estimator)
+        eq = riccati.policy_equation(c.estimator, lb.policy)
+        want = riccati.pbh_test(eq.Ft, eq.Ht, "detectable")
         modes, pbh = [], lower_bound.pbh_test
         monkeypatch.setattr(lower_bound, "pbh_test", lambda a, b, mode: (
             modes.append(mode) or pbh(a, b, mode)))
-        assert tightness_certificate(ub, lb, c.estimator) == want
+        cert = tightness_certificate(ub, lb, c.estimator)
         assert modes == ["stabilizable"]
+        got = lb.riccati.detectability
+        assert cert.detectable == bool(want)
+        assert (got.ok, got.eigenvalue, got.margin) == (
+            want.ok, want.eigenvalue, want.margin)
+
+    def test_a_policy_solved_elsewhere_is_rejected(self, c1):
+        ub = solve_ub(BudgetedProblem(c1.model, c1.weights, 2.0), consts=c1)
+        lb = lower_bound_from_ub(c1, ub)
+        other = replace(c1.estimator, Psi=2.0 * c1.estimator.Psi)
+        with pytest.raises(ValueError, match="estimator"):
+            tightness_certificate(ub, lb, other)
+        dithered = replace(lb, policy=replace(lb.policy,
+                                              M=lb.policy.M + np.eye(1)))
+        with pytest.raises(ValueError, match="policy"):
+            tightness_certificate(ub, dithered, c1.estimator)
 
     def test_stabilizability_pair_factors_r_once(self, monkeypatch, c2):
         ub = solve_ub(BudgetedProblem(c2.model, c2.weights, 120.0), consts=c2)
         policy = extract_policy(ub, c2.control)
-        want = lower_bound._stabilizability_pair(c2.estimator, policy)
+        eq = riccati.policy_equation(c2.estimator, policy)
+        want = lower_bound._stabilizability_pair(c2.estimator, policy, eq)
         factored, cholesky = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: (
             factored.append(a.shape) or cholesky(a)))
-        got = lower_bound._stabilizability_pair(c2.estimator, policy)
+        got = lower_bound._stabilizability_pair(c2.estimator, policy, eq)
         assert factored == [(c2.model.p, c2.model.p)]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)

@@ -272,7 +272,8 @@ class TestPBH:
         from lqgcap.lower_bound import _stabilizability_pair
         pol = Policy(GammaBar=np.array([[0.3]]), M=np.array([[0.5]]),
                      K_LQR=c1.K_LQR)
-        fs, gsws = _stabilizability_pair(c1.estimator, pol)
+        fs, gsws = _stabilizability_pair(c1.estimator, pol,
+                                         policy_equation(c1.estimator, pol))
         assert (c1.model.G - c1.K_p @ c1.model.J)[0, 0] != 0
         assert pbh_test(fs, gsws, "stabilizable").ok
 

@@ -371,7 +371,7 @@ class TestLocalAssembly:
             # a dense-row program keeps its stacks bit for bit
             for b, ref in pairs:
                 assert np.array_equal(b.const, ref.const)
-                assert np.array_equal(b.dense_basis(prog.dim), ref.basis)
+                assert np.array_equal(b.dense_basis(), ref.basis)
             ref = barrier.BarrierProgram(objective, constraints)
             for attr in ("_const", "_basis", "_w_obj", "_w_con",
                          "_diag_idx"):
@@ -381,7 +381,7 @@ class TestLocalAssembly:
         else:
             for b, ref in pairs:
                 assert np.array_equal(b.const, ref.const)
-                diff = np.linalg.norm(b.dense_basis(prog.dim) - ref.basis)
+                diff = np.linalg.norm(b.dense_basis() - ref.basis)
                 assert diff <= 1e-12 * np.linalg.norm(ref.basis)
             assert program._basis is None
 
