@@ -53,7 +53,6 @@ from .simulator import (
     simulate,
 )
 from .upper_bound import (
-    KKTReport,
     SolverOptions,
     UBDecision,
     UBSolution,
@@ -61,7 +60,6 @@ from .upper_bound import (
     rate_from_psi,
     solve_scalar,
     solve_ub,
-    verify_scalar_kkt,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,6 @@ __all__ = [
     "CostWeights",
     "EstimatorModel",
     "FilterConstants",
-    "KKTReport",
     "LBSolution",
     "PBHResult",
     "Policy",
@@ -109,5 +106,4 @@ __all__ = [
     "solve_ub",
     "tightness_certificate",
     "validate_model",
-    "verify_scalar_kkt",
 ]

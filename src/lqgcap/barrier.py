@@ -13,7 +13,8 @@ Matrix Anal. Appl. 19(2), 1998; Boyd & Vandenberghe, Convex Optimization,
 11.2.2): W_o = w_o (O^-1 - O^-1 dO O^-1) and Z_c = (B^-1 - B^-1 dB B^-1)/t,
 where dO and dB are the blocks' changes along the step.  The Newton equation
 is the dual equality, so when the point is dual feasible f(v) minus its dual
-objective is a certified duality gap; the solver stops on that gap.
+objective is a certified duality gap; the solver stops on that gap and
+returns the Z_c of the step it stopped on as the constraints' multipliers.
 
 BarrierProgram stacks every block, objective or constraint, when it is
 built: B blocks become one (B, d, d) constant and, on dense rows, one
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,12 +140,14 @@ class BarrierProgram:
         self.objective = list(objective)
         self.constraints = list(constraints)
         self.nu = float(sum(b.dim for b in self.constraints))  # barrier parameter
-        # (weight, block, is a constraint), sorted by size and stable within
-        # a size, so the Newton rows keep the order of one stack per size
-        # with only zero rows inserted
-        entries = sorted([(float(w), b, False) for w, b in self.objective]
-                         + [(0.0, b, True) for b in self.constraints],
+        # (weight, block, constraint index or -1), sorted by size and stable
+        # within a size, so the Newton rows keep the order of one stack per
+        # size with only zero rows inserted
+        entries = sorted([(float(w), b, -1) for w, b in self.objective]
+                         + [(0.0, b, c) for c, b in enumerate(self.constraints)],
                          key=lambda e: e[1].dim)
+        # each constraint block's place in the stack
+        self._con_at = np.argsort([c for *_, c in entries])[len(self.objective):]
         blocks = [b for _, b, _ in entries]
         dim = blocks[0].dim_total
         if any(b.dim_total != dim for b in blocks):
@@ -160,7 +163,7 @@ class BarrierProgram:
         self._local = _LocalRows.build(blocks, d, dim)
         self._basis = (_dense_basis(blocks, self._shape, dim)
                        if self._local is None else None)
-        self._con = np.array([con for _, _, con in entries])
+        self._con = np.array([c >= 0 for _, _, c in entries])
         self._w_obj = np.repeat([w for w, _, _ in entries], d * d)
         self._w_con = np.repeat(self._con, d * d).astype(float)
         # the blocks' own diagonal entries, without the pads'
@@ -180,7 +183,7 @@ class BarrierProgram:
         self._chol: np.ndarray | None = None
         self._y = (None, None)              # (key, unweighted rows) at a v
         self._weights = (None, None, None, None)  # (t, root_w, diag_w, omega)
-        self._newton_rows = None            # (z, root_w, t) of grad_hess
+        self._newton_rows = None    # (z, root_w, t, factors) of grad_hess
 
     def _values(self, v: np.ndarray) -> np.ndarray:
         """Every block's padded value at v, as one (B, d, d) stack."""
@@ -244,7 +247,7 @@ class BarrierProgram:
             g, h = -diag_w @ z, z.T @ z
         else:
             z, g, h = self._local.grad_hess(y, root_w, diag_w)
-        self._newton_rows = (z, root_w, t)
+        self._newton_rows = (z, root_w, t, factors)
         return g, h
 
     def newton_line(self, step: np.ndarray) -> NewtonLine:
@@ -252,14 +255,21 @@ class BarrierProgram:
         grad_hess call at (v, t): the eigenvalues of every block's
         E_b = sum_j step_j Y_bj, i.e. L_b^-1 dS_b L_b^-T for the change dS_b
         of block b along the step, from one batched eigvalsh of the padded
-        stack (a pad's eigenvalues are 0)."""
-        z, root_w, t = self._newton_rows
-        e = (z @ step if self._local is None
-             else self._local.changes(z, step)) / root_w
-        tr_con = self._w_diag[1] @ e[self._diag_idx]
-        mu = np.linalg.eigvalsh(e.reshape(self._shape)).ravel()
-        return NewtonLine(mu, self._weights[3], self._w_mu,
-                          (self.nu - tr_con) / t)
+        stack (a pad's eigenvalues are 0), with the E stack and factors."""
+        z, root_w, t, factors = self._newton_rows
+        e = ((z @ step if self._local is None
+              else self._local.changes(z, step)) / root_w).reshape(self._shape)
+        tr_con = self._w_diag[1] @ e.ravel()[self._diag_idx]
+        return NewtonLine(np.linalg.eigvalsh(e).ravel(), self._weights[3],
+                          self._w_mu, (self.nu - tr_con) / t, e, factors, t)
+
+    def multipliers(self, line: NewtonLine) -> list[np.ndarray]:
+        """Z_c = (1/t) L^-T (I - E_c) L^-1 of each constraint block at the
+        line's dual point, in self.constraints order (a pad's Z is cut off)."""
+        inv = np.linalg.inv(line.factors[self._con_at])
+        z = sym(inv.swapaxes(1, 2) @ (np.eye(self._shape[1])
+                                      - line.e[self._con_at]) @ inv) / line.t
+        return [zc[:b.dim, :b.dim] for zc, b in zip(z, self.constraints)]
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
@@ -431,12 +441,16 @@ class NewtonLine:
     from the eigenvalues mu of every block's E = L^-1 dS L^-T, with omega
     the merit weight of each eigenvalue's block (t*w_o, or 1 for a
     constraint), w_obj its objective weight (0 for a constraint) and bound
-    the gap's lower bound (nu - tr E_con)/t."""
+    the gap's lower bound (nu - tr E_con)/t; e, factors and t hold the
+    padded E stack, the L and t at the step's start."""
 
     mu: np.ndarray
     omega: np.ndarray
     w_obj: np.ndarray
     bound: float
+    e: np.ndarray
+    factors: np.ndarray
+    t: float
 
     def merit(self, alpha: float) -> float:
         """merit(v + alpha step) - merit(v) = -sum omega log(1 + alpha mu),
@@ -496,6 +510,7 @@ class BarrierInfo:
     t_final: float = 0.0
     duality_gap: float = float("inf")
     newton_decrement: float = float("inf")
+    multipliers: list = field(default_factory=list)  # Z_c, per constraint
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -544,6 +559,8 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
     The iterate with the smallest gap among those computed, which include
     every centred iterate, is then returned with a warning, and
     SolverNonConvergence is raised if no computed gap was finite.
+    BarrierInfo.multipliers are the Z_c of the dual point whose gap
+    certified the returned iterate, from the NewtonLine kept with it.
     """
     v = np.asarray(v0, dtype=float).copy()
     if not program.feasible(v):
@@ -553,7 +570,7 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
     # merit stays self-concordant from the first round
     w_min = min((w for w, _ in program.objective), default=1.0)
     t = max(T_START, 1.0 / w_min)
-    best = (np.inf, v, t, np.inf)       # (gap, iterate, t, decrement)
+    best = (np.inf, v, None, np.inf)    # (gap, iterate, its line, decrement)
     total = 0
     stop = None
     try:
@@ -569,7 +586,7 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                 line = program.newton_line(step)
                 gap = line.gap(np.inf if lam <= CENTRED else 2.0 * tol)
                 if gap < best[0]:
-                    best = (gap, v, t, lam)
+                    best = (gap, v, line, lam)
                 if gap <= tol or lam <= CENTRED:
                     break
                 # the line's minimizer stays in the domain and lowers the
@@ -594,15 +611,16 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
             t /= MU_FACTOR
     except (np.linalg.LinAlgError, SolverNonConvergence) as err:
         stop = err
-    gap, v, t_best, lam = best
+    gap, v, line, lam = best
     if not math.isfinite(gap):
         raise SolverNonConvergence(
             f"numerical breakdown before any certified point: {stop}")
     if stop is not None:
         log.warning("stopping early at duality gap %.3e (requested %.3e): "
                     "float64 exhausted at t=%.3e (%s)", gap, tol, t, stop)
-    return v, BarrierInfo(iterations=total, t_final=t_best, duality_gap=gap,
-                          newton_decrement=lam)
+    return v, BarrierInfo(iterations=total, t_final=line.t, duality_gap=gap,
+                          newton_decrement=lam,
+                          multipliers=program.multipliers(line))
 
 
 class SymPacker:

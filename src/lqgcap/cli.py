@@ -15,7 +15,6 @@ from .config import RunConfig, load_config, set_system_entry
 from .constants import ProblemConstants
 from .errors import (
     ConfigError,
-    DegenerateSolution,
     Infeasible,
     LqgcapError,
 )
@@ -24,7 +23,7 @@ from .model import BudgetedProblem, validate_model
 from .riccati import control_regularity, filter_regularity
 from .scop import average_variables, solve_scop
 from .simulator import compare_to_theory, simulate, usable_cpus
-from .upper_bound import SolverOptions, solve_scalar, solve_ub, verify_scalar_kkt
+from .upper_bound import SolverOptions, solve_scalar, solve_ub
 
 log = logging.getLogger("lqgcap.cli")
 
@@ -145,12 +144,22 @@ def cmd_ub(cfg: RunConfig, args) -> int:
     print(f"duality_gap = {gap:.3g}")
     print(f"riccati_lmi_slack = {sol.riccati_lmi_slack:.3g}")
     print(f"iterations = {sol.iterations}")
+    _print_multipliers(sol, cfg.units)
     if args.output:
         write_csv([{"budget": prob.budget,
                     "ub_rate": _in_units(sol.rate, cfg.units),
                     "cost": sol.cost, "duality_gap": gap,
                     "iterations": sol.iterations}], args.output)
     return 0
+
+
+def _print_multipliers(sol, units: str, names=("budget_multiplier",)):
+    """A UB solution's named multipliers, in rate units per constraint unit."""
+    for name in names:
+        z = getattr(sol, name)
+        print(f"{name}_{units} = " + ("none" if z is None else np.array2string(
+            np.asarray(_in_units(z, units)), separator=", ",
+            formatter={"float": "{:.6g}".format}).replace("\n", "")))
 
 
 def cmd_lb(cfg: RunConfig, args) -> int:
@@ -169,17 +178,9 @@ def cmd_capacity(cfg: RunConfig, args) -> int:
     sol = solve_scalar(prob, cfg.solver, consts)
     print(f"capacity_{cfg.units} = {_in_units(sol.rate, cfg.units):.12g}")
     print(f"cost = {sol.cost:.12g}")
-    try:
-        kkt = verify_scalar_kkt(prob, sol, consts)
-        print(f"kkt multipliers: l2={kkt.lambda2:.6g} l3={kkt.lambda3:.6g} "
-              f"l4={kkt.lambda4:.6g} l5={kkt.lambda5:.6g}")
-        print(f"kkt g3 = {kkt.g3_value:.3e}")
-        print(f"kkt stationarity residuals = "
-              f"{np.max(np.abs(kkt.stationarity_residuals)):.3e}")
-        print(f"kkt slackness products = "
-              f"{np.max(np.abs(kkt.slackness_residuals)):.3e}")
-    except DegenerateSolution as e:
-        print(f"kkt: DegenerateSolution ({e})")
+    _print_multipliers(sol, cfg.units, ("budget_multiplier",
+                                        "riccati_multiplier",
+                                        "covariance_multiplier"))
     lb = lower_bound_from_ub(consts, sol)
     cert = tightness_certificate(sol, lb, consts.estimator)
     print(f"certificate = {cert.verdict}"

@@ -62,10 +62,6 @@ class AssumptionViolated(LqgcapError):
         super().__init__(msg)
 
 
-class DegenerateSolution(LqgcapError):
-    """The solution sits on a face where KKT recovery is not defined."""
-
-
 class NumericalOverflow(LqgcapError):
     """A simulated trajectory diverged (destabilizing policy)."""
 

@@ -135,11 +135,13 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     (F + G GammaBar, H + J GammaBar) is detectable; (c) (F^s, G^s W^s) is
     stabilizable; (d) the policy's recursion limit agrees with the UB
     optimizer's SigmaHat (sigma_match), so the lower bound is evaluated at
-    the point the upper bound was solved at.  When (c) fails with a singular
-    M (the scalar zero-dither regime), (d) alone identifies the limit and
-    the verdict records the direct-recursion route.  Test (b) is the one
-    evaluate_policy's Riccati solve ran; ValueError is raised when lb's
-    equation is not the one of lb.policy on this estimator.
+    the point the upper bound was solved at; and the two rates agree to
+    1e-6 either way, as an LB above the UB cannot be within budget.  When
+    (c) fails with a singular M (the scalar zero-dither regime), (d) alone
+    identifies the limit and the verdict records the direct-recursion
+    route.  Test (b) is the one evaluate_policy's Riccati solve ran;
+    ValueError is raised when lb's equation is not the one of lb.policy on
+    this estimator.
     """
     policy = lb.policy
     eq = riccati.policy_equation(estimator, policy)
@@ -159,8 +161,8 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
         reasons.append(f"riccati_residual {residual:.3e} > {res_tol:.3e}")
     if not detectable:
         reasons.append("policy pair not detectable")
-    if rate_gap > 1e-6:
-        reasons.append(f"rate_gap {rate_gap:.3e} > 1e-6")
+    if abs(rate_gap) > 1e-6:
+        reasons.append(f"|rate_gap| {abs(rate_gap):.3e} > 1e-6")
     if sigma_match > res_tol:
         reasons.append(f"sigma_match {sigma_match:.3e} > {res_tol:.3e}")
     route = "stabilizable" if stabilizable else "direct-recursion"

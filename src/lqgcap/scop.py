@@ -46,9 +46,10 @@ from .upper_bound import (
     BOUNDARY_TOL,
     SolverOptions,
     UBDecision,
-    UBProgram,
     damped_equation,
+    face_blocks,
     krylov_bases,
+    program_face,
     step_blocks,
     strict_start,
 )
@@ -70,10 +71,10 @@ class SCOPSolution:
     value: float               # nats per step
     slack_E_n: float           # terminal correction term in the cost
     cost: float                # left-hand side of the cost constraint
+    consts: ProblemConstants
+    budget: float
     duality_gap: float = 0.0   # certified: value + duality_gap >= the optimum
     iterations: int = 0
-    consts: ProblemConstants | None = None
-    budget: float = 0.0
 
     @property
     def sigma_hats(self) -> list[np.ndarray]:
@@ -376,23 +377,16 @@ def average_variables(sol: SCOPSolution) -> AveragedVariables:
     the rank-limited correction (SigmaHat_{n+1} - SigmaHat_1)/n; the cost is
     checked against the budget with steady-state constants.
     """
-    if sol.consts is None:
-        raise ValueError("solution carries no problem constants")
-    n = sol.horizon
-    consts = sol.consts
-    pis = [trip[0] for trip in sol.per_time]
-    gammas = [trip[1] for trip in sol.per_time]
+    n, consts = sol.horizon, sol.consts
+    pi_bar, gam_bar, _ = (sum(x) / n for x in zip(*sol.per_time))
     sigmas = sol.sigma_hats
-    pi_bar = sum(pis) / n
-    gam_bar = sum(gammas) / n
     sig_bar = sum(sigmas[:n]) / n     # SigmaHat_1..SigmaHat_n
 
-    prog = UBProgram(consts, sol.budget if sol.budget else 1.0)
-    dec = UBDecision(Pi=pi_bar, Gamma=gam_bar, SigmaHat=sig_bar)
-    v = prog.pack(dec)
-    lmi1 = la.min_eig(prog.block_lmi1.value(v))
-    lmi2 = la.min_eig(prog.block_lmi2.value(v))
-    cost_val = prog.cost(v)
+    V = program_face(consts)
+    lmi1, lmi2, const2, *_ = face_blocks(
+        consts, V, UBDecision(pi_bar, gam_bar @ V, V.T @ sig_bar @ V))
+    lmi1, lmi2 = la.min_eig(lmi1), la.min_eig(const2 + lmi2)
+    cost_val = consts.cost_of(pi_bar, gam_bar, sig_bar)
     cost_excess = max(0.0, cost_val - sol.budget)
     cost_eps = abs(sol.budget - cost_val)
     corr = float(np.linalg.norm(sigmas[n] - sigmas[0])) / n

@@ -32,7 +32,6 @@ from .constants import ProblemConstants, decision_map, trace_cost
 from .errors import (
     AssumptionViolated,
     ConfigError,
-    DegenerateSolution,
     DimensionMismatch,
     Infeasible,
     SolverNonConvergence,
@@ -89,6 +88,10 @@ class UBDecision:
 
 @dataclass(frozen=True)
 class UBSolution:
+    """The multipliers, None at a zero rate, are the barrier's final dual
+    point in plant coordinates: the budget's (the rate's slope in it) and the
+    LMIs' T Z T^T and diag(I, V) Z diag(I, V)^T."""
+
     decision: UBDecision
     Psi_Y: np.ndarray
     K_Y: np.ndarray
@@ -97,6 +100,9 @@ class UBSolution:
     duality_gap: float     # certified: rate + duality_gap >= the optimum
     iterations: int
     riccati_lmi_slack: float
+    budget_multiplier: float | None      # nats per budget unit
+    riccati_multiplier: np.ndarray | None
+    covariance_multiplier: np.ndarray | None
     capacity_exact: bool = False
 
 
@@ -112,20 +118,6 @@ class FeasibilityResult:
     @property
     def strict(self) -> bool:
         return self.feasible and not self.boundary and self.point is not None
-
-
-@dataclass(frozen=True)
-class KKTReport:
-    """Recovered multipliers and residuals of the scalar stationarity system."""
-
-    lambda2: float
-    lambda3: float
-    lambda4: float
-    lambda5: float
-    stationarity_residuals: np.ndarray
-    slackness_residuals: np.ndarray   # (l2*g2, l3*g3, l4*SigmaHat, l5*g5)
-    g3_value: float
-    constraint_values: dict = field(default_factory=dict)
 
 
 def rate_from_psi(Psi_Y: np.ndarray, Psi: np.ndarray, units: str = "nats") -> float:
@@ -176,6 +168,28 @@ def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
     return bases
 
 
+def program_face(consts: ProblemConstants) -> np.ndarray:
+    """The program's face: the innovation form's last Krylov basis."""
+    model, K_p = consts.model, consts.K_p
+    return krylov_bases(model.F - K_p @ model.H, model.G - K_p @ model.J,
+                        model.k)[-1]
+
+
+def face_blocks(consts: ProblemConstants, V: np.ndarray, face: UBDecision):
+    """The stationary step at a face decision (Pi, Gamma~, S), or each of a
+    stack: the covariance LMI, the Riccati LMI's linear part and constant on
+    the range of T = [[V, (I - V V^T) K_p], [0, I]], T, Psi_Y's part, cost."""
+    c, r, p = consts, V.shape[1], consts.model.p
+    dec = UBDecision(face.Pi, face.Gamma @ V.T, V @ face.SigmaHat @ V.T)
+    lmi2, psiy, cost = step_blocks(c.model, c.K_LQR, c.Psi_LQR, dec,
+                                   dec.SigmaHat)
+    T = la.blkdiag(V, np.eye(p))
+    T[:V.shape[0], r:] = c.K_p - V @ (V.T @ c.K_p)
+    KpPsi = c.K_p @ c.Psi
+    const = T.T @ la.block(KpPsi @ c.K_p.T, KpPsi, KpPsi.T, c.Psi) @ T
+    return face.first_lmi(), T.T @ lmi2 @ T, const, T, psiy, cost
+
+
 class UBProgram:
     """Affine assembly of the upper-bound program for the barrier engine,
     over Pi, Gamma~ and S on the face V = self.face."""
@@ -183,10 +197,8 @@ class UBProgram:
     def __init__(self, consts: ProblemConstants, budget: float):
         self.consts = consts
         self.budget = float(budget)
-        model, K_p = consts.model, consts.K_p
-        self.face = krylov_bases(model.F - K_p @ model.H,
-                                 model.G - K_p @ model.J, model.k)[-1]
-        m, r = model.m, self.face.shape[1]
+        self.face = program_face(consts)
+        m, r = consts.model.m, self.face.shape[1]
         self.pi_pack = SymPacker(m)
         self.sig_pack = SymPacker(r)
         self.dim = self.pi_pack.dim + m * r + self.sig_pack.dim
@@ -223,22 +235,11 @@ class UBProgram:
     # -- affine pieces -----------------------------------------------------
 
     def _build(self):
-        c, V = self.consts, self.face
-        k, r, p = c.model.k, V.shape[1], c.model.p
-        face = self._face_decision(np.eye(self.dim))
-        # the stationary step: SigmaHat_next is SigmaHat itself
-        unit = UBDecision(face.Pi, face.Gamma @ V.T, V @ face.SigmaHat @ V.T)
-        lmi2, psiy, cost = step_blocks(c.model, c.K_LQR, c.Psi_LQR,
-                                       unit, unit.SigmaHat)
-        # the Riccati LMI's range, spanned by [[V, K_p], [0, I]]
-        T = la.blkdiag(V, np.eye(p))
-        T[:k, r:] = c.K_p - V @ (V.T @ c.K_p)
-        KpPsi = c.K_p @ c.Psi
-        lmi1 = face.first_lmi()
+        c = self.consts
+        lmi1, lmi2, const2, self.riccati_range, psiy, cost = face_blocks(
+            c, self.face, self._face_decision(np.eye(self.dim)))
         self.block_lmi1 = AffineBlock(np.zeros(lmi1.shape[1:]), lmi1)
-        self.block_lmi2 = AffineBlock(
-            T.T @ la.block(KpPsi @ c.K_p.T, KpPsi, KpPsi.T, c.Psi) @ T,
-            T.T @ lmi2 @ T)
+        self.block_lmi2 = AffineBlock(const2, lmi2)
         self.block_psiy = AffineBlock(c.Psi.copy(), psiy)
         slack0 = self.budget - c.minimal_cost
         self.block_cost = AffineBlock(np.array([[slack0]]),
@@ -275,6 +276,9 @@ class UBProgram:
         K_Y = la.solve_pd(PsiY, (C + KpPsi).T).T
         schur = la.sym(P - dec.SigmaHat + KpPsi @ c.K_p.T
                        - K_Y @ PsiY @ K_Y.T)
+        # each constraint's Z back in plant coordinates by its congruence
+        z_cov, z_ric, z_cost = info.multipliers
+        T, cov = self.riccati_range, la.blkdiag(np.eye(c.model.m), self.face)
         return UBSolution(
             decision=dec,
             Psi_Y=PsiY,
@@ -284,6 +288,9 @@ class UBProgram:
             duality_gap=info.duality_gap,
             iterations=info.iterations,
             riccati_lmi_slack=la.min_eig(schur),
+            budget_multiplier=float(z_cost[0, 0]),
+            riccati_multiplier=T @ z_ric @ T.T,
+            covariance_multiplier=cov @ z_cov @ cov.T,
         )
 
 
@@ -298,6 +305,9 @@ def _zero_solution(consts: ProblemConstants) -> UBSolution:
         duality_gap=0.0,
         iterations=0,
         riccati_lmi_slack=0.0,
+        budget_multiplier=None,
+        riccati_multiplier=None,
+        covariance_multiplier=None,
     )
 
 
@@ -416,60 +426,3 @@ def solve_scalar(problem: BudgetedProblem, opts: SolverOptions | None = None,
                                  f"H={H}, K_LQR*J={K_lqr * J}")
     sol = solve_ub(problem, opts, consts)
     return UBSolution(**{**sol.__dict__, "capacity_exact": True})
-
-
-def verify_scalar_kkt(problem: BudgetedProblem, sol: UBSolution,
-                      consts: ProblemConstants | None = None) -> KKTReport:
-    """Recover the scalar KKT multipliers by least squares and report residuals.
-
-    Uses the reduced constraint set valid for SigmaHat > 0: the cost g2, the
-    Riccati Schur complement g3, positivity g4 = SigmaHat, and the dither
-    variance g5 = Pi - Gamma^2/SigmaHat.  Raises DegenerateSolution when
-    SigmaHat sits at zero (state-feedback face; recovery undefined).
-    """
-    if consts is None:
-        consts = ProblemConstants.for_problem(problem)
-    if not problem.model.is_scalar():
-        raise DimensionMismatch("verify_scalar_kkt requires k = m = p = 1")
-    dec = sol.decision
-    Pi = float(dec.Pi[0, 0])
-    Gam = float(dec.Gamma[0, 0])
-    Sig = float(dec.SigmaHat[0, 0])
-    if Sig <= 1e-8:
-        raise DegenerateSolution(
-            f"SigmaHat = {Sig:.3e} is at the state-feedback face")
-    F = float(consts.model.F[0, 0])
-    G = float(consts.model.G[0, 0])
-    H = float(consts.model.H[0, 0])
-    J = float(consts.model.J[0, 0])
-    K_l = float(consts.K_LQR[0, 0])
-    PsiL = float(consts.Psi_LQR[0, 0])
-
-    P, C, Y = decision_map(consts.model, dec.Pi, dec.Gamma, dec.SigmaHat)
-    KpPsi = consts.K_p @ consts.Psi
-    psi_y = float((Y + consts.Psi)[0, 0])
-    b_num = float((C + KpPsi)[0, 0])
-    K_Y = b_num / psi_y
-    g2 = problem.budget - consts.cost_of(dec.Pi, dec.Gamma, dec.SigmaHat)
-    g3 = (float((P - dec.SigmaHat + KpPsi @ consts.K_p.T)[0, 0])
-          - b_num * b_num / psi_y)
-    g5 = Pi - Gam * Gam / Sig
-
-    a_mat = np.array([
-        [-PsiL, (G - K_Y * J) ** 2, 1.0],
-        [-2.0 * K_l * PsiL, 2.0 * (G - K_Y * J) * (F - K_Y * H), -2.0 * Gam / Sig],
-        [-K_l * K_l * PsiL, (F - K_Y * H) ** 2 - 1.0, Gam * Gam / (Sig * Sig)],
-    ])
-    rhs = np.array([-J * J, -2.0 * H * J, -H * H])
-    lam, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    l2, l3, l5 = (float(x) for x in lam)
-    l4 = 0.0
-    stat = a_mat @ lam - rhs
-    slack = np.array([l2 * g2, l3 * g3, l4 * Sig, l5 * g5])
-    return KKTReport(
-        lambda2=l2, lambda3=l3, lambda4=l4, lambda5=l5,
-        stationarity_residuals=stat,
-        slackness_residuals=slack,
-        g3_value=g3,
-        constraint_values={"g2": g2, "g3": g3, "g4": Sig, "g5": g5},
-    )

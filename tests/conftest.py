@@ -1,8 +1,15 @@
 import json
+import os
 import pathlib
 import sys
 
-import numpy as np
+# One BLAS thread: the tests' matrices are small, and threads that wait on
+# a busy core slow the suite several times over.  Set before numpy loads
+# BLAS, which reads them once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))

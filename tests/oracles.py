@@ -22,13 +22,17 @@ is the certified-stop loop with the damped step 1/(1+lambda) the library
 took before its exact line search; `solve_barrier_every_gap` replaces only
 the certified-stop loop: it runs the library's programs, Newton direction
 and step rule, computes the Cholesky gap of every Newton step and forms the
-Newton rows at every call.
+Newton rows at every call.  `verify_scalar_kkt` recovers a scalar solution's
+KKT multipliers by least squares from hand-derived stationarity conditions,
+as the library did before it read them off its dual point, and
+`kkt_scaled_multipliers` puts `UBSolution`'s multipliers in its scaling.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
@@ -42,6 +46,7 @@ from lqgcap.barrier import AffineBlock, BarrierInfo, BarrierProgram
 from lqgcap.constants import ProblemConstants, decision_map, trace_cost
 from lqgcap.errors import (
     DimensionMismatch,
+    LqgcapError,
     MaxIterations,
     NonConvergence,
     NumericalOverflow,
@@ -49,6 +54,7 @@ from lqgcap.errors import (
 )
 from lqgcap.linalg import sym
 from lqgcap.model import (
+    BudgetedProblem,
     CostWeights,
     EstimatorModel,
     SystemModel,
@@ -56,8 +62,8 @@ from lqgcap.model import (
 )
 from lqgcap.riccati import Policy
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
-from lqgcap.upper_bound import (UBDecision, UBProgram, step_blocks,
-                                strict_start)
+from lqgcap.upper_bound import (UBDecision, UBProgram, UBSolution,
+                                step_blocks, strict_start)
 
 log = logging.getLogger("oracles")
 
@@ -1046,8 +1052,13 @@ class BarrierProgramBySize:
                                 for g in self._groups])
         con = np.concatenate([np.repeat(g.con, g.d) for g in self._groups])
         tr_con = self._w_diag[1] @ e[self._diag_idx]
+        # no padded E stack or factors: see multipliers
         return barrier.NewtonLine(mu, t * w_obj + con, w_obj,
-                                  (self.nu - tr_con) / t)
+                                  (self.nu - tr_con) / t, None, None, t)
+
+    def multipliers(self, line: barrier.NewtonLine) -> list:
+        """No multipliers: its lines carry no padded E stack to read them."""
+        return []
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
@@ -1099,7 +1110,7 @@ def cholesky_gap(program: BarrierProgram, step: np.ndarray,
     dual feasibility (+inf when it fails) and gives log det(I - E), and the
     gap is (nu - tr E_con)/t - sum_o w_o (log det(I - E_o) + tr E_o).  Above
     cutoff, the lower bound (nu - tr E_con)/t returns +inf unfactored."""
-    z, root_w, t = program._newton_rows
+    z, root_w, t, _ = program._newton_rows
     e = (z @ step if program._local is None
          else program._local.changes(z, step)) / root_w
     tr_obj, tr_con = program._w_diag @ e[program._diag_idx]
@@ -1210,3 +1221,93 @@ def solve_barrier_every_gap(program: BarrierProgram, v0: np.ndarray,
         program, v0, tol, max_iter, newton_system,
         lambda step, lam: cholesky_gap(program, step),
         lambda step, lam: program.newton_line(step).search(lam))
+
+
+# The scalar KKT system the library solved by least squares before it read
+# the multipliers off the barrier's final dual point, kept as the scalar
+# reference for those multipliers.
+class DegenerateSolution(LqgcapError):
+    """The solution sits on a face where KKT recovery is not defined."""
+
+
+@dataclass(frozen=True)
+class KKTReport:
+    """Recovered multipliers and residuals of the scalar stationarity system."""
+
+    lambda2: float
+    lambda3: float
+    lambda4: float
+    lambda5: float
+    stationarity_residuals: np.ndarray
+    slackness_residuals: np.ndarray   # (l2*g2, l3*g3, l4*SigmaHat, l5*g5)
+    g3_value: float
+    constraint_values: dict = field(default_factory=dict)
+
+
+def verify_scalar_kkt(problem: BudgetedProblem, sol: UBSolution,
+                      consts: ProblemConstants | None = None) -> KKTReport:
+    """Recover the scalar KKT multipliers by least squares and report residuals.
+
+    Uses the reduced constraint set valid for SigmaHat > 0: the cost g2, the
+    Riccati Schur complement g3, positivity g4 = SigmaHat, and the dither
+    variance g5 = Pi - Gamma^2/SigmaHat.  Raises DegenerateSolution when
+    SigmaHat sits at zero (state-feedback face; recovery undefined).
+    """
+    if consts is None:
+        consts = ProblemConstants.for_problem(problem)
+    if not problem.model.is_scalar():
+        raise DimensionMismatch("verify_scalar_kkt requires k = m = p = 1")
+    dec = sol.decision
+    Pi = float(dec.Pi[0, 0])
+    Gam = float(dec.Gamma[0, 0])
+    Sig = float(dec.SigmaHat[0, 0])
+    if Sig <= 1e-8:
+        raise DegenerateSolution(
+            f"SigmaHat = {Sig:.3e} is at the state-feedback face")
+    F = float(consts.model.F[0, 0])
+    G = float(consts.model.G[0, 0])
+    H = float(consts.model.H[0, 0])
+    J = float(consts.model.J[0, 0])
+    K_l = float(consts.K_LQR[0, 0])
+    PsiL = float(consts.Psi_LQR[0, 0])
+
+    P, C, Y = decision_map(consts.model, dec.Pi, dec.Gamma, dec.SigmaHat)
+    KpPsi = consts.K_p @ consts.Psi
+    psi_y = float((Y + consts.Psi)[0, 0])
+    b_num = float((C + KpPsi)[0, 0])
+    K_Y = b_num / psi_y
+    g2 = problem.budget - consts.cost_of(dec.Pi, dec.Gamma, dec.SigmaHat)
+    g3 = (float((P - dec.SigmaHat + KpPsi @ consts.K_p.T)[0, 0])
+          - b_num * b_num / psi_y)
+    g5 = Pi - Gam * Gam / Sig
+
+    a_mat = np.array([
+        [-PsiL, (G - K_Y * J) ** 2, 1.0],
+        [-2.0 * K_l * PsiL, 2.0 * (G - K_Y * J) * (F - K_Y * H), -2.0 * Gam / Sig],
+        [-K_l * K_l * PsiL, (F - K_Y * H) ** 2 - 1.0, Gam * Gam / (Sig * Sig)],
+    ])
+    rhs = np.array([-J * J, -2.0 * H * J, -H * H])
+    lam, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    l2, l3, l5 = (float(x) for x in lam)
+    l4 = 0.0
+    stat = a_mat @ lam - rhs
+    slack = np.array([l2 * g2, l3 * g3, l4 * Sig, l5 * g5])
+    return KKTReport(
+        lambda2=l2, lambda3=l3, lambda4=l4, lambda5=l5,
+        stationarity_residuals=stat,
+        slackness_residuals=slack,
+        g3_value=g3,
+        constraint_values={"g2": g2, "g3": g3, "g4": Sig, "g5": g5},
+    )
+
+
+def kkt_scaled_multipliers(sol: UBSolution) -> tuple[float, float, float]:
+    """A scalar solution's budget multiplier and the (Pi, Pi) entries of its
+    Riccati-LMI and covariance-LMI multipliers, each times 2 Psi_Y: the
+    scaling of verify_scalar_kkt's (lambda2, lambda3, lambda5), whose
+    stationarity equations take the derivatives of Psi_Y where the program's
+    objective, the rate (1/2) log Psi_Y, has them over 2 Psi_Y."""
+    scale = 2.0 * float(sol.Psi_Y[0, 0])
+    return (scale * sol.budget_multiplier,
+            scale * float(sol.riccati_multiplier[0, 0]),
+            scale * float(sol.covariance_multiplier[0, 0]))

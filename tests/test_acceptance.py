@@ -23,7 +23,6 @@ from lqgcap import (
     solve_scop,
     solve_ub,
     tightness_certificate,
-    verify_scalar_kkt,
 )
 from lqgcap.barrier import AffineBlock, BarrierProgram, solve_barrier
 from lqgcap.config import set_system_entry
@@ -33,7 +32,8 @@ from lqgcap.scop import average_variables
 from lqgcap.simulator import SimConfig, simulate
 from lqgcap.upper_bound import UBProgram, feasibility
 
-from oracles import quad_root_sigma_s1
+from oracles import (kkt_scaled_multipliers, quad_root_sigma_s1,
+                     verify_scalar_kkt)
 
 
 def finish(num: int, desc: str, ok: bool, detail: str = ""):
@@ -245,9 +245,13 @@ def test_criterion_10_kkt_diagnostics(s1, w1, c1):
     g3_ok = abs(kkt.g3_value) <= 1e-6
     slack_ok = np.max(np.abs(kkt.slackness_residuals)) <= 1e-6
     stat_ok = np.max(np.abs(kkt.stationarity_residuals)) <= 1e-5
-    ok = g3_ok and slack_ok and stat_ok
+    # the library's multipliers, from the barrier's dual point
+    ref = np.array([kkt.lambda2, kkt.lambda3, kkt.lambda5])
+    dual_err = float(np.max(np.abs(kkt_scaled_multipliers(sol) - ref) / ref))
+    ok = g3_ok and slack_ok and stat_ok and dual_err <= 1e-6
     finish(10, "KKT diagnostics at p=2: Riccati equality active, "
-               "complementary slackness", ok,
+               "complementary slackness, dual-point multipliers", ok,
            f"|g3|={abs(kkt.g3_value):.1e}, "
            f"max slackness {np.max(np.abs(kkt.slackness_residuals)):.1e}, "
-           f"max stationarity {np.max(np.abs(kkt.stationarity_residuals)):.1e}")
+           f"max stationarity {np.max(np.abs(kkt.stationarity_residuals)):.1e}, "
+           f"multipliers rel {dual_err:.1e}")

@@ -745,6 +745,58 @@ class TestNewtonLine:
         assert abs(objective(v) - objective(v_ref)) <= TOL
 
 
+class TestMultipliers:
+    """BarrierProgram.multipliers is a Newton step's dual point
+    Z_c = (B_c^-1 - B_c^-1 dB_c B_c^-1)/t for each constraint block, in the
+    program's constraint order, whatever the blocks' sizes, pads and rows,
+    and solve_barrier returns the one of its returned iterate's step."""
+
+    CASES = ["mixed", "mixed-local", "ub-s1", "ub-vector3",
+             "scop-scalar-h16", "scop-vector3-h2"]
+
+    @staticmethod
+    def _case(request, monkeypatch, case):
+        if case.startswith("mixed"):
+            return (_mixed_program(np.random.default_rng(3),
+                                   local=case.endswith("local")),
+                    np.zeros(4))
+        return REFERENCE_CASES[case](request, monkeypatch)
+
+    @staticmethod
+    def _line(program, v, t):
+        g, h = program.grad_hess(v, t)
+        step = _newton_direction(h, g)
+        return program.newton_line(step), step
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_dual_point_of_a_step(self, request, monkeypatch, case):
+        """At the start, whose blocks are well inside the cone: at the
+        optimum the explicit form cancels B^-1's large entries down to Z."""
+        program, v = self._case(request, monkeypatch, case)
+        t = 10.0
+        program.merit(v, t)
+        line, step = self._line(program, v, t)
+        got = program.multipliers(line)
+        assert len(got) == len(program.constraints)
+        for z, b in zip(got, program.constraints):
+            inv = np.linalg.inv(sym(b.value(v)))
+            ds = sym(np.tensordot(step, b.dense_basis(), axes=(0, 0)))
+            assert z.shape == (b.dim, b.dim)
+            assert _rel(z, (inv - inv @ ds @ inv) / t) <= 1e-10
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_solve_returns_its_iterates_dual_point(self, request,
+                                                       monkeypatch, case):
+        program, v0 = self._case(request, monkeypatch, case)
+        v, info = solve_barrier(program, v0, TOL)
+        line, _ = self._line(program, v, info.t_final)
+        assert line.gap() == info.duality_gap
+        for z, want in zip(info.multipliers, program.multipliers(line),
+                           strict=True):
+            assert np.array_equal(z, want)
+            assert np.linalg.eigvalsh(z)[0] >= -1e-12 * np.linalg.norm(z)
+
+
 class TestNewtonDirection:
     def _count_factorizations(self, monkeypatch):
         calls = []

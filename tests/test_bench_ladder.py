@@ -12,12 +12,15 @@ import logging
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem, ProblemConstants
+from lqgcap import BudgetedProblem, ProblemConstants, UBDecision
 from lqgcap.config import load_config
 from lqgcap.errors import Infeasible
-from lqgcap.scop import DEFAULT_OPTIONS, solve_scop
+from lqgcap.linalg import min_eig
+from lqgcap.scop import DEFAULT_OPTIONS, average_variables, solve_scop
+from lqgcap.upper_bound import UBProgram
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -54,3 +57,28 @@ def test_ladder_item_passes_the_gate_and_the_reference(item):
     assert workloads.check(item, out) == []
     ref = REFERENCE["scop-ladder"][item.id]
     assert workloads.compare_reference(ref, out) == []
+
+
+@pytest.mark.parametrize("name,budget,horizon",
+                         [i for i in LADDER if i[::2] not in SCOP_INFEASIBLE],
+                         ids=str)
+def test_averaged_slacks_match_the_single_letter_program(name, budget,
+                                                         horizon):
+    """average_variables evaluates the single-letter LMIs and cost at the
+    averaged point from the face blocks alone; the single-letter program's
+    own blocks at that point give the same values.  Where an LMI is
+    singular there (vector3), its smallest eigenvalue is compared at the
+    LMI's scale."""
+    cfg = load_config(str(ROOT / "configs" / f"{name}.json"))
+    consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    sol = solve_scop(BudgetedProblem(cfg.model, cfg.weights, budget), horizon,
+                     consts=consts)
+    av = average_variables(sol)
+    prog = UBProgram(consts, budget)
+    v = prog.pack(UBDecision(av.Pi, av.Gamma, av.SigmaHat))
+    for got, block in ((av.lmi1_min_eig, prog.block_lmi1),
+                       (av.lmi2_min_eig, prog.block_lmi2)):
+        lmi = block.value(v)
+        assert got == pytest.approx(min_eig(lmi), rel=1e-12,
+                                    abs=1e-12 * np.linalg.norm(lmi))
+    assert av.cost_value == pytest.approx(prog.cost(v), rel=1e-12)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lqgcap import CostWeights, SystemModel, riccati
+from lqgcap import BudgetedProblem, CostWeights, SystemModel, riccati, solve_ub
 from lqgcap.cli import build_parser, run, write_csv
 from lqgcap.config import _integer, load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
@@ -255,6 +255,32 @@ class TestCommands:
         assert code == 0
         assert "capacity_bits = 0.2094436" in out
         assert "CertifiedTight" in out
+
+    def test_capacity_prints_the_multipliers(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, scalar_doc())
+        cfg = load_config(path)
+        sol = solve_ub(BudgetedProblem(cfg.model, cfg.weights, cfg.budget))
+        assert run(["capacity", "--config", path, "--units", "nats"]) == 0
+        printed = dict(line.split(" = ")
+                       for line in capsys.readouterr().out.splitlines())
+        assert float(printed["budget_multiplier_nats"]) == pytest.approx(
+            sol.budget_multiplier, rel=1e-5)
+        for name in ("riccati_multiplier", "covariance_multiplier"):
+            np.testing.assert_allclose(json.loads(printed[f"{name}_nats"]),
+                                       getattr(sol, name), rtol=1e-5)
+
+    @pytest.mark.parametrize("budget, want", [(120.0, "0.00828857"),
+                                              (None, "none")])
+    def test_ub_prints_the_budget_multiplier(self, tmp_path, capsys, budget,
+                                             want):
+        """In any dimension; none on the floor, where no barrier runs."""
+        doc = json.loads(VECTOR_CFG.read_text())
+        cfg = load_config(str(VECTOR_CFG))
+        doc["budget"] = budget or ProblemConstants.compute(
+            cfg.model, cfg.weights).minimal_cost
+        assert run(["ub", "--config", write_cfg(tmp_path, doc)]) == 0
+        assert (f"budget_multiplier_bits = {want}"
+                in capsys.readouterr().out.splitlines())
 
     def test_lb_command(self, tmp_path, capsys):
         path = write_cfg(tmp_path, scalar_doc())

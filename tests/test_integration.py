@@ -14,10 +14,11 @@ from lqgcap import (
     simulate,
     solve_scalar,
     tightness_certificate,
-    verify_scalar_kkt,
     solve_ub,
 )
 from lqgcap.lower_bound import lower_bound_from_ub
+
+from oracles import kkt_scaled_multipliers, verify_scalar_kkt
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,8 @@ class TestCorrelatedNoise:
         kkt = verify_scalar_kkt(prob, sol, c)
         assert abs(kkt.g3_value) <= 1e-6
         assert np.max(np.abs(kkt.stationarity_residuals)) <= 1e-5
+        assert kkt_scaled_multipliers(sol) == pytest.approx(
+            (kkt.lambda2, kkt.lambda3, kkt.lambda5), rel=1e-6)
 
     def test_gain_uses_cross_covariance(self, correlated):
         model, _, c = correlated

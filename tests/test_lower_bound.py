@@ -35,7 +35,9 @@ def _ub_with_decision(c, dec, gap=0.0):
     return UBSolution(decision=dec, Psi_Y=psi_y, K_Y=k_y,
                       rate=rate_from_psi(psi_y, c.Psi),
                       cost=c.cost_of(dec.Pi, dec.Gamma, dec.SigmaHat),
-                      duality_gap=gap, iterations=0, riccati_lmi_slack=0.0)
+                      duality_gap=gap, iterations=0, riccati_lmi_slack=0.0,
+                      budget_multiplier=None, riccati_multiplier=None,
+                      covariance_multiplier=None)
 
 
 class TestExtractPolicy:
@@ -171,8 +173,9 @@ class TestCertificate:
         """These random plants' policies pass the stabilizability test, but
         their recursion limits miss the UB optimizer's SigmaHat by 2.3 to
         8.6e4 times res_tol, and they overspend the budget (plant 84 at 1.1x
-        by 13%): the lower bound is evaluated elsewhere than the upper bound
-        was solved, so nothing is certified."""
+        by 13%), so their LB rates lie 1.4e-6 to 3.2e-2 nats above the UB:
+        the lower bound is evaluated elsewhere than the upper bound was
+        solved, so nothing is certified."""
         model, weights = random_system(seed)
         c = ProblemConstants.compute(model, weights)
         budget = mult * c.minimal_cost + 0.1
@@ -181,8 +184,9 @@ class TestCertificate:
         cert = tightness_certificate(ub, lb, c.estimator)
         assert cert.stabilizable
         assert cert.verdict == "NotCertified" and cert.route == ""
-        assert len(cert.reasons) == 1
-        assert cert.reasons[0].startswith("sigma_match")
+        assert len(cert.reasons) == 2
+        assert cert.reasons[0].startswith("|rate_gap|") and lb.rate > ub.rate
+        assert cert.reasons[1].startswith("sigma_match")
         assert lb.achieved_budget > budget
 
     def test_perturbed_policy_not_certified(self, s1, w1, c1):
@@ -194,6 +198,15 @@ class TestCertificate:
         cert = tightness_certificate(ub, lb, c1.estimator)
         assert not cert.tight
         assert any("rate_gap" in r for r in cert.reasons)
+
+    def test_lb_above_ub_not_certified(self, s1, w1, c1):
+        """The rate test is two-sided: an LB 1e-5 nats above the UB, as an
+        overspending policy would show, is not certified."""
+        ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        lb = replace(lower_bound_from_ub(c1, ub), rate=ub.rate + 1e-5)
+        cert = tightness_certificate(ub, lb, c1.estimator)
+        assert cert.verdict == "NotCertified"
+        assert cert.reasons == ("|rate_gap| 1.000e-05 > 1e-6",)
 
     def test_vector_certified(self, s2, w2, c2):
         ub = solve_ub(BudgetedProblem(s2, w2, 2.0 * c2.minimal_cost), consts=c2)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,12 @@ from lqgcap import (
     rate_from_psi,
     solve_scalar,
     solve_ub,
-    verify_scalar_kkt,
 )
 from lqgcap import tightness_certificate
 from lqgcap.barrier import AffineBlock, BarrierProgram, solve_barrier
+from lqgcap.config import load_config
 from lqgcap.errors import (
     AssumptionViolated,
-    DegenerateSolution,
     DimensionMismatch,
     Infeasible,
     NotPositiveDefinite,
@@ -25,7 +26,11 @@ from lqgcap.linalg import min_eig
 from lqgcap.lower_bound import lower_bound_from_ub
 from lqgcap.upper_bound import UBProgram
 
-from test_random_systems import with_decoupled_mode
+from oracles import (DegenerateSolution, kkt_scaled_multipliers,
+                     verify_scalar_kkt)
+from test_random_systems import random_system, with_decoupled_mode
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestRateFromPsi:
@@ -243,12 +248,90 @@ class TestScalarKKT:
         assert kkt.lambda2 > 0          # the cost constraint is active
         for lam in (kkt.lambda2, kkt.lambda3, kkt.lambda4, kkt.lambda5):
             assert lam >= -1e-8
+        assert kkt_scaled_multipliers(sol) == pytest.approx(
+            (kkt.lambda2, kkt.lambda3, kkt.lambda5), rel=1e-6)
 
     def test_boundary_solution_degenerate(self, s1, w1, c1):
+        """The zero-rate solution runs no barrier and carries no
+        multipliers; the scalar reference has none there either."""
         prob = BudgetedProblem(s1, w1, c1.minimal_cost)
         sol = solve_scalar(prob, consts=c1)
+        assert (sol.budget_multiplier, sol.riccati_multiplier,
+                sol.covariance_multiplier) == (None, None, None)
         with pytest.raises(DegenerateSolution):
             verify_scalar_kkt(prob, sol, c1)
+
+
+def _grid(name: str) -> tuple:
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    return cfg.model, cfg.weights, cfg.budget_sweep.grid()
+
+
+def _rate_slope(model, weights, c, budget: float) -> float:
+    """The UB rate's central difference in the budget, over steps of 1e-4
+    of the budget's height above the floor."""
+    h = 1e-4 * (budget - c.minimal_cost)
+    up, down = (solve_ub(BudgetedProblem(model, weights, budget + s),
+                         consts=c).rate for s in (h, -h))
+    return (up - down) / (2.0 * h)
+
+
+class TestMultipliers:
+    """The multipliers of the barrier's final dual point: the budget's is
+    the UB rate's slope in the budget, and on scalar plants all three are
+    the ones the scalar KKT system recovers."""
+
+    @pytest.mark.parametrize("name", ["scalar", "vector3"])
+    def test_budget_multiplier_is_the_rate_slope_on_the_grids(self, name):
+        model, weights, grid = _grid(name)
+        c = ProblemConstants.compute(model, weights)
+        for p in grid[::6]:
+            sol = solve_ub(BudgetedProblem(model, weights, p), consts=c)
+            assert sol.budget_multiplier == pytest.approx(
+                _rate_slope(model, weights, c, p), rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budget_multiplier_is_the_rate_slope_on_random_plants(self,
+                                                                  seed):
+        model, weights = random_system(seed)
+        c = ProblemConstants.compute(model, weights)
+        p = 2.0 * c.minimal_cost + 1.0
+        sol = solve_ub(BudgetedProblem(model, weights, p), consts=c)
+        assert sol.budget_multiplier == pytest.approx(
+            _rate_slope(model, weights, c, p), rel=1e-6)
+
+    def test_scalar_identities_on_the_grid(self):
+        model, weights, grid = _grid("scalar")
+        c = ProblemConstants.compute(model, weights)
+        for p in grid:
+            prob = BudgetedProblem(model, weights, p)
+            sol = solve_scalar(prob, consts=c)
+            kkt = verify_scalar_kkt(prob, sol, c)
+            assert kkt_scaled_multipliers(sol) == pytest.approx(
+                (kkt.lambda2, kkt.lambda3, kkt.lambda5), rel=1e-6)
+
+    def test_multipliers_in_plant_coordinates(self, s1, w1, c1):
+        """S1 with a decoupled mode is solved on a one-column face.  Its
+        multipliers, mapped back to the plant, are S1's with a zero row and
+        column for the mode: the face's congruences put them there."""
+        model, weights = with_decoupled_mode(s1, w1, 0.8, 1.0, 1.0)
+        consts = ProblemConstants.compute(model, weights)
+        shift = consts.minimal_cost - c1.minimal_cost
+        ub1 = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        ub2 = solve_ub(BudgetedProblem(model, weights, 2.0 + shift),
+                       consts=consts)
+        assert ub2.budget_multiplier == pytest.approx(ub1.budget_multiplier,
+                                                      rel=1e-9)
+        # (Pi, x, x_decoupled) and (x, x_decoupled, y)
+        for z1, z2, keep in ((ub1.covariance_multiplier,
+                              ub2.covariance_multiplier, [0, 1]),
+                             (ub1.riccati_multiplier,
+                              ub2.riccati_multiplier, [0, 2])):
+            assert z2.shape == (3, 3)
+            np.testing.assert_allclose(z2[np.ix_(keep, keep)], z1,
+                                       rtol=1e-9, atol=1e-12)
+            off = np.setdiff1d(range(3), keep)
+            assert not z2[off].any() and not z2[:, off].any()
 
 
 def test_solver_options_tolerance_scaling(s1, w1, c1):
