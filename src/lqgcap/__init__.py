@@ -2,10 +2,10 @@
 
 Library surface:
 
-- model: system/cost types, validation, estimator reduction
-- constants: steady-state constants, the per-step decision map, cost floor
+- model: system/cost types, validation, the estimator (innovation-form) model
+- constants: steady-state constants and constants_for, decision map, cost floor
 - riccati: Riccati equation type, filter/control/policy solvers, PBH tests
-- upper_bound: the determinant-maximization capacity upper bound
+- upper_bound: the determinant-maximization upper bound and its Riccati residual
 - lower_bound: policy extraction, evaluation, tightness certificates
 - scop: the finite-horizon sequential program and its averaging argument
 - simulator: Monte-Carlo closed-loop validation
@@ -26,7 +26,6 @@ from .model import (
     EstimatorModel,
     SystemModel,
     ValidationReport,
-    reduce_to_estimator,
     validate_model,
 )
 from .riccati import (
@@ -96,7 +95,6 @@ __all__ = [
     "pbh_test",
     "policy_equation",
     "rate_from_psi",
-    "reduce_to_estimator",
     "simulate",
     "solve_control_riccati",
     "solve_filter_riccati",

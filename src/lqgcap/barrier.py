@@ -575,6 +575,7 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
     stop = None
     try:
         while True:
+            # value unused: bench/tracing.py checks merit calls >= steps + rounds
             program.merit(v, t)
             for _ in range(MAX_INNER):
                 g, h = program.grad_hess(v, t)

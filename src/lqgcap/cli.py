@@ -38,18 +38,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(rows: list[dict], path: str | None, header: list[str] | None = None):
-    """Write homogeneous rows with 12-significant-digit numbers.
-
-    With path None the CSV goes to stdout.  An empty row list writes the
-    header only (which must then be supplied explicitly).
-    """
-    if rows:
-        keys = list(rows[0].keys())
-        if any(list(r.keys()) != keys for r in rows):
-            raise ValueError("rows are not homogeneous")
-    else:
-        keys = header or []
+def write_csv(rows: list[dict], path: str | None):
+    """Write one or more homogeneous rows with 12-significant-digit numbers,
+    under a header of the first row's keys.  With path None the CSV goes to
+    stdout."""
+    keys = list(rows[0].keys())
+    if any(list(r.keys()) != keys for r in rows):
+        raise ValueError("rows are not homogeneous")
     lines = [",".join(keys)]
     lines += [",".join(_fmt(r[k]) for k in keys) for r in rows]
     text = "\n".join(lines) + "\n"

@@ -65,10 +65,6 @@ class ProblemConstants:
                    filter=riccati.solve_filter_riccati(model),
                    control=riccati.solve_control_riccati(model, weights))
 
-    @classmethod
-    def for_problem(cls, problem: BudgetedProblem) -> "ProblemConstants":
-        return cls.compute(problem.model, problem.weights)
-
     @property
     def Sigma(self) -> np.ndarray:
         return self.filter.Sigma
@@ -95,9 +91,7 @@ class ProblemConstants:
 
     @cached_property
     def estimator(self) -> EstimatorModel:
-        m = self.model
-        return EstimatorModel(F=m.F, G=m.G, H=m.H, J=m.J,
-                              K_p=self.K_p, Psi=self.Psi, Sigma=self.Sigma)
+        return EstimatorModel.from_filter(self.model, self.filter)
 
     @cached_property
     def minimal_cost(self) -> float:
@@ -110,3 +104,19 @@ class ProblemConstants:
         """The five-term trace cost of a decision triple (in budget units)."""
         return (trace_cost(self.K_LQR, self.Psi_LQR, Pi, Gamma, SigmaHat)
                 + self.minimal_cost)
+
+
+def constants_for(problem: BudgetedProblem,
+                  consts: ProblemConstants | None) -> ProblemConstants:
+    """The constants a solve of `problem` runs on: `consts`, or computed when
+    None.  ValueError unless `consts` were computed for the problem's model
+    and weights, the same objects or ones with equal F, G, H, J, W, V, L, Q
+    and R (Sigma1 enters no constant)."""
+    model, weights = problem.model, problem.weights
+    if consts is None:
+        return ProblemConstants.compute(model, weights)
+    pairs = [(consts.model, model, "FGHJWVL"), (consts.weights, weights, "QR")]
+    if not all(a is b or all(np.array_equal(getattr(a, n), getattr(b, n))
+                             for n in names) for a, b, names in pairs):
+        raise ValueError("consts were computed for another model or weights")
+    return consts

@@ -22,10 +22,6 @@ class RegularityViolation(LqgcapError):
         super().__init__(msg)
 
 
-class RiccatiNoStabilizingSolution(LqgcapError):
-    """No stabilizing fixed point could be produced for the filter equation."""
-
-
 class MaxIterations(LqgcapError):
     """An iteration budget was exhausted before convergence."""
 
@@ -35,14 +31,7 @@ class DetectabilityFailure(LqgcapError):
 
 
 class NonConvergence(LqgcapError):
-    """A fixed-point recursion stalled or diverged.
-
-    Carries the tail of the residual history for diagnosis.
-    """
-
-    def __init__(self, message: str, residuals=None):
-        self.residuals = list(residuals) if residuals is not None else []
-        super().__init__(message)
+    """A fixed-point recursion stalled or diverged; the message says where."""
 
 
 class Infeasible(LqgcapError):

@@ -81,11 +81,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def pinv(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the library-wide rank threshold."""
-    return np.linalg.pinv(a, rcond=PINV_RTOL)
-
-
 def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A (no explicit inverse)."""
     c = np.linalg.cholesky(sym(a))

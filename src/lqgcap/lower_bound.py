@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg as la
 from . import riccati
-from .constants import ProblemConstants, cost_floor, decision_map, trace_cost
+from .constants import ProblemConstants, cost_floor, trace_cost
 from .model import CostWeights, EstimatorModel
 from .riccati import ControlConstants, Policy, PolicyRiccatiSolution, pbh_test
 from .upper_bound import UBSolution, rate_from_psi
@@ -118,22 +118,14 @@ def _stabilizability_pair(estimator: EstimatorModel, policy: Policy,
     return Fs, Gs @ la.sym(Ws)
 
 
-def ub_riccati_residual(ub: UBSolution, estimator: EstimatorModel) -> float:
-    """Frobenius norm of the tightness Riccati equation at the UB optimizer."""
-    dec = ub.decision
-    P, _, _ = decision_map(estimator, dec.Pi, dec.Gamma, dec.SigmaHat)
-    rhs = (P + estimator.K_p @ estimator.Psi @ estimator.K_p.T
-           - ub.K_Y @ ub.Psi_Y @ ub.K_Y.T)
-    return float(np.linalg.norm(dec.SigmaHat - rhs))
-
-
 def tightness_certificate(ub: UBSolution, lb: LBSolution,
                           estimator: EstimatorModel) -> TightnessCertificate:
     """Check the sufficient conditions for the upper bound to be the capacity.
 
-    (a) the Riccati equation holds at the UB optimizer; (b) the policy pair
-    (F + G GammaBar, H + J GammaBar) is detectable; (c) (F^s, G^s W^s) is
-    stabilizable; (d) the policy's recursion limit agrees with the UB
+    (a) the Riccati equation holds at the UB optimizer (ub.riccati_residual,
+    formed by the UB solve); (b) the policy pair (F + G GammaBar,
+    H + J GammaBar) is detectable; (c) (F^s, G^s W^s) is stabilizable;
+    (d) the policy's recursion limit agrees with the UB
     optimizer's SigmaHat (sigma_match), so the lower bound is evaluated at
     the point the upper bound was solved at; and the two rates agree to
     1e-6 either way, as an LB above the UB cannot be within budget.  When
@@ -147,7 +139,7 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     eq = riccati.policy_equation(estimator, policy)
     if not all(map(np.array_equal, eq, lb.riccati.equation)):
         raise ValueError("lb was not evaluated on this estimator and policy")
-    residual = ub_riccati_residual(ub, estimator)
+    residual = ub.riccati_residual
     sig_norm = float(np.linalg.norm(ub.decision.SigmaHat))
     res_tol = 1e-6 * (1.0 + sig_norm)
     detectable = bool(lb.riccati.detectability)

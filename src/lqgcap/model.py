@@ -1,4 +1,4 @@
-"""LQG system data: model types, validation, estimator reduction.
+"""LQG system data: model types and validation.
 
 The plant is the linear state-space model
 
@@ -6,8 +6,8 @@ The plant is the linear state-space model
     y_i     = H s_i + J x_i + v_i
 
 with i.i.d. Gaussian noise (w, v) of covariance [[W, L], [L^T, V]] and a
-quadratic running cost s^T Q s + x^T R x.  The estimator reduction replaces
-the hidden state by its one-step Kalman prediction, driven by the i.i.d.
+quadratic running cost s^T Q s + x^T R x.  EstimatorModel replaces the
+hidden state by its one-step Kalman prediction, driven by the i.i.d.
 innovation of covariance Psi.
 """
 
@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .errors import (
-    DimensionMismatch,
-    MaxIterations,
-    RegularityViolation,
-    RiccatiNoStabilizingSolution,
-)
+from .errors import DimensionMismatch
 
 # Asymmetry above SYM_RTOL * ||A||_F on a nominally symmetric input is an
 # error; below it the input is silently symmetrized (text-config round-off).
@@ -152,6 +147,12 @@ class EstimatorModel:
     def p(self) -> int:
         return self.H.shape[0]
 
+    @classmethod
+    def from_filter(cls, model: SystemModel, filter) -> "EstimatorModel":
+        """The innovation form of `model` at its riccati.FilterConstants."""
+        return cls(F=model.F, G=model.G, H=model.H, J=model.J,
+                   K_p=filter.K_p, Psi=filter.Psi, Sigma=filter.Sigma)
+
 
 @dataclass(frozen=True)
 class BudgetedProblem:
@@ -226,16 +227,3 @@ def validate_model(model: SystemModel, weights: CostWeights) -> ValidationReport
         rep.add("NotPositiveDefinite", "R")
     return rep
 
-
-def reduce_to_estimator(model: SystemModel) -> EstimatorModel:
-    """Evaluate the innovation-form model at the stabilizing filter solution."""
-    from . import riccati  # local import: riccati depends on the types above
-
-    try:
-        fc = riccati.solve_filter_riccati(model)
-    except (RegularityViolation, MaxIterations) as e:
-        raise RiccatiNoStabilizingSolution(str(e)) from e
-    return EstimatorModel(
-        F=model.F, G=model.G, H=model.H, J=model.J,
-        K_p=fc.K_p, Psi=fc.Psi, Sigma=fc.Sigma,
-    )

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
-from .constants import ProblemConstants
+from .constants import ProblemConstants, constants_for
 from .errors import Infeasible
 from .model import BudgetedProblem
 from .riccati import control_equation
@@ -333,8 +333,7 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
         raise ValueError(f"horizon must be in [1, {MAX_HORIZON}]")
     if opts is None:
         opts = DEFAULT_OPTIONS
-    if consts is None:
-        consts = ProblemConstants.for_problem(problem)
+    consts = constants_for(problem, consts)
     k, m = consts.model.k, consts.model.m
     prog = SCOPProgram(consts, problem.budget, horizon)
     const_cost = prog.cost_constant()

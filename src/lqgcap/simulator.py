@@ -44,11 +44,18 @@ from . import linalg as la
 from . import riccati
 from .errors import NumericalOverflow
 from .lower_bound import LBSolution
-from .model import CostWeights, SystemModel, reduce_to_estimator
+from .model import CostWeights, EstimatorModel, SystemModel
 from .riccati import Policy
 
 OVERFLOW_LIMIT = 1e12
 CHUNK = 256                     # time steps per block of the recursion
+
+# compare_to_theory's tolerances: the cost in standard errors, Psi_Y and the
+# rate relative, and an absolute one for rates near zero
+COST_SIGMAS = 3.0
+PSI_Y_REL = 0.03
+RATE_REL = 0.03
+RATE_FLOOR = 5e-3
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,6 @@ class ComparisonVerdict:
         lines = [f"[{'PASS' if c.ok else 'FAIL'}] {c.name}: value={c.value:.6g} "
                  f"target={c.target:.6g} tol={c.tol:.3g}" for c in self.checks]
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class SimTolerances:
-    cost_sigmas: float = 3.0
-    psi_y_rel: float = 0.03
-    rate_rel: float = 0.03
-    rate_floor: float = 5e-3       # absolute slack when the rate is near zero
 
 
 def _traj_noise(seed: int, idx: int, s1: np.ndarray, wv: np.ndarray,
@@ -199,7 +198,8 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
             thread = threading.Thread(target=fill_or_store, args=(lo, hi))
             thread.start()
             threads.append(thread)
-        est = reduce_to_estimator(model)
+        est = EstimatorModel.from_filter(model,
+                                         riccati.solve_filter_riccati(model))
         prs = riccati.solve_policy_riccati(est, policy)
         # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
         ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
@@ -284,14 +284,11 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
     )
 
 
-def compare_to_theory(report: SimReport, lb: LBSolution,
-                      tols: SimTolerances | None = None) -> ComparisonVerdict:
+def compare_to_theory(report: SimReport, lb: LBSolution) -> ComparisonVerdict:
     """Per-statistic pass/fail of the empirical report against theory."""
-    if tols is None:
-        tols = SimTolerances()
     checks = []
     target = lb.achieved_budget
-    tol_cost = tols.cost_sigmas * max(report.cost_stderr, 1e-300)
+    tol_cost = COST_SIGMAS * max(report.cost_stderr, 1e-300)
     checks.append(SimCheck(
         "cost_within_stderr", report.empirical_cost, target, tol_cost,
         abs(report.empirical_cost - target) <= tol_cost))
@@ -299,8 +296,8 @@ def compare_to_theory(report: SimReport, lb: LBSolution,
     rel = float(np.linalg.norm(report.empirical_PsiY - psi_y)
                 / max(np.linalg.norm(psi_y), 1e-300))
     checks.append(SimCheck("innovation_covariance_rel", rel, 0.0,
-                           tols.psi_y_rel, rel <= tols.psi_y_rel))
-    rate_tol = max(tols.rate_rel * abs(lb.rate), tols.rate_floor)
+                           PSI_Y_REL, rel <= PSI_Y_REL))
+    rate_tol = max(RATE_REL * abs(lb.rate), RATE_FLOOR)
     checks.append(SimCheck(
         "rate", report.empirical_rate, lb.rate, rate_tol,
         abs(report.empirical_rate - lb.rate) <= rate_tol))

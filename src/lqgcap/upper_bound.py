@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
-from .constants import ProblemConstants, decision_map, trace_cost
+from .constants import ProblemConstants, constants_for, decision_map, trace_cost
 from .errors import (
     AssumptionViolated,
     ConfigError,
@@ -38,8 +38,6 @@ from .errors import (
 )
 from .model import BudgetedProblem
 from .riccati import Policy, RiccatiEquation, _solve_dare, policy_equation
-
-LN2 = math.log(2.0)
 
 # Budgets within this absolute band of the minimal cost have no interior;
 # the zero-rate solution is returned instead of running the barrier.
@@ -88,9 +86,11 @@ class UBDecision:
 
 @dataclass(frozen=True)
 class UBSolution:
-    """The multipliers, None at a zero rate, are the barrier's final dual
-    point in plant coordinates: the budget's (the rate's slope in it) and the
-    LMIs' T Z T^T and diag(I, V) Z diag(I, V)^T."""
+    """riccati_residual is ||SigmaHat - (P + K_p Psi K_p^T - K_Y Psi_Y
+    K_Y^T)||_F, the norm of the Schur complement behind riccati_lmi_slack.
+    The multipliers, None at a zero rate, are the barrier's final dual point
+    in plant coordinates: the budget's (the rate's slope in it) and the LMIs'
+    T Z T^T and diag(I, V) Z diag(I, V)^T."""
 
     decision: UBDecision
     Psi_Y: np.ndarray
@@ -100,6 +100,7 @@ class UBSolution:
     duality_gap: float     # certified: rate + duality_gap >= the optimum
     iterations: int
     riccati_lmi_slack: float
+    riccati_residual: float
     budget_multiplier: float | None      # nats per budget unit
     riccati_multiplier: np.ndarray | None
     covariance_multiplier: np.ndarray | None
@@ -120,15 +121,10 @@ class FeasibilityResult:
         return self.feasible and not self.boundary and self.point is not None
 
 
-def rate_from_psi(Psi_Y: np.ndarray, Psi: np.ndarray, units: str = "nats") -> float:
-    """(1/2)(log det Psi_Y - log det Psi), in nats or bits."""
-    val = 0.5 * (la.slogdet_pd(la.as_matrix(Psi_Y), "Psi_Y")
-                 - la.slogdet_pd(la.as_matrix(Psi), "Psi"))
-    if units == "nats":
-        return val
-    if units == "bits":
-        return val / LN2
-    raise ValueError(f"unknown units {units!r}")
+def rate_from_psi(Psi_Y: np.ndarray, Psi: np.ndarray) -> float:
+    """(1/2)(log det Psi_Y - log det Psi), in nats."""
+    return 0.5 * (la.slogdet_pd(la.as_matrix(Psi_Y), "Psi_Y")
+                  - la.slogdet_pd(la.as_matrix(Psi), "Psi"))
 
 
 def step_blocks(model, K_LQR: np.ndarray, Psi_LQR: np.ndarray,
@@ -274,8 +270,8 @@ class UBProgram:
         KpPsi = c.K_p @ c.Psi
         # K_Y from the affine product K_Y Psi_Y by a PD solve, never an inverse
         K_Y = la.solve_pd(PsiY, (C + KpPsi).T).T
-        schur = la.sym(P - dec.SigmaHat + KpPsi @ c.K_p.T
-                       - K_Y @ PsiY @ K_Y.T)
+        inflow, outflow = KpPsi @ c.K_p.T, K_Y @ PsiY @ K_Y.T
+        schur = la.sym(P - dec.SigmaHat + inflow - outflow)
         # each constraint's Z back in plant coordinates by its congruence
         z_cov, z_ric, z_cost = info.multipliers
         T, cov = self.riccati_range, la.blkdiag(np.eye(c.model.m), self.face)
@@ -288,6 +284,8 @@ class UBProgram:
             duality_gap=info.duality_gap,
             iterations=info.iterations,
             riccati_lmi_slack=la.min_eig(schur),
+            riccati_residual=float(np.linalg.norm(
+                dec.SigmaHat - (P + inflow - outflow))),
             budget_multiplier=float(z_cost[0, 0]),
             riccati_multiplier=T @ z_ric @ T.T,
             covariance_multiplier=cov @ z_cov @ cov.T,
@@ -305,6 +303,7 @@ def _zero_solution(consts: ProblemConstants) -> UBSolution:
         duality_gap=0.0,
         iterations=0,
         riccati_lmi_slack=0.0,
+        riccati_residual=0.0,
         budget_multiplier=None,
         riccati_multiplier=None,
         covariance_multiplier=None,
@@ -363,8 +362,7 @@ def feasibility(problem: BudgetedProblem,
     only the zero-rate point is feasible.  Otherwise the zero-information
     policy with a small isotropic dither gives a strict point (strict_start).
     """
-    if consts is None:
-        consts = ProblemConstants.for_problem(problem)
+    consts = constants_for(problem, consts)
     p = problem.budget
     jstar = consts.minimal_cost
     k, m = consts.model.k, consts.model.m
@@ -391,8 +389,7 @@ def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
     """Solve the determinant-maximization upper bound at the given budget."""
     if opts is None:
         opts = SolverOptions()
-    if consts is None:
-        consts = ProblemConstants.for_problem(problem)
+    consts = constants_for(problem, consts)
     feas = feasibility(problem, consts)
     if not feas.feasible:
         raise Infeasible(feas.detail)
@@ -414,8 +411,7 @@ def solve_scalar(problem: BudgetedProblem, opts: SolverOptions | None = None,
     feedback) is the program's empty face.  The returned rate is the
     capacity itself (capacity_exact set).
     """
-    if consts is None:
-        consts = ProblemConstants.for_problem(problem)
+    consts = constants_for(problem, consts)
     if not problem.model.is_scalar():
         raise DimensionMismatch("solve_scalar requires k = m = p = 1")
     H = float(consts.model.H[0, 0])

@@ -26,6 +26,9 @@ Newton rows at every call.  `verify_scalar_kkt` recovers a scalar solution's
 KKT multipliers by least squares from hand-derived stationarity conditions,
 as the library did before it read them off its dual point, and
 `kkt_scaled_multipliers` puts `UBSolution`'s multipliers in its scaling.
+`ub_riccati_residual` rebuilds the tightness Riccati residual from a UB
+solution's decision through `decision_map`, as the certificate did before
+`UBSolution.riccati_residual` carried it.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from lqgcap.model import (
     CostWeights,
     EstimatorModel,
     SystemModel,
-    reduce_to_estimator,
 )
 from lqgcap.riccati import Policy
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
@@ -145,13 +147,12 @@ def iterate_fixed_point(step, x0: np.ndarray, rel_tol: float = REL_TOL,
             if rejected >= 100:
                 raise NonConvergence(
                     f"parked at a rejected fixed point after {i} iterations "
-                    f"(residual {res:.3e})", residuals=history[-20:])
+                    f"(residual {res:.3e})")
         else:
             rejected = 0
         history.append(res)
         if not np.isfinite(res):
-            raise NonConvergence(f"residual diverged at iteration {i}",
-                                 residuals=history[-20:])
+            raise NonConvergence(f"residual diverged at iteration {i}")
         if i % STALL_WINDOW == 0:
             # Stagnation needs BOTH signs: the iterate stayed confined (a
             # sustained transit of ratio r drifts by res * r/(r-1) >> res per
@@ -166,9 +167,7 @@ def iterate_fixed_point(step, x0: np.ndarray, rel_tol: float = REL_TOL,
                                 res)
                     return x, i, res
                 raise NonConvergence(
-                    f"residual plateaued at {res:.3e} after {i} iterations",
-                    residuals=history[-20:],
-                )
+                    f"residual plateaued at {res:.3e} after {i} iterations")
             x_snap = x.copy()
             res_prev_window = res
     raise MaxIterations(f"no convergence within {max_iter} iterations "
@@ -402,7 +401,7 @@ def simulate_stepwise(model, weights, policy, cfg):
     over time chunks; this is the plain per-step loop it replaced, kept to
     pin its reports.  Same noise streams, same statistics.
     """
-    est = reduce_to_estimator(model)
+    est = EstimatorModel.from_filter(model, riccati.solve_filter_riccati(model))
     prs = riccati.solve_policy_riccati(est, policy)
     k, m, p = model.k, model.m, model.p
     n, N = cfg.horizon, cfg.trajectories
@@ -1254,7 +1253,7 @@ def verify_scalar_kkt(problem: BudgetedProblem, sol: UBSolution,
     SigmaHat sits at zero (state-feedback face; recovery undefined).
     """
     if consts is None:
-        consts = ProblemConstants.for_problem(problem)
+        consts = ProblemConstants.compute(problem.model, problem.weights)
     if not problem.model.is_scalar():
         raise DimensionMismatch("verify_scalar_kkt requires k = m = p = 1")
     dec = sol.decision
@@ -1311,3 +1310,12 @@ def kkt_scaled_multipliers(sol: UBSolution) -> tuple[float, float, float]:
     return (scale * sol.budget_multiplier,
             scale * float(sol.riccati_multiplier[0, 0]),
             scale * float(sol.covariance_multiplier[0, 0]))
+
+
+def ub_riccati_residual(ub: UBSolution, estimator: EstimatorModel) -> float:
+    """Frobenius norm of the tightness Riccati equation at the UB optimizer."""
+    dec = ub.decision
+    P, _, _ = decision_map(estimator, dec.Pi, dec.Gamma, dec.SigmaHat)
+    rhs = (P + estimator.K_p @ estimator.Psi @ estimator.K_p.T
+           - ub.K_Y @ ub.Psi_Y @ ub.K_Y.T)
+    return float(np.linalg.norm(dec.SigmaHat - rhs))

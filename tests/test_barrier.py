@@ -15,7 +15,7 @@ from lqgcap.barrier import (CENTRED, T_START, AffineBlock, BarrierProgram,
                             solve_barrier)
 from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
-from lqgcap.linalg import pinv, psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
+from lqgcap.linalg import psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
 from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import SolverOptions, feasibility
 
@@ -902,12 +902,6 @@ class TestLinalgHelpers:
         clipped, clip = psd_clip(a)
         assert clip == pytest.approx(1e-3)
         assert np.allclose(clipped, np.diag([2.0, 0.0]))
-
-    def test_pinv_threshold_drops_tiny_singular_values(self):
-        a = np.diag([1.0, 1e-12])
-        inv = pinv(a)
-        assert inv[0, 0] == pytest.approx(1.0)
-        assert inv[1, 1] == 0.0
 
     def test_psd_sqrt(self):
         rng = np.random.default_rng(1)

@@ -3,11 +3,12 @@
 (bench/workloads.py).  A renamed target, or a solve_barrier binding the
 tracer does not know, breaks that run without failing any library test.
 This runs one scalar sweep item, the scalar and vector3 scop items at
-horizon 2 and the scalar scop item at horizon 32 under the tracer, as a
-traced benchmark pass does, and reads bench/ without changing it; the
-Riccati solvers and `ProblemConstants.compute` must show in the trace.  The
-vector3 item builds the horizon program on its k > m face, and the h=32 item
-solves on local Newton rows."""
+horizon 2, the scalar scop item at horizon 32 and one scalar simulate item
+under the tracer, as a traced benchmark pass does, and reads bench/ without
+changing it; the Riccati solvers and `ProblemConstants.compute` must show in
+the trace, and so must the filter and policy solves that `simulate` makes
+itself.  The vector3 item builds the horizon program on its k > m face, and
+the h=32 item solves on local Newton rows."""
 
 import pathlib
 import sys
@@ -23,7 +24,8 @@ from lqgcap.barrier import MAX_INNER  # noqa: E402
 ITEMS = (("sweep", "sweep/scalar/p=2.00740741"),
          ("scop-ladder", "scop/scalar/p=2/h=2"),
          ("scop-ladder", "scop/vector3/p=120/h=2"),
-         ("scop-ladder", "scop/scalar/p=2/h=32"))
+         ("scop-ladder", "scop/scalar/p=2/h=32"),
+         ("simulate", "sim/scalar/p=2/seed=20240801"))
 
 
 def test_traced_items_pass_the_gate_and_the_trace_checks():
@@ -54,3 +56,10 @@ def test_traced_items_pass_the_gate_and_the_trace_checks():
     for name in ("filter", "control", "policy"):
         assert summary[f"riccati.{name}_iters"] > 0, name
     assert summary["constants.compute_calls"] == len(ITEMS)
+    # simulate's own filter and policy solves, made through riccati's names
+    sim = [i for i, span in enumerate(tracer.spans)
+           if span[0] == "simulator.simulate"]
+    assert len(sim) == 1
+    assert tracer.spans[sim[0]][4] == "sim/scalar/p=2/seed=20240801"
+    under = {span[0] for span in tracer.spans if span[3] == sim[0]}
+    assert {"riccati.filter", "riccati.policy"} <= under

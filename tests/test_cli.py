@@ -141,11 +141,6 @@ class TestLoadConfig:
 
 
 class TestWriteCsv:
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv([], str(path), header=["a", "b"])
-        assert path.read_text() == "a,b\n"
-
     def test_single_row_two_lines(self, tmp_path):
         path = tmp_path / "out.csv"
         write_csv([{"a": 1.0, "b": "x"}], str(path))

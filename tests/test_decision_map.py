@@ -15,7 +15,7 @@ from lqgcap import upper_bound
 from lqgcap.barrier import SymPacker
 from lqgcap.constants import decision_map, trace_cost
 from lqgcap.linalg import slogdet_pd
-from lqgcap.lower_bound import lower_bound_from_ub, ub_riccati_residual
+from lqgcap.lower_bound import lower_bound_from_ub
 from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import UBProgram
 
@@ -127,7 +127,7 @@ def test_riccati_residual_is_schur_complement_norm(solved):
     A, B, Y = lmi2[:k, :k], lmi2[:k, k:], lmi2[k:, k:]
     schur = A - B @ np.linalg.solve(Y, B.T)
     scale = 1.0 + float(np.linalg.norm(A))
-    assert ub_riccati_residual(ub, c.estimator) == pytest.approx(
+    assert ub.riccati_residual == pytest.approx(
         float(np.linalg.norm(schur)), abs=1e-12 * scale)
 
 

@@ -4,12 +4,13 @@ import pytest
 from lqgcap import (
     BudgetedProblem,
     CostWeights,
+    EstimatorModel,
     ProblemConstants,
     SystemModel,
-    reduce_to_estimator,
     validate_model,
 )
 from lqgcap.errors import DimensionMismatch
+from lqgcap.riccati import solve_filter_riccati
 
 from oracles import iterate_filter, minimal_cost_oracle
 
@@ -77,8 +78,12 @@ def test_dimension_mismatch_raises():
         SystemModel(F=np.eye(2), G=1, H=1, J=1, W=1, V=1, L=0)
 
 
+def _estimator(model):
+    return EstimatorModel.from_filter(model, solve_filter_riccati(model))
+
+
 def test_reduce_s1_matches_iteration_oracle(s1):
-    est = reduce_to_estimator(s1)
+    est = _estimator(s1)
     _, k_ref, psi_ref = iterate_filter(0.5, 1, 1, 1, 1, 1, 0)
     assert est.K_p[0, 0] == pytest.approx(k_ref[0, 0], abs=1e-9)
     assert est.Psi[0, 0] == pytest.approx(psi_ref[0, 0], abs=1e-9)
@@ -89,14 +94,14 @@ def test_reduce_s1_matches_iteration_oracle(s1):
 
 def test_reduce_static_state_gives_sigma_w(w1):
     model = SystemModel(F=0, G=1, H=2, J=1, W=3, V=1, L=0)
-    est = reduce_to_estimator(model)
+    est = _estimator(model)
     assert est.Sigma[0, 0] == pytest.approx(3.0, abs=1e-12)
     assert est.K_p[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert est.Psi[0, 0] == pytest.approx(2 * 3 * 2 + 1, abs=1e-10)
 
 
 def test_reduce_vector_system(s2):
-    est = reduce_to_estimator(s2)
+    est = _estimator(s2)
     assert est.K_p.shape == (3, 1)
     assert np.linalg.matrix_rank(est.K_p) == 1
     assert np.all(est.K_p != 0)

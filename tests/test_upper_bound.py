@@ -8,9 +8,11 @@ from lqgcap import (
     CostWeights,
     ProblemConstants,
     SolverOptions,
+    SystemModel,
     feasibility,
     rate_from_psi,
     solve_scalar,
+    solve_scop,
     solve_ub,
 )
 from lqgcap import tightness_certificate
@@ -27,7 +29,7 @@ from lqgcap.lower_bound import lower_bound_from_ub
 from lqgcap.upper_bound import UBProgram
 
 from oracles import (DegenerateSolution, kkt_scaled_multipliers,
-                     verify_scalar_kkt)
+                     ub_riccati_residual, verify_scalar_kkt)
 from test_random_systems import random_system, with_decoupled_mode
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -40,9 +42,6 @@ class TestRateFromPsi:
 
     def test_euler_ratio_gives_half_nat(self):
         assert rate_from_psi(np.e, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_doubling_gives_half_bit(self):
-        assert rate_from_psi(2.0, 1.0, units="bits") == pytest.approx(0.5, abs=1e-12)
 
     def test_not_pd_raises(self):
         with pytest.raises(NotPositiveDefinite):
@@ -332,6 +331,83 @@ class TestMultipliers:
                                        rtol=1e-9, atol=1e-12)
             off = np.setdiff1d(range(3), keep)
             assert not z2[off].any() and not z2[:, off].any()
+
+
+class TestRiccatiResidual:
+    """UBSolution.riccati_residual, formed by the solve next to the Schur
+    complement of riccati_lmi_slack, is bit-equal to the residual rebuilt
+    from the decision through decision_map (the oracle)."""
+
+    @pytest.mark.parametrize("name", ["scalar", "vector3"])
+    def test_equals_the_rebuilt_residual_on_the_grids(self, name):
+        model, weights, grid = _grid(name)
+        c = ProblemConstants.compute(model, weights)
+        for p in grid:
+            ub = solve_ub(BudgetedProblem(model, weights, p), consts=c)
+            assert ub.riccati_residual == ub_riccati_residual(
+                ub, c.estimator), p
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_rebuilt_residual_on_random_plants(self, seed):
+        model, weights = random_system(seed)
+        c = ProblemConstants.compute(model, weights)
+        p = 1.3 * c.minimal_cost + 0.1
+        ub = solve_ub(BudgetedProblem(model, weights, p), consts=c)
+        assert ub.riccati_residual == ub_riccati_residual(ub, c.estimator)
+
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    def test_zero_on_the_floor(self, request, name):
+        c = request.getfixturevalue(name)
+        ub = solve_ub(BudgetedProblem(c.model, c.weights, c.minimal_cost),
+                      consts=c)
+        assert ub.rate == 0.0
+        assert ub.riccati_residual == 0.0
+        assert ub_riccati_residual(ub, c.estimator) == 0.0
+
+
+# each solve entry point, reduced to one number of its result
+SOLVES = {
+    "feasibility": lambda prob, c: feasibility(prob, c).point.Pi[0, 0],
+    "solve_ub": lambda prob, c: solve_ub(prob, consts=c).rate,
+    "solve_scalar": lambda prob, c: solve_scalar(prob, consts=c).rate,
+    "solve_scop": lambda prob, c: solve_scop(prob, 2, consts=c).value,
+}
+
+
+class TestConstantsCheck:
+    """Every solve entry point runs on constants of its own problem's model
+    and weights.  Unchecked, the scalar config at p=3.5 solved with the
+    constants of its plant at F=0.9 gave 0.1025 nats instead of 0.3324."""
+
+    @staticmethod
+    def _scalar(**change):
+        cfg = load_config(str(CONFIGS / "scalar.json"))
+        m = cfg.model
+        fields = dict(F=m.F, G=m.G, H=m.H, J=m.J, W=m.W, V=m.V, L=m.L)
+        return SystemModel(**{**fields, **change}), cfg.weights
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_constants_of_another_plant_raise(self, name):
+        model, weights = self._scalar()
+        other = ProblemConstants.compute(self._scalar(F=0.9)[0], weights)
+        with pytest.raises(ValueError, match="another model"):
+            SOLVES[name](BudgetedProblem(model, weights, 3.5), other)
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_an_equal_plant_rebuilt_is_accepted(self, name):
+        """A new model object with equal matrices (and another Sigma1,
+        which no constant depends on) and new, equal weights pass."""
+        model, weights = self._scalar()
+        rebuilt, _ = self._scalar(Sigma1=2.0)
+        consts = ProblemConstants.compute(
+            rebuilt, CostWeights(Q=weights.Q.copy(), R=weights.R.copy()))
+        prob = BudgetedProblem(model, weights, 3.5)
+        assert SOLVES[name](prob, consts) == SOLVES[name](prob, None) > 0
+
+    def test_the_right_constants_give_the_probe_rate(self):
+        model, weights = self._scalar()
+        ub = solve_ub(BudgetedProblem(model, weights, 3.5))
+        assert ub.rate == pytest.approx(0.3324, abs=1e-4)
 
 
 def test_solver_options_tolerance_scaling(s1, w1, c1):
