@@ -6,7 +6,7 @@ Library surface:
 - constants: steady-state constants and constants_for, decision map, cost floor
 - riccati: Riccati equation type, filter/control/policy solvers, PBH tests
 - upper_bound: the determinant-maximization upper bound and its Riccati residual
-- lower_bound: policy extraction, evaluation, tightness certificates
+- lower_bound: policy extraction and evaluation, certificates, solve_capacity
 - scop: the finite-horizon sequential program and its averaging argument
 - simulator: Monte-Carlo closed-loop validation
 - cli: the `lqgcap` command-line front end
@@ -14,10 +14,12 @@ Library surface:
 
 from .constants import ProblemConstants
 from .lower_bound import (
+    CapacityReport,
     LBSolution,
     TightnessCertificate,
     evaluate_policy,
     extract_policy,
+    solve_capacity,
     tightness_certificate,
 )
 from .model import (
@@ -57,7 +59,6 @@ from .upper_bound import (
     UBSolution,
     feasibility,
     rate_from_psi,
-    solve_scalar,
     solve_ub,
 )
 
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetedProblem",
+    "CapacityReport",
     "ComparisonVerdict",
     "ControlConstants",
     "CostWeights",
@@ -99,7 +101,7 @@ __all__ = [
     "solve_control_riccati",
     "solve_filter_riccati",
     "solve_policy_riccati",
-    "solve_scalar",
+    "solve_capacity",
     "solve_scop",
     "solve_ub",
     "tightness_certificate",

@@ -8,22 +8,19 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from .config import RunConfig, load_config, set_system_entry
 from .constants import ProblemConstants
-from .errors import (
-    ConfigError,
-    Infeasible,
-    LqgcapError,
-)
-from .lower_bound import lower_bound_from_ub, tightness_certificate
+from .errors import ConfigError, Infeasible, LqgcapError
+from .lower_bound import require_scalar_capacity, solve_capacity
 from .model import BudgetedProblem, validate_model
 from .riccati import control_regularity, filter_regularity
 from .scop import average_variables, solve_scop
 from .simulator import compare_to_theory, simulate, usable_cpus
-from .upper_bound import SolverOptions, solve_scalar, solve_ub
+from .upper_bound import SolverOptions, solve_ub
 
 log = logging.getLogger("lqgcap.cli")
 
@@ -63,10 +60,9 @@ def _budget_point(consts: ProblemConstants, budget: float,
                   solver: SolverOptions, units: str) -> dict:
     """Solve the full chain (UB, extraction, LB, certificate) at one budget
     of the model and weights that `consts` were computed for."""
-    prob = BudgetedProblem(consts.model, consts.weights, budget)
-    ub = solve_ub(prob, solver, consts)
-    lb = lower_bound_from_ub(consts, ub)
-    cert = tightness_certificate(ub, lb, consts.estimator)
+    rep = solve_capacity(BudgetedProblem(consts.model, consts.weights, budget),
+                         solver, consts)
+    ub, lb, cert = rep.ub, rep.lb, rep.certificate
     return {
         "budget": budget,
         "ub_rate": _in_units(ub.rate, units),
@@ -169,15 +165,15 @@ def cmd_lb(cfg: RunConfig, args) -> int:
 
 def cmd_capacity(cfg: RunConfig, args) -> int:
     consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    require_scalar_capacity(consts)
     prob = BudgetedProblem(cfg.model, cfg.weights, _require_budget(cfg))
-    sol = solve_scalar(prob, cfg.solver, consts)
+    rep = solve_capacity(prob, cfg.solver, consts)
+    sol, cert = rep.ub, rep.certificate
     print(f"capacity_{cfg.units} = {_in_units(sol.rate, cfg.units):.12g}")
     print(f"cost = {sol.cost:.12g}")
     _print_multipliers(sol, cfg.units, ("budget_multiplier",
                                         "riccati_multiplier",
                                         "covariance_multiplier"))
-    lb = lower_bound_from_ub(consts, sol)
-    cert = tightness_certificate(sol, lb, consts.estimator)
     print(f"certificate = {cert.verdict}"
           + (f" via {cert.route}" if cert.route else "")
           + (f" reasons={list(cert.reasons)}" if cert.reasons else ""))
@@ -246,15 +242,9 @@ def cmd_scop(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if cfg.sim is None:
         raise ConfigError("sim", "simulate needs a sim block")
-    sim_cfg = cfg.sim
-    if args.seed is not None:
-        sim_cfg = type(sim_cfg)(horizon=sim_cfg.horizon,
-                                trajectories=sim_cfg.trajectories,
-                                seed=args.seed, burn_in=sim_cfg.burn_in)
-    consts = ProblemConstants.compute(cfg.model, cfg.weights)
+    sim_cfg = cfg.sim if args.seed is None else replace(cfg.sim, seed=args.seed)
     prob = BudgetedProblem(cfg.model, cfg.weights, _require_budget(cfg))
-    ub = solve_ub(prob, cfg.solver, consts)
-    lb = lower_bound_from_ub(consts, ub)
+    lb = solve_capacity(prob, cfg.solver).lb
     report = simulate(cfg.model, cfg.weights, lb.policy, sim_cfg)
     verdict = compare_to_theory(report, lb)
     print(f"empirical_cost = {report.empirical_cost:.12g} "
@@ -316,14 +306,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, lax=args.lax)
         if args.units is not None:
-            cfg = type(cfg)(**{**cfg.__dict__, "units": args.units})
-        if args.tol is not None or args.max_iter is not None:
-            solver = SolverOptions(
-                tol=args.tol if args.tol is not None else cfg.solver.tol,
-                max_iter=(args.max_iter if args.max_iter is not None
-                          else cfg.solver.max_iter))
-            cfg = type(cfg)(**{**cfg.__dict__, "solver": solver,
-                               "solver_set": True})
+            cfg = replace(cfg, units=args.units)
+        flags = {key: getattr(args, key) for key in ("tol", "max_iter")
+                 if getattr(args, key) is not None}
+        if flags:
+            cfg = replace(cfg, solver=replace(cfg.solver, **flags),
+                          solver_set=True)
         return _COMMANDS[args.command](cfg, args)
     except Infeasible as e:
         print(f"infeasible: {e}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Policy extraction from the upper bound, its achieved rate, and the
-Riccati tightness certificate.
+"""Policy extraction from the upper bound, its achieved rate, the Riccati
+tightness certificate, and solve_capacity, the one call that runs the chain.
 
 A time-invariant policy (GammaBar, M) induces an observer error covariance
 through a standard Riccati equation; evaluating the rate and budget of the
@@ -16,12 +16,16 @@ import numpy as np
 
 from . import linalg as la
 from . import riccati
-from .constants import ProblemConstants, cost_floor, trace_cost
-from .model import CostWeights, EstimatorModel
+from .constants import ProblemConstants, constants_for, cost_floor, trace_cost
+from .errors import AssumptionViolated, DimensionMismatch
+from .model import BudgetedProblem, CostWeights, EstimatorModel
 from .riccati import ControlConstants, Policy, PolicyRiccatiSolution, pbh_test
-from .upper_bound import UBSolution, rate_from_psi
+from .upper_bound import SolverOptions, UBSolution, rate_from_psi, solve_ub
 
 log = logging.getLogger("lqgcap.lb")
+
+# A lower bound spending over p + BUDGET_REL * max(1, p) is over budget.
+BUDGET_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,49 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     )
 
 
-def lower_bound_from_ub(consts: ProblemConstants, ub: UBSolution) -> LBSolution:
-    """Convenience: extract and evaluate in one step."""
-    policy = extract_policy(ub, consts.control)
-    return evaluate_policy(consts.estimator, consts.weights, consts.control,
-                           policy)
+@dataclass(frozen=True)
+class CapacityReport:
+    """The chain at one budget: the constants it ran on, the upper bound, the
+    lower bound of the policy extracted at its optimizer, the certificate."""
+
+    consts: ProblemConstants
+    ub: UBSolution
+    lb: LBSolution
+    certificate: TightnessCertificate
+
+    @property
+    def capacity_exact(self) -> bool:
+        """ub.rate is the capacity: a certified scalar plant, H != K_LQR J."""
+        try:
+            require_scalar_capacity(self.consts)
+        except (DimensionMismatch, AssumptionViolated):
+            return False
+        return self.certificate.tight
+
+
+def require_scalar_capacity(consts: ProblemConstants) -> None:
+    """The guards of the scalar capacity theorem: DimensionMismatch unless
+    k = m = p = 1, AssumptionViolated when H = K_LQR J."""
+    if not consts.model.is_scalar():
+        raise DimensionMismatch("capacity requires k = m = p = 1")
+    H, J = float(consts.model.H[0, 0]), float(consts.model.J[0, 0])
+    KJ = float(consts.K_LQR[0, 0]) * J
+    if abs(H - KJ) <= 1e-10 * (1.0 + abs(H) + abs(KJ)):
+        raise AssumptionViolated("H = K_LQR * J", f"H={H}, K_LQR*J={KJ}")
+
+
+def solve_capacity(problem: BudgetedProblem, opts: SolverOptions | None = None,
+                   consts: ProblemConstants | None = None) -> CapacityReport:
+    """Run the chain once at the problem's budget: constants, upper bound,
+    extracted policy, its lower bound, certificate.  A lower bound over
+    budget (beyond BUDGET_REL) is logged as a warning and still returned."""
+    consts = constants_for(problem, consts)
+    ub = solve_ub(problem, opts, consts)
+    lb = evaluate_policy(consts.estimator, consts.weights, consts.control,
+                         extract_policy(ub, consts.control))
+    p, spent = problem.budget, lb.achieved_budget
+    if spent > p + BUDGET_REL * max(1.0, p):
+        log.warning("lower bound over budget: spends %.12g against the "
+                    "budget %.12g, over by %.3e", spent, p, spent - p)
+    cert = tightness_certificate(ub, lb, consts.estimator)
+    return CapacityReport(consts=consts, ub=ub, lb=lb, certificate=cert)

@@ -32,8 +32,24 @@ def _sym_field(a: np.ndarray):
     return la.sym(m), la.asymmetry(m)
 
 
+class _Dimensions:
+    """k, m and p of a model with F (k x k), G (k x m) and H (p x k)."""
+
+    @property
+    def k(self) -> int:
+        return self.F.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.G.shape[1]
+
+    @property
+    def p(self) -> int:
+        return self.H.shape[0]
+
+
 @dataclass(frozen=True)
-class SystemModel:
+class SystemModel(_Dimensions):
     """State-space matrices and noise covariances of the plant.
 
     Shapes: F k x k, G k x m, H p x k, J p x m, W k x k, V p x p, L k x p.
@@ -78,18 +94,6 @@ class SystemModel:
             object.__setattr__(self, name, val)
         object.__setattr__(self, "sym_deltas", deltas)
 
-    @property
-    def k(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.H.shape[0]
-
     def joint_noise(self) -> np.ndarray:
         """The (k+p) x (k+p) joint covariance [[W, L], [L^T, V]]."""
         return np.block([[self.W, self.L], [self.L.T, self.V]])
@@ -118,7 +122,7 @@ class CostWeights:
 
 
 @dataclass(frozen=True)
-class EstimatorModel:
+class EstimatorModel(_Dimensions):
     """Innovation-form state-space model seen by the controller.
 
     Same (F, G, H, J) as the plant, driven by the i.i.d. innovation of
@@ -134,18 +138,6 @@ class EstimatorModel:
     K_p: np.ndarray
     Psi: np.ndarray
     Sigma: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.H.shape[0]
 
     @classmethod
     def from_filter(cls, model: SystemModel, filter) -> "EstimatorModel":

@@ -1,4 +1,4 @@
-"""Convex upper bound on the LQG system capacity, and its scalar exact form.
+"""Convex upper bound on the LQG system capacity.
 
 The program maximizes (1/2) log det(Psi_Y) - (1/2) log det(Psi) over
 decision matrices (Pi, Gamma, SigmaHat) subject to the trace cost constraint,
@@ -29,13 +29,7 @@ import numpy as np
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from .constants import ProblemConstants, constants_for, decision_map, trace_cost
-from .errors import (
-    AssumptionViolated,
-    ConfigError,
-    DimensionMismatch,
-    Infeasible,
-    SolverNonConvergence,
-)
+from .errors import ConfigError, Infeasible, SolverNonConvergence
 from .model import BudgetedProblem
 from .riccati import Policy, RiccatiEquation, _solve_dare, policy_equation
 
@@ -104,7 +98,6 @@ class UBSolution:
     budget_multiplier: float | None      # nats per budget unit
     riccati_multiplier: np.ndarray | None
     covariance_multiplier: np.ndarray | None
-    capacity_exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -401,24 +394,3 @@ def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
     v0 = prog.pack(feas.point)
     v, info = solve_barrier(prog.barrier_program(), v0, opts.tol, opts.max_iter)
     return prog.solution_from(v, info)
-
-
-def solve_scalar(problem: BudgetedProblem, opts: SolverOptions | None = None,
-                 consts: ProblemConstants | None = None) -> UBSolution:
-    """Exact capacity of a scalar system via the same program.
-
-    Guards the standing assumption H != K_LQR * J; G = K_p * J (state
-    feedback) is the program's empty face.  The returned rate is the
-    capacity itself (capacity_exact set).
-    """
-    consts = constants_for(problem, consts)
-    if not problem.model.is_scalar():
-        raise DimensionMismatch("solve_scalar requires k = m = p = 1")
-    H = float(consts.model.H[0, 0])
-    J = float(consts.model.J[0, 0])
-    K_lqr = float(consts.K_LQR[0, 0])
-    if abs(H - K_lqr * J) <= 1e-10 * (1.0 + abs(H) + abs(K_lqr * J)):
-        raise AssumptionViolated("H = K_LQR * J",
-                                 f"H={H}, K_LQR*J={K_lqr * J}")
-    sol = solve_ub(problem, opts, consts)
-    return UBSolution(**{**sol.__dict__, "capacity_exact": True})

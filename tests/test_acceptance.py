@@ -16,18 +16,16 @@ from lqgcap import (
     ProblemConstants,
     evaluate_policy,
     extract_policy,
+    solve_capacity,
     solve_control_riccati,
     solve_filter_riccati,
     solve_policy_riccati,
-    solve_scalar,
     solve_scop,
     solve_ub,
-    tightness_certificate,
 )
 from lqgcap.barrier import AffineBlock, BarrierProgram, solve_barrier
 from lqgcap.config import set_system_entry
 from lqgcap.errors import Infeasible
-from lqgcap.lower_bound import lower_bound_from_ub
 from lqgcap.scop import average_variables
 from lqgcap.simulator import SimConfig, simulate
 from lqgcap.upper_bound import UBProgram, feasibility
@@ -50,9 +48,8 @@ def s1_sweep(s1, w1, c1):
     start = time.time()
     rows = []
     for p in np.linspace(1.31, 4.0, 28):
-        ub = solve_ub(BudgetedProblem(s1, w1, float(p)), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
-        cert = tightness_certificate(ub, lb, c1.estimator)
+        rep = solve_capacity(BudgetedProblem(s1, w1, float(p)), consts=c1)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         rows.append((float(p), ub, lb, cert))
     return rows, time.time() - start
 
@@ -91,7 +88,8 @@ def test_criterion_2_scalar_tightness(s1, w1, c1, s1_sweep):
     rows, elapsed = s1_sweep
     gaps = [ub.rate - lb.rate for _, ub, lb, _ in rows]
     all_tight = all(cert.tight for _, _, _, cert in rows)
-    at_floor = solve_scalar(BudgetedProblem(s1, w1, c1.minimal_cost), consts=c1)
+    at_floor = solve_capacity(BudgetedProblem(s1, w1, c1.minimal_cost),
+                              consts=c1).ub
     ok = (max(abs(g) for g in gaps) <= 1e-6 and all_tight
           and abs(at_floor.rate) <= 1e-8 and elapsed < 30.0)
     finish(2, "scalar tightness over 28 budgets, zero capacity at the floor",
@@ -132,9 +130,8 @@ def test_criterion_5_vector_bound_gap(s2, w2, c2):
     verdicts = []
     jstar = c2.minimal_cost
     for p in np.linspace(1.02 * jstar, 3.0 * jstar, 20):
-        ub = solve_ub(BudgetedProblem(s2, w2, float(p)), consts=c2)
-        lb = lower_bound_from_ub(c2, ub)
-        cert = tightness_certificate(ub, lb, c2.estimator)
+        rep = solve_capacity(BudgetedProblem(s2, w2, float(p)), consts=c2)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         rel_gaps.append((ub.rate - lb.rate) / max(ub.rate, 1e-9))
         verdicts.append(cert.tight)
     elapsed = time.time() - start
@@ -176,7 +173,7 @@ def test_criterion_6_special_cases(s1, w1, c1):
 def test_criterion_7_oracle_equivalence(s1, w1, c1, s1_oracle):
     diffs = []
     for p, ref in sorted(s1_oracle.items()):
-        sol = solve_scalar(BudgetedProblem(s1, w1, p), consts=c1)
+        sol = solve_capacity(BudgetedProblem(s1, w1, p), consts=c1).ub
         diffs.append(abs(sol.rate - ref["rate_nats"]))
     ok = max(diffs) <= 1e-5
     finish(7, "scalar solver matches the frozen grid+polish oracle", ok,
@@ -240,7 +237,7 @@ def test_criterion_9_monte_carlo(s1, w1, c1):
 
 def test_criterion_10_kkt_diagnostics(s1, w1, c1):
     prob = BudgetedProblem(s1, w1, 2.0)
-    sol = solve_scalar(prob, consts=c1)
+    sol = solve_capacity(prob, consts=c1).ub
     kkt = verify_scalar_kkt(prob, sol, c1)
     g3_ok = abs(kkt.g3_value) <= 1e-6
     slack_ok = np.max(np.abs(kkt.slackness_residuals)) <= 1e-6

@@ -264,6 +264,26 @@ class TestCommands:
             np.testing.assert_allclose(json.loads(printed[f"{name}_nats"]),
                                        getattr(sol, name), rtol=1e-5)
 
+    def test_capacity_refuses_a_vector_plant_before_printing(self, tmp_path,
+                                                             capsys):
+        doc = json.loads(VECTOR_CFG.read_text())
+        doc["budget"] = 120.0
+        assert run(["capacity", "--config", write_cfg(tmp_path, doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: DimensionMismatch: capacity requires")
+        assert "solve_scalar" not in err
+
+    def test_capacity_refuses_h_equal_to_klqr_j(self, tmp_path, capsys):
+        # F = 0 gives K_LQR = 0, so H = 0 is K_LQR J
+        path = write_cfg(tmp_path, scalar_doc(system={
+            "F": 0.0, "G": 1.0, "H": 0.0, "J": 1.0, "W": 1.0, "V": 1.0,
+            "L": 0.0}))
+        assert run(["capacity", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: AssumptionViolated: H = K_LQR * J")
+
     @pytest.mark.parametrize("budget, want", [(120.0, "0.00828857"),
                                               (None, "none")])
     def test_ub_prints_the_budget_multiplier(self, tmp_path, capsys, budget,
@@ -485,3 +505,15 @@ def test_readme_check_and_simulate_examples_run(tmp_path, monkeypatch, capsys):
             ran.append(argv[1])
     assert sorted(ran) == ["check", "simulate"]
     assert "verdict: pass" in capsys.readouterr().out
+
+
+def test_readme_python_examples_run(capsys):
+    """Every Python block of the README runs as written; the quick start
+    prints both bounds, a CertifiedTight verdict and capacity_exact."""
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(block.split("```")[0], {})
+    printed = capsys.readouterr().out.split()
+    assert printed[2:] == ["CertifiedTight", "True"]
+    assert float(printed[0]) == pytest.approx(float(printed[1]), abs=1e-6)

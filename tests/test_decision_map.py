@@ -15,7 +15,7 @@ from lqgcap import upper_bound
 from lqgcap.barrier import SymPacker
 from lqgcap.constants import decision_map, trace_cost
 from lqgcap.linalg import slogdet_pd
-from lqgcap.lower_bound import lower_bound_from_ub
+from lqgcap.lower_bound import evaluate_policy, extract_policy
 from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import UBProgram
 
@@ -113,7 +113,8 @@ def solved(request):
 
 def test_policy_budget_is_cost_of_induced_triple(solved):
     c, _, ub = solved
-    lb = lower_bound_from_ub(c, ub)
+    lb = evaluate_policy(c.estimator, c.weights, c.control,
+                         extract_policy(ub, c.control))
     GammaBar, S = lb.policy.GammaBar, lb.riccati.SigmaHat
     want = c.cost_of(GammaBar @ S @ GammaBar.T + lb.policy.M, GammaBar @ S, S)
     assert lb.achieved_budget == pytest.approx(want, rel=1e-12)

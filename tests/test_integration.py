@@ -12,11 +12,8 @@ from lqgcap import (
     SystemModel,
     compare_to_theory,
     simulate,
-    solve_scalar,
-    tightness_certificate,
-    solve_ub,
+    solve_capacity,
 )
-from lqgcap.lower_bound import lower_bound_from_ub
 
 from oracles import kkt_scaled_multipliers, verify_scalar_kkt
 
@@ -42,9 +39,8 @@ class TestMIMO:
         model, weights, c = mimo
         for mult in (1.2, 2.0):
             p = mult * c.minimal_cost
-            ub = solve_ub(BudgetedProblem(model, weights, p), consts=c)
-            lb = lower_bound_from_ub(c, ub)
-            cert = tightness_certificate(ub, lb, c.estimator)
+            rep = solve_capacity(BudgetedProblem(model, weights, p), consts=c)
+            ub, lb, cert = rep.ub, rep.lb, rep.certificate
             assert cert.tight
             assert abs(ub.rate - lb.rate) <= 1e-6
             assert lb.policy.GammaBar.shape == (2, 2)
@@ -53,8 +49,7 @@ class TestMIMO:
     def test_simulation_matches(self, mimo):
         model, weights, c = mimo
         p = 2.0 * c.minimal_cost
-        ub = solve_ub(BudgetedProblem(model, weights, p), consts=c)
-        lb = lower_bound_from_ub(c, ub)
+        lb = solve_capacity(BudgetedProblem(model, weights, p), consts=c).lb
         rep = simulate(model, weights, lb.policy,
                        SimConfig(horizon=1500, trajectories=80, seed=5,
                                  burn_in=150))
@@ -67,9 +62,8 @@ class TestCorrelatedNoise:
         model, weights, c = correlated
         p = 2.5 * c.minimal_cost
         prob = BudgetedProblem(model, weights, p)
-        sol = solve_scalar(prob, consts=c)
-        lb = lower_bound_from_ub(c, sol)
-        cert = tightness_certificate(sol, lb, c.estimator)
+        rep = solve_capacity(prob, consts=c)
+        sol, cert = rep.ub, rep.certificate
         assert cert.tight
         kkt = verify_scalar_kkt(prob, sol, c)
         assert abs(kkt.g3_value) <= 1e-6

@@ -11,11 +11,11 @@ from lqgcap import (
     UBSolution,
     evaluate_policy,
     extract_policy,
+    solve_capacity,
     solve_ub,
     tightness_certificate,
 )
 from lqgcap import lower_bound, riccati
-from lqgcap.lower_bound import lower_bound_from_ub
 
 from test_random_systems import random_system
 
@@ -91,30 +91,30 @@ class TestEvaluatePolicy:
         assert lb.achieved_budget == pytest.approx(c1.minimal_cost, abs=1e-9)
 
     def test_s1_extracted_policy_meets_ub(self, s1, w1, c1):
-        ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        ub, lb = rep.ub, rep.lb
         assert abs(ub.rate - lb.rate) <= 1e-6
         assert abs(lb.achieved_budget - 2.0) <= 1e-6
 
     def test_vector_extracted_policy_close_to_ub(self, s2, w2, c2):
         p = 1.5 * c2.minimal_cost
-        ub = solve_ub(BudgetedProblem(s2, w2, p), consts=c2)
-        lb = lower_bound_from_ub(c2, ub)
+        rep = solve_capacity(BudgetedProblem(s2, w2, p), consts=c2)
+        ub, lb = rep.ub, rep.lb
         assert (ub.rate - lb.rate) / max(ub.rate, 1e-9) <= 1e-3
 
 
 class TestWeakDuality:
     @pytest.mark.parametrize("p", [1.35, 1.8, 2.7, 4.0])
     def test_scalar_budgets(self, s1, w1, c1, p):
-        ub = solve_ub(BudgetedProblem(s1, w1, p), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
+        rep = solve_capacity(BudgetedProblem(s1, w1, p), consts=c1)
+        ub, lb = rep.ub, rep.lb
         assert lb.rate <= ub.rate + 1e-8
         assert lb.achieved_budget <= p + 1e-6 * max(1.0, p)
 
     def test_vector_budget(self, s2, w2, c2):
         p = 2.0 * c2.minimal_cost
-        ub = solve_ub(BudgetedProblem(s2, w2, p), consts=c2)
-        lb = lower_bound_from_ub(c2, ub)
+        rep = solve_capacity(BudgetedProblem(s2, w2, p), consts=c2)
+        ub, lb = rep.ub, rep.lb
         assert lb.rate <= ub.rate + 1e-8
         assert lb.achieved_budget <= p + 1e-6 * max(1.0, p)
 
@@ -145,9 +145,8 @@ class TestSubstitutionChain:
 
 class TestCertificate:
     def test_s1_certified_tight(self, s1, w1, c1):
-        ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
-        cert = tightness_certificate(ub, lb, c1.estimator)
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         assert cert.tight
         assert cert.detectable
         assert cert.riccati_residual <= 1e-6 * (
@@ -158,9 +157,8 @@ class TestCertificate:
         """On S1 the optimal dither is zero, so the stabilizability test has
         nothing to work with; agreement of the recursion limit with the UB
         optimizer certifies instead."""
-        ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
-        cert = tightness_certificate(ub, lb, c1.estimator)
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         assert cert.tight
         assert not cert.stabilizable
         assert cert.route == "direct-recursion"
@@ -179,9 +177,8 @@ class TestCertificate:
         model, weights = random_system(seed)
         c = ProblemConstants.compute(model, weights)
         budget = mult * c.minimal_cost + 0.1
-        ub = solve_ub(BudgetedProblem(model, weights, budget), consts=c)
-        lb = lower_bound_from_ub(c, ub)
-        cert = tightness_certificate(ub, lb, c.estimator)
+        rep = solve_capacity(BudgetedProblem(model, weights, budget), consts=c)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         assert cert.stabilizable
         assert cert.verdict == "NotCertified" and cert.route == ""
         assert len(cert.reasons) == 2
@@ -202,22 +199,22 @@ class TestCertificate:
     def test_lb_above_ub_not_certified(self, s1, w1, c1):
         """The rate test is two-sided: an LB 1e-5 nats above the UB, as an
         overspending policy would show, is not certified."""
-        ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
-        lb = replace(lower_bound_from_ub(c1, ub), rate=ub.rate + 1e-5)
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        ub = rep.ub
+        lb = replace(rep.lb, rate=ub.rate + 1e-5)
         cert = tightness_certificate(ub, lb, c1.estimator)
         assert cert.verdict == "NotCertified"
         assert cert.reasons == ("|rate_gap| 1.000e-05 > 1e-6",)
 
     def test_vector_certified(self, s2, w2, c2):
-        ub = solve_ub(BudgetedProblem(s2, w2, 2.0 * c2.minimal_cost), consts=c2)
-        lb = lower_bound_from_ub(c2, ub)
-        cert = tightness_certificate(ub, lb, c2.estimator)
+        rep = solve_capacity(BudgetedProblem(s2, w2, 2.0 * c2.minimal_cost),
+                             consts=c2)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         assert cert.tight
 
     def test_residual_helper_matches_certificate(self, s1, w1, c1):
-        ub = solve_ub(BudgetedProblem(s1, w1, 2.0), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
-        cert = tightness_certificate(ub, lb, c1.estimator)
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         assert cert.riccati_residual == ub.riccati_residual
 
 
@@ -235,8 +232,8 @@ class TestCertificateWork:
         else:
             c = request.getfixturevalue("c1" if name == "s1" else "c2")
             p = 2.0 if name == "s1" else 120.0
-        ub = solve_ub(BudgetedProblem(c.model, c.weights, p), consts=c)
-        lb = lower_bound_from_ub(c, ub)
+        rep = solve_capacity(BudgetedProblem(c.model, c.weights, p), consts=c)
+        ub, lb = rep.ub, rep.lb
         eq = riccati.policy_equation(c.estimator, lb.policy)
         want = riccati.pbh_test(eq.Ft, eq.Ht, "detectable")
         modes, pbh = [], lower_bound.pbh_test
@@ -250,8 +247,9 @@ class TestCertificateWork:
             want.ok, want.eigenvalue, want.margin)
 
     def test_a_policy_solved_elsewhere_is_rejected(self, c1):
-        ub = solve_ub(BudgetedProblem(c1.model, c1.weights, 2.0), consts=c1)
-        lb = lower_bound_from_ub(c1, ub)
+        rep = solve_capacity(BudgetedProblem(c1.model, c1.weights, 2.0),
+                             consts=c1)
+        ub, lb = rep.ub, rep.lb
         other = replace(c1.estimator, Psi=2.0 * c1.estimator.Psi)
         with pytest.raises(ValueError, match="estimator"):
             tightness_certificate(ub, lb, other)

@@ -13,12 +13,10 @@ from lqgcap import (
     CostWeights,
     ProblemConstants,
     SystemModel,
-    tightness_certificate,
-    solve_ub,
+    solve_capacity,
     validate_model,
 )
 from lqgcap.errors import LqgcapError
-from lqgcap.lower_bound import lower_bound_from_ub
 from lqgcap.riccati import ControlConstants, FilterConstants
 
 
@@ -59,12 +57,11 @@ def with_decoupled_mode(model, weights, a: float, w: float, q: float):
 def _full_chain(consts, budget):
     """(ub, lb, certificate) at the budget, or the name of the error."""
     try:
-        ub = solve_ub(BudgetedProblem(consts.model, consts.weights, budget),
-                      consts=consts)
-        lb = lower_bound_from_ub(consts, ub)
+        rep = solve_capacity(BudgetedProblem(consts.model, consts.weights,
+                                             budget), consts=consts)
     except LqgcapError as e:
         return type(e).__name__
-    return ub, lb, tightness_certificate(ub, lb, consts.estimator)
+    return rep.ub, rep.lb, rep.certificate
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -129,9 +126,9 @@ def test_full_chain_on_random_system(seed):
     consts = ProblemConstants.compute(model, weights)
     for mult in (1.3, 2.5):
         budget = mult * consts.minimal_cost + 0.1
-        ub = solve_ub(BudgetedProblem(model, weights, budget), consts=consts)
-        lb = lower_bound_from_ub(consts, ub)
-        cert = tightness_certificate(ub, lb, consts.estimator)
+        rep = solve_capacity(BudgetedProblem(model, weights, budget),
+                             consts=consts)
+        ub, lb, cert = rep.ub, rep.lb, rep.certificate
         assert lb.rate <= ub.rate + 1e-8
         assert lb.achieved_budget <= budget + 1e-6 * max(1.0, budget)
         assert ub.rate >= -1e-9

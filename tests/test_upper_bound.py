@@ -11,11 +11,10 @@ from lqgcap import (
     SystemModel,
     feasibility,
     rate_from_psi,
-    solve_scalar,
+    solve_capacity,
     solve_scop,
     solve_ub,
 )
-from lqgcap import tightness_certificate
 from lqgcap.barrier import AffineBlock, BarrierProgram, solve_barrier
 from lqgcap.config import load_config
 from lqgcap.errors import (
@@ -25,7 +24,7 @@ from lqgcap.errors import (
     NotPositiveDefinite,
 )
 from lqgcap.linalg import min_eig
-from lqgcap.lower_bound import lower_bound_from_ub
+from lqgcap.lower_bound import require_scalar_capacity
 from lqgcap.upper_bound import UBProgram
 
 from oracles import (DegenerateSolution, kkt_scaled_multipliers,
@@ -172,24 +171,22 @@ class TestSpecialCases:
         shift = consts.minimal_cost - c1.minimal_cost
         assert shift == pytest.approx(1.0 / (1.0 - 0.64), rel=1e-12)
         budget = mult * c1.minimal_cost + 0.1
-        ub1 = solve_ub(BudgetedProblem(s1, w1, budget), consts=c1)
-        ub2 = solve_ub(BudgetedProblem(model, weights, budget + shift),
-                       consts=consts)
+        rep1 = solve_capacity(BudgetedProblem(s1, w1, budget), consts=c1)
+        rep2 = solve_capacity(BudgetedProblem(model, weights, budget + shift),
+                              consts=consts)
+        ub1, ub2 = rep1.ub, rep2.ub
         assert abs(ub2.rate - ub1.rate) <= 1e-12
         assert ub2.iterations == ub1.iterations
         assert not ub2.decision.SigmaHat[1].any()
         assert not ub2.decision.Gamma[:, 1].any()
-        lb1 = lower_bound_from_ub(c1, ub1)
-        lb2 = lower_bound_from_ub(consts, ub2)
-        assert abs(lb2.rate - lb1.rate) <= 1e-12
-        assert (tightness_certificate(ub2, lb2, consts.estimator).verdict
-                == tightness_certificate(ub1, lb1, c1.estimator).verdict)
+        assert abs(rep2.lb.rate - rep1.lb.rate) <= 1e-12
+        assert rep2.certificate.verdict == rep1.certificate.verdict
 
 
-class TestSolveScalar:
+class TestScalarCapacity:
     def test_rejects_vector_problem(self, s2, w2):
         with pytest.raises(DimensionMismatch):
-            solve_scalar(BudgetedProblem(s2, w2, 100.0))
+            require_scalar_capacity(ProblemConstants.compute(s2, w2))
 
     def test_guard_h_equals_klqr_j(self):
         # F = 0 gives K_LQR = 0; with H = 0 the guard H = K_LQR J trips
@@ -197,32 +194,33 @@ class TestSolveScalar:
         model = SystemModel(F=0, G=1, H=0, J=1, W=1, V=1, L=0)
         weights = CostWeights(Q=1, R=1)
         with pytest.raises(AssumptionViolated):
-            solve_scalar(BudgetedProblem(model, weights, 2.0))
+            require_scalar_capacity(ProblemConstants.compute(model, weights))
 
     def test_state_feedback_dispatch(self, state_feedback_model, w1):
         consts = ProblemConstants.compute(state_feedback_model, w1)
-        sol = solve_scalar(BudgetedProblem(state_feedback_model, w1,
-                                           consts.minimal_cost + 1.0),
-                           consts=consts)
-        assert sol.capacity_exact
-        assert sol.decision.SigmaHat[0, 0] == 0.0
+        rep = solve_capacity(BudgetedProblem(state_feedback_model, w1,
+                                             consts.minimal_cost + 1.0),
+                             consts=consts)
+        assert rep.capacity_exact
+        assert rep.ub.decision.SigmaHat[0, 0] == 0.0
 
     def test_capacity_zero_at_cost_floor(self, s1, w1, c1):
-        sol = solve_scalar(BudgetedProblem(s1, w1, c1.minimal_cost), consts=c1)
-        assert sol.capacity_exact
-        assert sol.rate == pytest.approx(0.0, abs=1e-8)
+        rep = solve_capacity(BudgetedProblem(s1, w1, c1.minimal_cost),
+                             consts=c1)
+        assert rep.capacity_exact
+        assert rep.ub.rate == pytest.approx(0.0, abs=1e-8)
 
     def test_sweep_nondecreasing_from_zero(self, s1, w1, c1):
         jstar = c1.minimal_cost
         grid = np.linspace(jstar, 3 * jstar, 8)
-        vals = [solve_scalar(BudgetedProblem(s1, w1, float(p)), consts=c1).rate
-                for p in grid]
+        vals = [solve_capacity(BudgetedProblem(s1, w1, float(p)),
+                               consts=c1).ub.rate for p in grid]
         assert vals[0] == pytest.approx(0.0, abs=1e-8)
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_extracted_dither_vanishes_on_s1(self, s1, w1, c1):
         for p in (1.5, 2.5, 4.0):
-            sol = solve_scalar(BudgetedProblem(s1, w1, p), consts=c1)
+            sol = solve_capacity(BudgetedProblem(s1, w1, p), consts=c1).ub
             d = sol.decision
             m_val = d.Pi[0, 0] - d.Gamma[0, 0] ** 2 / d.SigmaHat[0, 0]
             assert abs(m_val) <= 1e-6
@@ -230,7 +228,7 @@ class TestSolveScalar:
     def test_dither_positive_for_large_gain(self, s1, w1):
         from lqgcap import SystemModel
         model = SystemModel(F=0.5, G=2.8, H=1, J=1, W=1, V=1, L=0)
-        sol = solve_scalar(BudgetedProblem(model, w1, 5.0))
+        sol = solve_capacity(BudgetedProblem(model, w1, 5.0)).ub
         d = sol.decision
         m_val = d.Pi[0, 0] - d.Gamma[0, 0] ** 2 / d.SigmaHat[0, 0]
         assert m_val > 1e-3
@@ -239,7 +237,7 @@ class TestSolveScalar:
 class TestScalarKKT:
     def test_kkt_at_budget_two(self, s1, w1, c1):
         prob = BudgetedProblem(s1, w1, 2.0)
-        sol = solve_scalar(prob, consts=c1)
+        sol = solve_capacity(prob, consts=c1).ub
         kkt = verify_scalar_kkt(prob, sol, c1)
         assert abs(kkt.g3_value) <= 1e-6
         assert np.max(np.abs(kkt.slackness_residuals)) <= 1e-6
@@ -254,7 +252,7 @@ class TestScalarKKT:
         """The zero-rate solution runs no barrier and carries no
         multipliers; the scalar reference has none there either."""
         prob = BudgetedProblem(s1, w1, c1.minimal_cost)
-        sol = solve_scalar(prob, consts=c1)
+        sol = solve_capacity(prob, consts=c1).ub
         assert (sol.budget_multiplier, sol.riccati_multiplier,
                 sol.covariance_multiplier) == (None, None, None)
         with pytest.raises(DegenerateSolution):
@@ -304,7 +302,7 @@ class TestMultipliers:
         c = ProblemConstants.compute(model, weights)
         for p in grid:
             prob = BudgetedProblem(model, weights, p)
-            sol = solve_scalar(prob, consts=c)
+            sol = solve_capacity(prob, consts=c).ub
             kkt = verify_scalar_kkt(prob, sol, c)
             assert kkt_scaled_multipliers(sol) == pytest.approx(
                 (kkt.lambda2, kkt.lambda3, kkt.lambda5), rel=1e-6)
@@ -369,7 +367,7 @@ class TestRiccatiResidual:
 SOLVES = {
     "feasibility": lambda prob, c: feasibility(prob, c).point.Pi[0, 0],
     "solve_ub": lambda prob, c: solve_ub(prob, consts=c).rate,
-    "solve_scalar": lambda prob, c: solve_scalar(prob, consts=c).rate,
+    "solve_capacity": lambda prob, c: solve_capacity(prob, consts=c).ub.rate,
     "solve_scop": lambda prob, c: solve_scop(prob, 2, consts=c).value,
 }
 
