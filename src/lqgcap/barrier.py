@@ -28,9 +28,9 @@ constraint blocks.  The Newton system is formed from the same factors,
 kept from the merit evaluation at the accepted point: with
 Y_j = L^-1 C_j L^-T per block, from one batched inverse of the factors, the
 gradient is -sum w tr Y_j and the Hessian is one product of the flattened,
-weight-scaled Y with itself.  The unweighted Y are
-kept with the factors, so the Newton system at the same point and a new t,
-which opens each round after the first, only re-weights them.
+weight-scaled Y with itself.  The unweighted Y are kept with the factors, so
+the Newton system at the same point and a new t, which opens each round
+after the first, only re-weights them.
 
 The same rows give each block's change along a Newton step,
 E = sum_j step_j Y_j = L^-1 dS L^-T, and one batched eigen-decomposition of
@@ -44,15 +44,15 @@ objective term is >= 0, so a finite gap is at least (nu - tr E_con)/t, and
 solve_barrier forms the log terms of an uncentred iterate only when that
 bound is at most 2 tol.
 
-A block-sparse program, such as the horizon program's chain, declares
-each block's columns (AffineBlock.cols) and forms its matrix blocks' values
-and rows on them: (L^-1 (x) L^-1) C_loc, whose local Grams and trace terms
-are scatter-added into the Hessian and the gradient; 1x1 blocks keep one
-dense row each, since a budget row touches nearly every coordinate.  No
-(B*d*d, D) basis is formed.  The program takes that path when it saves
-LOCAL_OVERHEAD multiply-adds per Newton system over the dense rows, as
-counted from its block sizes and column sets when it is built.  The Newton
-direction and the step's eigenvalues are the same on both paths.
+Every block carries its columns (AffineBlock.cols): all D, or, in a
+block-sparse program such as the horizon program's chain, the few its matrix
+depends on.  The stack is filled block by block, as the dense basis or, when
+that saves LOCAL_OVERHEAD multiply-adds per Newton system by the blocks'
+sizes and column counts, as each matrix block's rows on its own columns,
+(L^-1 (x) L^-1) C_loc, whose local Grams and trace terms are scatter-added
+into the Hessian and the gradient; a 1x1 block keeps one dense row, since a
+budget row touches nearly every coordinate.  The Newton direction and the
+step's eigenvalues are the same on both paths.
 """
 
 from __future__ import annotations
@@ -101,31 +101,27 @@ LOCAL_OVERHEAD = 2e5
 class AffineBlock:
     """An affine symmetric-matrix function v -> C0 + sum_j v_j C_j of a
     program's dim_total = D coordinates.  basis (w, d, d) holds the C_j of
-    the w columns cols, where index D marks a pad whose C_j is zero; cols
-    None means all D columns in order, basis (D, d, d)."""
+    the w columns cols, where index D marks a pad whose C_j is zero.  A block
+    built without cols has all D columns in order: cols = arange(D), basis
+    (D, d, d)."""
 
     def __init__(self, const: np.ndarray, basis: np.ndarray,
                  cols: np.ndarray | None = None, dim_total: int | None = None):
         self.const = np.asarray(const, dtype=float)
         self.basis = np.asarray(basis, dtype=float)
-        self.cols = None if cols is None else np.asarray(cols)
         self.dim = self.const.shape[0]
-        if cols is None:
-            self.dim_total = self.basis.shape[0]
-        elif dim_total is None:
-            raise ValueError("a block with its own columns needs dim_total")
-        else:
-            self.dim_total = int(dim_total)
+        if dim_total is None:
+            if cols is not None:
+                raise ValueError("a block with its own columns needs dim_total")
+            dim_total, cols = len(self.basis), np.arange(len(self.basis))
+        self.cols, self.dim_total = np.asarray(cols), int(dim_total)
 
     def value(self, v: np.ndarray) -> np.ndarray:
-        if self.cols is not None:
-            v = np.append(v, 0.0)[self.cols]
-        return self.const + np.tensordot(v, self.basis, axes=(0, 0))
+        return self.const + np.tensordot(np.append(v, 0.0)[self.cols],
+                                         self.basis, axes=(0, 0))
 
     def dense_basis(self) -> np.ndarray:
         """The (D, d, d) basis over all of the program's D columns."""
-        if self.cols is None:
-            return self.basis
         out = np.zeros((self.dim_total + 1,) + self.basis.shape[1:])
         out[self.cols] = self.basis
         return out[:-1]
@@ -155,22 +151,27 @@ class BarrierProgram:
         d = max(b.dim for b in blocks)
         self._shape = (len(entries), d, d)
         const = np.tile(np.eye(d), (len(entries), 1, 1))
-        for idx, group in _same_size(enumerate(blocks),
-                                     lambda b: b.const.shape):
-            const[idx, :group[0].dim, :group[0].dim] = sym(
-                np.stack([b.const for b in group]))
+        for k, b in enumerate(blocks):
+            const[k, :b.dim, :b.dim] = sym(b.const)
         self._const = const.ravel()
         self._local = _LocalRows.build(blocks, d, dim)
-        self._basis = (_dense_basis(blocks, self._shape, dim)
-                       if self._local is None else None)
+        self._basis = None
+        if self._local is None:
+            # the basis rows (B*d*d, D), in F order whatever the blocks'
+            # layout, as the layout picks the BLAS kernels, hence the Newton
+            # path: the coefficient of column j in block k's entry (a, c)
+            # lies at row k*d*d + a*d + c of column j; column D takes pads
+            basis = np.zeros((dim + 1,) + self._shape).transpose(1, 2, 3, 0)
+            for k, b in enumerate(blocks):
+                basis[k, :b.dim, :b.dim][..., b.cols] = np.moveaxis(
+                    sym(b.basis), 0, -1)
+            self._basis = basis.reshape(-1, dim + 1)[:, :dim]
         self._con = np.array([c >= 0 for _, _, c in entries])
         self._w_obj = np.repeat([w for w, _, _ in entries], d * d)
         self._w_con = np.repeat(self._con, d * d).astype(float)
         # the blocks' own diagonal entries, without the pads'
-        dims = np.array([b.dim for b in blocks])
-        first = np.repeat(np.arange(len(blocks)) * d * d, dims)
-        self._diag_idx = first + (d + 1) * (
-            np.arange(first.size) - np.repeat(np.cumsum(dims) - dims, dims))
+        self._diag_idx = np.concatenate([k * d * d + (d + 1) * np.arange(b.dim)
+                                         for k, b in enumerate(blocks)])
         self._is_diag = np.zeros(self._const.size)
         self._is_diag[self._diag_idx] = 1.0
         # objective and constraint weights of each diagonal entry
@@ -277,39 +278,6 @@ class BarrierProgram:
                 for b in self.constraints]
 
 
-def _same_size(pairs, key):
-    """(indices, blocks) of each group of (index, block) pairs with one
-    key(block), to stack each group in one call."""
-    groups: dict = {}
-    for k, b in pairs:
-        groups.setdefault(key(b), []).append((k, b))
-    return [(np.array([k for k, _ in g]), [b for _, b in g])
-            for g in groups.values()]
-
-
-def _dense_basis(blocks: list[AffineBlock], shape: tuple, dim: int
-                 ) -> np.ndarray:
-    """The padded stack's basis rows (B*d*d, dim) over all columns, in F
-    order whatever the blocks' layout: the layout picks the BLAS kernels,
-    hence the Newton path."""
-    # entry (k, a, c, j), the coefficient of column j in block k's entry
-    # (a, c), lies at row k*d*d + a*d + c of column j; column dim takes pads
-    n, d, _ = shape
-    basis = np.zeros((dim + 1, n, d, d)).transpose(1, 2, 3, 0)
-    for idx, group in _same_size(
-            enumerate(blocks), lambda b: (b.basis.shape, b.cols is None)):
-        e = group[0].dim
-        rows = sym(np.stack([b.basis for b in group]))       # (g, w, e, e)
-        if group[0].cols is None:
-            basis[idx, :e, :e, :dim] = np.moveaxis(rows, 1, -1)
-        else:
-            cols = np.stack([b.cols for b in group])
-            basis[idx[:, None, None, None], np.arange(e)[:, None, None],
-                  np.arange(e)[:, None], cols[:, None, None, :]] = (
-                      np.moveaxis(rows, 1, -1))
-    return basis.reshape(n * d * d, dim + 1)[:, :dim]
-
-
 def _y_rows(inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows (a, c) of Y_bj = L_b^-1 C_bj L_b^-T for a stack of n factor
     inverses L_b^-1 (n, d, d) and basis rows (n*d*d, D): L^-1 C_j for every
@@ -328,8 +296,8 @@ class _LocalRows:
 
     The stack's first n_one blocks are 1x1 and keep dense rows over all D
     coordinates: a budget row touches nearly all of them.  Each later
-    (matrix) block keeps the columns it declares (AffineBlock.cols), padded
-    to the widest with column D, which is zero.  Its rows are
+    (matrix) block keeps its columns (AffineBlock.cols), padded to the
+    widest with column D, which is zero.  Its rows are
     (L^-1 (x) L^-1) C_loc, and the gradient and Hessian scatter-add the
     blocks' local terms and Grams.
     """
@@ -348,12 +316,10 @@ class _LocalRows:
             row[:] = b.dense_basis()[:, 0, 0]
         self.cols = np.full((self.n - n_one, width), dim)
         basis = np.zeros((self.n - n_one, d, d, width))
-        for idx, group in _same_size(enumerate(blocks[n_one:]),
-                                     lambda b: b.basis.shape):
-            w, e = group[0].basis.shape[:2]
-            self.cols[idx, :w] = np.stack([b.cols for b in group])
-            basis[idx, :e, :e, :w] = np.moveaxis(
-                sym(np.stack([b.basis for b in group])), 1, -1)
+        for k, b in enumerate(blocks[n_one:]):
+            self.cols[k, :b.cols.size] = b.cols
+            basis[k, :b.dim, :b.dim, :b.cols.size] = np.moveaxis(
+                sym(b.basis), 0, -1)
         self.basis = basis.reshape(-1, width)
         # where each entry of a local Gram lands in the flattened Hessian
         # with a row and a column D, which are dropped
@@ -364,12 +330,11 @@ class _LocalRows:
     def build(cls, blocks: list[AffineBlock], d: int, dim: int
               ) -> _LocalRows | None:
         """The local rows of a stack of blocks, ascending in size and
-        padded to d, over dim coordinates, when every matrix block declares
-        fewer than dim columns and they save LOCAL_OVERHEAD multiply-adds per
+        padded to d, over dim coordinates, when every matrix block has fewer
+        than dim columns and they save LOCAL_OVERHEAD multiply-adds per
         Newton system over dense rows; else None."""
         n = len(blocks)
-        width = max((dim if b.cols is None else b.cols.size
-                     for b in blocks if b.dim > 1), default=0)
+        width = max((b.cols.size for b in blocks if b.dim > 1), default=0)
         n_one = sum(b.dim == 1 for b in blocks)
         # two products with the factors' inverses and one Gram, of every
         # padded row over all D coordinates, or of each matrix block's rows
@@ -378,7 +343,7 @@ class _LocalRows:
         local = ((n - n_one) * d * d * width * (width + 2 * d)
                  + n_one * dim * (dim + 1))
         if not 0 < width < dim or dense - local < LOCAL_OVERHEAD:
-            return None     # no matrix block has its own columns, or no saving
+            return None     # no matrix block on fewer columns, or no saving
         return cls(blocks, d, width, dim)
 
     def values(self, v: np.ndarray) -> np.ndarray:

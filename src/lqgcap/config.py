@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import CostWeights, SystemModel, validate_model
+from .scop import MAX_HORIZON
 from .simulator import SimConfig
 from .upper_bound import SolverOptions
 
@@ -207,14 +208,16 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
         spec = _sweep_spec("param_sweep",
                            {k: v for k, v in blk.items() if k != "name"}, lax)
         param_sweep = ParamSweep(name=str(blk["name"]), spec=spec)
+        system_entry(model, param_sweep.name)
 
     horizons = None
     if "horizons" in doc:
         raw = doc["horizons"]
         if (not isinstance(raw, list) or not raw
                 or not all(isinstance(h, int) and not isinstance(h, bool)
-                           and h >= 1 for h in raw)):
-            raise ConfigError("horizons", "expected a list of positive integers")
+                           and 1 <= h <= MAX_HORIZON for h in raw)):
+            raise ConfigError("horizons", "expected a list of integers in "
+                              f"[1, {MAX_HORIZON}]")
         horizons = tuple(raw)
 
     return RunConfig(model=model, weights=weights, budget=budget,
@@ -223,25 +226,27 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
                      solver_set="solver" in doc)
 
 
-def set_system_entry(model: SystemModel, name: str, value: float) -> SystemModel:
-    """Return a copy of the model with one named scalar entry replaced.
-
-    Accepts "G" (entry [0, 0]) or an indexed form like "F[1,2]".
-    """
-    field = name
-    i = j = 0
-    if "[" in name:
-        field, idx = name.split("[", 1)
-        idx = idx.rstrip("]")
-        try:
-            i, j = (int(t) for t in idx.split(","))
-        except ValueError:
-            raise ConfigError("param_sweep.name", f"bad index in {name!r}") from None
+def system_entry(model: SystemModel, name: str) -> tuple[str, int, int]:
+    """The matrix and the index that an entry name denotes: "G" (entry
+    [0, 0]) or an indexed form like "F[1,2]"; ConfigError when the model
+    has no such entry."""
+    field, bracket, idx = name.partition("[")
+    try:
+        i, j = (int(t) for t in idx.rstrip("]").split(",")) if bracket else (0, 0)
+    except ValueError:
+        raise ConfigError("param_sweep.name", f"bad index in {name!r}") from None
     if field not in _SYSTEM_KEYS:
         raise ConfigError("param_sweep.name", f"unknown system entry {field!r}")
-    mats = {key: getattr(model, key).copy()
-            for key in ("F", "G", "H", "J", "W", "V", "L", "Sigma1")}
-    if not (0 <= i < mats[field].shape[0] and 0 <= j < mats[field].shape[1]):
+    rows, cols = getattr(model, field).shape
+    if not (0 <= i < rows and 0 <= j < cols):
         raise ConfigError("param_sweep.name", f"index out of range in {name!r}")
+    return field, i, j
+
+
+def set_system_entry(model: SystemModel, name: str, value: float) -> SystemModel:
+    """Return a copy of the model with one named scalar entry (system_entry)
+    replaced."""
+    field, i, j = system_entry(model, name)
+    mats = {key: getattr(model, key).copy() for key in _SYSTEM_KEYS}
     mats[field][i, j] = value
     return SystemModel(**mats)

@@ -58,6 +58,6 @@ class NumericalOverflow(LqgcapError):
 class ConfigError(LqgcapError):
     """A run configuration failed to parse or validate."""
 
-    def __init__(self, field: str, detail: str):
+    def __init__(self, field: str, detail: str = ""):
         self.field = field
-        super().__init__(f"{field}: {detail}")
+        super().__init__(f"{field}: {detail}" if detail else field)

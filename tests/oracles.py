@@ -1,7 +1,7 @@
 """Independent oracles used to pin expected values in the tests.
 
-Everything here is deliberately written as plain loops / grid scans that do
-not share code with the library's solvers.  `simulate_stepwise` takes the
+Everything here is deliberately written as plain loops that do not share
+code with the library's solvers.  `simulate_stepwise` takes the
 library's gains and noise streams and replaces only the simulation loop;
 `iterate_fixed_point` runs one-step Riccati maps, such as the reference
 `_filter_step`, `_control_step` and `_policy_step` kept here, to their limit,
@@ -36,7 +36,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -228,42 +227,6 @@ def _policy_step(estimator: EstimatorModel, policy: Policy,
             - K_Y @ PsiY @ K_Y.T)
 
 
-def riccati_recursion(kind: str, steps: int, *, model: SystemModel | None = None,
-                      weights: CostWeights | None = None,
-                      estimator: EstimatorModel | None = None,
-                      policy: Policy | None = None,
-                      start: np.ndarray | None = None) -> list[np.ndarray]:
-    """Exact finite recursion trace for one of the three Riccati recursions.
-
-    'filter' and 'policy' run forward (default starts: model.Sigma1 and 0);
-    'control' runs backward from the terminal weight Q.  The returned list
-    holds steps+1 matrices in iteration order, initial value first.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if kind == "filter":
-        if model is None:
-            raise DimensionMismatch("filter recursion needs a model")
-        x0, step = model.Sigma1, partial(_filter_step, model)
-    elif kind == "control":
-        if model is None or weights is None:
-            raise DimensionMismatch("control recursion needs a model and weights")
-        x0, step = weights.Q, partial(_control_step, model, weights)
-    elif kind == "policy":
-        if estimator is None or policy is None:
-            raise DimensionMismatch("policy recursion needs an estimator and policy")
-        x0 = np.zeros((estimator.k, estimator.k))
-        step = partial(_policy_step, estimator, policy, M=policy.M)
-    else:
-        raise ValueError(f"unknown recursion kind {kind!r}")
-    x = la.sym(x0 if start is None else la.as_matrix(start))
-    trace = [x]
-    for _ in range(steps):
-        x = la.sym(step(x))
-        trace.append(x)
-    return trace
-
-
 def damped_chain(consts: ProblemConstants, eps: float, relaxation: float):
     """X_1 = 0, X_{i+1} = (T(X_i) + relaxation I)/2, with T the covariance
     propagation of the (Gamma = 0, M = eps I) policy.  A step's Riccati-LMI
@@ -323,75 +286,6 @@ def scalar_policy_fixed_point(F, G, H, J, K_p, Psi, gamma_bar, M,
             return nxt
         x = nxt
     return x
-
-
-def scalar_ub_bruteforce(F, G, H, J, W, V, L, Q, R, budget,
-                         box=5.0, coarse_step=1e-3, zoom_rounds=3):
-    """Grid-scan oracle for the scalar determinant-maximization bound.
-
-    Scans (Gamma, SigmaHat) over [0, box]^2; for each pair the best Pi is
-    found in closed form because the objective is increasing in Pi and every
-    constraint is affine in Pi at fixed (Gamma, SigmaHat).  Zooming grids
-    refine the optimum to ~1e-6.  Returns (rate_nats, Pi, Gamma, SigmaHat).
-    """
-    sigma, k_p, psi = iterate_filter(F, G, H, J, W, V, L)
-    e, k_l, psil = iterate_control(F, G, Q, R)
-    sigma, k_p, psi = sigma[0, 0], k_p[0, 0], psi[0, 0]
-    e, k_l, psil = e[0, 0], k_l[0, 0], psil[0, 0]
-    jstar = k_p * k_p * psi * e + sigma * Q
-    slack = budget - jstar
-    if slack <= 0:
-        return 0.0, 0.0, 0.0, 0.0
-
-    def best_over_pi(gam, sig):
-        """Vectorized over gam/sig arrays: largest feasible Pi and objective."""
-        lo = np.where(sig > 0, gam * gam / np.maximum(sig, 1e-300), np.inf)
-        lo = np.where((sig <= 0) & (gam == 0), 0.0, lo)
-        hi_cost = (slack - k_l * k_l * psil * sig - 2 * k_l * psil * gam) / psil
-        # Schur complement of the Riccati LMI: h(Pi) = h0 + s*Pi >= 0 with
-        # a = a0 + G^2 Pi, b = b0 + G J Pi, c = c0 + J^2 Pi, h = a c - b^2.
-        a0 = (F * F - 1.0) * sig + 2 * F * G * gam + k_p * k_p * psi
-        b0 = F * sig * H + (F * J + G * H) * gam + k_p * psi
-        c0 = H * H * sig + 2 * H * J * gam + psi
-        s = a0 * J * J + c0 * G * G - 2 * b0 * G * J
-        h0 = a0 * c0 - b0 * b0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = -h0 / s
-        hi = np.minimum(hi_cost, box)
-        hi = np.where(s < 0, np.minimum(hi, bound), hi)
-        lo2 = np.where(s > 0, np.maximum(lo, bound), lo)
-        lo2 = np.where((s == 0) & (h0 < 0), np.inf, lo2)
-        pi = np.where(hi >= lo2, hi, np.nan)
-        psi_y = H * H * sig + J * J * pi + 2 * H * J * gam + psi
-        return pi, psi_y
-
-    def scan(g_lo, g_hi, s_lo, s_hi, n):
-        gams = np.linspace(g_lo, g_hi, n)
-        sigs = np.linspace(s_lo, s_hi, n)
-        best = (-np.inf, 0.0, 0.0, 0.0)
-        for sig in sigs:
-            pi, psi_y = best_over_pi(gams, np.full_like(gams, sig))
-            ok = np.isfinite(psi_y)
-            if not ok.any():
-                continue
-            idx = np.nanargmax(np.where(ok, psi_y, -np.inf))
-            if psi_y[idx] > best[0]:
-                best = (float(psi_y[idx]), float(pi[idx]), float(gams[idx]), float(sig))
-        return best
-
-    n_coarse = int(round(box / coarse_step)) + 1
-    best = scan(0.0, box, 0.0, box, n_coarse)
-    width = 2 * coarse_step
-    for _ in range(zoom_rounds):
-        _, _, g0, s0 = best
-        cand = scan(max(0.0, g0 - width), min(box, g0 + width),
-                    max(0.0, s0 - width), min(box, s0 + width), 801)
-        if cand[0] > best[0]:
-            best = cand
-        width *= 8e-3
-    psi_y, pi, gam, sig = best
-    rate = 0.5 * np.log(psi_y / psi)
-    return float(rate), pi, gam, sig
 
 
 def simulate_stepwise(model, weights, policy, cfg):

@@ -225,6 +225,53 @@ class TestBarrierProgram:
             BarrierProgram([(0.5, block)],
                            [AffineBlock(np.eye(1), np.ones((4, 1, 1)))])
 
+    @pytest.mark.parametrize("case", ["mixed", "ub-s1", "ub-vector3",
+                                      "scop-scalar-h2", "scop-vector3-h2"])
+    def test_a_block_without_columns_has_all_of_them(self, request,
+                                                     monkeypatch, case):
+        # one block form: a block built without columns is the block over
+        # all D columns in order, and over the columns its matrix depends
+        # on (a strict subset in the horizon programs); on dense rows the
+        # three programs are one program, bit for bit
+        program, v = REFERENCE_CASES[case](request, monkeypatch)
+        dim = v.size
+        blocks = [b for _, b in program.objective] + program.constraints
+
+        def variants(b):
+            basis = b.dense_basis()
+            on = np.flatnonzero(np.any(basis != 0.0, axis=(1, 2)))
+            return (AffineBlock(b.const, basis),
+                    AffineBlock(b.const, basis, np.arange(dim), dim),
+                    AffineBlock(b.const, basis[on], on, dim))
+
+        forms = list(zip(*map(variants, blocks)))
+        assert any(b.cols.size < dim for b in forms[2]) == case.startswith(
+            "scop")
+        for full, ordered, subset in zip(*forms):
+            assert np.array_equal(full.cols, np.arange(dim))
+            assert full.dim_total == dim
+            assert np.array_equal(ordered.value(v), full.value(v))
+            # to rounding: the subset's product sums fewer terms
+            assert np.allclose(subset.value(v), full.value(v),
+                               rtol=1e-14, atol=0.0)
+            for b in (ordered, subset):
+                assert np.array_equal(b.dense_basis(), full.dense_basis())
+        n_obj = len(program.objective)
+        weights = [w for w, _ in program.objective]
+        with mock.patch.object(barrier, "LOCAL_OVERHEAD", np.inf):
+            programs = [BarrierProgram(list(zip(weights, form[:n_obj])),
+                                       list(form[n_obj:])) for form in forms]
+        ref = programs[0]
+        for other in programs[1:]:
+            assert other._local is None
+            for attr in ("_const", "_basis"):
+                a, b = getattr(other, attr), getattr(ref, attr)
+                assert np.array_equal(a, b) and a.strides == b.strides, attr
+            for t in (2.0, 37.5):
+                assert other.merit(v, t) == ref.merit(v, t)
+                for a, b in zip(other.grad_hess(v, t), ref.grad_hess(v, t)):
+                    assert np.array_equal(a, b)
+
     def test_feasible_tests_constraint_blocks_only(self):
         pk = SymPacker(1)
         program = BarrierProgram(

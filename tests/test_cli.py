@@ -1,7 +1,9 @@
+import inspect
 import json
 import math
 import os
 import pathlib
+import pickle
 import shlex
 import subprocess
 import sys
@@ -13,8 +15,8 @@ from lqgcap import BudgetedProblem, CostWeights, SystemModel, riccati, solve_ub
 from lqgcap.cli import build_parser, run, write_csv
 from lqgcap.config import _integer, load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
-from lqgcap.errors import ConfigError
-from lqgcap.scop import DEFAULT_OPTIONS
+from lqgcap.errors import ConfigError, LqgcapError
+from lqgcap.scop import DEFAULT_OPTIONS, MAX_HORIZON
 from lqgcap.simulator import usable_cpus
 from lqgcap.upper_bound import UBProgram
 
@@ -124,9 +126,11 @@ class TestLoadConfig:
                   cfg.solver.max_iter, _integer("points", np.int64(3))):
             assert type(n) is int
 
-    @pytest.mark.parametrize("horizons", [[True], [1, True], [2.0], [0]])
+    @pytest.mark.parametrize("horizons", [[True], [1, True], [2.0], [0],
+                                          [2, MAX_HORIZON + 1]])
     def test_horizons_must_be_positive_integers(self, tmp_path, horizons):
-        # true was once horizon 1
+        # true was once horizon 1; a horizon above the cap once reached
+        # solve_scop and ended in a ValueError traceback
         doc = scalar_doc(horizons=horizons)
         with pytest.raises(ConfigError, match="horizons"):
             load_config(write_cfg(tmp_path, doc))
@@ -138,6 +142,16 @@ class TestLoadConfig:
         assert cfg.model.F[0, 0] == 1.2
         with pytest.raises(ConfigError):
             set_system_entry(cfg.model, "Z", 1.0)
+
+    @pytest.mark.parametrize("name,detail", [
+        ("Z", "unknown system entry"), ("F[0]", "bad index"),
+        ("F[1,1]", "index out of range")])
+    def test_the_sweep_entry_is_checked_against_the_model(self, tmp_path,
+                                                          name, detail):
+        doc = scalar_doc(param_sweep={"name": name, "min": 0.4, "max": 0.6,
+                                      "points": 2})
+        with pytest.raises(ConfigError, match=f"param_sweep.name: {detail}"):
+            load_config(write_cfg(tmp_path, doc))
 
 
 class TestWriteCsv:
@@ -340,6 +354,24 @@ class TestCommands:
         del doc["system"]["F"]
         assert run(["check", "--config", write_cfg(tmp_path, doc)]) == 1
 
+    @pytest.mark.parametrize("command,override", [
+        ("scop", {"horizons": [2, MAX_HORIZON + 1]}),
+        ("sweep-param", {"param_sweep": {"name": "F[9,9]", "min": 0.4,
+                                         "max": 0.6, "points": 2}})])
+    def test_a_config_error_is_one_line_at_any_jobs(self, tmp_path, capsys,
+                                                    command, override):
+        # a bad sweep entry once failed in the workers and, with --jobs 2,
+        # broke the process pool instead of printing a config error
+        path = write_cfg(tmp_path, scalar_doc(**override))
+        ends = []
+        for jobs in ("1", "2"):
+            code = run([command, "--config", path, "--jobs", jobs])
+            ends.append((code, capsys.readouterr().err.splitlines()))
+        assert ends[0] == ends[1]
+        code, lines = ends[0]
+        assert code == 1 and len(lines) == 1
+        assert lines[0].startswith("config error: ")
+
     @pytest.mark.parametrize("flags", [
         ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
         ["--max-iter", "0"], ["--max-iter", "-5"]])
@@ -470,6 +502,32 @@ class TestCommands:
         monkeypatch.setattr(UBProgram, "__init__", counting_init)
         assert run(["lb", "--config", path]) == 0
         assert len(builds) == 1
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+LIBRARY_ERRORS = sorted({c for c in _subclasses(LqgcapError)
+                         if c.__module__.startswith("lqgcap.")},
+                        key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", LIBRARY_ERRORS, ids=lambda c: c.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    """A worker's error reaches the parent process pickled: it keeps its
+    type, message and fields, with and without the optional arguments."""
+    params = [p for p in inspect.signature(cls.__init__).parameters.values()
+              if p.kind is p.POSITIONAL_OR_KEYWORD][1:]
+    required = [p for p in params if p.default is p.empty]
+    argsets = {len(required), len(params)} if params else {1}
+    for n in argsets:
+        err = cls(*[f"argument {i}" for i in range(n)])
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err) and vars(back) == vars(err)
 
 
 def test_import_loads_numpy_only():

@@ -364,9 +364,9 @@ class TestLocalAssembly:
         pairs = list(zip([b for _, b in program.objective] + program.constraints,
                          [b for _, b in objective] + constraints, strict=True))
         assert [w for w, _ in program.objective] == [w for w, _ in objective]
-        # the budget row is the only block over all D columns
-        assert [b.cols is None for b, _ in pairs] == [False] * (
-            len(pairs) - 1) + [True]
+        # the budget row is the only block over all D columns in order
+        assert [np.array_equal(b.cols, np.arange(prog.dim))
+                for b, _ in pairs] == [False] * (len(pairs) - 1) + [True]
         if program._local is None:
             # a dense-row program keeps its stacks bit for bit
             for b, ref in pairs:
