@@ -63,8 +63,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg as la
 from .errors import SolverNonConvergence
-from .linalg import sym
 
 log = logging.getLogger("lqgcap.barrier")
 
@@ -152,7 +152,7 @@ class BarrierProgram:
         self._shape = (len(entries), d, d)
         const = np.tile(np.eye(d), (len(entries), 1, 1))
         for k, b in enumerate(blocks):
-            const[k, :b.dim, :b.dim] = sym(b.const)
+            const[k, :b.dim, :b.dim] = la.sym(b.const)
         self._const = const.ravel()
         self._local = _LocalRows.build(blocks, d, dim)
         self._basis = None
@@ -164,7 +164,7 @@ class BarrierProgram:
             basis = np.zeros((dim + 1,) + self._shape).transpose(1, 2, 3, 0)
             for k, b in enumerate(blocks):
                 basis[k, :b.dim, :b.dim][..., b.cols] = np.moveaxis(
-                    sym(b.basis), 0, -1)
+                    la.sym(b.basis), 0, -1)
             self._basis = basis.reshape(-1, dim + 1)[:, :dim]
         self._con = np.array([c >= 0 for _, _, c in entries])
         self._w_obj = np.repeat([w for w, _, _ in entries], d * d)
@@ -197,7 +197,7 @@ class BarrierProgram:
         v = np.asarray(v, dtype=float)
         key = v.tobytes()
         if key != self._key:
-            self._chol = np.linalg.cholesky(self._values(v))
+            self._chol = la.cholesky(self._values(v))
             self._key = key
         return self._chol
 
@@ -205,7 +205,7 @@ class BarrierProgram:
         """Whether every constraint block is PD at v."""
         s = self._values(np.asarray(v, dtype=float))
         try:
-            np.linalg.cholesky(s[self._con])
+            la.cholesky(s[self._con])
         except np.linalg.LinAlgError:
             return False
         return True
@@ -235,7 +235,7 @@ class BarrierProgram:
         if self._y[0] != self._key:
             self._y = (None, None)   # nor two points' unweighted rows
             self._y = (self._key,
-                       _y_rows(np.linalg.inv(factors), self._basis)
+                       _y_rows(la.inv(factors), self._basis)
                        if self._local is None else self._local.rows(factors))
         y = self._y[1]
         if t != self._weights[0]:
@@ -261,20 +261,20 @@ class BarrierProgram:
         e = ((z @ step if self._local is None
               else self._local.changes(z, step)) / root_w).reshape(self._shape)
         tr_con = self._w_diag[1] @ e.ravel()[self._diag_idx]
-        return NewtonLine(np.linalg.eigvalsh(e).ravel(), self._weights[3],
+        return NewtonLine(la.eigvalsh(e).ravel(), self._weights[3],
                           self._w_mu, (self.nu - tr_con) / t, e, factors, t)
 
     def multipliers(self, line: NewtonLine) -> list[np.ndarray]:
         """Z_c = (1/t) L^-T (I - E_c) L^-1 of each constraint block at the
         line's dual point, in self.constraints order (a pad's Z is cut off)."""
-        inv = np.linalg.inv(line.factors[self._con_at])
-        z = sym(inv.swapaxes(1, 2) @ (np.eye(self._shape[1])
+        inv = la.inv(line.factors[self._con_at])
+        z = la.sym(inv.swapaxes(1, 2) @ (np.eye(self._shape[1])
                                       - line.e[self._con_at]) @ inv) / line.t
         return [zc[:b.dim, :b.dim] for zc, b in zip(z, self.constraints)]
 
     def min_slacks(self, v: np.ndarray) -> list[float]:
         """Smallest eigenvalue of each constraint block at v."""
-        return [float(np.linalg.eigvalsh(b.value(v))[0])
+        return [float(la.eigvalsh(b.value(v))[0])
                 for b in self.constraints]
 
 
@@ -319,7 +319,7 @@ class _LocalRows:
         for k, b in enumerate(blocks[n_one:]):
             self.cols[k, :b.cols.size] = b.cols
             basis[k, :b.dim, :b.dim, :b.cols.size] = np.moveaxis(
-                sym(b.basis), 0, -1)
+                la.sym(b.basis), 0, -1)
         self.basis = basis.reshape(-1, width)
         # where each entry of a local Gram lands in the flattened Hessian
         # with a row and a column D, which are dropped
@@ -367,7 +367,7 @@ class _LocalRows:
         local rows, from one batched inverse of the matrix blocks' factors
         only."""
         inv_one = 1.0 / factors[:self.n_one, 0, 0]
-        return inv_one ** 2, _y_rows(np.linalg.inv(factors[self.n_one:]),
+        return inv_one ** 2, _y_rows(la.inv(factors[self.n_one:]),
                                      self.basis)
 
     def grad_hess(self, rows, root_w: np.ndarray, diag_w: np.ndarray):
@@ -486,8 +486,8 @@ def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     a, ridge = h, 0.0
     for _ in range(12):
         try:
-            np.linalg.cholesky(a)
-            return -np.linalg.solve(a, g)
+            la.cholesky(a)
+            return -la.solve(a, g)
         except np.linalg.LinAlgError:
             ridge = (10.0 * ridge if ridge
                      else 1e-14 * max(float(np.trace(h)) / h.shape[0], 1.0))

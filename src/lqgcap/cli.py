@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import linalg as la
 from .config import RunConfig, load_config, set_system_entry
 from .constants import ProblemConstants
 from .errors import ConfigError, Infeasible, LqgcapError
@@ -69,7 +70,7 @@ def _budget_point(consts: ProblemConstants, budget: float,
         "lb_rate": _in_units(lb.rate, units),
         "rate_gap": _in_units(ub.rate - lb.rate, units),
         "riccati_residual": cert.riccati_residual,
-        "M_norm": float(np.linalg.norm(lb.policy.M)),
+        "M_norm": la.fro(lb.policy.M),
         "certificate": cert.verdict,
         "iterations": ub.iterations,
     }

@@ -208,7 +208,9 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
         spec = _sweep_spec("param_sweep",
                            {k: v for k, v in blk.items() if k != "name"}, lax)
         param_sweep = ParamSweep(name=str(blk["name"]), spec=spec)
-        system_entry(model, param_sweep.name)
+        if system_entry(model, param_sweep.name)[0] == "Sigma1":
+            raise ConfigError("param_sweep.name", "Sigma1 enters no constant "
+                              "of the bounds, so every row would be the same")
 
     horizons = None
     if "horizons" in doc:
@@ -228,11 +230,14 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
 
 def system_entry(model: SystemModel, name: str) -> tuple[str, int, int]:
     """The matrix and the index that an entry name denotes: "G" (entry
-    [0, 0]) or an indexed form like "F[1,2]"; ConfigError when the model
-    has no such entry."""
+    [0, 0]) or an indexed form like "F[1,2]", closed by its bracket;
+    ConfigError when the model has no such entry."""
     field, bracket, idx = name.partition("[")
+    idx, closed, tail = idx.partition("]")
     try:
-        i, j = (int(t) for t in idx.rstrip("]").split(",")) if bracket else (0, 0)
+        if bracket and (not closed or tail):
+            raise ValueError(name)
+        i, j = (int(t) for t in idx.split(",")) if bracket else (0, 0)
     except ValueError:
         raise ConfigError("param_sweep.name", f"bad index in {name!r}") from None
     if field not in _SYSTEM_KEYS:

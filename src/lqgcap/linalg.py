@@ -1,8 +1,27 @@
-"""Small dense linear-algebra helpers used throughout the library."""
+"""Small dense linear algebra used throughout the library.
+
+The capacity chain makes a few hundred linear-algebra calls per budget point,
+nearly all on matrices of a few rows or on stacks of them, and np.linalg
+spends about half of each such call in its Python wrapper (array
+conversion, type promotion, the stacked-square checks), not in LAPACK.
+The kernels solve, cholesky, inv, eigvalsh, eigh and eigvals call
+the numpy.linalg._umath_linalg gufunc that np.linalg itself calls, under the
+same error state, so they run the same LAPACK routine on the same array,
+return bit-identical results and raise the same np.linalg.LinAlgError.  They
+take float64 arrays and skip the wrapper's checks.  fro is np.linalg.norm's
+default (Frobenius) norm by the formula norm itself uses.  svd stays on
+np.linalg, since its gufuncs are named differently in numpy 1.x and 2.x.
+
+The library calls the kernels as la.<kernel> through this module, so a test
+can count them by patching it.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg as _gufuncs
 
 from .errors import NotPositiveDefinite
 
@@ -15,6 +34,72 @@ PINV_RTOL = 1e-10
 PSD_SLACK = 1e-10
 
 
+def _raiser(message: str):
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return handler
+
+
+_SINGULAR = _raiser("Singular matrix")
+_NOT_PD = _raiser("Matrix is not positive definite")
+_NO_CONVERGENCE = _raiser("Eigenvalues did not converge")
+
+
+def _lapack_errors(handler):
+    """np.linalg's error state around a gufunc: a LAPACK failure, flagged
+    as invalid, calls handler; the other flags are ignored."""
+    return np.errstate(call=handler, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """As np.linalg.solve, for b a vector or a matrix (or a stack)."""
+    gufunc = _gufuncs.solve1 if b.ndim == 1 else _gufuncs.solve
+    with _lapack_errors(_SINGULAR):
+        return gufunc(a, b, signature="dd->d")
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """As np.linalg.inv, for a matrix or a stack."""
+    with _lapack_errors(_SINGULAR):
+        return _gufuncs.inv(a, signature="d->d")
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """As np.linalg.cholesky: the lower factor of a matrix or a stack."""
+    with _lapack_errors(_NOT_PD):
+        return _gufuncs.cholesky_lo(a, signature="d->d")
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """As np.linalg.eigvalsh: ascending, from the lower triangle."""
+    with _lapack_errors(_NO_CONVERGENCE):
+        return _gufuncs.eigvalsh_lo(a, signature="d->d")
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """As np.linalg.eigh: (w, v), from the lower triangle."""
+    with _lapack_errors(_NO_CONVERGENCE):
+        return _gufuncs.eigh_lo(a, signature="d->dd")
+
+
+def eigvals(a: np.ndarray) -> np.ndarray:
+    """As np.linalg.eigvals, for a real matrix: real when every
+    imaginary part is 0, complex otherwise."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    with _lapack_errors(_NO_CONVERGENCE):
+        w = _gufuncs.eigvals(a, signature="d->D")
+    return w if w.imag.any() else w.real
+
+
+def fro(a: np.ndarray) -> float:
+    """As np.linalg.norm with its default (Frobenius) norm, for a float
+    array: sqrt(r . r) over the raveled array r."""
+    r = a.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce scalars/lists to a float 2-D array, optionally checking shape."""
     m = np.atleast_2d(np.asarray(a, dtype=float))
@@ -25,22 +110,22 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
 
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part (A + A^T)/2 of a matrix or of each in a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def asymmetry(a: np.ndarray) -> float:
     """Frobenius norm of the skew part, ||A - A^T||_F."""
-    return float(np.linalg.norm(a - a.T))
+    return fro(a - a.T)
 
 
 def min_eig(a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(sym(a))[0])
+    return float(eigvalsh(sym(a))[0])
 
 
 def is_psd(a: np.ndarray, slack: float = PSD_SLACK) -> bool:
     """Scale-aware PSD test on a symmetric matrix."""
-    w = np.linalg.eigvalsh(sym(a))
+    w = eigvalsh(sym(a))
     lam_max = max(1.0, float(w[-1]))
     return bool(w[0] >= -slack * lam_max)
 
@@ -48,7 +133,7 @@ def is_psd(a: np.ndarray, slack: float = PSD_SLACK) -> bool:
 def is_pd(a: np.ndarray) -> bool:
     """Strict positive definiteness via Cholesky."""
     try:
-        np.linalg.cholesky(sym(a))
+        cholesky(sym(a))
         return True
     except np.linalg.LinAlgError:
         return False
@@ -68,7 +153,7 @@ def psd_clip(a: np.ndarray) -> tuple[np.ndarray, float]:
     Returns the clipped matrix and the magnitude of the most negative
     eigenvalue that was removed (0.0 if none).
     """
-    w, v = np.linalg.eigh(sym(a))
+    w, v = eigh(sym(a))
     clip = float(max(0.0, -w[0]))
     w = np.maximum(w, 0.0)
     return (v * w) @ v.T, clip
@@ -76,16 +161,16 @@ def psd_clip(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root with eigenvalue clipping at zero."""
-    w, v = np.linalg.eigh(sym(a))
+    w, v = eigh(sym(a))
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.T
 
 
 def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A (no explicit inverse)."""
-    c = np.linalg.cholesky(sym(a))
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, y)
+    c = cholesky(sym(a))
+    y = solve(c, b)
+    return solve(c.T, y)
 
 
 def slogdet_pd(a: np.ndarray, name: str = "matrix") -> float:
@@ -93,7 +178,7 @@ def slogdet_pd(a: np.ndarray, name: str = "matrix") -> float:
     one Cholesky factorization; raises NotPositiveDefinite otherwise."""
     s = sym(a)
     try:
-        c = np.linalg.cholesky(s)
+        c = cholesky(s)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite") from None
     return 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1))))
@@ -113,4 +198,4 @@ def blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spectral_radius(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.max(np.abs(eigvals(a))))

@@ -71,13 +71,13 @@ def extract_policy(ub: UBSolution, control: ControlConstants,
     if rank_tol is None:
         rank_tol = max(la.PINV_RTOL * float(np.linalg.norm(sig, 2)),
                        1e3 * max(ub.duality_gap, 0.0))
-    w, vecs = np.linalg.eigh(sig)
+    w, vecs = la.eigh(sig)
     inv_w = np.where(w > rank_tol, 1.0 / np.maximum(w, 1e-300), 0.0)
     sig_pinv = (vecs * inv_w) @ vecs.T
     gamma_bar = ub.decision.Gamma @ sig_pinv
     m_raw = la.sym(ub.decision.Pi - gamma_bar @ ub.decision.Gamma.T)
     m_clipped, clip = la.psd_clip(m_raw)
-    slack = la.PSD_SLACK * max(1.0, float(np.linalg.eigvalsh(m_raw)[-1]))
+    slack = la.PSD_SLACK * max(1.0, float(la.eigvalsh(m_raw)[-1]))
     if clip > slack:
         log.warning("extract_policy clipped M eigenvalues by %.3e, beyond "
                     "the PSD slack %.3e", clip, slack)
@@ -144,12 +144,12 @@ def tightness_certificate(ub: UBSolution, lb: LBSolution,
     if not all(map(np.array_equal, eq, lb.riccati.equation)):
         raise ValueError("lb was not evaluated on this estimator and policy")
     residual = ub.riccati_residual
-    sig_norm = float(np.linalg.norm(ub.decision.SigmaHat))
+    sig_norm = la.fro(ub.decision.SigmaHat)
     res_tol = 1e-6 * (1.0 + sig_norm)
     detectable = bool(lb.riccati.detectability)
     Fs, GsWs = _stabilizability_pair(estimator, policy, eq)
     stabilizable = bool(pbh_test(Fs, GsWs, "stabilizable"))
-    sigma_match = float(np.linalg.norm(lb.riccati.SigmaHat - ub.decision.SigmaHat))
+    sigma_match = la.fro(lb.riccati.SigmaHat - ub.decision.SigmaHat)
     rate_gap = ub.rate - lb.rate
 
     reasons = []

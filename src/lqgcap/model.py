@@ -201,7 +201,7 @@ def validate_model(model: SystemModel, weights: CostWeights) -> ValidationReport
     for name, a in [("W", model.W), ("V", model.V), ("Sigma1", model.Sigma1),
                     ("Q", weights.Q), ("R", weights.R)]:
         rel = rep.sym_deltas.get(name, 0.0)
-        scale = max(np.linalg.norm(a), 1e-300)
+        scale = max(la.fro(a), 1e-300)
         if rel > SYM_RTOL * scale:
             rep.add("AsymmetricInput", f"{name}: ||A - A^T|| = {rel:.3e}")
 

@@ -107,7 +107,7 @@ class RiccatiEquation(NamedTuple):
     def gain(self, X: np.ndarray):
         """(K, Psi) = ((Ft X Ht' + S) Psi^-1, Ht X Ht' + R) at X."""
         Psi = la.sym(self.Ht @ X @ self.Ht.T + self.R)
-        K = np.linalg.solve(Psi, self.Ht @ X @ self.Ft.T + self.S.T).T
+        K = la.solve(Psi, self.Ht @ X @ self.Ft.T + self.S.T).T
         return K, Psi
 
     def step(self, X: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ class RiccatiEquation(NamedTuple):
 
     def reduced(self):
         """(Ft - S R^-1 Ht, Q - S R^-1 S'): the pair with no cross term."""
-        SRinv = np.linalg.solve(self.R, self.S.T).T
+        SRinv = la.solve(self.R, self.S.T).T
         return self.Ft - SRinv @ self.Ht, la.sym(self.Q - SRinv @ self.S.T)
 
 
@@ -206,7 +206,7 @@ def pbh_test(A: np.ndarray, B: np.ndarray, mode: str) -> PBHResult:
     if B.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"B needs {A.shape[0]} rows, got {B.shape}")
 
-    eigvals = np.linalg.eigvals(A)
+    eigvals = la.eigvals(A)
     if mode == "stabilizable":
         tested = [lam for lam in eigvals if abs(lam) >= 1.0 - 1e-9]
     else:
@@ -282,23 +282,22 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
     eye = np.eye(len(Ft))
     Fr, H = eq.reduced()
     A = Fr.T
-    G = la.sym(Ht.T @ np.linalg.solve(R, Ht))
+    G = la.sym(Ht.T @ la.solve(R, Ht))
     X = np.zeros_like(Q) if x0 is None else x0
     for j in range(MAX_DOUBLINGS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             try:
                 if j:
                     W = eye + G @ H
-                    WA = np.linalg.solve(W, A)
+                    WA = la.solve(W, A)
                     A, G, H = (A @ WA,
-                               la.sym(G + A @ np.linalg.solve(W, G) @ A.T),
+                               la.sym(G + A @ la.solve(W, G) @ A.T),
                                la.sym(H + A.T @ H @ WA))
                 X_next = H if x0 is None else la.sym(
-                    H + A.T @ x0 @ np.linalg.solve(eye + G @ x0, A))
+                    H + A.T @ x0 @ la.solve(eye + G @ x0, A))
             except np.linalg.LinAlgError:
                 raise NonConvergence(f"singular doubling at step {j}") from None
-            res = (float(np.linalg.norm(X_next - X))
-                   / (1.0 + float(np.linalg.norm(X_next))))
+            res = la.fro(X_next - X) / (1.0 + la.fro(X_next))
         if not np.isfinite(res):
             raise NonConvergence(f"doubling diverged at step {j}")
         X = X_next
@@ -316,20 +315,23 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
         K, _ = eq.gain(X)
         Acl = Ft - K @ Ht
         C = la.sym(Q - K @ S.T - S @ K.T + K @ R @ K.T)
-        return Acl, C, float(np.linalg.norm(Acl @ X @ Acl.T + C - X))
+        return Acl, C, la.fro(Acl @ X @ Acl.T + C - X)
 
     Acl, C, eq_res = newton_data(X)
+    n = len(Acl)
     for j in range(j + 1, j + 1 + NEWTON_STEPS):
+        # np.kron(Acl, Acl): entry (a*n + b, c*n + d) is Acl[a, c] Acl[b, d]
+        kron = (Acl[:, None, :, None]
+                * Acl[None, :, None, :]).reshape(n * n, n * n)
         try:
-            vec = np.linalg.solve(np.eye(C.size) - np.kron(Acl, Acl), C.ravel())
+            vec = la.solve(np.eye(n * n) - kron, C.ravel())
         except np.linalg.LinAlgError:
             break
         X_next = la.sym(vec.reshape(C.shape))
         step = newton_data(X_next)
         if not step[2] < eq_res:
             break
-        res = (float(np.linalg.norm(X_next - X))
-               / (1.0 + float(np.linalg.norm(X_next))))
+        res = la.fro(X_next - X) / (1.0 + la.fro(X_next))
         X, (Acl, C, eq_res) = X_next, step
     return X, j, res
 
@@ -437,6 +439,6 @@ def solve_policy_riccati(estimator: EstimatorModel,
     K_Y, PsiY = eq.gain(X)
     return PolicyRiccatiSolution(SigmaHat=X, K_Y=K_Y, Psi_Y=PsiY,
                                  iterations=iters,
-                                 residual=float(np.linalg.norm(X - eq.step(X))),
+                                 residual=la.fro(X - eq.step(X)),
                                  equation=eq, detectability=detect,
                                  bootstrapped=bootstrapped)

@@ -388,7 +388,7 @@ def average_variables(sol: SCOPSolution) -> AveragedVariables:
     cost_val = consts.cost_of(pi_bar, gam_bar, sig_bar)
     cost_excess = max(0.0, cost_val - sol.budget)
     cost_eps = abs(sol.budget - cost_val)
-    corr = float(np.linalg.norm(sigmas[n] - sigmas[0])) / n
+    corr = la.fro(sigmas[n] - sigmas[0]) / n
     slack = max(max(0.0, -lmi1), max(0.0, -lmi2), cost_eps, corr)
     return AveragedVariables(
         Pi=pi_bar, Gamma=gam_bar, SigmaHat=sig_bar,

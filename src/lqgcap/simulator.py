@@ -272,8 +272,8 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
         empirical_PsiY=emp_psi_y,
         empirical_rate=0.5 * (la.slogdet_pd(emp_psi_y, "empirical Psi_Y")
                               - la.slogdet_pd(est.Psi, "Psi")),
-        innovation_whiteness=float(np.linalg.norm(lag @ C_psi.T / lag_pairs)
-                                   / max(np.linalg.norm(emp_psi_y), 1e-300)),
+        innovation_whiteness=(la.fro(lag @ C_psi.T / lag_pairs)
+                              / max(la.fro(emp_psi_y), 1e-300)),
         samples=total,
         cross_state_err=(gram[err_, d_] + gram[err_, obs_]) / total,
         cross_obs_psi=lag[:, d_].T / lag_pairs,
@@ -293,8 +293,8 @@ def compare_to_theory(report: SimReport, lb: LBSolution) -> ComparisonVerdict:
         "cost_within_stderr", report.empirical_cost, target, tol_cost,
         abs(report.empirical_cost - target) <= tol_cost))
     psi_y = lb.riccati.Psi_Y
-    rel = float(np.linalg.norm(report.empirical_PsiY - psi_y)
-                / max(np.linalg.norm(psi_y), 1e-300))
+    rel = (la.fro(report.empirical_PsiY - psi_y)
+           / max(la.fro(psi_y), 1e-300))
     checks.append(SimCheck("innovation_covariance_rel", rel, 0.0,
                            PSI_Y_REL, rel <= PSI_Y_REL))
     rate_tol = max(RATE_REL * abs(lb.rate), RATE_FLOOR)

@@ -139,7 +139,7 @@ def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
     V_i's newest directions to.  The identity once a subspace is the whole
     state space."""
     k = F.shape[0]
-    tol = KRYLOV_RTOL * max(np.linalg.norm(G), np.linalg.norm(F))
+    tol = KRYLOV_RTOL * max(la.fro(G), la.fro(F))
     V = np.zeros((k, 0))
     bases, new = [V], G
     for _ in range(n):
@@ -277,8 +277,7 @@ class UBProgram:
             duality_gap=info.duality_gap,
             iterations=info.iterations,
             riccati_lmi_slack=la.min_eig(schur),
-            riccati_residual=float(np.linalg.norm(
-                dec.SigmaHat - (P + inflow - outflow))),
+            riccati_residual=la.fro(dec.SigmaHat - (P + inflow - outflow)),
             budget_multiplier=float(z_cost[0, 0]),
             riccati_multiplier=T @ z_ric @ T.T,
             covariance_multiplier=cov @ z_cov @ cov.T,
@@ -323,7 +322,7 @@ def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
     face, under state feedback, is not)."""
     x, _, _ = _solve_dare(damped_equation(prog.consts, eps))
     s = prog.face.T @ x @ prog.face
-    if s.size and la.min_eig(s) <= 1e-12 * (1.0 + float(np.linalg.norm(s))):
+    if s.size and la.min_eig(s) <= 1e-12 * (1.0 + la.fro(s)):
         return None
     m, k = prog.consts.model.m, prog.consts.model.k
     return prog.pack(UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)),

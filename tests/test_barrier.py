@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lqgcap import BudgetedProblem, ProblemConstants, solve_ub
 from lqgcap import barrier, upper_bound
+from lqgcap import linalg as la
 from lqgcap.barrier import (CENTRED, T_START, AffineBlock, BarrierProgram,
                             NewtonLine, SymPacker, _newton_direction, _y_rows,
                             solve_barrier)
@@ -161,8 +162,8 @@ class TestBarrierProgram:
         assert program.merit(rejected, t) == np.inf
 
         factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
+        cholesky = la.cholesky
+        monkeypatch.setattr(la, "cholesky",
                             lambda a: factored.append(a.shape) or cholesky(a))
         g, h = program.grad_hess(accepted.copy(), t)
         assert factored == []
@@ -616,11 +617,11 @@ class TestLocalRows:
         program, v0 = REFERENCE_CASES[case](request, monkeypatch)
         local = program._local
         v, _ = solve_barrier(program, v0, TOL)
-        inv, inverted = np.linalg.inv, []
+        inv, inverted = la.inv, []
         for point in (v0, v):
             factors = program._factors(point)
             full = inv(factors)
-            monkeypatch.setattr(np.linalg, "inv", lambda a: (
+            monkeypatch.setattr(la, "inv", lambda a: (
                 inverted.append(a.shape[0]) or inv(a)))
             inv_sq, y_loc = local.rows(factors)
             monkeypatch.undo()
@@ -846,10 +847,11 @@ class TestMultipliers:
 
 class TestNewtonDirection:
     def _count_factorizations(self, monkeypatch):
+        """Cholesky calls of the library (la) and of the oracles (np.linalg)."""
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: calls.append(a.shape) or cholesky(a))
+        for owner in (la, np.linalg):
+            monkeypatch.setattr(owner, "cholesky", lambda a, _f=owner.cholesky:
+                                calls.append(a.shape) or _f(a))
         return calls
 
     def test_ridge_branch_matches_the_reference(self, monkeypatch):
@@ -880,22 +882,24 @@ class TestNewtonDirection:
 
 
 class TestKernelCallCount:
-    """np.linalg calls per Newton system: one factorization in the merit of
-    the step, one inverse for the Newton rows except at a round change, a
-    factorization that tests h and a solve for the direction, and one
-    eigvalsh of the step's E for the line search and the gap, whatever the
-    number of block sizes and whether the rows are dense or local."""
+    """LAPACK kernel calls per Newton system, the library's through
+    lqgcap.linalg and the oracles' through np.linalg: one factorization in
+    the merit of the step, one inverse for the Newton rows except at a round
+    change, a factorization that tests h and a solve for the direction, and
+    one eigvalsh of the step's E for the line search and the gap, whatever
+    the number of block sizes and whether the rows are dense or local."""
 
     FACTORIZATIONS = ("cholesky", "inv", "solve")
 
     def _calls(self, monkeypatch, program, v0, names):
-        """(np.linalg calls to `names`, Newton systems) of one solve."""
+        """(kernel calls to `names`, Newton systems) of one solve."""
         counts = {"linalg": 0, "systems": 0}
-        for name in names:
-            def counted(*args, _f=getattr(np.linalg, name)):
-                counts["linalg"] += 1
-                return _f(*args)
-            monkeypatch.setattr(np.linalg, name, counted)
+        for owner in (la, np.linalg):
+            for name in names:
+                def counted(*args, _f=getattr(owner, name)):
+                    counts["linalg"] += 1
+                    return _f(*args)
+                monkeypatch.setattr(owner, name, counted)
         grad_hess = type(program).grad_hess
 
         def counted_grad_hess(self, *args):
@@ -907,6 +911,7 @@ class TestKernelCallCount:
         monkeypatch.undo()
         assert info.duality_gap <= TOL
         assert counts["systems"] > info.iterations > 0
+        assert counts["linalg"] > 0
         return counts["linalg"], counts["systems"]
 
     def _calls_per_system(self, monkeypatch, program, v0,

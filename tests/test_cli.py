@@ -145,13 +145,26 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("name,detail", [
         ("Z", "unknown system entry"), ("F[0]", "bad index"),
-        ("F[1,1]", "index out of range")])
+        ("F[1,1]", "index out of range"), ("F[0,0", "bad index"),
+        ("F[0,0]]", "bad index"), ("F[0,0]1", "bad index"),
+        ("F0,0]", "unknown system entry")])
     def test_the_sweep_entry_is_checked_against_the_model(self, tmp_path,
                                                           name, detail):
         doc = scalar_doc(param_sweep={"name": name, "min": 0.4, "max": 0.6,
                                       "points": 2})
         with pytest.raises(ConfigError, match=f"param_sweep.name: {detail}"):
             load_config(write_cfg(tmp_path, doc))
+
+    @pytest.mark.parametrize("name", ["Sigma1", "Sigma1[0,0]"])
+    def test_an_entry_that_moves_no_bound_is_refused(self, tmp_path, name):
+        # Sigma1 once gave the same row at every value of the sweep
+        doc = scalar_doc(param_sweep={"name": name, "min": 0.5, "max": 5.0,
+                                      "points": 3})
+        with pytest.raises(ConfigError,
+                           match="param_sweep.name: Sigma1 enters no constant"):
+            load_config(write_cfg(tmp_path, doc))
+        doc["param_sweep"]["name"] = "W"
+        assert load_config(write_cfg(tmp_path, doc)).param_sweep.name == "W"
 
 
 class TestWriteCsv:
@@ -357,7 +370,13 @@ class TestCommands:
     @pytest.mark.parametrize("command,override", [
         ("scop", {"horizons": [2, MAX_HORIZON + 1]}),
         ("sweep-param", {"param_sweep": {"name": "F[9,9]", "min": 0.4,
-                                         "max": 0.6, "points": 2}})])
+                                         "max": 0.6, "points": 2}}),
+        # an unclosed bracket was once swept as F[0,0], and its comma split
+        # the CSV's param field
+        ("sweep-param", {"param_sweep": {"name": "F[0,0", "min": 0.4,
+                                         "max": 0.6, "points": 2}}),
+        ("sweep-param", {"param_sweep": {"name": "Sigma1", "min": 0.5,
+                                         "max": 5.0, "points": 3}})])
     def test_a_config_error_is_one_line_at_any_jobs(self, tmp_path, capsys,
                                                     command, override):
         # a bad sweep entry once failed in the workers and, with --jobs 2,

@@ -15,6 +15,7 @@ from lqgcap import (
     solve_ub,
     tightness_certificate,
 )
+from lqgcap import linalg as la
 from lqgcap import lower_bound, riccati
 
 from test_random_systems import random_system
@@ -263,8 +264,8 @@ class TestCertificateWork:
         policy = extract_policy(ub, c2.control)
         eq = riccati.policy_equation(c2.estimator, policy)
         want = lower_bound._stabilizability_pair(c2.estimator, policy, eq)
-        factored, cholesky = [], np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: (
+        factored, cholesky = [], la.cholesky
+        monkeypatch.setattr(la, "cholesky", lambda a: (
             factored.append(a.shape) or cholesky(a)))
         got = lower_bound._stabilizability_pair(c2.estimator, policy, eq)
         assert factored == [(c2.model.p, c2.model.p)]

@@ -7,6 +7,7 @@ import scipy.linalg
 from lqgcap import (BudgetedProblem, ProblemConstants, SolverOptions,
                     average_variables, solve_scop, solve_ub)
 from lqgcap import barrier, scop
+from lqgcap import linalg as la
 from lqgcap.errors import ConfigError, Infeasible, NotPositiveDefinite
 from lqgcap.linalg import slogdet_pd, sym
 from lqgcap.riccati import control_equation
@@ -437,8 +438,8 @@ class TestLocalAssembly:
         want = (sum(w * slogdet_pd(b.value(v)) for w, b in prog._objective)
                 - 0.5 * slogdet_pd(c2.Psi))
         factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: (
+        cholesky = la.cholesky
+        monkeypatch.setattr(la, "cholesky", lambda a: (
             factored.append(a.shape) or cholesky(a)))
         got = prog.value(v)
         monkeypatch.undo()
