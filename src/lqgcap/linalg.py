@@ -123,11 +123,11 @@ def min_eig(a: np.ndarray) -> float:
     return float(eigvalsh(sym(a))[0])
 
 
-def is_psd(a: np.ndarray, slack: float = PSD_SLACK) -> bool:
+def is_psd(a: np.ndarray) -> bool:
     """Scale-aware PSD test on a symmetric matrix."""
     w = eigvalsh(sym(a))
     lam_max = max(1.0, float(w[-1]))
-    return bool(w[0] >= -slack * lam_max)
+    return bool(w[0] >= -PSD_SLACK * lam_max)
 
 
 def is_pd(a: np.ndarray) -> bool:

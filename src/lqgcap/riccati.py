@@ -199,8 +199,7 @@ def pbh_test(A: np.ndarray, B: np.ndarray, mode: str) -> PBHResult:
     if mode == "detectable":
         if B.shape[1] != A.shape[0]:
             raise DimensionMismatch(f"output map needs {A.shape[0]} columns")
-        inner = pbh_test(A.T, B.T, "stabilizable")
-        return PBHResult(inner.ok, inner.eigenvalue, inner.witness, inner.margin)
+        return pbh_test(A.T, B.T, "stabilizable")
     if mode not in ("stabilizable", "unit_circle_controllable"):
         raise ValueError(f"unknown mode {mode!r}")
     if B.shape[0] != A.shape[0]:

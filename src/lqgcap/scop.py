@@ -5,21 +5,22 @@ SigmaHat_{i+1}) chained by Riccati LMIs, with time-varying LQR constants from
 the backward recursion and a terminal correction term in the cost.  Averaging
 the per-time variables produces a point feasible for the single-letter
 program up to an O(1/n) correction, which is what makes the single-letter
-bound the horizon limit.  Step i is the single-letter step map
-upper_bound.step_blocks with SigmaHat_next = SigmaHat_{i+1}.  The LQR
+bound the horizon limit.  Step i is the single-letter step on its face,
+upper_bound.face_blocks, with SigmaHat_next = SigmaHat_{i+1}.  The LQR
 schedule is the control equation's recursion from Q, and the strict start
 the damped equation's recursion from 0.
 
 The program is solved on its face, as the single-letter one is.  From
 SigmaHat_1 = 0 the chained LMIs only reach the i-step Krylov subspace of
-the innovation form (F - K_p H, G - K_p J) (upper_bound.krylov_bases, whose
+the innovation form (F - K_p H, G - K_p J) (upper_bound.face_bases, whose
 last basis is the single-letter program's face), so
 SigmaHat_{i+1} = V_i S_i V_i^T and Gamma_{i+1} = Gamma~_i V_i^T with V_i an
-orthonormal basis of that subspace, and each block, a chained LMI congruent
-to its innovation form, is restricted to the range of its constant and
-basis parts.  For k > m the unreduced LMIs have no strict interior; the
-reduced ones do (Borwein & Wolkowicz, J. Austral. Math. Soc. A 30, 1981;
-Permenter & Parrilo, Math. Program. 171, 2018).
+orthonormal basis of that subspace, and each chained LMI keeps plant
+coordinates, restricted to the range
+T_i = [[V_i, (I - V_i V_i^T) K_p], [0, I]] of its constant and basis parts.
+For k > m the unreduced LMIs have no strict interior; the reduced ones do
+(Borwein & Wolkowicz, J. Austral. Math. Soc. A 30, 1981; Permenter &
+Parrilo, Math. Program. 171, 2018).
 
 Step i touches only the coordinates of Pi_i, Gamma~_{i-1}, S_{i-1} and S_i,
 at most 16 on vector3 and 4 on scalar plants, so the program is assembled
@@ -32,14 +33,13 @@ when that saves work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import linalg as la
 from .barrier import AffineBlock, BarrierProgram, SymPacker, solve_barrier
 from .constants import ProblemConstants, constants_for
-from .errors import Infeasible
+from .errors import Infeasible, SolverNonConvergence
 from .model import BudgetedProblem
 from .riccati import control_equation
 from .upper_bound import (
@@ -47,10 +47,8 @@ from .upper_bound import (
     SolverOptions,
     UBDecision,
     damped_equation,
+    face_bases,
     face_blocks,
-    krylov_bases,
-    program_face,
-    step_blocks,
     strict_start,
 )
 
@@ -101,20 +99,18 @@ class SCOPProgram:
     """Affine assembly of the horizon-n program on its face, over
     Pi_1..Pi_n, Gamma~_1..Gamma~_n and S_0..S_n, where
     Gamma_i = Gamma~_{i-1} V_{i-1}^T and SigmaHat_i = V_{i-1} S_{i-1} V_{i-1}^T
-    with V_0..V_n the Krylov bases of the innovation form
-    (F - K_p H, G - K_p J, H, J); V_0 has no columns, which pins
-    SigmaHat_1 = 0 and Gamma_1 = 0.  Step i's blocks are step_blocks of the
-    innovation form, whose chained LMI is the plant's under the congruence
-    [[I, -K_p], [0, I]], with SigmaHat_next = SigmaHat_{i+1}, priced by K_i
-    and PsiL_i.
+    with V_0..V_n the faces of upper_bound.face_bases; V_0 has no columns,
+    which pins SigmaHat_1 = 0 and Gamma_1 = 0.  Step i's blocks are
+    face_blocks at (Pi_i, Gamma~_{i-1}, S_{i-1}) and S_i, priced by K_i and
+    PsiL_i.
 
     Step i touches only its own columns, those of Pi_i, Gamma~_{i-1},
-    S_{i-1} and S_i, so the map is evaluated once for all n steps on each
-    step's own unit vectors: an (n, w) stack whose w slots are sized for the
-    widest face, V_n's, with column D in a slot that step's face lacks.  Each
-    kind of block is then restricted to the face by one batched congruence,
-    with the bases padded to V_n's width by zero columns, and every block but
-    the budget row carries its step's columns (AffineBlock.cols)."""
+    S_{i-1} and S_i, so face_blocks is evaluated once for all n steps on
+    each step's own unit vectors: an (n, w) stack whose w slots are sized
+    for the widest face, V_n's, with the bases padded to V_n's width by zero
+    columns and column D in a slot that step's face lacks.  Each block keeps
+    its step's face slots, and every block but the budget row carries its
+    step's columns (AffineBlock.cols)."""
 
     def __init__(self, consts: ProblemConstants, budget: float, horizon: int):
         self.consts = consts
@@ -122,11 +118,7 @@ class SCOPProgram:
         self.n = horizon
         model, K_p = consts.model, consts.K_p
         m = model.m
-        self.innovation = SimpleNamespace(F=model.F - K_p @ model.H,
-                                          G=model.G - K_p @ model.J,
-                                          H=model.H, J=model.J)
-        self.bases = krylov_bases(self.innovation.F, self.innovation.G,
-                                  horizon)
+        self.bases = face_bases(consts, horizon)
         self.pi_pack = SymPacker(m)
         packers = {r: SymPacker(r) for r in {V.shape[1] for V in self.bases}}
         self.sig_packs = [packers[V.shape[1]] for V in self.bases]
@@ -146,16 +138,12 @@ class SCOPProgram:
                           axis2=2)
         kp_term = sum(map(float, traces)) / self.n
         sigma_q = float(np.trace(consts.Sigma @ consts.weights.Q))
-        self._cost_constant = kp_term + sigma_q * (self.n + 1) / self.n
+        # the cost at zero decisions
+        self.floor = kp_term + sigma_q * (self.n + 1) / self.n
         self._build()
         self._barrier: BarrierProgram | None = None
 
     # -- constants ---------------------------------------------------------
-
-    def cost_constant(self) -> float:
-        """The cost at zero decisions: (1/n) sum_i Tr(K_p Psi K_p^T E_{i+1})
-        + Tr(Sigma Q) (n + 1)/n."""
-        return self._cost_constant
 
     def slack_e_n(self, sigma_last: np.ndarray) -> float:
         """Terminal correction: (1/n)(Tr((Sigma + SigmaHat_{n+1}) Q)
@@ -209,47 +197,39 @@ class SCOPProgram:
         self._Vq = Vq = np.zeros((n + 1, k, q))    # V_j padded to q columns
         for V, pad in zip(self.bases, Vq):
             pad[:, :V.shape[1]] = V
-        # SigmaHat at S_j's unit vectors on the widest face, j = 0..n (zero
-        # where S_j's face lacks the slot), and Gamma at Gamma~_j's
-        units = Vq[:, None] @ face.basis() @ Vq[:, None].swapaxes(-1, -2)
-        pis = np.zeros((n, width, m, m))
-        pis[:, :pd] = self.pi_pack.basis()
-        gammas = np.zeros((n, width, m, k))
-        gammas[:, pd:pd + gd] = (np.eye(gd).reshape(gd, m, q)
-                                 @ Vq[:n, None].swapaxes(-1, -2))
-        sigmas = np.zeros((n, width, k, k))
-        sigmas[:, pd + gd:width - sd] = units[:n]
-        sigma_next = np.zeros((n, width, k, k))
-        sigma_next[:, width - sd:] = units[1:]
-        dec = UBDecision(pis, gammas, sigmas)
-        lmi, psiy, cost = step_blocks(self.innovation, self.K[:, None],
-                                      self.PsiL[:, None], dec, sigma_next)
-        # the congruences diag(I, V_{i-1}) of a covariance LMI and
-        # diag(V_i, I) of a chained one, with each step's block leading
-        e = np.zeros((n, m + k, m + q))
-        e[:, :m, :m] = np.eye(m)
-        e[:, m:, m:] = Vq[:n]
-        cov = e[:, None].swapaxes(-1, -2) @ dec.first_lmi() @ e[:, None]
-        e = np.zeros((n, k + p, q + p))
-        e[:, :k, :q] = Vq[1:]
-        e[np.arange(n)[:, None], k + np.arange(p),
-          np.array(r[1:])[:, None] + np.arange(p)] = 1.0
-        lmi = e[:, None].swapaxes(-1, -2) @ lmi @ e[:, None]
-        # the innovation form's constant [[0, 0], [0, Psi]] lies in the face
-        const = {j: la.blkdiag(np.zeros((j, j)), c.Psi) for j in set(r)}
+        # a step's face decisions (Pi_i, Gamma~_{i-1}, S_{i-1}) and S_i at
+        # its unit vectors on the widest face, the same for every step
+        units = np.eye(width)
+        step = UBDecision(self.pi_pack.unpack(units[:, :pd]),
+                          units[:, pd:pd + gd].reshape(width, m, q),
+                          face.unpack(units[:, pd + gd:width - sd]))
+        cov, lmi, const, _, psiy, cost = face_blocks(
+            c, step, Vq[:n, None], Vq[1:, None],
+            face.unpack(units[:, width - sd:]), self.K[:, None],
+            self.PsiL[:, None])
+        # each block keeps its step's face slots: those of S_{i-1} in a
+        # covariance LMI, and those of S_i and the p outputs, gathered to
+        # its leading rows and columns, in a chained one
+        slot = np.arange(q + p)
+        lacks = (slot >= np.array(r[1:])[:, None]) & (slot < q)
+        order = np.argsort(lacks, axis=1, kind="stable")
+        at, ri, ci = (np.arange(n)[:, None, None, None],
+                      order[:, None, :, None], order[:, None, None, :])
+        lmi = lmi[at, np.arange(width)[:, None, None], ri, ci]
+        const = const[at, 0, ri, ci]
         covariance, chained = [], []
         for i in range(n):
             a, b = m + r[i], r[i + 1] + p
-            covariance.append(AffineBlock(np.zeros((a, a)),
-                                          cov[i, :, :a, :a], cols[i], D))
-            chained.append(AffineBlock(const[r[i + 1]], lmi[i, :, :b, :b],
-                                       cols[i], D))
-        terminal = AffineBlock(np.zeros((q, q)), Vq[n].T @ units[n] @ Vq[n],
+            covariance.append(AffineBlock(np.zeros((a, a)), cov[:, :a, :a],
+                                          cols[i], D))
+            chained.append(AffineBlock(const[i, 0, :b, :b],
+                                       lmi[i, :, :b, :b], cols[i], D))
+        terminal = AffineBlock(np.zeros((q, q)), face.basis(),
                                self._sig_cols[n], D)
         # each coordinate is priced at the one step that holds it
         self.cost_coeffs = np.bincount(cols.ravel(), (cost / n).ravel(),
                                        D + 1)[:D]
-        budget = AffineBlock(np.array([[self.budget - self._cost_constant]]),
+        budget = AffineBlock(np.array([[self.budget - self.floor]]),
                              (-self.cost_coeffs).reshape(-1, 1, 1))
         self._constraints = covariance + [terminal] + chained + [budget]
         # per-time objective: (1/(2n)) logdet Psi_Y,i
@@ -286,23 +266,19 @@ class SCOPProgram:
                                            constraints=self._constraints)
         return self._barrier
 
-    def strict_point(self) -> np.ndarray | None:
-        """A strictly feasible packed point (Pi_i = eps I, Gamma_i = 0,
+    def start(self, eps: float) -> np.ndarray:
+        """The packed point Pi_i = eps I, Gamma_i = 0 and
         SigmaHat_1..SigmaHat_{n+1} the damped equation's recursion from 0,
-        which stays on the face) found by strict_start, or None."""
+        which stays on the face."""
         c, n = self.consts, self.n
         m, k = c.model.m, c.model.k
-
-        def start(eps):
-            sigmas = np.array(damped_equation(c, eps)
-                              .recursion(np.zeros((k, k)), n))
-            return self.pack(np.broadcast_to(eps * np.eye(m), (n, m, m)),
-                             np.zeros((n, m, k)), sigmas)
-
-        return strict_start(self, self.cost_constant(), start)
+        sigmas = np.array(damped_equation(c, eps).recursion(np.zeros((k, k)),
+                                                            n))
+        return self.pack(np.broadcast_to(eps * np.eye(m), (n, m, m)),
+                         np.zeros((n, m, k)), sigmas)
 
     def cost(self, v: np.ndarray) -> float:
-        return float(self.cost_coeffs @ v) + self.cost_constant()
+        return float(self.cost_coeffs @ v) + self.floor
 
     def value(self, v: np.ndarray) -> float:
         """(1/(2n)) sum_i log det Psi_Y,i - (1/2) log det Psi at v, from one
@@ -336,22 +312,21 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     consts = constants_for(problem, consts)
     k, m = consts.model.k, consts.model.m
     prog = SCOPProgram(consts, problem.budget, horizon)
-    const_cost = prog.cost_constant()
-    if problem.budget < const_cost - BOUNDARY_TOL:
+    if problem.budget < prog.floor - BOUNDARY_TOL:
         raise Infeasible(
             f"budget {problem.budget} below the horizon-{horizon} cost floor "
-            f"{const_cost:.9g}")
-    if problem.budget <= const_cost + BOUNDARY_TOL:
+            f"{prog.floor:.9g}")
+    if problem.budget <= prog.floor + BOUNDARY_TOL:
         zero_triples = [(np.zeros((m, m)), np.zeros((m, k)), np.zeros((k, k)))
                         for _ in range(horizon)]
         return SCOPSolution(horizon=horizon, per_time=zero_triples, value=0.0,
                             slack_E_n=prog.slack_e_n(np.zeros((k, k))),
-                            cost=const_cost, consts=consts,
+                            cost=prog.floor, consts=consts,
                             budget=problem.budget)
 
-    v0 = prog.strict_point()
+    v0 = strict_start(prog)
     if v0 is None:
-        raise Infeasible("no strictly feasible chain found")
+        raise SolverNonConvergence("no strictly feasible start for the chain")
     v, info = solve_barrier(prog.barrier_program(), v0, opts.tol,
                             opts.max_iter)
     pis, gammas, sigmas = prog.unpack(v)
@@ -381,9 +356,11 @@ def average_variables(sol: SCOPSolution) -> AveragedVariables:
     sigmas = sol.sigma_hats
     sig_bar = sum(sigmas[:n]) / n     # SigmaHat_1..SigmaHat_n
 
-    V = program_face(consts)
+    V = face_bases(consts, consts.model.k)[-1]
+    S = V.T @ sig_bar @ V
     lmi1, lmi2, const2, *_ = face_blocks(
-        consts, V, UBDecision(pi_bar, gam_bar @ V, V.T @ sig_bar @ V))
+        consts, UBDecision(pi_bar, gam_bar @ V, S), V, V, S, consts.K_LQR,
+        consts.Psi_LQR)
     lmi1, lmi2 = la.min_eig(lmi1), la.min_eig(const2 + lmi2)
     cost_val = consts.cost_of(pi_bar, gam_bar, sig_bar)
     cost_excess = max(0.0, cost_val - sol.budget)

@@ -11,10 +11,12 @@ SigmaHat, the stationary case of the horizon-n program in scop, and like it
 the program is solved on its face: SigmaHat = V S V^T and Gamma = Gamma~ V^T,
 V an orthonormal basis of the Krylov subspace of the innovation form
 (F - K_p H, G - K_p J), the only one SigmaHat and Gamma^T reach.  The
-covariance LMI is [[Pi, Gamma~], [Gamma~^T, S]], and the Riccati LMI is
-restricted to its range [[V, (I - V V^T) K_p], [0, I]].  State feedback,
-G = K_p J, is the face with no columns.  The barrier starts from a strict
-point whose SigmaHat is the limit of the damped Riccati equation
+covariance LMI is [[Pi, Gamma~], [Gamma~^T, S]], and the Riccati LMI keeps
+plant coordinates, restricted to its range
+T = [[V, (I - V V^T) K_p], [0, I]].  face_blocks is this restriction for
+both programs, the horizon program's steps on their own faces.  State
+feedback, G = K_p J, is the face with no columns.  The barrier starts from
+a strict point whose SigmaHat is the limit of the damped Riccati equation
 (damped_equation) of the zero-information policy.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -157,26 +158,39 @@ def krylov_bases(F: np.ndarray, G: np.ndarray, n: int) -> list[np.ndarray]:
     return bases
 
 
-def program_face(consts: ProblemConstants) -> np.ndarray:
-    """The program's face: the innovation form's last Krylov basis."""
+def face_bases(consts: ProblemConstants, n: int) -> list[np.ndarray]:
+    """The faces of the programs' first n steps: the Krylov bases V_0..V_n
+    of the innovation form (F - K_p H, G - K_p J), whose last at n = k is
+    the single-letter program's face."""
     model, K_p = consts.model, consts.K_p
-    return krylov_bases(model.F - K_p @ model.H, model.G - K_p @ model.J,
-                        model.k)[-1]
+    return krylov_bases(model.F - K_p @ model.H, model.G - K_p @ model.J, n)
 
 
-def face_blocks(consts: ProblemConstants, V: np.ndarray, face: UBDecision):
-    """The stationary step at a face decision (Pi, Gamma~, S), or each of a
-    stack: the covariance LMI, the Riccati LMI's linear part and constant on
-    the range of T = [[V, (I - V V^T) K_p], [0, I]], T, Psi_Y's part, cost."""
-    c, r, p = consts, V.shape[1], consts.model.p
-    dec = UBDecision(face.Pi, face.Gamma @ V.T, V @ face.SigmaHat @ V.T)
-    lmi2, psiy, cost = step_blocks(c.model, c.K_LQR, c.Psi_LQR, dec,
-                                   dec.SigmaHat)
-    T = la.blkdiag(V, np.eye(p))
-    T[:V.shape[0], r:] = c.K_p - V @ (V.T @ c.K_p)
-    KpPsi = c.K_p @ c.Psi
-    const = T.T @ la.block(KpPsi @ c.K_p.T, KpPsi, KpPsi.T, c.Psi) @ T
-    return face.first_lmi(), T.T @ lmi2 @ T, const, T, psiy, cost
+def face_blocks(consts: ProblemConstants, face: UBDecision, V_prev: np.ndarray,
+                V_next: np.ndarray, S_next: np.ndarray, K_LQR: np.ndarray,
+                Psi_LQR: np.ndarray):
+    """One step of either program on its face, at face decisions
+    (Pi, Gamma~, S) on the face of V_prev and the next step's S_next on
+    V_next's, or at each of a stack: the covariance LMI, the Riccati LMI's
+    linear part and constant on the range of
+    T = [[V_next, (I - V_next V_next^T) K_p], [0, I]], T, Psi_Y's part and
+    the cost priced by (K_LQR, Psi_LQR).  Stacks of steps pass stacks of
+    bases, padded to the widest face by zero columns, that broadcast against
+    the decisions' stacks."""
+    c, p = consts, consts.model.p
+    k, q = V_next.shape[-2:]
+    prev_t, next_t = V_prev.swapaxes(-1, -2), V_next.swapaxes(-1, -2)
+    dec = UBDecision(face.Pi, face.Gamma @ prev_t,
+                     V_prev @ face.SigmaHat @ prev_t)
+    lmi2, psiy, cost = step_blocks(c.model, K_LQR, Psi_LQR, dec,
+                                   V_next @ S_next @ next_t)
+    T = np.zeros(V_next.shape[:-2] + (k + p, q + p))
+    T[..., :k, :q] = V_next
+    T[..., :k, q:] = c.K_p - V_next @ (next_t @ c.K_p)
+    T[..., k:, q:] = np.eye(p)
+    Tt, KpPsi = T.swapaxes(-1, -2), c.K_p @ c.Psi
+    const = Tt @ la.block(KpPsi @ c.K_p.T, KpPsi, KpPsi.T, c.Psi) @ T
+    return face.first_lmi(), Tt @ lmi2 @ T, const, T, psiy, cost
 
 
 class UBProgram:
@@ -186,7 +200,8 @@ class UBProgram:
     def __init__(self, consts: ProblemConstants, budget: float):
         self.consts = consts
         self.budget = float(budget)
-        self.face = program_face(consts)
+        self.floor = consts.minimal_cost
+        self.face = face_bases(consts, consts.model.k)[-1]
         m, r = consts.model.m, self.face.shape[1]
         self.pi_pack = SymPacker(m)
         self.sig_pack = SymPacker(r)
@@ -224,13 +239,14 @@ class UBProgram:
     # -- affine pieces -----------------------------------------------------
 
     def _build(self):
-        c = self.consts
+        c, V = self.consts, self.face
+        face = self._face_decision(np.eye(self.dim))
         lmi1, lmi2, const2, self.riccati_range, psiy, cost = face_blocks(
-            c, self.face, self._face_decision(np.eye(self.dim)))
+            c, face, V, V, face.SigmaHat, c.K_LQR, c.Psi_LQR)
         self.block_lmi1 = AffineBlock(np.zeros(lmi1.shape[1:]), lmi1)
         self.block_lmi2 = AffineBlock(const2, lmi2)
         self.block_psiy = AffineBlock(c.Psi.copy(), psiy)
-        slack0 = self.budget - c.minimal_cost
+        slack0 = self.budget - self.floor
         self.block_cost = AffineBlock(np.array([[slack0]]),
                                       (-cost).reshape(-1, 1, 1))
         self.cost_coeffs = cost
@@ -253,7 +269,20 @@ class UBProgram:
         return rate_from_psi(self.psi_y(v), self.consts.Psi)
 
     def cost(self, v: np.ndarray) -> float:
-        return float(self.cost_coeffs @ v) + self.consts.minimal_cost
+        return float(self.cost_coeffs @ v) + self.floor
+
+    def start(self, eps: float) -> np.ndarray | None:
+        """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat
+        the limit of the damped equation from 0; it lies strictly inside the
+        Riccati LMI.  None when that limit is singular on the face (an empty
+        face, under state feedback, is not)."""
+        x, _, _ = _solve_dare(damped_equation(self.consts, eps))
+        s = self.face.T @ x @ self.face
+        if s.size and la.min_eig(s) <= 1e-12 * (1.0 + la.fro(s)):
+            return None
+        m, k = self.consts.model.m, self.consts.model.k
+        return self.pack(UBDecision(Pi=eps * np.eye(m),
+                                    Gamma=np.zeros((m, k)), SigmaHat=x))
 
     def solution_from(self, v: np.ndarray, info) -> UBSolution:
         c = self.consts
@@ -315,29 +344,16 @@ def damped_equation(consts: ProblemConstants, eps: float) -> RiccatiEquation:
     return eq._replace(Ft=half * eq.Ft, S=half * eq.S, Q=0.5 * eq.Q)
 
 
-def _strict_point(prog: UBProgram, eps: float) -> np.ndarray | None:
-    """The packed point (Pi = eps I, Gamma = 0, SigmaHat) with SigmaHat the
-    limit of the damped equation from 0; it lies strictly inside
-    the Riccati LMI.  None when that limit is singular on the face (an empty
-    face, under state feedback, is not)."""
-    x, _, _ = _solve_dare(damped_equation(prog.consts, eps))
-    s = prog.face.T @ x @ prog.face
-    if s.size and la.min_eig(s) <= 1e-12 * (1.0 + la.fro(s)):
-        return None
-    m, k = prog.consts.model.m, prog.consts.model.k
-    return prog.pack(UBDecision(Pi=eps * np.eye(m), Gamma=np.zeros((m, k)),
-                                SigmaHat=x))
-
-
-def strict_start(prog, floor: float, start) -> np.ndarray | None:
+def strict_start(prog) -> np.ndarray | None:
     """Shrink the dither eps from (budget - floor) / (2 (Tr Psi_LQR + 1)) by 4
-    until start(eps), a packed point of `prog` or None, costs under
-    prog.budget and passes BarrierProgram.feasible, solve_barrier's own test.
-    Returns that point, or None when start gives None or 200 shrinks fail."""
-    eps = ((prog.budget - floor)
+    until prog.start(eps), a packed point of `prog` or None, costs under
+    prog.budget and passes BarrierProgram.feasible, solve_barrier's own test;
+    prog.floor is the program's cost at zero decisions.  Returns that point,
+    or None when start gives None or 200 shrinks fail."""
+    eps = ((prog.budget - prog.floor)
            / (2.0 * (float(np.trace(prog.consts.Psi_LQR)) + 1.0)))
     for _ in range(200):
-        v = start(eps)
+        v = prog.start(eps)
         if v is None:
             return None
         if prog.cost(v) < prog.budget and prog.barrier_program().feasible(v):
@@ -366,7 +382,7 @@ def feasibility(problem: BudgetedProblem,
                                  detail="budget on the minimal-cost boundary")
 
     prog = UBProgram(consts, p)
-    v = strict_start(prog, jstar, partial(_strict_point, prog))
+    v = strict_start(prog)
     if v is None:
         return FeasibilityResult(True, point=None,
                                  detail="no strict point: degenerate feedback "

@@ -64,7 +64,7 @@ from lqgcap.model import (
 from lqgcap.riccati import Policy
 from lqgcap.simulator import OVERFLOW_LIMIT, SimReport, _traj_noise
 from lqgcap.upper_bound import (UBDecision, UBProgram, UBSolution,
-                                step_blocks, strict_start)
+                                step_blocks)
 
 log = logging.getLogger("oracles")
 
@@ -663,34 +663,40 @@ def scop_program_by_coordinates(c, budget: float, horizon: int,
 # restricted to the face one step at a time, every basis over all D columns.
 def scop_dense_blocks(prog):
     """(objective, constraints) of a scop.SCOPProgram, every block's basis
-    (D, d, d) over all D coordinates, in the program's block order."""
+    (D, d, d) over all D coordinates, in the program's block order.  Step i
+    is the plant's step map at all D unit vectors, its covariance LMI
+    [[Pi_i, Gamma~_{i-1}], [Gamma~_{i-1}^T, S_{i-1}]] and its chained LMI
+    restricted to the range of
+    T_i = [[V_i, (I - V_i V_i^T) K_p], [0, I]]."""
     c, n = prog.consts, prog.n
     m, p = c.model.m, c.model.p
     V = prog.bases
-    # the unit vectors' decisions, one face at a time
+    # the unit vectors' face decisions, one face at a time, and their lifts
     parts = np.split(np.eye(prog.dim), prog._splits, axis=-1)
     pis = prog.pi_pack.unpack(parts[0].reshape(prog.dim, n, -1))
-    gammas = np.stack([g.reshape(prog.dim, m, b.shape[1]) @ b.T
-                       for g, b in zip(parts[1:n + 1], V)], axis=-3)
-    sigmas = np.stack([b @ pk.unpack(x) @ b.T for x, b, pk
-                       in zip(parts[n + 1:], V, prog.sig_packs)], axis=-3)
+    gams = [g.reshape(prog.dim, m, b.shape[1])
+            for g, b in zip(parts[1:n + 1], V)]
+    faces = [pk.unpack(x) for x, pk in zip(parts[n + 1:], prog.sig_packs)]
+    gammas = np.stack([g @ b.T for g, b in zip(gams, V)], axis=-3)
+    sigmas = np.stack([b @ s @ b.T for s, b in zip(faces, V)], axis=-3)
     dec = UBDecision(pis, gammas, sigmas[:, :-1])
-    lmi, psiy, cost = step_blocks(prog.innovation, prog.K, prog.PsiL, dec,
+    lmi, psiy, cost = step_blocks(c.model, prog.K, prog.PsiL, dec,
                                   sigmas[:, 1:])
-    cov = dec.first_lmi()
+    KpPsi = c.K_p @ c.Psi
+    const = la.block(KpPsi @ c.K_p.T, KpPsi, KpPsi.T, c.Psi)
     covariance, chained = [], []
     for i in range(n):
-        e = la.blkdiag(np.eye(m), V[i])
-        covariance.append(AffineBlock(np.zeros((e.shape[1],) * 2),
-                                      e.T @ cov[:, i] @ e))
-        e = la.blkdiag(V[i + 1], np.eye(p))
-        chained.append(AffineBlock(
-            la.blkdiag(np.zeros((V[i + 1].shape[1],) * 2), c.Psi),
-            e.T @ lmi[:, i] @ e))
-    terminal = AffineBlock(np.zeros((V[n].shape[1],) * 2),
-                           V[n].T @ sigmas[:, n] @ V[n])
+        cov = la.block(pis[:, i], gams[i], gams[i].swapaxes(-1, -2),
+                       faces[i])
+        covariance.append(AffineBlock(np.zeros(cov.shape[1:]), cov))
+        t = la.blkdiag(V[i + 1], np.eye(p))
+        t[:V[i + 1].shape[0], V[i + 1].shape[1]:] = (
+            c.K_p - V[i + 1] @ (V[i + 1].T @ c.K_p))
+        chained.append(AffineBlock(t.T @ const @ t,
+                                   t.T @ lmi[:, i] @ t))
+    terminal = AffineBlock(np.zeros(faces[n].shape[1:]), faces[n])
     cost_coeffs = (cost / n).sum(axis=1)
-    slack0 = prog.budget - prog.cost_constant()
+    slack0 = prog.budget - prog.floor
     budget = AffineBlock(np.array([[slack0]]),
                          (-cost_coeffs).reshape(-1, 1, 1))
     objective = [(0.5 / n, AffineBlock(c.Psi.copy(), psiy[:, i]))
@@ -770,19 +776,15 @@ class RelaxedSCOPProgram:
                     for w, b in self.program.objective)
                 - 0.5 * la.slogdet_pd(self.consts.Psi))
 
-    def strict_point(self) -> np.ndarray | None:
+    def start(self, eps: float) -> np.ndarray:
         """Pi_i = eps I, Gamma_i = 0 and SigmaHat_i the relaxed damped
-        recursion from 0, shrunk by upper_bound.strict_start."""
+        recursion from 0, for upper_bound.strict_start to shrink."""
         c, n = self.consts, self.n
         m, k = c.model.m, c.model.k
-
-        def start(eps):
-            sigmas = damped_equation(c, eps, self.relaxation).recursion(
-                np.zeros((k, k)), n)
-            return self.pack([eps * np.eye(m)] * n, [np.zeros((m, k))] * n,
-                             sigmas)
-
-        return strict_start(self, self.floor, start)
+        sigmas = damped_equation(c, eps, self.relaxation).recursion(
+            np.zeros((k, k)), n)
+        return self.pack([eps * np.eye(m)] * n, [np.zeros((m, k))] * n,
+                         sigmas)
 
 
 def state_feedback_program_by_coordinates(c, budget: float) -> BarrierProgram:

@@ -18,7 +18,7 @@ from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
 from lqgcap.linalg import psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
 from lqgcap.scop import SCOPProgram
-from lqgcap.upper_bound import SolverOptions, feasibility
+from lqgcap.upper_bound import SolverOptions, feasibility, strict_start
 
 import oracles
 from oracles import solve_barrier_nu_over_t
@@ -101,7 +101,7 @@ def _ub_start(consts, budget):
 
 def _scop_start(consts, budget, horizon):
     prog = SCOPProgram(consts, budget, horizon)
-    return prog.barrier_program(), prog.strict_point()
+    return prog.barrier_program(), strict_start(prog)
 
 
 class TestBarrierProgram:

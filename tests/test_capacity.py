@@ -56,6 +56,14 @@ class TestOneComposition:
                                               ("lower_bound",
                                                "solve_capacity")]
 
+    def test_both_programs_restrict_to_their_faces_one_way(self):
+        # the step map runs only inside the face restriction, and that only
+        # where the two programs and the averaging argument build their blocks
+        assert _calls("step_blocks") == [("upper_bound", "face_blocks")]
+        assert sorted(_calls("face_blocks")) == [
+            ("scop", "_build"), ("scop", "average_variables"),
+            ("upper_bound", "_build")]
+
     def test_no_second_entry_point_is_defined(self):
         defined = {node.name for path in SRC.glob("*.py")
                    for node in ast.walk(ast.parse(path.read_text()))

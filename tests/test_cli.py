@@ -15,8 +15,8 @@ from lqgcap import BudgetedProblem, CostWeights, SystemModel, riccati, solve_ub
 from lqgcap.cli import build_parser, run, write_csv
 from lqgcap.config import _integer, load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
-from lqgcap.errors import ConfigError, LqgcapError
-from lqgcap.scop import DEFAULT_OPTIONS, MAX_HORIZON
+from lqgcap.errors import ConfigError, LqgcapError, SolverNonConvergence
+from lqgcap.scop import DEFAULT_OPTIONS, MAX_HORIZON, SCOPProgram, solve_scop
 from lqgcap.simulator import usable_cpus
 from lqgcap.upper_bound import UBProgram
 
@@ -490,6 +490,25 @@ class TestCommands:
             assert row[1] == "ok"
             # the certified gap of an ok row, in the value's units
             assert 0.0 <= float(row[6]) <= DEFAULT_OPTIONS.tol / math.log(2.0)
+
+    def test_no_strict_start_is_a_solver_failure(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # a budget above the cost floor is feasible; a start that is not
+        # found is the solver's failure, not the budget's
+        monkeypatch.setattr(UBProgram, "start", lambda self, eps: None)
+        monkeypatch.setattr(SCOPProgram, "start", lambda self, eps: None)
+        cfg = load_config(write_cfg(tmp_path, scalar_doc(horizons=[2])))
+        prob = BudgetedProblem(cfg.model, cfg.weights, cfg.budget)
+        with pytest.raises(SolverNonConvergence):
+            solve_ub(prob)
+        with pytest.raises(SolverNonConvergence):
+            solve_scop(prob, 2)
+        assert run(["scop", "--config", str(tmp_path / "cfg.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: SolverNonConvergence: ")
 
     def test_simulate_command(self, tmp_path, capsys):
         doc = scalar_doc()

@@ -162,9 +162,8 @@ def test_scop_program_is_the_coordinate_assembly_on_its_face(request, name):
     """Each block of the horizon program is the unrelaxed coordinate
     assembly's block at the lifted point, under the congruence that
     restricts it to the face: diag(I, V_{i-1}) for a covariance LMI (the
-    assembly's first is Pi_1 alone), V_n for the terminal block, and [[V_i, 0], [-K_p^T V_i, I]]
-    for a chained LMI, the innovation form's [[I, 0], [-K_p^T, I]] followed
-    by diag(V_i, I)."""
+    assembly's first is Pi_1 alone), V_n for the terminal block, and
+    T_i = [[V_i, (I - V_i V_i^T) K_p], [0, I]] for a chained LMI."""
     c = _consts(request, name)
     p = {"s1": 2.0, "s2": 120.0}.get(name, 1.3 * c.minimal_cost + 0.1)
     m, p_out = c.model.m, c.model.p
@@ -177,8 +176,9 @@ def test_scop_program_is_the_coordinate_assembly_on_its_face(request, name):
         V = prog.bases
         congruences = (
             [np.eye(m)] + [_blkdiag(np.eye(m), b) for b in V[1:-1]] + [V[-1]]
-            + [np.block([[b, np.zeros((b.shape[0], p_out))],
-                         [-c.K_p.T @ b, np.eye(p_out)]]) for b in V[1:]]
+            + [np.block([[b, c.K_p - b @ (b.T @ c.K_p)],
+                         [np.zeros((p_out, b.shape[1])), np.eye(p_out)]])
+               for b in V[1:]]
             + [np.eye(1)])
         got, want = prog.barrier_program(), ref.program
         pairs = ([(a, b, np.eye(p_out)) for (_, a), (_, b)

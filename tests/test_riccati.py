@@ -22,7 +22,6 @@ from lqgcap import (
     solve_policy_riccati,
     solve_ub,
 )
-from lqgcap import upper_bound
 from lqgcap.config import load_config
 from lqgcap.errors import (
     DetectabilityFailure,
@@ -444,7 +443,7 @@ def test_equations_match_the_reference_maps(dare_case):
     eps = (p - consts.minimal_cost) / (2.0 * (np.trace(consts.Psi_LQR) + 1.0))
     for e in (eps, 1e-3 * eps):
         want = oracles._strict_point(prog, e)
-        assert rel_dist(upper_bound._strict_point(prog, e), want) <= 1e-9
+        assert rel_dist(prog.start(e), want) <= 1e-9
     start = damped_equation(consts, eps).recursion(
         np.zeros((model.k, model.k)), 8)
     chain = islice(oracles.damped_chain(consts, eps, 0.0), 9)
@@ -467,7 +466,7 @@ def test_damped_limit_is_singular_under_state_feedback(state_feedback_model,
     consts = ProblemConstants.compute(state_feedback_model, w1)
     prog = UBProgram(consts, 1.3 * consts.minimal_cost + 0.1)
     assert oracles._strict_point(prog, 1e-2) is None
-    v = upper_bound._strict_point(prog, 1e-2)
+    v = prog.start(1e-2)
     assert v is not None and prog.barrier_program().feasible(v)
 
 

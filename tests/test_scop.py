@@ -11,8 +11,8 @@ from lqgcap import linalg as la
 from lqgcap.errors import ConfigError, Infeasible, NotPositiveDefinite
 from lqgcap.linalg import slogdet_pd, sym
 from lqgcap.riccati import control_equation
-from lqgcap.scop import (DEFAULT_OPTIONS, SCOPProgram, SCOPSolution,
-                         krylov_bases)
+from lqgcap.scop import DEFAULT_OPTIONS, SCOPProgram, SCOPSolution
+from lqgcap.upper_bound import UBProgram, krylov_bases, strict_start
 
 import oracles
 from test_decision_map import _consts
@@ -52,7 +52,7 @@ class TestHorizonOne:
         """The horizon-1 cost floor includes the terminal state penalty, so a
         budget that is fine in steady state can be infeasible at n = 1."""
         prog = SCOPProgram(c1, 2.0, 1)
-        assert prog.cost_constant() > 2.0
+        assert prog.floor > 2.0
         with pytest.raises(Infeasible):
             solve_scop(BudgetedProblem(s1, w1, 2.0), 1, consts=c1)
 
@@ -122,7 +122,7 @@ class TestAveraging:
 
     def test_boundary_budget_zero_solution(self, s1, w1, c1):
         prog = SCOPProgram(c1, 0.0, 2)
-        floor = prog.cost_constant()
+        floor = prog.floor
         sol = solve_scop(BudgetedProblem(s1, w1, floor), 2, consts=c1)
         assert sol.value == 0.0
         assert all(np.all(t[0] == 0) for t in sol.per_time)
@@ -231,6 +231,19 @@ def test_krylov_bases_span_the_controllability_subspaces(c2, seed):
     assert [V.shape[1] for V in krylov_bases(F2, 0 * G2, 2)] == [0, 0, 0]
 
 
+def test_steps_past_the_krylov_depth_keep_the_single_letter_constant(c2):
+    # both programs restrict their Riccati LMIs by the same T: once V_i is
+    # the identity, a chained LMI's constant is the single-letter one
+    prog = SCOPProgram(c2, 120.0, 8)
+    want = UBProgram(c2, 120.0).block_lmi2.const
+    chained = prog.barrier_program().constraints[prog.n + 1:2 * prog.n + 1]
+    full = [i for i, V in enumerate(prog.bases[1:])
+            if np.array_equal(V, np.eye(c2.model.k))]
+    assert full == list(range(2, 8))
+    for i in full:
+        assert np.array_equal(chained[i].const, want)
+
+
 @pytest.mark.parametrize("h", [1, 2, 8])
 def test_a_decoupled_mode_leaves_the_horizon_value(s1, w1, c1, h):
     # the mode's cost enters the horizon-h cost constant (h + 1)/h times
@@ -280,7 +293,7 @@ class TestAgainstRelaxedProgram:
                             oracles.newton_direction_one_inverse)
         ref = oracles.RelaxedSCOPProgram(c, p, h,
                                          scale * oracles.chain_relaxation(c))
-        v, info = barrier.solve_barrier(ref.program, ref.strict_point(),
+        v, info = barrier.solve_barrier(ref.program, strict_start(ref),
                                         DEFAULT_OPTIONS.tol)
         monkeypatch.undo()
         assert info.duality_gap <= DEFAULT_OPTIONS.tol
@@ -323,13 +336,13 @@ class TestConditioning:
 
     def test_block_condition_at_the_strict_start(self, c2):
         prog = SCOPProgram(c2, 120.0, 2)
-        program, v0 = prog.barrier_program(), prog.strict_point()
+        program, v0 = prog.barrier_program(), strict_start(prog)
         blocks = [b for _, b in program.objective] + program.constraints
         assert max(np.linalg.cond(sym(b.value(v0))) for b in blocks) <= 1.7e8
 
     def test_newton_count_under_last_bit_perturbations(self, c2):
         prog = SCOPProgram(c2, 120.0, 2)
-        program, v0 = prog.barrier_program(), prog.strict_point()
+        program, v0 = prog.barrier_program(), strict_start(prog)
         counts = []
         for s in range(-4, 5):
             _, info = barrier.solve_barrier(
@@ -368,6 +381,9 @@ class TestLocalAssembly:
         # the budget row is the only block over all D columns in order
         assert [np.array_equal(b.cols, np.arange(prog.dim))
                 for b, _ in pairs] == [False] * (len(pairs) - 1) + [True]
+        # a slot that a step's face lacks reads the pad, at zero coefficients
+        for b, _ in pairs:
+            assert not b.basis[b.cols == prog.dim].any()
         if program._local is None:
             # a dense-row program keeps its stacks bit for bit
             for b, ref in pairs:
@@ -400,7 +416,7 @@ class TestLocalAssembly:
                                                            name, h):
         c, p = _program_case(request, name)
         prog = SCOPProgram(c, p, h)
-        v0 = prog.strict_point()
+        v0 = strict_start(prog)
         v, info = barrier.solve_barrier(prog.barrier_program(), v0,
                                         DEFAULT_OPTIONS.tol)
         dense = barrier.BarrierProgram(*oracles.scop_dense_blocks(prog))
@@ -434,7 +450,7 @@ class TestLocalAssembly:
 
     def test_value_is_one_batched_factorization(self, monkeypatch, c2):
         prog = SCOPProgram(c2, 120.0, 5)
-        v = prog.strict_point()
+        v = strict_start(prog)
         want = (sum(w * slogdet_pd(b.value(v)) for w, b in prog._objective)
                 - 0.5 * slogdet_pd(c2.Psi))
         factored = []
@@ -451,9 +467,8 @@ class TestLocalAssembly:
         with pytest.raises(NotPositiveDefinite, match="Psi_Y,i"):
             prog.value(bad)
 
-    def test_cost_constant_is_computed_once(self, monkeypatch, c1, s1, w1):
+    def test_the_floor_is_computed_once(self, monkeypatch, c1, s1, w1):
         prog = SCOPProgram(c1, 2.0, 4)
-        floor = prog.cost_constant()
+        floor = prog.floor
         monkeypatch.setattr(np, "trace", lambda *a, **k: pytest.fail("traced"))
-        assert prog.cost_constant() == floor
         assert prog.cost(np.zeros(prog.dim)) == floor
