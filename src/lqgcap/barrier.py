@@ -39,10 +39,8 @@ log-det changes by sum_i log(1 + alpha mu_i), so the merit along the whole
 line has a closed form, and solve_barrier takes an exact line search on it
 instead of the damped step 1/(1+lambda), as Vandenberghe, Boyd & Wu do.  The
 dual point is feasible when every mu < 1, and its gap is
-(nu - tr E_con)/t - sum_o w_o sum_i (log(1 - mu_oi) + mu_oi).  Each
-objective term is >= 0, so a finite gap is at least (nu - tr E_con)/t, and
-solve_barrier forms the log terms of an uncentred iterate only when that
-bound is at most 2 tol.
+(nu - tr E_con)/t - sum_o w_o sum_i (log(1 - mu_oi) + mu_oi), formed at
+every step.
 
 Every block carries its columns (AffineBlock.cols): all D, or, in a
 block-sparse program such as the horizon program's chain, the few its matrix
@@ -406,7 +404,7 @@ class NewtonLine:
     from the eigenvalues mu of every block's E = L^-1 dS L^-T, with omega
     the merit weight of each eigenvalue's block (t*w_o, or 1 for a
     constraint), w_obj its objective weight (0 for a constraint) and bound
-    the gap's lower bound (nu - tr E_con)/t; e, factors and t hold the
+    the gap's constraint part (nu - tr E_con)/t; e, factors and t hold the
     padded E stack, the L and t at the step's start."""
 
     mu: np.ndarray
@@ -423,16 +421,14 @@ class NewtonLine:
         negative mu."""
         return -float(self.omega @ np.log1p(alpha * self.mu))
 
-    def gap(self, cutoff: float = np.inf) -> float:
+    def gap(self) -> float:
         """f(v) - g(W, Z) at the step's dual point W_o = w_o S_o^-1/2
         (I - E_o) S_o^-1/2, Z_c = (1/t) S_c^-1/2 (I - E_c) S_c^-1/2; +inf
         when it is not dual feasible, i.e. some mu >= 1.  The Newton
         equation is their dual equality, so a finite gap bounds f(v) minus
         the optimum from above.  Each objective term -log(1 - mu) - mu is
-        >= 0, so a finite gap is at least bound; when bound exceeds cutoff,
-        the gap cannot be at most cutoff and +inf is returned without
-        forming the log terms."""
-        if self.bound > cutoff or self.mu.max() >= 1.0:
+        >= 0, so a finite gap is at least bound."""
+        if self.mu.max() >= 1.0:
             return np.inf
         return float(self.bound
                      - self.w_obj @ (np.log1p(-self.mu) + self.mu))
@@ -508,22 +504,13 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
     point outside the merit's domain, and the merit at the accepted point
     supplies the factors of the next Newton system.
 
-    The gap's log terms are formed at every centred iterate (decrement <=
-    CENTRED), which ends its round, and elsewhere only when its lower bound
-    (nu - tr E_con)/t is at most 2 tol; above that the gap exceeds tol and
-    cannot stop the solve.  The margin of tol covers the rounding of the
-    gap's objective part, which is >= 0 exactly and never came out below 0
-    over every step of the bundled sweeps, against tol >= 1e-15.  So the
-    iterates, the counts and the certified point returned are those of
-    computing every gap.
-
     v0 must be strictly feasible.  Float64 can run out before the gap
     reaches tol: a factorization fails, no step stays in the domain, the
     Newton budget max_iter is spent, or a round ends uncertified although
     nu/t <= MU_FACTOR * tol, where an exactly centred point would certify.
-    The iterate with the smallest gap among those computed, which include
-    every centred iterate, is then returned with a warning, and
-    SolverNonConvergence is raised if no computed gap was finite.
+    The iterate with the smallest gap, centred or not, is then returned
+    with a warning, and SolverNonConvergence is raised if no gap was
+    finite.
     BarrierInfo.multipliers are the Z_c of the dual point whose gap
     certified the returned iterate, from the NewtonLine kept with it.
     """
@@ -550,7 +537,7 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                     raise SolverNonConvergence(
                         f"Newton step not finite at t={t:.3e}")
                 line = program.newton_line(step)
-                gap = line.gap(np.inf if lam <= CENTRED else 2.0 * tol)
+                gap = line.gap()
                 if gap < best[0]:
                     best = (gap, v, line, lam)
                 if gap <= tol or lam <= CENTRED:

@@ -58,7 +58,7 @@ def _in_units(rate_nats: float, units: str) -> float:
 
 
 def _budget_point(consts: ProblemConstants, budget: float,
-                  solver: SolverOptions, units: str) -> dict:
+                  solver: SolverOptions | None, units: str) -> dict:
     """Solve the full chain (UB, extraction, LB, certificate) at one budget
     of the model and weights that `consts` were computed for."""
     rep = solve_capacity(BudgetedProblem(consts.model, consts.weights, budget),
@@ -217,11 +217,10 @@ def cmd_scop(cfg: RunConfig, args) -> int:
     horizons = cfg.horizons or (1, 2, 4, 8)
     consts = ProblemConstants.compute(cfg.model, cfg.weights)
     prob = BudgetedProblem(cfg.model, cfg.weights, budget)
-    opts = cfg.solver if cfg.solver_set else None
     rows = []
     for h in horizons:
         try:
-            sol = solve_scop(prob, h, opts, consts=consts)
+            sol = solve_scop(prob, h, cfg.solver, consts=consts)
         except Infeasible as e:
             log.info("horizon %d infeasible: %s", h, e)
             rows.append({"horizon": h, "status": "Infeasible",
@@ -311,8 +310,8 @@ def run(argv: list[str] | None = None) -> int:
         flags = {key: getattr(args, key) for key in ("tol", "max_iter")
                  if getattr(args, key) is not None}
         if flags:
-            cfg = replace(cfg, solver=replace(cfg.solver, **flags),
-                          solver_set=True)
+            cfg = replace(cfg, solver=replace(cfg.solver or SolverOptions(),
+                                              **flags))
         return _COMMANDS[args.command](cfg, args)
     except Infeasible as e:
         print(f"infeasible: {e}", file=sys.stderr)

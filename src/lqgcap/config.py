@@ -50,12 +50,11 @@ class RunConfig:
     weights: CostWeights
     budget: float | None
     budget_sweep: SweepSpec | None
-    solver: SolverOptions
+    solver: SolverOptions | None     # None: each solver's own default
     sim: SimConfig | None
     units: str
     param_sweep: ParamSweep | None
     horizons: tuple[int, ...] | None
-    solver_set: bool = False     # tol/max_iter came from the config file
 
 
 def _matrix(field: str, raw) -> np.ndarray:
@@ -170,14 +169,15 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
         if not math.isfinite(budget) or budget < 0:
             raise ConfigError("budget", "must be finite and nonnegative")
 
-    solver = SolverOptions()
+    solver = None
     if "solver" in doc:
         _check_keys("solver", doc["solver"], _SOLVER_KEYS, lax)
+        default = SolverOptions()
         max_iter = _integer("solver.max_iter",
-                            doc["solver"].get("max_iter", solver.max_iter))
+                            doc["solver"].get("max_iter", default.max_iter))
         try:
             solver = SolverOptions(
-                tol=float(doc["solver"].get("tol", solver.tol)),
+                tol=float(doc["solver"].get("tol", default.tol)),
                 max_iter=max_iter)
         except (TypeError, ValueError):
             raise ConfigError("solver", "bad tol/max_iter") from None
@@ -224,8 +224,7 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
 
     return RunConfig(model=model, weights=weights, budget=budget,
                      budget_sweep=budget_sweep, solver=solver, sim=sim,
-                     units=units, param_sweep=param_sweep, horizons=horizons,
-                     solver_set="solver" in doc)
+                     units=units, param_sweep=param_sweep, horizons=horizons)
 
 
 def system_entry(model: SystemModel, name: str) -> tuple[str, int, int]:

@@ -5,9 +5,9 @@ built by filter_equation, control_equation, policy_equation or
 upper_bound.damped_equation.  `_solve_dare` reaches its steady state by
 structured doubling (the 2^j-th iterate in j steps) and polishes it by
 Newton steps.  PBH eigenvector tests check the regularity conditions under
-which that limit is the stabilizing solution.  The three plant- and
-policy-level solvers keep their last few clean solutions (_SolveCache), so
-a repeated equation is solved once per process.
+which that limit is the stabilizing solution.  The filter and control
+solvers keep their last few clean solutions (_SolveCache), so a repeated
+plant equation is solved once per process.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ log = logging.getLogger("lqgcap.riccati")
 REL_TOL = 1e-11
 MAX_DOUBLINGS = 17  # 2^17 recursion steps
 NEWTON_STEPS = 3
-# Clean solutions kept per solver.  A sweep, a benchmark pass or a CLI run
-# alternates between at most two plants; a sweep over one plant entry shares
-# the equations that entry does not enter; a lower bound's policy solve is
-# repeated by the simulation that follows it.
+# Clean solutions kept per plant-level solver.  A sweep, a benchmark pass or
+# a CLI run alternates between at most two plants, and a sweep over one
+# plant entry shares the equations that entry does not enter.
 SOLVE_CACHE_SIZE = 4
 
 
@@ -281,10 +280,11 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
     to NEWTON_STEPS Newton (Hewer) steps, each one Stein equation, then
     polish the limit; a step is kept only if it lowers the equation residual.
 
-    Returns (X, steps, res): doublings plus Newton steps tried, and the
-    relative size of the last update kept.  Raises NonConvergence on a
-    singular or non-finite update or a doubling limit that fails `accept`,
-    MaxIterations after MAX_DOUBLINGS doublings.
+    Returns (X, steps, res): doublings plus Newton steps tried, and the size
+    of the last update kept relative to its result's, which no scaling of
+    the equation changes (absolute at a zero result).  Raises NonConvergence
+    on a singular or non-finite update or a doubling limit that fails
+    `accept`, MaxIterations after MAX_DOUBLINGS doublings.
     """
     Ft, Ht, Q, S, R = eq
     eye = np.eye(len(Ft))
@@ -305,7 +305,7 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
                     H + A.T @ x0 @ la.solve(eye + G @ x0, A))
             except np.linalg.LinAlgError:
                 raise NonConvergence(f"singular doubling at step {j}") from None
-            res = la.fro(X_next - X) / (1.0 + la.fro(X_next))
+            res = la.fro(X_next - X) / (la.fro(X_next) or 1.0)
         if not np.isfinite(res):
             raise NonConvergence(f"doubling diverged at step {j}")
         X = X_next
@@ -339,7 +339,7 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
         step = newton_data(X_next)
         if not step[2] < eq_res:
             break
-        res = la.fro(X_next - X) / (1.0 + la.fro(X_next))
+        res = la.fro(X_next - X) / (la.fro(X_next) or 1.0)
         X, (Acl, C, eq_res) = X_next, step
     return X, j, res
 
@@ -414,13 +414,12 @@ class _SolveCache:
             self._entries.clear()
 
 
-_FILTER_CACHE, _CONTROL_CACHE, _POLICY_CACHE = (
-    _SolveCache(), _SolveCache(), _SolveCache())
+_FILTER_CACHE, _CONTROL_CACHE = _SolveCache(), _SolveCache()
 
 
 def _clear_solve_caches() -> None:
     """Forget every cached solution (for tests)."""
-    for cache in (_FILTER_CACHE, _CONTROL_CACHE, _POLICY_CACHE):
+    for cache in (_FILTER_CACHE, _CONTROL_CACHE):
         cache.clear()
 
 
@@ -487,21 +486,13 @@ def solve_policy_riccati(estimator: EstimatorModel,
     non-stabilizing fixed point (the map keeps 0 fixed); it is rejected, and
     a single bootstrap step with M_1 = eps*I followed by the time-invariant
     policy restarts the recursion strictly inside the basin of the maximal
-    solution.
-
-    A solve of a detectable pair that needed no bootstrap is cached on the
-    five arrays of policy_equation(estimator, policy): a repeat returns
-    copies, this call's equation, and the original solve's iterations and
-    residual.
+    solution.  Every call solves: a policy equation, unlike the plant's,
+    rarely repeats.
     """
     k, m = estimator.k, estimator.m
     if policy.GammaBar.shape != (m, k) or policy.M.shape != (m, m):
         raise DimensionMismatch("policy dimensions do not match the estimator")
     eq = policy_equation(estimator, policy)
-    key = _key(*eq)
-    hit = _POLICY_CACHE.get(key)
-    if hit is not None:
-        return replace(hit, equation=eq)
     detect = pbh_test(eq.Ft, eq.Ht, "detectable")
     if not detect:
         log.warning("policy pair (F+G GammaBar, H+J GammaBar) not detectable "
@@ -531,11 +522,8 @@ def solve_policy_riccati(estimator: EstimatorModel,
             raise e2 from first_err
 
     K_Y, PsiY = eq.gain(X)
-    prs = PolicyRiccatiSolution(SigmaHat=X, K_Y=K_Y, Psi_Y=PsiY,
-                                iterations=iters,
-                                residual=la.fro(X - eq.step(X)),
-                                equation=eq, detectability=detect,
-                                bootstrapped=bootstrapped)
-    if detect and not bootstrapped:
-        _POLICY_CACHE.put(key, prs)
-    return prs
+    return PolicyRiccatiSolution(SigmaHat=X, K_Y=K_Y, Psi_Y=PsiY,
+                                 iterations=iters,
+                                 residual=la.fro(X - eq.step(X)),
+                                 equation=eq, detectability=detect,
+                                 bootstrapped=bootstrapped)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from lqgcap import BudgetedProblem, ProblemConstants, solve_ub
 from lqgcap import barrier, upper_bound
 from lqgcap import linalg as la
-from lqgcap.barrier import (CENTRED, T_START, AffineBlock, BarrierProgram,
-                            NewtonLine, SymPacker, _newton_direction, _y_rows,
+from lqgcap.barrier import (T_START, AffineBlock, BarrierProgram, NewtonLine,
+                            SymPacker, _newton_direction, _y_rows,
                             solve_barrier)
 from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
@@ -647,9 +647,9 @@ def _gap_bound(program, v, t, step):
 
 
 class TestGapSkip:
-    """solve_barrier factors I - E only where the gap can certify, and
+    """solve_barrier forms every step's gap from its eigenvalues and
     re-weights the kept Newton rows at a round change; neither moves an
-    iterate."""
+    iterate from the loop that factors I - E and forms every row afresh."""
 
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
     def test_solve_follows_the_every_gap_loop(self, request, monkeypatch,
@@ -660,10 +660,9 @@ class TestGapSkip:
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(seed=st.integers(0, 2**32 - 1), v_scale=st.floats(0.0, 0.2),
-           log_t=st.floats(0.31, 8.0), log_step=st.floats(-3.0, 1.5),
-           shift=st.floats(1e-9, 1.0), above=st.booleans())
+           log_t=st.floats(0.31, 8.0), log_step=st.floats(-3.0, 1.5))
     def test_a_finite_gap_is_at_least_its_bound(self, seed, v_scale, log_t,
-                                                log_step, shift, above):
+                                                log_step):
         # random steps, most of them far from a Newton step and many not
         # dual feasible (gap +inf)
         rng = np.random.default_rng(seed)
@@ -674,13 +673,8 @@ class TestGapSkip:
         step = 10.0 ** log_step * rng.standard_normal(4)
         full = program.newton_line(step).gap()
         bound, scale = _gap_bound(program, v, t, step)
-        slack = 1e-12 * scale
         if full < np.inf:
-            assert full >= bound - slack
-        # a cutoff clear of the bound's rounding on either side
-        got = program.newton_line(step).gap(
-            bound + (shift if above else -shift) * scale)
-        assert got == (full if above else np.inf)
+            assert full >= bound - 1e-12 * scale
 
     def test_a_stop_returns_the_best_computed_gap(self, request, monkeypatch,
                                                   caplog):
@@ -690,8 +684,8 @@ class TestGapSkip:
         computed = []
         gap = NewtonLine.gap
 
-        def recorded(self, *args):
-            computed.append(gap(self, *args))
+        def recorded(self):
+            computed.append(gap(self))
             return computed[-1]
 
         monkeypatch.setattr(NewtonLine, "gap", recorded)
@@ -702,9 +696,8 @@ class TestGapSkip:
         assert f"Newton budget {budget} exhausted" in caplog.text
         assert info.iterations == budget + 1
         assert TOL < info.duality_gap < np.inf
-        # the smallest of every gap the solve computed
+        # the smallest of every step's gap, centred or not
         assert info.duality_gap == min(computed)
-        assert info.newton_decrement <= CENTRED
         # the returned gap is the returned iterate's own
         g, h = program.grad_hess(v, info.t_final)
         assert (program.newton_line(_newton_direction(h, g)).gap()

@@ -3,9 +3,9 @@ solve that stops uncertified passes it.  This solves every item of the
 benchmark's `scop` ladder (bench/workloads.SCOP_LADDER, read without
 changing bench/) at the library's default options and checks that each
 certifies its duality gap without an early-stop warning.  It also runs each
-item as the benchmark does and checks it against the benchmark's gate and
-its committed reference values (bench/reference.json), so a change that
-breaks them fails here first."""
+item of every workload (bench/workloads.WORKLOADS) as the benchmark does and
+checks it against the benchmark's gate and its committed reference values
+(bench/reference.json), so a change that breaks them fails here first."""
 
 import json
 import logging
@@ -48,14 +48,16 @@ def test_ladder_item_certifies(caplog, name, budget, horizon):
 
 
 REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
+BENCH_ITEMS = [(workload, item) for workload in workloads.WORKLOADS
+               for item in workloads.make_items(ROOT, workload, 0)]
 
 
-@pytest.mark.parametrize("item", workloads.make_items(ROOT, "scop-ladder", 0),
-                         ids=lambda item: item.id)
-def test_ladder_item_passes_the_gate_and_the_reference(item):
+@pytest.mark.parametrize("workload,item", BENCH_ITEMS,
+                         ids=[item.id for _, item in BENCH_ITEMS])
+def test_ladder_item_passes_the_gate_and_the_reference(workload, item):
     out = workloads.run_item(item)
     assert workloads.check(item, out) == []
-    ref = REFERENCE["scop-ladder"][item.id]
+    ref = REFERENCE[workload][item.id]
     assert workloads.compare_reference(ref, out) == []
 
 

@@ -11,14 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem, CostWeights, SystemModel, riccati, solve_ub
+from lqgcap import (BudgetedProblem, CostWeights, SystemModel, cli, riccati,
+                    solve_ub)
 from lqgcap.cli import build_parser, run, write_csv
 from lqgcap.config import _integer, load_config, set_system_entry
 from lqgcap.constants import ProblemConstants
 from lqgcap.errors import ConfigError, LqgcapError, SolverNonConvergence
 from lqgcap.scop import DEFAULT_OPTIONS, MAX_HORIZON, SCOPProgram, solve_scop
 from lqgcap.simulator import usable_cpus
-from lqgcap.upper_bound import UBProgram
+from lqgcap.upper_bound import SolverOptions, UBProgram
 
 from test_random_systems import random_system
 
@@ -125,6 +126,11 @@ class TestLoadConfig:
         for n in (cfg.budget_sweep.points, cfg.param_sweep.spec.points,
                   cfg.solver.max_iter, _integer("points", np.int64(3))):
             assert type(n) is int
+
+    def test_the_solver_is_none_unless_the_config_sets_it(self, tmp_path):
+        assert load_config(write_cfg(tmp_path, scalar_doc())).solver is None
+        cfg = load_config(write_cfg(tmp_path, scalar_doc(solver={"tol": 1e-6})))
+        assert cfg.solver == SolverOptions(tol=1e-6)
 
     @pytest.mark.parametrize("horizons", [[True], [1, True], [2.0], [0],
                                           [2, MAX_HORIZON + 1]])
@@ -466,6 +472,26 @@ class TestCommands:
         assert rates == sorted(rates)
         assert all(ln.split(",")[6] == "CertifiedTight" for ln in lines[1:])
 
+    def test_sweep_at_a_scalar_budget_writes_the_lb_row(self, tmp_path):
+        path = write_cfg(tmp_path, scalar_doc())
+        sweep, lb = tmp_path / "s.csv", tmp_path / "l.csv"
+        assert run(["sweep", "--config", path, "--output", str(sweep),
+                    "--jobs", "1"]) == 0
+        assert run(["lb", "--config", path, "--output", str(lb)]) == 0
+        assert len(sweep.read_text().splitlines()) == 2
+        assert sweep.read_bytes() == lb.read_bytes()
+
+    def test_sweep_on_a_log_grid_solves_at_its_budgets(self, tmp_path):
+        doc = scalar_doc(budget={"min": 1.4, "max": 3.0, "points": 4,
+                                 "scale": "log"})
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", write_cfg(tmp_path, doc),
+                    "--output", str(out), "--jobs", "1"]) == 0
+        budgets = [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]]
+        grid = np.geomspace(1.4, 3.0, 4)
+        assert budgets == [format(b, ".12g") for b in grid]
+        assert not np.allclose(grid, np.linspace(1.4, 3.0, 4))
+
     def test_sweep_param_columns(self, tmp_path):
         doc = scalar_doc(budget=5.0,
                          param_sweep={"name": "G", "min": 0.5, "max": 2.8,
@@ -490,6 +516,21 @@ class TestCommands:
             assert row[1] == "ok"
             # the certified gap of an ok row, in the value's units
             assert 0.0 <= float(row[6]) <= DEFAULT_OPTIONS.tol / math.log(2.0)
+
+    @pytest.mark.parametrize("flags, solver", [
+        ([], None), (["--tol", "1e-6"], SolverOptions(tol=1e-6)),
+        (["--max-iter", "900"], SolverOptions(max_iter=900))])
+    def test_scop_passes_the_solver_options_through(self, tmp_path,
+                                                     monkeypatch, flags,
+                                                     solver):
+        # without options solve_scop takes its own DEFAULT_OPTIONS
+        seen = []
+        monkeypatch.setattr(cli, "solve_scop", lambda prob, h, opts, consts:
+                            seen.append(opts) or solve_scop(prob, h, opts,
+                                                            consts=consts))
+        doc = scalar_doc(horizons=[2])
+        assert run(["scop", "--config", write_cfg(tmp_path, doc)] + flags) == 0
+        assert seen == [solver]
 
     def test_no_strict_start_is_a_solver_failure(self, tmp_path, monkeypatch,
                                                  capsys):

@@ -121,6 +121,20 @@ class TestControl:
         assert spectral_radius(s2.F - s2.G @ cc.K_LQR) < 1
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-14])
+def test_the_stop_does_not_depend_on_units(s):
+    # F = 2, G = H = J = 1 with noise or weights s: the solutions scale with
+    # s, Sigma/s = E/s = 2 + sqrt(5); a stop that compared each update with
+    # 1 + ||X|| ended after the first doubling at these scales
+    model = SystemModel(F=2, G=1, H=1, J=1, W=s, V=s, L=0)
+    root = 2.0 + np.sqrt(5.0)
+    assert solve_filter_riccati(model).Sigma[0, 0] / s == pytest.approx(
+        root, rel=1e-9)
+    cc = solve_control_riccati(SystemModel(F=2, G=1, H=1, J=1, W=1, V=1, L=0),
+                               CostWeights(Q=s, R=s))
+    assert cc.E[0, 0] / s == pytest.approx(root, rel=1e-9)
+
+
 class TestPolicyRiccati:
     def test_pure_lqg_policy(self, c1):
         pol = Policy(GammaBar=np.zeros((1, 1)), M=np.zeros((1, 1)),
@@ -299,9 +313,10 @@ def test_every_fixed_point_resubstitutes(s1, w1, s2, w2, c1):
     assert rel <= 1e-9
 
 
-# Norm-relative distances, scaled by 1 + ||reference|| as the solvers'
-# residuals are.  The fixed-point oracle stops on a 1e-11 relative update, so
-# near a slow closed loop it is only accurate to about 1e-9.
+# Norm-relative distances, scaled by 1 + ||reference|| so that a zero
+# reference compares absolutely.  The fixed-point oracle stops on a 1e-11
+# relative update, so near a slow closed loop it is only accurate to about
+# 1e-9.
 ORACLE_TOL = 1e-8
 SCIPY_TOL = 1e-11
 RESIDUAL_TOL = 1e-12

@@ -1,6 +1,7 @@
-"""The Riccati solvers' caches: a repeated filter, control or policy equation
-is answered from the last clean solve of the same inputs, in new arrays
-that are bit-identical to a fresh solve; a degraded solve is never kept."""
+"""The Riccati solvers' caches: a repeated filter or control equation is
+answered from the last clean solve of the same inputs, in new arrays that
+are bit-identical to a fresh solve; a degraded solve is never kept.  A
+policy equation is solved at every call."""
 
 import dataclasses
 import logging
@@ -24,7 +25,7 @@ from lqgcap.riccati import (
 from lqgcap.simulator import SimConfig, simulate
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
-KINDS = ("filter", "control", "policy")
+KINDS = ("filter", "control")
 
 
 def _plant(name):
@@ -32,30 +33,18 @@ def _plant(name):
     return cfg.model, cfg.weights
 
 
-def _policy(model, gbar=0.1, dither=1.0):
-    return Policy(GammaBar=np.full((model.m, model.k), gbar),
-                  M=dither * np.eye(model.m), K_LQR=np.zeros((model.m, model.k)))
-
-
-def _solver(kind, model, weights, policy=None):
-    """A call of one solver on the plant; the policy's estimator is solved
-    beforehand."""
+def _solver(kind, model, weights):
+    """A call of one solver on the plant."""
     if kind == "filter":
         return lambda: solve_filter_riccati(model)
-    if kind == "control":
-        return lambda: solve_control_riccati(model, weights)
-    est = EstimatorModel.from_filter(model, solve_filter_riccati(model))
-    policy = _policy(model) if policy is None else policy
-    return lambda: solve_policy_riccati(est, policy)
+    return lambda: solve_control_riccati(model, weights)
 
 
 def _arrays(solution):
-    """The solution's array fields by name, its equation's included."""
-    out = {f.name: getattr(solution, f.name) for f in dataclasses.fields(solution)
-           if isinstance(getattr(solution, f.name), np.ndarray)}
-    if isinstance(solution, riccati.PolicyRiccatiSolution):
-        out.update(solution.equation._asdict())
-    return out
+    """The solution's array fields by name."""
+    return {f.name: getattr(solution, f.name)
+            for f in dataclasses.fields(solution)
+            if isinstance(getattr(solution, f.name), np.ndarray)}
 
 
 @pytest.fixture
@@ -115,12 +104,15 @@ def _degraded(kind):
     if kind == "control":
         return (_solver(kind, model, weights),
                 "control regularity condition failed")
-    model, weights = _plant("scalar")
-    policy = _policy(model, gbar=1.5, dither=0.0)
-    return _solver(kind, model, weights, policy), "restarting from a bootstrap"
+    model, _ = _plant("scalar")
+    est = EstimatorModel.from_filter(model, solve_filter_riccati(model))
+    policy = Policy(GammaBar=np.full((1, 1), 1.5), M=np.zeros((1, 1)),
+                    K_LQR=np.zeros((1, 1)))
+    return (lambda: solve_policy_riccati(est, policy),
+            "restarting from a bootstrap")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("policy",))
 def test_a_degraded_solve_warns_each_time_and_is_not_kept(kind, dare_calls,
                                                           caplog):
     solve, warning = _degraded(kind)
@@ -130,32 +122,31 @@ def test_a_degraded_solve_warns_each_time_and_is_not_kept(kind, dare_calls,
             n = len(dare_calls)
             sol = solve()
             solved.append(len(dare_calls) - n)
-    if kind == "policy":
-        assert sol.bootstrapped
     assert solved[0] > 0 and solved[1] == solved[0]
     assert len([r for r in caplog.records if warning in r.getMessage()]) == 2
-    assert len(getattr(riccati, f"_{kind.upper()}_CACHE")) == 0
+    if kind == "policy":
+        assert sol.bootstrapped
+    else:
+        assert len(getattr(riccati, f"_{kind.upper()}_CACHE")) == 0
 
 
 @pytest.mark.parametrize("kind, keyed, unkeyed", [
     ("filter", "FHWLV", "GJ"),
     ("control", "FGQR", "HJWVL"),
-    ("policy", ("GammaBar", "M"), ("K_LQR",)),
 ])
 def test_a_change_of_one_keyed_entry_misses(kind, keyed, unkeyed, dare_calls):
     model, weights = _plant("vector3")
-    policy = _policy(model)
 
     def changed(name):
-        """The plant, weights and policy with one entry of `name` moved."""
-        objs = [model, weights, policy]
+        """The plant and weights with one entry of `name` moved."""
+        objs = [model, weights]
         i = next(i for i, obj in enumerate(objs) if hasattr(obj, name))
         a = getattr(objs[i], name).copy()
         a[-1, -1] += 1e-3
         objs[i] = dataclasses.replace(objs[i], **{name: a})
         return objs
 
-    _solver(kind, model, weights, policy)()
+    _solver(kind, model, weights)()
     for names, misses in ((keyed, True), (unkeyed, False)):
         for name in names:
             solve = _solver(kind, *changed(name))
@@ -163,7 +154,7 @@ def test_a_change_of_one_keyed_entry_misses(kind, keyed, unkeyed, dare_calls):
             solve()
             assert (len(dare_calls) > n) == misses, name
             riccati._clear_solve_caches()
-            _solver(kind, model, weights, policy)()
+            _solver(kind, model, weights)()
 
 
 def test_keys_tell_shapes_and_dtypes_apart():
@@ -247,9 +238,12 @@ def test_a_budget_loop_solves_each_plant_equation_once(dare_calls):
 
 
 def test_simulate_reuses_the_lower_bounds_solves(dare_calls):
+    # the filter solve is reused; the policy equation is solved again
     model, weights = _plant("scalar")
     rep = solve_capacity(BudgetedProblem(model, weights, 2.0))
     n = len(dare_calls)
     simulate(model, weights, rep.lb.policy,
              SimConfig(horizon=40, trajectories=4, seed=1))
-    assert len(dare_calls) == n
+    assert len(dare_calls) == n + 1
+    assert all(np.array_equal(a, b) for a, b in zip(dare_calls[-1],
+                                                    rep.lb.riccati.equation))
