@@ -448,8 +448,9 @@ class NewtonLine:
         lam2 = lam * lam
         if abs(float(omega @ (mu * mu)) - lam2) > NEWTON_MISMATCH * lam2:
             return damped
-        neg = mu[mu < 0.0]
-        lo, hi = 0.0, float(np.min(-1.0 / neg)) if neg.size else np.inf
+        # -1/mu is monotone in mu < 0, so its least value is at mu's least
+        low = float(mu.min())
+        lo, hi = 0.0, -1.0 / low if low < 0.0 else np.inf
         for _ in range(LINE_ITER):
             r = mu / (1.0 + alpha * mu)
             slope = -float(omega @ r)

@@ -13,6 +13,7 @@ plant equation is solved once per process.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
@@ -292,8 +293,8 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
     A = Fr.T
     G = la.sym(Ht.T @ la.solve(R, Ht))
     X = np.zeros_like(Q) if x0 is None else x0
-    for j in range(MAX_DOUBLINGS + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j in range(MAX_DOUBLINGS + 1):
             try:
                 if j:
                     W = eye + G @ H
@@ -306,14 +307,14 @@ def _solve_dare(eq: RiccatiEquation, x0: np.ndarray | None = None,
             except np.linalg.LinAlgError:
                 raise NonConvergence(f"singular doubling at step {j}") from None
             res = la.fro(X_next - X) / (la.fro(X_next) or 1.0)
-        if not np.isfinite(res):
-            raise NonConvergence(f"doubling diverged at step {j}")
-        X = X_next
-        if res <= REL_TOL:
-            break
-    else:
-        raise MaxIterations(f"no convergence within {MAX_DOUBLINGS} doublings "
-                            f"(last residual {res:.3e})")
+            if not math.isfinite(res):
+                raise NonConvergence(f"doubling diverged at step {j}")
+            X = X_next
+            if res <= REL_TOL:
+                break
+        else:
+            raise MaxIterations(f"no convergence within {MAX_DOUBLINGS} "
+                                f"doublings (last residual {res:.3e})")
     if accept is not None and not accept(X):
         raise NonConvergence(f"doubling reached a rejected limit after {j} "
                              f"steps (residual {res:.3e})")

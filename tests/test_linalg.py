@@ -1,20 +1,27 @@
 """The LAPACK kernels of lqgcap.linalg against np.linalg, bit for bit.
 
 Each kernel calls the gufunc that np.linalg calls, so on float64 input it
-must return the same array and raise the same LinAlgError.  Needs only numpy
-and pytest, so it also runs on the oldest numpy the package admits.
+must return the same array and raise the same LinAlgError, under any error
+state of the caller's and in any thread.  Needs only numpy and pytest, so it
+also runs on the oldest numpy the package admits.
 """
 
 import ast
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from lqgcap import BudgetedProblem, riccati, upper_bound
 from lqgcap import linalg as la
+from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite
+from lqgcap.lower_bound import solve_capacity
 
 SRC = pathlib.Path(la.__file__).parent
+CONFIGS = SRC.parent.parent / "configs"
 KERNELS = ("solve", "cholesky", "inv", "eigvalsh", "eigh", "eigvals")
 
 # Single matrices and stacks of the sizes the library factors: the barrier's
@@ -185,3 +192,132 @@ def test_no_src_module_calls_np_linalg_kernels():
     # the check sees such a call
     assert _kernel_calls(ast.parse("np.linalg.solve(a, b)")) == [
         "np.linalg.solve:1"]
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the message of the LinAlgError it raises."""
+    try:
+        return f(*args)
+    except np.linalg.LinAlgError as err:
+        return str(err)
+
+
+def _same_outcome(got, want):
+    assert isinstance(got, str) == isinstance(want, str), (got, want)
+    if isinstance(want, str):
+        assert got == want
+    elif isinstance(want, tuple):   # eigh's (w, v)
+        for g, w in zip(got, want, strict=True):
+            _same(g, w)
+    else:
+        _same(got, want)
+
+
+def _cases():
+    """Each kernel's inputs: ones it solves, and a singular, indefinite or
+    non-finite one."""
+    rng = np.random.default_rng(11)
+    spd, general = _spd(rng, (3, 3)), _general(rng, (3, 3))
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    nan = np.full((3, 3), np.nan)
+    return {
+        "solve": [(general, np.ones(3)), (_general(rng, (4, 3, 3)),
+                                          np.ones((4, 3, 2))),
+                  (singular, np.ones(2)), (singular, np.ones((2, 2)))],
+        "inv": [(general,), (np.stack([np.eye(2), singular]),)],
+        "cholesky": [(spd,), (spd - 10.0 * np.eye(3),)],
+        "eigvalsh": [(spd - 2.0,), (nan,)],
+        "eigh": [(spd - 2.0,), (nan,)],
+        "eigvals": [(general,), (rng.standard_normal((3, 3)),), (nan,)],
+    }
+
+
+def _callers_handler(err, flag):
+    raise AssertionError(f"the caller's handler was called ({err})")
+
+
+# error states a caller may hold around a kernel call
+CALLER_STATES = {"raise": {"all": "raise"}, "ignore": {"all": "ignore"},
+                 "call": {"all": "call", "call": _callers_handler}}
+
+
+@pytest.mark.parametrize("caller", CALLER_STATES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_the_callers_error_state_changes_nothing(kernel, caller):
+    """Under any error state of the caller's a kernel returns and raises
+    what np.linalg does, and leaves that state as it found it."""
+    cases = _cases()[kernel]
+    want = [_outcome(getattr(np.linalg, kernel), *args) for args in cases]
+    if kernel in ("solve", "inv", "cholesky"):
+        assert isinstance(want[-1], str)    # a singular or indefinite input
+    with np.errstate(**CALLER_STATES[caller]):
+        state = np.geterr(), np.geterrcall()
+        got = []
+        for args in cases:
+            got.append(_outcome(getattr(la, kernel), *args))
+            assert (np.geterr(), np.geterrcall()) == state
+    for g, w in zip(got, want, strict=True):
+        _same_outcome(g, w)
+
+
+def test_each_thread_keeps_its_own_error_state():
+    """8 threads alternate failing and succeeding calls; each call returns
+    or raises what np.linalg does."""
+    cases = _cases()
+    calls = [(name, args) for name in ("cholesky", "solve", "eigvalsh")
+             for args in cases[name]]
+    want = [_outcome(getattr(np.linalg, name), *args) for name, args in calls]
+    assert sum(isinstance(w, str) for w in want) >= 3   # failing calls
+    errors = []
+
+    def run(offset):
+        try:
+            for j in range(600):
+                i = (j + offset) % len(calls)
+                name, args = calls[i]
+                _same_outcome(_outcome(getattr(la, name), *args), want[i])
+        except Exception as e:      # raised below, in the test's thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x builds the error state on each call")
+@pytest.mark.parametrize("plant, budget", [("scalar", 2.0), ("vector3", 120.0)])
+def test_kernel_calls_build_no_error_state(monkeypatch, plant, budget):
+    """One capacity solve builds at most one np.errstate per Riccati
+    doubling loop, however many kernel calls it makes."""
+    built, dare, kernel_calls = [], [], []
+
+    class Counted(np.errstate):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    for module in (riccati, upper_bound):
+        def counted(*args, _solve=module._solve_dare, **kwargs):
+            dare.append(args)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, "_solve_dare", counted)
+    for name in KERNELS:
+        def kernel(*args, _f=getattr(la, name)):
+            kernel_calls.append(args)
+            return _f(*args)
+        monkeypatch.setattr(la, name, kernel)
+    cfg = load_config(str(CONFIGS / f"{plant}.json"))
+    monkeypatch.setattr(np, "errstate", Counted)
+    solve_capacity(BudgetedProblem(cfg.model, cfg.weights, budget))
+    assert len(kernel_calls) > 100
+    assert 0 < len(built) <= len(dare)
