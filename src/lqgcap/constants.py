@@ -1,9 +1,17 @@
 """Steady-state constants of a budgeted problem, and the per-step decision
-map that every program, residual and budget is built from."""
+map that every program, residual and budget is built from.
+
+ProblemConstants.compute is the one place a plant's filter and control
+solutions are reused: it keeps the last few clean solutions, each keyed on
+its own equation's inputs, and calls the stateless riccati solvers only on
+a miss.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -50,6 +58,49 @@ def cost_floor(estimator: EstimatorModel, weights: CostWeights,
                  + np.trace(estimator.Sigma @ weights.Q))
 
 
+# Clean plant solutions kept, least recently used first.  A sweep, a
+# benchmark pass or a CLI run alternates between at most two plants, of two
+# equations each, and a sweep over one plant entry shares the equation that
+# entry does not enter.
+_SOLVES_KEPT = 8
+_SOLVES: OrderedDict = OrderedDict()
+_SOLVES_LOCK = threading.Lock()
+
+
+def _key(kind: str, *arrays: np.ndarray) -> tuple:
+    """The equation's kind and the dtypes, shapes and bytes of its inputs."""
+    return (kind, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+def _copied(solution):
+    """The solution dataclass with a copy of each of its array fields."""
+    return replace(solution, **{
+        f.name: value.copy() for f in fields(solution)
+        if isinstance(value := getattr(solution, f.name), np.ndarray)})
+
+
+def _solved(key: tuple, solve):
+    """A copy of the solution kept under key, or solve(), kept when every
+    one of its regularity checks passed.  A copy shares no array with any
+    other result, and is bit-identical to a fresh solve, with the
+    iterations and residual of the solve that produced it."""
+    with _SOLVES_LOCK:
+        kept = _SOLVES.get(key)
+        if kept is not None:
+            _SOLVES.move_to_end(key)
+    if kept is not None:
+        return _copied(kept)
+    solution = solve()
+    if all(ok for _, ok in solution.regularity):
+        kept = _copied(solution)
+        with _SOLVES_LOCK:
+            _SOLVES[key] = kept
+            _SOLVES.move_to_end(key)
+            while len(_SOLVES) > _SOLVES_KEPT:
+                _SOLVES.popitem(last=False)
+    return solution
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Filter and control Riccati constants evaluated once per problem."""
@@ -61,9 +112,18 @@ class ProblemConstants:
 
     @classmethod
     def compute(cls, model: SystemModel, weights: CostWeights) -> "ProblemConstants":
-        return cls(model=model, weights=weights,
-                   filter=riccati.solve_filter_riccati(model),
-                   control=riccati.solve_control_riccati(model, weights))
+        """The constants of model and weights.  The filter solution is
+        reused for equal (F, H, W, L, V), the control one for equal
+        (F, G, Q, R); a degraded solve, with a failed regularity check, is
+        repeated and warns again."""
+        filter_key = _key("filter", model.F, model.H, model.W, model.L, model.V)
+        control_key = _key("control", model.F, model.G, weights.Q, weights.R)
+        return cls(
+            model=model, weights=weights,
+            filter=_solved(filter_key,
+                           lambda: riccati.solve_filter_riccati(model)),
+            control=_solved(control_key,
+                            lambda: riccati.solve_control_riccati(model, weights)))
 
     @property
     def Sigma(self) -> np.ndarray:
@@ -91,7 +151,10 @@ class ProblemConstants:
 
     @cached_property
     def estimator(self) -> EstimatorModel:
-        return EstimatorModel.from_filter(self.model, self.filter)
+        """The innovation form of the model at its filter constants."""
+        m, f = self.model, self.filter
+        return EstimatorModel(F=m.F, G=m.G, H=m.H, J=m.J, K_p=f.K_p,
+                              Psi=f.Psi, Sigma=f.Sigma)
 
     @cached_property
     def minimal_cost(self) -> float:

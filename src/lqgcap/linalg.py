@@ -174,18 +174,6 @@ def require_pd(a: np.ndarray, name: str) -> np.ndarray:
     return s
 
 
-def psd_clip(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip negative eigenvalues of a symmetric matrix to zero.
-
-    Returns the clipped matrix and the magnitude of the most negative
-    eigenvalue that was removed (0.0 if none).
-    """
-    w, v = eigh(sym(a))
-    clip = float(max(0.0, -w[0]))
-    w = np.maximum(w, 0.0)
-    return (v * w) @ v.T, clip
-
-
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root with eigenvalue clipping at zero."""
     w, v = eigh(sym(a))

@@ -67,17 +67,17 @@ def extract_policy(ub: UBSolution, control: ControlConstants,
     solver's duality gap (and never below the library-wide rank threshold);
     inverting that fuzz would blow up GammaBar.
     """
-    sig = la.sym(ub.decision.SigmaHat)
-    if rank_tol is None:
-        rank_tol = max(la.PINV_RTOL * float(np.linalg.norm(sig, 2)),
+    w, vecs = la.eigh(la.sym(ub.decision.SigmaHat))
+    if rank_tol is None:        # ||SigmaHat||_2 is its largest |eigenvalue|
+        rank_tol = max(la.PINV_RTOL * float(np.abs(w).max()),
                        1e3 * max(ub.duality_gap, 0.0))
-    w, vecs = la.eigh(sig)
     inv_w = np.where(w > rank_tol, 1.0 / np.maximum(w, 1e-300), 0.0)
     sig_pinv = (vecs * inv_w) @ vecs.T
     gamma_bar = ub.decision.Gamma @ sig_pinv
-    m_raw = la.sym(ub.decision.Pi - gamma_bar @ ub.decision.Gamma.T)
-    m_clipped, clip = la.psd_clip(m_raw)
-    slack = la.PSD_SLACK * max(1.0, float(la.eigvalsh(m_raw)[-1]))
+    w, vecs = la.eigh(la.sym(ub.decision.Pi - gamma_bar @ ub.decision.Gamma.T))
+    m_clipped = (vecs * np.maximum(w, 0.0)) @ vecs.T
+    clip = float(max(0.0, -w[0]))
+    slack = la.PSD_SLACK * max(1.0, float(w[-1]))
     if clip > slack:
         log.warning("extract_policy clipped M eigenvalues by %.3e, beyond "
                     "the PSD slack %.3e", clip, slack)

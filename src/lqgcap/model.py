@@ -139,12 +139,6 @@ class EstimatorModel(_Dimensions):
     Psi: np.ndarray
     Sigma: np.ndarray
 
-    @classmethod
-    def from_filter(cls, model: SystemModel, filter) -> "EstimatorModel":
-        """The innovation form of `model` at its riccati.FilterConstants."""
-        return cls(F=model.F, G=model.G, H=model.H, J=model.J,
-                   K_p=filter.K_p, Psi=filter.Psi, Sigma=filter.Sigma)
-
 
 @dataclass(frozen=True)
 class BudgetedProblem:
@@ -187,7 +181,9 @@ def validate_model(model: SystemModel, weights: CostWeights) -> ValidationReport
     """Check every well-posedness invariant of the model and cost weights.
 
     Returns a report listing violated invariants (empty on success) together
-    with the symmetry-enforcement deltas recorded at construction.
+    with the symmetry-enforcement deltas recorded at construction.  A matrix
+    holding a NaN or an inf is reported as NotFinite, and then no symmetry
+    or definiteness test runs.
     """
     rep = ValidationReport(sym_deltas={**model.sym_deltas, **weights.sym_deltas})
     k, m, p = model.k, model.m, model.p
@@ -197,6 +193,15 @@ def validate_model(model: SystemModel, weights: CostWeights) -> ValidationReport
         rep.add("DimensionMismatch", f"Q must be {k}x{k}, got {weights.Q.shape}")
     if weights.R.shape != (m, m):
         rep.add("DimensionMismatch", f"R must be {m}x{m}, got {weights.R.shape}")
+    # LAPACK answers the eigenvalue tests below wrongly on a NaN or an inf
+    mats = {n: getattr(model, n) for n in ("F", "G", "H", "J", "W", "V", "L",
+                                           "Sigma1")}
+    mats.update(Q=weights.Q, R=weights.R)
+    not_finite = [n for n, a in mats.items() if not np.isfinite(a).all()]
+    for name in not_finite:
+        rep.add("NotFinite", name)
+    if not_finite:
+        return rep
 
     for name, a in [("W", model.W), ("V", model.V), ("Sigma1", model.Sigma1),
                     ("Q", weights.Q), ("R", weights.R)]:

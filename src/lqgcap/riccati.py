@@ -5,18 +5,16 @@ built by filter_equation, control_equation, policy_equation or
 upper_bound.damped_equation.  `_solve_dare` reaches its steady state by
 structured doubling (the 2^j-th iterate in j steps) and polishes it by
 Newton steps.  PBH eigenvector tests check the regularity conditions under
-which that limit is the stabilizing solution.  The filter and control
-solvers keep their last few clean solutions (_SolveCache), so a repeated
-plant equation is solved once per process.
+which that limit is the stabilizing solution.  The solvers keep no state:
+each call solves, and ProblemConstants.compute decides when a plant's
+solution is reused.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +34,6 @@ log = logging.getLogger("lqgcap.riccati")
 REL_TOL = 1e-11
 MAX_DOUBLINGS = 17  # 2^17 recursion steps
 NEWTON_STEPS = 3
-# Clean solutions kept per plant-level solver.  A sweep, a benchmark pass or
-# a CLI run alternates between at most two plants, and a sweep over one
-# plant entry shares the equations that entry does not enter.
-SOLVE_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -371,74 +365,12 @@ def _stabilizing_solution(eq: RiccatiEquation,
     return X, K, Psi, iters, res
 
 
-def _key(*arrays: np.ndarray) -> tuple:
-    """The dtypes, shapes and bytes of an equation's inputs."""
-    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
-
-
-def _copied(solution):
-    """The solution dataclass with a copy of each of its array fields."""
-    return replace(solution, **{
-        f.name: value.copy() for f in fields(solution)
-        if isinstance(value := getattr(solution, f.name), np.ndarray)})
-
-
-class _SolveCache:
-    """One solver's last SOLVE_CACHE_SIZE clean solutions by key, least
-    recently used first.  It keeps a copy of each array field and hands out
-    new copies, so no caller shares an array with another."""
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        return None if entry is None else _copied(entry)
-
-    def put(self, key, solution) -> None:
-        entry = _copied(solution)
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > SOLVE_CACHE_SIZE:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-_FILTER_CACHE, _CONTROL_CACHE = _SolveCache(), _SolveCache()
-
-
-def _clear_solve_caches() -> None:
-    """Forget every cached solution (for tests)."""
-    for cache in (_FILTER_CACHE, _CONTROL_CACHE):
-        cache.clear()
-
-
 def solve_filter_riccati(model: SystemModel) -> FilterConstants:
     """Stabilizing solution of the one-step prediction-error equation.
 
     Regularity is checked by filter_regularity.  Failed PBH checks downgrade
     to a warning if the recursion still reaches a stabilizing fixed point.
-
-    A solve whose checks all passed is cached on (F, H, W, L, V): a repeat
-    returns a new FilterConstants with copies of its arrays, bit-identical
-    to a fresh solve, and the iterations and residual of the solve that
-    produced them.  A solve with a failed check is repeated, warning again.
     """
-    key = _key(model.F, model.H, model.W, model.L, model.V)
-    hit = _FILTER_CACHE.get(key)
-    if hit is not None:
-        return hit
     la.require_pd(model.V, "V")
     checks = filter_regularity(model)
     *unique, (_, stabilizable) = checks
@@ -447,36 +379,23 @@ def solve_filter_riccati(model: SystemModel) -> FilterConstants:
                     "is not guaranteed")
     Sigma, K_p, Psi, iters, res = _stabilizing_solution(
         filter_equation(model), unique, "filter", "F - K_p H")
-    fc = FilterConstants(Sigma=Sigma, K_p=K_p, Psi=Psi,
-                         iterations=iters, residual=res,
-                         regularity=tuple(checks))
-    if all(ok for _, ok in checks):
-        _FILTER_CACHE.put(key, fc)
-    return fc
+    return FilterConstants(Sigma=Sigma, K_p=K_p, Psi=Psi,
+                           iterations=iters, residual=res,
+                           regularity=tuple(checks))
 
 
 def solve_control_riccati(model: SystemModel,
                           weights: CostWeights) -> ControlConstants:
     """Stabilizing solution of the backward control equation: the limit of
-    its recursion from 0, whose first iterate is Q.
-
-    Cached on (F, G, Q, R) as solve_filter_riccati is on its inputs: a
-    repeat of a solve whose checks all passed returns copies and the
-    original solve's iterations and residual."""
-    key = _key(model.F, model.G, weights.Q, weights.R)
-    hit = _CONTROL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    its recursion from 0, whose first iterate is Q; regularity is checked
+    by control_regularity."""
     la.require_pd(weights.R, "R")
     checks = control_regularity(model, weights)
     E, K, PsiL, iters, res = _stabilizing_solution(
         control_equation(model, weights), checks, "control", "F - G K_LQR")
-    cc = ControlConstants(E=E, K_LQR=K.T, Psi_LQR=PsiL,
-                          iterations=iters, residual=res,
-                          regularity=tuple(checks))
-    if all(ok for _, ok in checks):
-        _CONTROL_CACHE.put(key, cc)
-    return cc
+    return ControlConstants(E=E, K_LQR=K.T, Psi_LQR=PsiL,
+                            iterations=iters, residual=res,
+                            regularity=tuple(checks))
 
 
 def solve_policy_riccati(estimator: EstimatorModel,
@@ -487,8 +406,7 @@ def solve_policy_riccati(estimator: EstimatorModel,
     non-stabilizing fixed point (the map keeps 0 fixed); it is rejected, and
     a single bootstrap step with M_1 = eps*I followed by the time-invariant
     policy restarts the recursion strictly inside the basin of the maximal
-    solution.  Every call solves: a policy equation, unlike the plant's,
-    rarely repeats.
+    solution.
     """
     k, m = estimator.k, estimator.m
     if policy.GammaBar.shape != (m, k) or policy.M.shape != (m, m):

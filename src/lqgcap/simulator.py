@@ -42,9 +42,10 @@ import numpy as np
 
 from . import linalg as la
 from . import riccati
+from .constants import ProblemConstants
 from .errors import NumericalOverflow
 from .lower_bound import LBSolution
-from .model import CostWeights, EstimatorModel, SystemModel
+from .model import CostWeights, SystemModel
 from .riccati import Policy
 
 OVERFLOW_LIMIT = 1e12
@@ -198,8 +199,7 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
             thread = threading.Thread(target=fill_or_store, args=(lo, hi))
             thread.start()
             threads.append(thread)
-        est = EstimatorModel.from_filter(model,
-                                         riccati.solve_filter_riccati(model))
+        est = ProblemConstants.compute(model, weights).estimator
         prs = riccati.solve_policy_riccati(est, policy)
         # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
         ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)

@@ -14,16 +14,16 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from lqgcap import CostWeights, ProblemConstants, SystemModel, riccati
+from lqgcap import CostWeights, ProblemConstants, SystemModel, constants
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
-def _empty_solve_caches():
-    """Start each test with empty Riccati solve caches, so that the solves,
+def _empty_solve_cache():
+    """Start each test with an empty plant-solve cache, so that the solves,
     checks and warnings a test counts are not answered by an earlier test."""
-    riccati._clear_solve_caches()
+    constants._SOLVES.clear()
 
 
 @pytest.fixture(scope="session")

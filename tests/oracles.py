@@ -295,7 +295,7 @@ def simulate_stepwise(model, weights, policy, cfg):
     over time chunks; this is the plain per-step loop it replaced, kept to
     pin its reports.  Same noise streams, same statistics.
     """
-    est = EstimatorModel.from_filter(model, riccati.solve_filter_riccati(model))
+    est = ProblemConstants.compute(model, weights).estimator
     prs = riccati.solve_policy_riccati(est, policy)
     k, m, p = model.k, model.m, model.p
     n, N = cfg.horizon, cfg.trajectories

@@ -16,7 +16,7 @@ from lqgcap.barrier import (T_START, AffineBlock, BarrierProgram, NewtonLine,
                             solve_barrier)
 from lqgcap.config import load_config
 from lqgcap.errors import NotPositiveDefinite, SolverNonConvergence
-from lqgcap.linalg import psd_clip, psd_sqrt, slogdet_pd, solve_pd, sym
+from lqgcap.linalg import psd_sqrt, slogdet_pd, solve_pd, sym
 from lqgcap.scop import SCOPProgram
 from lqgcap.upper_bound import SolverOptions, feasibility, strict_start
 
@@ -942,12 +942,6 @@ class TestKernelCallCount:
 
 
 class TestLinalgHelpers:
-    def test_psd_clip(self):
-        a = np.diag([2.0, -1e-3])
-        clipped, clip = psd_clip(a)
-        assert clip == pytest.approx(1e-3)
-        assert np.allclose(clipped, np.diag([2.0, 0.0]))
-
     def test_psd_sqrt(self):
         rng = np.random.default_rng(1)
         b = rng.standard_normal((3, 3))

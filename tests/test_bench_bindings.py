@@ -6,8 +6,8 @@ This runs one scalar sweep item, the scalar and vector3 scop items at
 horizon 2, the scalar scop item at horizon 32 and one scalar simulate item
 under the tracer, as a traced benchmark pass does, and reads bench/ without
 changing it; the Riccati solvers and `ProblemConstants.compute` must show in
-the trace, and so must the filter and policy solves that `simulate` makes
-itself.  The vector3 item builds the horizon program on its k > m face, and
+the trace, and so must the constants and the policy solve that `simulate`
+asks for itself.  The vector3 item builds the horizon program on its k > m face, and
 the h=32 item solves on local Newton rows."""
 
 import pathlib
@@ -52,14 +52,15 @@ def test_traced_items_pass_the_gate_and_the_trace_checks():
     assert 0 < summary["scop.newton_steps"] < summary["barrier.newton_steps"]
     assert summary["scop.dim"] > 0
     assert summary["upper_bound.feasibility_ms"] > 0
-    # the Riccati solvers and the constants, one computation per item
+    # the Riccati solvers and the constants, one computation per item and
+    # one more inside simulate
     for name in ("filter", "control", "policy"):
         assert summary[f"riccati.{name}_iters"] > 0, name
-    assert summary["constants.compute_calls"] == len(ITEMS)
-    # simulate's own filter and policy solves, made through riccati's names
+    assert summary["constants.compute_calls"] == len(ITEMS) + 1
+    # simulate's own constants and policy solve, made through the traced names
     sim = [i for i, span in enumerate(tracer.spans)
            if span[0] == "simulator.simulate"]
     assert len(sim) == 1
     assert tracer.spans[sim[0]][4] == "sim/scalar/p=2/seed=20240801"
     under = {span[0] for span in tracer.spans if span[3] == sim[0]}
-    assert {"riccati.filter", "riccati.policy"} <= under
+    assert {"constants.compute", "riccati.policy"} <= under

@@ -82,6 +82,17 @@ class TestExtractPolicy:
         records = [r for r in caplog.records if "clipped M" in r.getMessage()]
         assert [r.levelname for r in records] == [level]
 
+    def test_each_matrix_is_decomposed_once(self, monkeypatch, c2):
+        # one eigh of SigmaHat gives the cutoff and the pseudo-inverse, one
+        # of M the clip, the clipped M and lambda_max(M)
+        ub = solve_ub(BudgetedProblem(c2.model, c2.weights, 120.0), consts=c2)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(la, name, lambda a, _n=name, _f=getattr(la, name):
+                                calls.append((_n, a.shape)) or _f(a))
+        extract_policy(ub, c2.control)
+        assert calls == [("eigh", (3, 3)), ("eigh", (1, 1))]
+
 
 class TestEvaluatePolicy:
     def test_pure_lqg_policy_rate_zero_budget_floor(self, c1, w1):

@@ -4,13 +4,11 @@ import pytest
 from lqgcap import (
     BudgetedProblem,
     CostWeights,
-    EstimatorModel,
     ProblemConstants,
     SystemModel,
     validate_model,
 )
 from lqgcap.errors import DimensionMismatch
-from lqgcap.riccati import solve_filter_riccati
 
 from oracles import iterate_filter, minimal_cost_oracle
 
@@ -38,6 +36,24 @@ def test_joint_noise_not_psd(w1):
     codes = [c for c, _ in report.violations]
     assert "JointNoiseNotPSD" in codes
     assert np.linalg.det(model.joint_noise()) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["F", "G", "H", "J", "W", "V", "L", "Sigma1",
+                                  "Q", "R"])
+def test_a_non_finite_entry_is_named(name, bad):
+    # without the check, a NaN in W or G or an inf in F reported `valid`
+    model = dict(F=np.diag([0.5, 0.7]), G=[[1.0], [1.0]], H=[[1.0, 1.0]],
+                 J=1.0, W=np.eye(2), V=1.0, L=np.zeros((2, 1)),
+                 Sigma1=np.eye(2))
+    weights = dict(Q=np.eye(2), R=1.0)
+    fields = model if name in model else weights
+    a = np.array(fields[name], dtype=float, ndmin=2)
+    a[0, 0] = bad
+    fields[name] = a
+    with np.errstate(invalid="ignore"):     # inf - inf in a symmetry delta
+        report = validate_model(SystemModel(**model), CostWeights(**weights))
+    assert report.violations == [("NotFinite", name)]
 
 
 def test_q_psd_r_pd_checks(s1):
@@ -79,7 +95,8 @@ def test_dimension_mismatch_raises():
 
 
 def _estimator(model):
-    return EstimatorModel.from_filter(model, solve_filter_riccati(model))
+    weights = CostWeights(Q=np.eye(model.k), R=np.eye(model.m))
+    return ProblemConstants.compute(model, weights).estimator
 
 
 def test_reduce_s1_matches_iteration_oracle(s1):

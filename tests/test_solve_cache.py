@@ -1,9 +1,10 @@
-"""The Riccati solvers' caches: a repeated filter or control equation is
-answered from the last clean solve of the same inputs, in new arrays that
-are bit-identical to a fresh solve; a degraded solve is never kept.  A
-policy equation is solved at every call."""
+"""The plant-solve cache of ProblemConstants.compute: a repeated filter or
+control equation is answered from the last clean solve of the same inputs,
+in new arrays that are bit-identical to a fresh solve; a degraded solve is
+never kept.  The Riccati solvers themselves solve at every call."""
 
 import dataclasses
+import json
 import logging
 import pathlib
 import sys
@@ -12,10 +13,18 @@ import threading
 import numpy as np
 import pytest
 
-from lqgcap import BudgetedProblem, CostWeights, SystemModel, riccati, upper_bound
+from lqgcap import (
+    BudgetedProblem,
+    CostWeights,
+    ProblemConstants,
+    SystemModel,
+    constants,
+    riccati,
+    upper_bound,
+)
+from lqgcap.cli import run
 from lqgcap.config import load_config
 from lqgcap.lower_bound import solve_capacity
-from lqgcap.model import EstimatorModel
 from lqgcap.riccati import (
     Policy,
     solve_control_riccati,
@@ -31,13 +40,6 @@ KINDS = ("filter", "control")
 def _plant(name):
     cfg = load_config(str(CONFIGS / f"{name}.json"))
     return cfg.model, cfg.weights
-
-
-def _solver(kind, model, weights):
-    """A call of one solver on the plant."""
-    if kind == "filter":
-        return lambda: solve_filter_riccati(model)
-    return lambda: solve_control_riccati(model, weights)
 
 
 def _arrays(solution):
@@ -59,12 +61,33 @@ def dare_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def plant_solves(monkeypatch):
+    """The kind of each plant solve that `ProblemConstants.compute` asks
+    riccati for, in order."""
+    kinds = []
+    for kind in KINDS:
+        def counted(*args, _kind=kind,
+                    _solve=getattr(riccati, f"solve_{kind}_riccati")):
+            kinds.append(_kind)
+            return _solve(*args)
+        monkeypatch.setattr(riccati, f"solve_{kind}_riccati", counted)
+    return kinds
+
+
+def _kept(kind):
+    """The number of solutions of one kind in the cache."""
+    return sum(key[0] == kind for key in constants._SOLVES)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("plant", ["scalar", "vector3"])
-def test_a_hit_is_a_fresh_solve_in_new_arrays(plant, kind):
-    # the caches start empty, so the first call solves
-    solve = _solver(kind, *_plant(plant))
-    fresh, hit = solve(), solve()
+def test_a_hit_is_a_fresh_solve_in_new_arrays(plant, kind, plant_solves):
+    # the cache starts empty, so the first call solves
+    model, weights = _plant(plant)
+    fresh = getattr(ProblemConstants.compute(model, weights), kind)
+    hit = getattr(ProblemConstants.compute(model, weights), kind)
+    assert plant_solves.count(kind) == 1
     for name, a in _arrays(hit).items():
         assert np.array_equal(a, _arrays(fresh)[name]), name
         assert not np.shares_memory(a, _arrays(fresh)[name]), name
@@ -73,7 +96,11 @@ def test_a_hit_is_a_fresh_solve_in_new_arrays(plant, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_writing_into_a_result_leaves_the_next_unchanged(kind, dare_calls):
-    solve = _solver(kind, *_plant("vector3"))
+    model, weights = _plant("vector3")
+
+    def solve():
+        return getattr(ProblemConstants.compute(model, weights), kind)
+
     first = solve()
     kept = {name: a.copy() for name, a in _arrays(first).items()}
     for a in _arrays(first).values():
@@ -95,17 +122,15 @@ def _degraded(kind):
     stabilizability tests fail, and the limit is still stabilizing.  Zero
     dither with GammaBar 1.5 makes the policy recursion from 0 need the
     bootstrap."""
-    model = SystemModel(F=np.diag([0.5, 1 - 5e-10]), G=[[1], [1]],
-                        H=[[1, 1]], J=1, W=np.diag([1.0, 0.0]), V=1,
-                        L=np.zeros((2, 1)))
-    weights = CostWeights(Q=np.diag([1.0, 0.0]), R=1)
-    if kind == "filter":
-        return _solver(kind, model, weights), "filter pair not stabilizable"
-    if kind == "control":
-        return (_solver(kind, model, weights),
-                "control regularity condition failed")
-    model, _ = _plant("scalar")
-    est = EstimatorModel.from_filter(model, solve_filter_riccati(model))
+    if kind != "policy":
+        model = SystemModel(F=np.diag([0.5, 1 - 5e-10]), G=[[1], [1]],
+                            H=[[1, 1]], J=1, W=np.diag([1.0, 0.0]), V=1,
+                            L=np.zeros((2, 1)))
+        weights = CostWeights(Q=np.diag([1.0, 0.0]), R=1)
+        warning = {"filter": "filter pair not stabilizable",
+                   "control": "control regularity condition failed"}[kind]
+        return lambda: ProblemConstants.compute(model, weights), warning
+    est = ProblemConstants.compute(*_plant("scalar")).estimator
     policy = Policy(GammaBar=np.full((1, 1), 1.5), M=np.zeros((1, 1)),
                     K_LQR=np.zeros((1, 1)))
     return (lambda: solve_policy_riccati(est, policy),
@@ -127,14 +152,15 @@ def test_a_degraded_solve_warns_each_time_and_is_not_kept(kind, dare_calls,
     if kind == "policy":
         assert sol.bootstrapped
     else:
-        assert len(getattr(riccati, f"_{kind.upper()}_CACHE")) == 0
+        assert _kept(kind) == 0
 
 
 @pytest.mark.parametrize("kind, keyed, unkeyed", [
-    ("filter", "FHWLV", "GJ"),
+    ("filter", "FHWLV", "GJQR"),
     ("control", "FGQR", "HJWVL"),
 ])
-def test_a_change_of_one_keyed_entry_misses(kind, keyed, unkeyed, dare_calls):
+def test_a_change_of_one_keyed_entry_misses(kind, keyed, unkeyed,
+                                            plant_solves):
     model, weights = _plant("vector3")
 
     def changed(name):
@@ -146,71 +172,73 @@ def test_a_change_of_one_keyed_entry_misses(kind, keyed, unkeyed, dare_calls):
         objs[i] = dataclasses.replace(objs[i], **{name: a})
         return objs
 
-    _solver(kind, model, weights)()
+    ProblemConstants.compute(model, weights)
     for names, misses in ((keyed, True), (unkeyed, False)):
         for name in names:
-            solve = _solver(kind, *changed(name))
-            n = len(dare_calls)
-            solve()
-            assert (len(dare_calls) > n) == misses, name
-            riccati._clear_solve_caches()
-            _solver(kind, model, weights)()
+            n = plant_solves.count(kind)
+            ProblemConstants.compute(*changed(name))
+            assert (plant_solves.count(kind) > n) == misses, name
+            constants._SOLVES.clear()
+            ProblemConstants.compute(model, weights)
 
 
 def test_keys_tell_shapes_and_dtypes_apart():
     a = np.arange(6.0)
-    keys = {riccati._key(a.reshape(2, 3)), riccati._key(a.reshape(3, 2)),
-            riccati._key(a.reshape(6, 1)), riccati._key(a.view(np.int64))}
-    assert len(keys) == 4
-    assert riccati._key(a.reshape(2, 3)) == riccati._key(a.reshape(2, 3).copy())
+    keys = {constants._key("filter", a.reshape(2, 3)),
+            constants._key("filter", a.reshape(3, 2)),
+            constants._key("filter", a.reshape(6, 1)),
+            constants._key("filter", a.view(np.int64)),
+            constants._key("control", a.reshape(2, 3))}
+    assert len(keys) == 5
+    assert (constants._key("filter", a.reshape(2, 3))
+            == constants._key("filter", a.reshape(2, 3).copy()))
 
 
 def _scalar_plant(i):
     return SystemModel(F=0.1 * (i + 1), G=1, H=1, J=1, W=1, V=1, L=0)
 
 
-def test_the_cache_keeps_its_bound_least_recently_used_first(dare_calls):
-    size = riccati.SOLVE_CACHE_SIZE
-    for i in range(size):
-        solve_filter_riccati(_scalar_plant(i))
-    solve_filter_riccati(_scalar_plant(0))          # now the most recent
-    assert len(dare_calls) == size
-    solve_filter_riccati(_scalar_plant(size))       # evicts plant 1
-    assert len(riccati._FILTER_CACHE) == size
-    n = len(dare_calls)
-    solve_filter_riccati(_scalar_plant(0))
-    assert len(dare_calls) == n
-    solve_filter_riccati(_scalar_plant(1))
-    assert len(dare_calls) == n + 1
-    for i in range(2 * size):
-        solve_filter_riccati(_scalar_plant(i))
-    assert len(riccati._FILTER_CACHE) == size
+def test_the_cache_keeps_its_bound_least_recently_used_first(plant_solves):
+    # each plant has a filter and a control equation of its own
+    plants = constants._SOLVES_KEPT // 2
+    w = CostWeights(Q=1, R=1)
+    for i in range(plants):
+        ProblemConstants.compute(_scalar_plant(i), w)
+    ProblemConstants.compute(_scalar_plant(0), w)   # now the most recent
+    assert len(plant_solves) == 2 * plants
+    ProblemConstants.compute(_scalar_plant(plants), w)  # evicts plant 1
+    assert len(constants._SOLVES) == constants._SOLVES_KEPT
+    n = len(plant_solves)
+    ProblemConstants.compute(_scalar_plant(0), w)
+    assert len(plant_solves) == n
+    ProblemConstants.compute(_scalar_plant(1), w)
+    assert plant_solves[n:] == ["filter", "control"]
+    for i in range(2 * plants):
+        ProblemConstants.compute(_scalar_plant(i), w)
+    assert len(constants._SOLVES) == constants._SOLVES_KEPT
 
 
 def test_concurrent_lookups_and_evictions_stay_consistent():
-    """More threads than cores look up and insert more plants than the cache
-    holds, so lookups, insertions and evictions interleave; every hit must
-    be the solve stored under its key, and the cache must stay at its
+    """More threads than cores look up and insert more solutions than the
+    cache holds, so lookups, insertions and evictions interleave; every hit
+    must be the solve stored under its key, and the cache must stay at its
     bound."""
-    cache = riccati._SolveCache()
     solved = [solve_filter_riccati(_scalar_plant(i))
-              for i in range(riccati.SOLVE_CACHE_SIZE + 3)]
+              for i in range(constants._SOLVES_KEPT + 3)]
     errors = []
 
-    def run(offset):
+    def run_lookups(offset):
         try:
             for j in range(2000):
                 i = (7 * j + offset) % len(solved)
-                hit = cache.get(i)
-                if hit is None:
-                    cache.put(i, solved[i])
-                else:
-                    assert np.array_equal(hit.Sigma, solved[i].Sigma), i
+                got = constants._solved(("stress", i), lambda: solved[i])
+                assert np.array_equal(got.Sigma, solved[i].Sigma), i
         except Exception as e:      # raised below, in the test's thread
             errors.append(e)
 
     # 8 threads, more than the cores of a typical CI runner
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    threads = [threading.Thread(target=run_lookups, args=(i,))
+               for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -222,7 +250,18 @@ def test_concurrent_lookups_and_evictions_stay_consistent():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(cache) == riccati.SOLVE_CACHE_SIZE
+    assert len(constants._SOLVES) == constants._SOLVES_KEPT
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_direct_solver_call_solves_every_time(kind, dare_calls):
+    model, weights = _plant("vector3")
+    args = (model,) if kind == "filter" else (model, weights)
+    solve = getattr(riccati, f"solve_{kind}_riccati")
+    solve(*args)
+    solve(*args)
+    assert len(dare_calls) == 2
+    assert len(constants._SOLVES) == 0
 
 
 def test_a_budget_loop_solves_each_plant_equation_once(dare_calls):
@@ -238,7 +277,7 @@ def test_a_budget_loop_solves_each_plant_equation_once(dare_calls):
 
 
 def test_simulate_reuses_the_lower_bounds_solves(dare_calls):
-    # the filter solve is reused; the policy equation is solved again
+    # the plant's solves are reused; the policy equation is solved again
     model, weights = _plant("scalar")
     rep = solve_capacity(BudgetedProblem(model, weights, 2.0))
     n = len(dare_calls)
@@ -247,3 +286,16 @@ def test_simulate_reuses_the_lower_bounds_solves(dare_calls):
     assert len(dare_calls) == n + 1
     assert all(np.array_equal(a, b) for a, b in zip(dare_calls[-1],
                                                     rep.lb.riccati.equation))
+
+
+def test_a_sweep_over_G_solves_the_filter_once(tmp_path, plant_solves):
+    # G enters the control equation only, so its 15 values share one filter
+    doc = json.loads((CONFIGS / "scalar.json").read_text())
+    doc["budget"] = 2.0
+    path = tmp_path / "scalar-p2.json"
+    path.write_text(json.dumps(doc))
+    assert doc["param_sweep"]["name"] == "G"
+    assert run(["sweep-param", "--config", str(path), "--jobs", "1",
+                "--output", str(tmp_path / "out.csv")]) == 0
+    assert plant_solves.count("filter") == 1
+    assert plant_solves.count("control") == 15
