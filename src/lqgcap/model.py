@@ -27,9 +27,16 @@ SYM_RTOL = 1e-8
 
 
 def _sym_field(a: np.ndarray):
-    """Symmetrize an input matrix, returning (symmetric part, asymmetry)."""
+    """Symmetrize an input matrix, returning (symmetric part, asymmetry).
+
+    A matrix holding a NaN or an inf gets asymmetry inf, without the warning
+    that inf - inf raises; validate_model reports it as NotFinite.
+    """
     m = la.as_matrix(a)
-    return la.sym(m), la.asymmetry(m)
+    if np.isfinite(m).all():
+        return la.sym(m), la.asymmetry(m)
+    with np.errstate(invalid="ignore"):
+        return la.sym(m), math.inf
 
 
 class _Dimensions:

@@ -8,13 +8,13 @@ for comparison against the theoretical values.
 
 The loop is one linear recursion z_{i+1} = A z_i + B e_i in the error
 coordinates z = [s - s_hat, s_hat - s_obs, s_obs], driven by each step's raw
-draws e_i.  All trajectories advance together in chunks of CHUNK steps, one
-matrix product per step.  Each retained chunk adds its rows Y = [z_i, e_i] to
-one Gram Y^T Y, and one product C Y^T gives the per-trajectory cost and the
-innovations psi, whose lagged sums psi_{i-1}^T Y_i give the whiteness.  The
-covariances are C G C^T or diagonal blocks of the Gram G.  Estimation error
-and filter disagreement are coordinates, so no second moment is a difference
-of large ones.  Memory: the draws plus one chunk.
+draws e_i.  All trajectories advance together in chunks of STEPS = CHUNK / 2
+steps, one matrix product per step.  Each retained chunk adds its rows
+Y = [z_i, e_i] to one Gram Y^T Y, and one product C Y^T gives the
+per-trajectory cost and the innovations psi, whose lagged sums
+psi_{i-1}^T Y_i give the whiteness.  The covariances are C G C^T or diagonal
+blocks of the Gram G.  Estimation error and filter disagreement are
+coordinates, so no second moment is a difference of large ones.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 trajectory index), so identical seeds give identical reports and a
@@ -24,10 +24,26 @@ The streams are filled on W threads, W the number of CPUs the process may
 run on (usable_cpus) capped at the trajectory count: W - 1 threads each fill
 a contiguous range of trajectories while the calling thread solves for the
 gains, then fills the first range; numpy releases the interpreter lock while
-it draws.  Every thread is joined before simulate returns or raises, and a
-worker's exception is raised by the calling thread.  A stream's numbers do
-not depend on the thread that draws it, and the recursion and its sums run
-in one fixed order after the joins, so reports are bit-identical for every W.
+it draws.
+
+With W >= 2 the first of those threads stays on as the helper of a two-stage
+pipeline over the chunks.  The calling thread runs, in chunk order, the
+per-step products, the Gram and the lag products.  The helper runs the
+rest: the transposing copy of the next chunk's draws into its buffer and,
+for the chunk just stepped, the divergence test, C Y^T and the cost sums.
+That split gives the two threads about equal work.  numpy releases the
+interpreter lock inside each of these calls, so the stages of the two
+threads overlap.  Two chunk buffers of
+STEPS steps alternate: chunk j + 1's draws go into chunk j - 1's buffer once
+the calling thread is done with that chunk.  With W = 1 the calling thread
+runs the same stages itself, chunk by chunk.  Memory: the draws, the two
+buffers (CHUNK steps in all) and one chunk's C Y^T.
+
+Every thread is joined before simulate returns or raises; a failed draw, or
+a NumericalOverflow or other exception on the helper, is raised by the
+calling thread after the joins.  A stream's numbers do not depend on the
+thread that draws it, and each sum is accumulated by one stage in chunk
+order, whichever thread runs it, so reports are bit-identical for every W.
 """
 
 from __future__ import annotations
@@ -49,7 +65,8 @@ from .model import CostWeights, SystemModel
 from .riccati import Policy
 
 OVERFLOW_LIMIT = 1e12
-CHUNK = 256                     # time steps per block of the recursion
+CHUNK = 256                     # time steps the two chunk buffers hold
+STEPS = CHUNK // 2              # time steps per chunk
 
 # compare_to_theory's tolerances: the cost in standard errors, Psi_Y and the
 # rate relative, and an absolute one for rates near zero
@@ -167,6 +184,206 @@ def _closed_loop(model, weights, policy, K_p, K_Y):
     return step.T.copy(), moments      # contiguous step map: faster products
 
 
+class _Handoff:
+    """Counts of finished stages that the caller and the helper wait on.
+
+    stop() wakes every waiter for good; a worker's exception is stored with
+    it, for the calling thread to raise after the joins.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._posted = dict.fromkeys(("drawn", "copied", "stepped", "reduced",
+                                      "released"), 0)
+        self._stopped = False
+        self.errors: list[Exception] = []
+
+    def post(self, stage: str) -> None:
+        with self._cond:
+            self._posted[stage] += 1
+            self._cond.notify_all()
+
+    def wait(self, stage: str, count: int) -> bool:
+        """Wait for `count` posts of `stage`; False if the run stopped first."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._stopped or self._posted[stage] >= count)
+            return not self._stopped
+
+    def stop(self, error: Exception | None = None) -> None:
+        with self._cond:
+            if error is not None:
+                self.errors.append(error)
+            self._stopped = True
+            self._cond.notify_all()
+
+
+class _Chunks:
+    """The recursion over chunks of STEPS steps in two chunk buffers.
+
+    Chunk j covers steps [t0, t0 + T), t0 = j STEPS, in buffer j mod 2: its
+    row t holds [z_i, e_i] at i = t0 + t, trajectory-minor, and its last step
+    writes z_{t0 + T} into row 0 of the other buffer.  Each stage below
+    handles one chunk: step, add_gram and add_lag run on the calling thread,
+    copy_draws, check and reduce on the helper if there is one.  Each
+    accumulator is written by one stage, in chunk order.
+    """
+
+    def __init__(self, model, cfg, ABT, C, s1, e_wv, e_m):
+        self.n, self.N, self.burn = cfg.horizon, cfg.trajectories, cfg.burn_in
+        self.k, self.m, self.p = model.k, model.m, model.p
+        self.ABT, self.C, self.Sigma1_root = ABT, C, la.psd_sqrt(model.Sigma1)
+        self.s1, self.e_wv, self.e_m = s1, e_wv, e_m
+        self.count = -(-self.n // STEPS)
+        dim = len(ABT)
+        self.ring = np.zeros((2, STEPS, self.N, dim))
+        # reduce's product C [z_i, e_i]^T, kept until add_lag reads its psi
+        # rows: the next reduce starts after that add_lag
+        self.q = np.empty(len(C) * STEPS * self.N)
+        self.psi = None
+        self.cost_sum = np.zeros(self.N)
+        # sums of [z_i, e_i]^T [z_i, e_i] over retained i, and of
+        # psi_{i-1}^T [z_i, e_i] over retained pairs
+        self.gram = np.zeros((dim, dim))
+        self.lag = np.zeros((self.p, dim))
+        self.psi_prev = None                # last retained psi so far
+        self.d_head = 0.0                   # |d|^2 at the first retained step
+
+    def _span(self, j: int) -> tuple[int, int, int]:
+        """t0, T and the chunk's first retained row r0 (T if none)."""
+        t0 = j * STEPS
+        T = min(STEPS, self.n - t0)
+        return t0, T, min(max(self.burn - t0, 0), T)
+
+    def _rows(self, j: int) -> np.ndarray:
+        """The chunk's retained rows [z_i, e_i]."""
+        _, T, r0 = self._span(j)
+        return self.ring[j % 2, r0:T].reshape(-1, self.ring.shape[-1])
+
+    def copy_draws(self, j: int) -> None:
+        k, p = self.k, self.p
+        t0, T, _ = self._span(j)
+        buf = self.ring[j % 2]
+        buf[:T, :, 3 * k:4 * k + p] = self.e_wv[:, t0:t0 + T].transpose(1, 0, 2)
+        buf[:T, :, 4 * k + p:] = self.e_m[:, t0:t0 + T].transpose(1, 0, 2)
+
+    def step(self, j: int) -> None:
+        _, T, _ = self._span(j)
+        z = slice(0, 3 * self.k)
+        buf, after = self.ring[j % 2], self.ring[(j + 1) % 2]
+        if j == 0:              # s_hat_0 = s_obs_0 = 0
+            buf[0, :, :self.k] = self.s1 @ self.Sigma1_root.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T - 1):
+                np.matmul(buf[t], self.ABT, out=buf[t + 1, :, z])
+            np.matmul(buf[T - 1], self.ABT, out=after[0, :, z])
+
+    def check(self, j: int) -> None:
+        """Raise NumericalOverflow at the chunk's first state with |s| > limit.
+
+        |s| <= 3 max |z| since s = err + d + s_obs, and the draws, standard
+        normals, stay far below, so one max and min usually clear the chunk.
+        """
+        k = self.k
+        t0, T, _ = self._span(j)
+        states = (self.ring[j % 2, 1:T],                    # z_{t0+1..t0+T-1}
+                  self.ring[(j + 1) % 2, :1, :, :3 * k])    # z_{t0+T}
+        limit = OVERFLOW_LIMIT / 3
+        if all(b.max() <= limit and b.min() >= -limit      # or nan
+               for b in states if b.size):
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.concatenate([
+                np.abs(b[..., :k] + b[..., k:2 * k] + b[..., 2 * k:3 * k])
+                .max(axis=(1, 2)) <= OVERFLOW_LIMIT
+                for b in states])
+        if not ok.all():
+            raise NumericalOverflow(
+                f"trajectory diverged at step {t0 + 1 + int(np.argmin(ok))}"
+                "; the policy does not stabilize the closed loop")
+
+    def reduce(self, j: int) -> None:
+        """C [z_i, e_i]^T: the per-trajectory cost and the innovations psi."""
+        _, T, r0 = self._span(j)
+        if r0 < T:
+            rows = self._rows(j)
+            q = self.q[:len(self.C) * len(rows)].reshape(len(self.C), len(rows))
+            np.matmul(self.C, rows.T, out=q)
+            c = q[:self.k + self.m].reshape(self.k + self.m, T - r0, self.N)
+            self.cost_sum += np.einsum("ctn,ctn->n", c, c)
+            self.psi = q[self.k + self.m:]
+
+    def add_gram(self, j: int) -> None:
+        _, T, r0 = self._span(j)
+        if r0 < T:
+            rows = self._rows(j)
+            # np.dot, not @: matmul keeps the interpreter lock through a
+            # product with so small an output, which stalls the helper
+            self.gram += np.dot(rows.T, rows)
+
+    def add_lag(self, j: int) -> None:
+        """psi_{i-1}^T [z_i, e_i] over the chunk's retained pairs; after reduce."""
+        psi, self.psi = self.psi, None
+        if psi is None:         # nothing retained
+            return
+        N, rows = self.N, self._rows(j)
+        if self.psi_prev is None:
+            self.d_head = float(np.sum(rows[:N, self.k:2 * self.k] ** 2))
+        else:
+            self.lag += self.psi_prev @ rows[:N]
+        self.lag += psi[:, :-N] @ rows[N:]
+        self.psi_prev = psi[:, -N:].copy()
+
+    def run(self) -> None:
+        """Every stage on the calling thread, chunk by chunk."""
+        for j in range(self.count):
+            self.copy_draws(j)
+            self.step(j)
+            self.check(j)
+            self.reduce(j)
+            self.add_gram(j)
+            self.add_lag(j)
+
+    def lead(self, handoff: _Handoff) -> None:
+        """The calling thread's side of the pipeline, in chunk order.
+
+        Chunk j's steps overlap the helper's copy of chunk j + 1, and its Gram
+        the helper's check and reduce of chunk j; its lag waits for that
+        reduce.
+        """
+        for j in range(self.count):
+            if not handoff.wait("copied", j + 1):
+                return
+            self.step(j)
+            handoff.post("stepped")
+            self.add_gram(j)
+            if not handoff.wait("reduced", j + 1):
+                return
+            self.add_lag(j)
+            handoff.post("released")
+
+    def help(self, handoff: _Handoff) -> None:
+        """The helper's side: the copy one chunk ahead of the steps, and the
+        check and reduce of each chunk once it is stepped.
+
+        Chunk j + 1 takes chunk j - 1's buffer, so its copy waits for the
+        calling thread to release that chunk.
+        """
+        self.copy_draws(0)
+        handoff.post("copied")
+        for j in range(self.count):
+            if j + 1 < self.count:
+                if not handoff.wait("released", j):
+                    return
+                self.copy_draws(j + 1)
+                handoff.post("copied")
+            if not handoff.wait("stepped", j + 1):
+                return
+            self.check(j)
+            self.reduce(j)
+            handoff.post("reduced")
+
+
 def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
              cfg: SimConfig) -> SimReport:
     """Run the closed loop and report empirical statistics.
@@ -177,94 +394,71 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
     k, m, p = model.k, model.m, model.p
     n, N, burn = cfg.horizon, cfg.trajectories, cfg.burn_in
     # per-trajectory streams, drawn in place, trajectory-major; W - 1 threads
-    # fill the last W - 1 ranges while this one solves for the gains
+    # fill the last W - 1 ranges while this one solves for the gains, and the
+    # first of them stays on as the helper of the chunk loop
     s1, e_wv, e_m = np.empty((N, k)), np.empty((N, n, k + p)), np.empty((N, n, m))
     W = min(usable_cpus(), N)
     bounds = [N * w // W for w in range(W + 1)]
-    errors: list[Exception] = []
+    handoff = _Handoff()
+    chunks = None       # built before the calling thread's range is drawn
 
     def fill(lo: int, hi: int) -> None:
         for j in range(lo, hi):
             _traj_noise(cfg.seed, j, s1[j], e_wv[j], e_m[j])
+        handoff.post("drawn")
 
-    def fill_or_store(lo: int, hi: int) -> None:
+    def fill_or_stop(lo: int, hi: int) -> None:
         try:
             fill(lo, hi)
         except Exception as e:      # raised by the calling thread after the joins
-            errors.append(e)
+            handoff.stop(e)
 
-    threads = []
+    def fill_then_help(lo: int, hi: int) -> None:
+        fill_or_stop(lo, hi)
+        if handoff.wait("drawn", W):
+            try:
+                chunks.help(handoff)
+            except Exception as e:  # NumericalOverflow, too
+                handoff.stop(e)
+
+    threads = [threading.Thread(target=fill_then_help if w == 1 else fill_or_stop,
+                                args=(lo, hi))
+               for w, lo, hi in zip(range(1, W), bounds[1:-1], bounds[2:])]
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=fill_or_store, args=(lo, hi))
+        for thread in threads:
             thread.start()
-            threads.append(thread)
         est = ProblemConstants.compute(model, weights).estimator
         prs = riccati.solve_policy_riccati(est, policy)
         # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
         ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
+        chunks = _Chunks(model, cfg, ABT, C, s1, e_wv, e_m)
         fill(0, bounds[1])
+        if threads:
+            chunks.lead(handoff)
+        else:
+            chunks.run()
     finally:
+        handoff.stop()
         for thread in threads:
             thread.join()
-    if errors:
-        raise errors[0]
-    dim = len(ABT)
+    if handoff.errors:
+        raise handoff.errors[0]
+
     err_, d_, obs_ = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
-
-    buf = np.zeros((CHUNK + 1, N, dim))     # [z_i, e_i] over a chunk, time-major
-    buf[0, :, :k] = s1 @ la.psd_sqrt(model.Sigma1).T   # s_hat_0 = s_obs_0 = 0
-
-    cost_sum = np.zeros(N)
-    gram = np.zeros((dim, dim))     # sum of [z_i, e_i]^T [z_i, e_i], retained i
-    lag = np.zeros((p, dim))        # sum of psi_{i-1}^T [z_i, e_i], both retained
-    psi_prev = None                 # last retained psi so far
-    d_head = 0.0                    # |d|^2 at the first retained step
-    # |s| <= 3 max |z| since s = err + d + s_obs; a chunk's draws, standard
-    # normals, stay far below
-    limit = OVERFLOW_LIMIT / 3
-    for t0 in range(0, n, CHUNK):
-        T = min(CHUNK, n - t0)
-        buf[:T, :, 3 * k:4 * k + p] = e_wv[:, t0:t0 + T].transpose(1, 0, 2)
-        buf[:T, :, 4 * k + p:] = e_m[:, t0:t0 + T].transpose(1, 0, 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(T):
-                np.matmul(buf[t], ABT, out=buf[t + 1, :, :3 * k])
-            block = buf[1:T + 1]
-            if not (block.max() <= limit and block.min() >= -limit):  # or nan
-                s = block[..., err_] + block[..., d_] + block[..., obs_]
-                ok = np.abs(s).max(axis=(1, 2)) <= OVERFLOW_LIMIT
-                if not ok.all():
-                    raise NumericalOverflow(
-                        f"trajectory diverged at step {t0 + 1 + int(np.argmin(ok))}"
-                        "; the policy does not stabilize the closed loop")
-        r0 = min(max(burn - t0, 0), T)      # first retained step of the chunk
-        if r0 < T:
-            rows = buf[r0:T].reshape(-1, dim)
-            gram += rows.T @ rows
-            q = C @ rows.T
-            c = q[:k + m].reshape(k + m, T - r0, N)
-            cost_sum += np.einsum("ctn,ctn->n", c, c)
-            psi = q[k + m:]
-            if psi_prev is None:
-                d_head = float(np.sum(rows[:N, d_] ** 2))
-            else:
-                lag += psi_prev @ rows[:N]
-            lag += psi[:, :-N] @ rows[N:]
-            psi_prev = psi[:, -N:].copy()
-        buf[0, :, :3 * k] = buf[T, :, :3 * k]
-
+    gram, lag = chunks.gram, chunks.lag
     n_ret = n - burn
     total, lag_pairs = N * n_ret, max(N * (n_ret - 1), 1)
-    per_traj_cost = cost_sum / n_ret
+    per_traj_cost = chunks.cost_sum / n_ret
     stderr = float(np.std(per_traj_cost, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
     C_psi = C[k + m:]
     emp_psi_y = la.sym(C_psi @ gram @ C_psi.T / total)
     shat_sq = np.trace(gram[d_, d_] + gram[d_, obs_] + gram[obs_, d_]
                        + gram[obs_, obs_])      # s_hat = d + s_obs
-    # a difference of sums of squares: rounding can take it below zero only
-    # when one step is retained and d is at rounding level
-    obs_sq = max(float(np.trace(gram[d_, d_])) - d_head, 0.0)
+    # |d|^2 over the retained steps after the first, none if one is retained:
+    # a difference of sums of squares, which rounding can take below zero
+    # when d is at rounding level
+    obs_sq = (max(float(np.trace(gram[d_, d_])) - chunks.d_head, 0.0)
+              if n_ret > 1 else 0.0)
     return SimReport(
         empirical_cost=float(np.mean(per_traj_cost)),
         cost_stderr=stderr,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,29 @@ def test_a_non_finite_entry_is_named(name, bad):
     a = np.array(fields[name], dtype=float, ndmin=2)
     a[0, 0] = bad
     fields[name] = a
-    with np.errstate(invalid="ignore"):     # inf - inf in a symmetry delta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no inf - inf warning on the way
         report = validate_model(SystemModel(**model), CostWeights(**weights))
+    assert report.violations == [("NotFinite", name)]
+
+
+@pytest.mark.parametrize("pair", [(np.inf, np.inf), (np.inf, -np.inf),
+                                  (np.nan, 0.0)])
+@pytest.mark.parametrize("name", ["W", "V", "Sigma1", "Q", "R"])
+def test_a_non_finite_symmetric_field_records_inf_asymmetry(name, pair):
+    """An off-diagonal pair, whose skew part or symmetric part is inf - inf."""
+    model = dict(F=np.diag([0.5, 0.7]), G=np.eye(2), H=np.eye(2), J=np.eye(2),
+                 W=np.eye(2), V=np.eye(2), L=np.zeros((2, 2)), Sigma1=np.eye(2))
+    weights = dict(Q=np.eye(2), R=np.eye(2))
+    fields = model if name in model else weights
+    a = np.eye(2)
+    a[0, 1], a[1, 0] = pair
+    fields[name] = a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sm, cw = SystemModel(**model), CostWeights(**weights)
+        report = validate_model(sm, cw)
+    assert {**sm.sym_deltas, **cw.sym_deltas}[name] == np.inf
     assert report.violations == [("NotFinite", name)]
 
 

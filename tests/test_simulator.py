@@ -1,8 +1,12 @@
 import dataclasses
 import os
+import pathlib
+import random
 import re
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +23,10 @@ from lqgcap import (
     solve_ub,
 )
 from lqgcap import simulator
+from lqgcap.config import load_config
 from lqgcap.errors import NumericalOverflow
 from lqgcap.linalg import psd_sqrt
-from lqgcap.simulator import CHUNK, SimReport, _traj_noise
+from lqgcap.simulator import CHUNK, STEPS, SimReport, _traj_noise
 
 from oracles import simulate_stepwise
 from test_random_systems import random_system
@@ -30,6 +35,20 @@ from test_random_systems import random_system
 @pytest.fixture(scope="module")
 def quick_cfg():
     return SimConfig(horizon=400, trajectories=50, seed=99, burn_in=40)
+
+
+@pytest.fixture(params=[1, 2], ids=lambda w: f"W{w}")
+def workers(request, monkeypatch):
+    """The serial chunk loop (1) and the pipelined one (2), on any host."""
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: request.param)
+    return request.param
+
+
+def _assert_bit_identical(got: SimReport, want: SimReport):
+    for field in dataclasses.fields(SimReport):
+        a = np.asarray(getattr(got, field.name))
+        b = np.asarray(getattr(want, field.name))
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +205,61 @@ class TestThreadedDraws:
             simulate(model, weights, policy, self.CFG)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_slow_draw_range_changes_nothing(self, case, monkeypatch, workers):
+        """The last range, the helper's with two workers, finishes last: no
+        stage may read a trajectory's draws before they are drawn.  A run at
+        another seed just before leaves its draws in the freed memory that
+        an early read would find."""
+        model, weights, policy = case
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)
+        want = simulate(model, weights, policy, self.CFG)
+        simulate(model, weights, policy,
+                 dataclasses.replace(self.CFG, seed=self.CFG.seed + 1))
+        draw = simulator._traj_noise
+
+        def slow(seed, idx, *out):
+            if idx == self.CFG.trajectories - 1:
+                time.sleep(0.05)
+            draw(seed, idx, *out)
+
+        monkeypatch.setattr(simulator, "_traj_noise", slow)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: workers)
+        _assert_bit_identical(simulate(model, weights, policy, self.CFG), want)
+
+    def test_a_jittered_schedule_changes_nothing(self, case, monkeypatch):
+        """Random pauses around every stage reorder the caller's and the
+        helper's work; each accumulator must still see its chunks in order."""
+        model, weights, policy = case
+        cfg = dataclasses.replace(self.CFG, horizon=5 * STEPS + 3)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)
+        want = simulate(model, weights, policy, cfg)
+        rng = random.Random(7)
+
+        def jittered(stage):
+            def run(chunks, j):
+                time.sleep(rng.random() * 1e-3)
+                stage(chunks, j)
+                time.sleep(rng.random() * 1e-3)
+            return run
+
+        for name in ("copy_draws", "step", "check", "reduce", "add_gram",
+                     "add_lag"):
+            monkeypatch.setattr(simulator._Chunks, name,
+                                jittered(getattr(simulator._Chunks, name)))
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+        threads = threading.active_count()
+        reports = []
+        runner = threading.Thread(target=lambda: reports.extend(
+            simulate(model, weights, policy, cfg) for _ in range(5)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)         # a lost wake-up would hang here
+        assert not runner.is_alive()
+        assert threading.active_count() == threads
+        assert len(reports) == 5
+        for rep in reports:
+            _assert_bit_identical(rep, want)
+
     def test_usable_cpus_follows_the_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
                             raising=False)
@@ -262,7 +336,8 @@ class TestAgainstTheory:
 
 
 # Horizons off the chunk grid; burn-in at 0, on a chunk boundary, one step
-# before it and inside a chunk; a horizon shorter than a chunk; one trajectory.
+# before it and inside a chunk; a horizon shorter than a chunk; one trajectory;
+# a last chunk of one step; one retained step.
 ORACLE_CONFIGS = [
     SimConfig(horizon=600, trajectories=5, seed=3, burn_in=0),
     SimConfig(horizon=700, trajectories=4, seed=4, burn_in=CHUNK),
@@ -270,6 +345,8 @@ ORACLE_CONFIGS = [
     SimConfig(horizon=530, trajectories=3, seed=5, burn_in=300),
     SimConfig(horizon=200, trajectories=6, seed=6, burn_in=20),
     SimConfig(horizon=300, trajectories=1, seed=7, burn_in=30),
+    SimConfig(horizon=2 * STEPS + 1, trajectories=2, seed=9, burn_in=STEPS - 1),
+    SimConfig(horizon=STEPS + 1, trajectories=2, seed=10, burn_in=STEPS),
 ]
 
 
@@ -293,7 +370,7 @@ def oracle_case(request, s1, w1, s2, w2):
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: (
     f"n{c.horizon}-N{c.trajectories}-b{c.burn_in}"))
-def test_matches_stepwise_oracle(oracle_case, cfg):
+def test_matches_stepwise_oracle(oracle_case, cfg, workers):
     model, weights, policy = oracle_case
     got = simulate(model, weights, policy, cfg)
     want = simulate_stepwise(model, weights, policy, cfg)
@@ -304,19 +381,21 @@ def test_matches_stepwise_oracle(oracle_case, cfg):
 
 
 def _overflow_step(run, model, weights, policy, cfg) -> int:
+    threads = threading.active_count()
     with pytest.raises(NumericalOverflow) as exc:
         run(model, weights, policy, cfg)
+    assert threading.active_count() == threads     # the helper is joined
     return int(re.search(r"diverged at step (\d+);", str(exc.value)).group(1))
 
 
-def test_destabilizing_policy_overflows(s1, w1, c1):
+def test_destabilizing_policy_overflows(s1, w1, c1, workers):
     pol = Policy(GammaBar=np.zeros((1, 1)), M=np.zeros((1, 1)),
                  K_LQR=np.array([[-5.0]]))
     cfg = SimConfig(horizon=2000, trajectories=2, seed=3)
     assert _overflow_step(simulate, s1, w1, pol, cfg) == 18
 
 
-def test_late_divergence_names_the_oracles_step(s1, w1):
+def test_late_divergence_names_the_oracles_step(s1, w1, workers):
     """A mildly unstable loop (F - G K = 1.08) crosses the limit in chunk 2."""
     pol = Policy(GammaBar=np.zeros((1, 1)), M=np.zeros((1, 1)),
                  K_LQR=np.array([[-0.58]]))
@@ -324,3 +403,30 @@ def test_late_divergence_names_the_oracles_step(s1, w1):
     step = _overflow_step(simulate, s1, w1, pol, cfg)
     assert CHUNK < step < 2 * CHUNK
     assert step == _overflow_step(simulate_stepwise, s1, w1, pol, cfg)
+
+
+def test_the_chunk_loop_fits_in_one_chunks_memory(monkeypatch):
+    """The traced peak of one `simulate` at vector3's sim config, p=120, stays
+    within the draws, one (CHUNK + 1)-step chunk buffer and the 2.06 MB of
+    other allocations that the single-buffer loop made: the chunk buffers
+    and the products the pipeline keeps must fit where that one buffer was."""
+    cfg = load_config(str(pathlib.Path(__file__).parent.parent / "configs"
+                          / "vector3.json"))
+    model, weights, sim = cfg.model, cfg.weights, cfg.sim
+    consts = ProblemConstants.compute(model, weights)
+    ub = solve_ub(BudgetedProblem(model, weights, 120.0), consts=consts)
+    policy = extract_policy(ub, consts.control)
+    k, m, p, N, n = model.k, model.m, model.p, sim.trajectories, sim.horizon
+    draws = 8 * N * (k + n * (k + p + m))
+    chunk = 8 * (CHUNK + 1) * N * (4 * k + p + m)
+    other = 2.06e6
+    for workers in (1, 2):
+        monkeypatch.setattr(simulator, "usable_cpus", lambda w=workers: w)
+        simulate(model, weights, policy, sim)       # warm the solve cache
+        tracemalloc.start()
+        try:
+            simulate(model, weights, policy, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws + chunk + other, (workers, peak)
