@@ -65,12 +65,18 @@ def extract_policy(ub: UBSolution, control: ControlConstants,
     optimizer cannot land exactly on a low-rank face, it stops at a distance
     of a few barrier parameters, so the default cutoff scales with the
     solver's duality gap (and never below the library-wide rank threshold);
-    inverting that fuzz would blow up GammaBar.
+    inverting that fuzz would blow up GammaBar.  How many it drops, and the
+    largest, is logged at debug level.
     """
     w, vecs = la.eigh(la.sym(ub.decision.SigmaHat))
     if rank_tol is None:        # ||SigmaHat||_2 is its largest |eigenvalue|
         rank_tol = max(la.PINV_RTOL * float(np.abs(w).max()),
                        1e3 * max(ub.duality_gap, 0.0))
+    dropped = w[w <= rank_tol]
+    if dropped.size:
+        log.debug("extract_policy dropped %d of %d SigmaHat eigenvalues at "
+                  "rank_tol %.3e, the largest %.3e", dropped.size, w.size,
+                  rank_tol, dropped.max())
     inv_w = np.where(w > rank_tol, 1.0 / np.maximum(w, 1e-300), 0.0)
     sig_pinv = (vecs * inv_w) @ vecs.T
     gamma_bar = ub.decision.Gamma @ sig_pinv

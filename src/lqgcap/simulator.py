@@ -21,28 +21,31 @@ trajectory index), so identical seeds give identical reports and a
 trajectory's draws do not depend on how many run; Gaussians use numpy's
 ziggurat sampler (Generator.standard_normal), pinned by numpy's contract.
 The streams are filled on W threads, W the number of CPUs the process may
-run on (usable_cpus) capped at the trajectory count: W - 1 threads each fill
-a contiguous range of trajectories while the calling thread solves for the
-gains, then fills the first range; numpy releases the interpreter lock while
-it draws.
+run on (usable_cpus) capped at the trajectory count.  Each range of
+trajectories but the first gets its own one-thread executor, so W - 1
+threads start; they fill their ranges while the calling thread solves for
+the gains and then fills the first range.  numpy releases the interpreter
+lock while it draws.
 
-With W >= 2 the first of those threads stays on as the helper of a two-stage
-pipeline over the chunks.  The calling thread runs, in chunk order, the
-per-step products, the Gram and the lag products.  The helper runs the
-rest: the transposing copy of the next chunk's draws into its buffer and,
-for the chunk just stepped, the divergence test, C Y^T and the cost sums.
-That split gives the two threads about equal work.  numpy releases the
-interpreter lock inside each of these calls, so the stages of the two
-threads overlap.  Two chunk buffers of
-STEPS steps alternate: chunk j + 1's draws go into chunk j - 1's buffer once
-the calling thread is done with that chunk.  With W = 1 the calling thread
-runs the same stages itself, chunk by chunk.  Memory: the draws, the two
-buffers (CHUNK steps in all) and one chunk's C Y^T.
+One chunk loop serves every W, and the first range's executor is its
+helper.  The calling thread runs, in chunk order, the per-step products,
+the Gram and the lag products.  The helper runs the rest, in the order
+submitted: the transposing copy of chunk j + 1's draws while chunk j is
+stepped, then chunk j's divergence test, C Y^T and cost sums while the
+calling thread adds its Gram.  That split gives the two threads about
+equal work, and numpy releases the interpreter lock inside each of these
+calls.  Two chunk buffers of STEPS steps alternate: chunk j + 1's draws go
+into chunk j - 1's buffer, which the calling thread is done with.  With
+W = 1 no thread starts and each submitted stage runs at once on the
+calling thread.  Memory: the draws, the two buffers (CHUNK steps in all)
+and one chunk's C Y^T.
 
-Every thread is joined before simulate returns or raises; a failed draw, or
-a NumericalOverflow or other exception on the helper, is raised by the
-calling thread after the joins.  A stream's numbers do not depend on the
-thread that draws it, and each sum is accumulated by one stage in chunk
+A failed draw, or a NumericalOverflow or other exception in a helper
+stage, reaches the calling thread through its future's result(), and a
+draw thread that cannot start through submit.  On any error the stages
+still queued are cancelled, and every executor is shut down, which joins
+its thread, before simulate raises.  A stream's numbers do not depend on
+the thread that draws it, and each sum is accumulated by one stage in chunk
 order, whichever thread runs it, so reports are bit-identical for every W.
 """
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,40 +187,6 @@ def _closed_loop(model, weights, policy, K_p, K_Y):
     return step.T.copy(), moments      # contiguous step map: faster products
 
 
-class _Handoff:
-    """Counts of finished stages that the caller and the helper wait on.
-
-    stop() wakes every waiter for good; a worker's exception is stored with
-    it, for the calling thread to raise after the joins.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._posted = dict.fromkeys(("drawn", "copied", "stepped", "reduced",
-                                      "released"), 0)
-        self._stopped = False
-        self.errors: list[Exception] = []
-
-    def post(self, stage: str) -> None:
-        with self._cond:
-            self._posted[stage] += 1
-            self._cond.notify_all()
-
-    def wait(self, stage: str, count: int) -> bool:
-        """Wait for `count` posts of `stage`; False if the run stopped first."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: self._stopped or self._posted[stage] >= count)
-            return not self._stopped
-
-    def stop(self, error: Exception | None = None) -> None:
-        with self._cond:
-            if error is not None:
-                self.errors.append(error)
-            self._stopped = True
-            self._cond.notify_all()
-
-
 class _Chunks:
     """The recursion over chunks of STEPS steps in two chunk buffers.
 
@@ -334,54 +303,37 @@ class _Chunks:
         self.lag += psi[:, :-N] @ rows[N:]
         self.psi_prev = psi[:, -N:].copy()
 
-    def run(self) -> None:
-        """Every stage on the calling thread, chunk by chunk."""
-        for j in range(self.count):
-            self.copy_draws(j)
-            self.step(j)
-            self.check(j)
-            self.reduce(j)
-            self.add_gram(j)
-            self.add_lag(j)
+    def check_and_reduce(self, j: int) -> None:
+        self.check(j)
+        self.reduce(j)
 
-    def lead(self, handoff: _Handoff) -> None:
-        """The calling thread's side of the pipeline, in chunk order.
+    def run(self, submit) -> None:
+        """Every chunk's stages, in chunk order.
 
-        Chunk j's steps overlap the helper's copy of chunk j + 1, and its Gram
-        the helper's check and reduce of chunk j; its lag waits for that
-        reduce.
+        The calling thread steps each chunk and adds its Gram and lag.
+        submit(stage, j), an executor's or _run_now, runs the other stages
+        in the order submitted and returns a Future: chunk j + 1's copy
+        overlaps chunk j's steps, and chunk j's check and reduce its Gram.
+        Chunk j + 1 takes chunk j - 1's buffer, which add_lag has released.
         """
+        copied = submit(self.copy_draws, 0)
         for j in range(self.count):
-            if not handoff.wait("copied", j + 1):
-                return
-            self.step(j)
-            handoff.post("stepped")
-            self.add_gram(j)
-            if not handoff.wait("reduced", j + 1):
-                return
-            self.add_lag(j)
-            handoff.post("released")
-
-    def help(self, handoff: _Handoff) -> None:
-        """The helper's side: the copy one chunk ahead of the steps, and the
-        check and reduce of each chunk once it is stepped.
-
-        Chunk j + 1 takes chunk j - 1's buffer, so its copy waits for the
-        calling thread to release that chunk.
-        """
-        self.copy_draws(0)
-        handoff.post("copied")
-        for j in range(self.count):
+            copied.result()
             if j + 1 < self.count:
-                if not handoff.wait("released", j):
-                    return
-                self.copy_draws(j + 1)
-                handoff.post("copied")
-            if not handoff.wait("stepped", j + 1):
-                return
-            self.check(j)
-            self.reduce(j)
-            handoff.post("reduced")
+                copied = submit(self.copy_draws, j + 1)
+            self.step(j)
+            reduced = submit(self.check_and_reduce, j)
+            self.add_gram(j)
+            reduced.result()
+            self.add_lag(j)
+
+
+def _run_now(fn, *args) -> Future:
+    """fn(*args) on the calling thread, as a completed Future."""
+    fn(*args)
+    done = Future()
+    done.set_result(None)
+    return done
 
 
 def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
@@ -393,56 +345,33 @@ def simulate(model: SystemModel, weights: CostWeights, policy: Policy,
     """
     k, m, p = model.k, model.m, model.p
     n, N, burn = cfg.horizon, cfg.trajectories, cfg.burn_in
-    # per-trajectory streams, drawn in place, trajectory-major; W - 1 threads
-    # fill the last W - 1 ranges while this one solves for the gains, and the
-    # first of them stays on as the helper of the chunk loop
+    # per-trajectory streams, drawn in place, trajectory-major; W - 1
+    # one-thread executors fill the last W - 1 ranges while this thread solves
+    # for the gains, and the first of them is the chunk loop's helper
     s1, e_wv, e_m = np.empty((N, k)), np.empty((N, n, k + p)), np.empty((N, n, m))
     W = min(usable_cpus(), N)
     bounds = [N * w // W for w in range(W + 1)]
-    handoff = _Handoff()
-    chunks = None       # built before the calling thread's range is drawn
+    workers = [ThreadPoolExecutor(max_workers=1) for _ in range(W - 1)]
 
     def fill(lo: int, hi: int) -> None:
         for j in range(lo, hi):
             _traj_noise(cfg.seed, j, s1[j], e_wv[j], e_m[j])
-        handoff.post("drawn")
 
-    def fill_or_stop(lo: int, hi: int) -> None:
-        try:
-            fill(lo, hi)
-        except Exception as e:      # raised by the calling thread after the joins
-            handoff.stop(e)
-
-    def fill_then_help(lo: int, hi: int) -> None:
-        fill_or_stop(lo, hi)
-        if handoff.wait("drawn", W):
-            try:
-                chunks.help(handoff)
-            except Exception as e:  # NumericalOverflow, too
-                handoff.stop(e)
-
-    threads = [threading.Thread(target=fill_then_help if w == 1 else fill_or_stop,
-                                args=(lo, hi))
-               for w, lo, hi in zip(range(1, W), bounds[1:-1], bounds[2:])]
     try:
-        for thread in threads:
-            thread.start()
+        drawn = [ex.submit(fill, lo, hi)
+                 for ex, lo, hi in zip(workers, bounds[1:-1], bounds[2:])]
         est = ProblemConstants.compute(model, weights).estimator
         prs = riccati.solve_policy_riccati(est, policy)
         # rows: z_{i+1} = [z_i, e_i] ABT; [Q^1/2 s_i, R^1/2 x_i, psi_i] = C [z_i, e_i]
         ABT, C = _closed_loop(model, weights, policy, est.K_p, prs.K_Y)
         chunks = _Chunks(model, cfg, ABT, C, s1, e_wv, e_m)
         fill(0, bounds[1])
-        if threads:
-            chunks.lead(handoff)
-        else:
-            chunks.run()
+        for future in drawn:
+            future.result()
+        chunks.run(workers[0].submit if workers else _run_now)
     finally:
-        handoff.stop()
-        for thread in threads:
-            thread.join()
-    if handoff.errors:
-        raise handoff.errors[0]
+        for ex in workers:
+            ex.shutdown(cancel_futures=True)
 
     err_, d_, obs_ = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     gram, lag = chunks.gram, chunks.lag

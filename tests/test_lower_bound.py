@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,25 @@ class TestExtractPolicy:
         assert pol.m_clip == pytest.approx(0.25 - pi, rel=1e-3)
         records = [r for r in caplog.records if "clipped M" in r.getMessage()]
         assert [r.levelname for r in records] == [level]
+
+    def test_dropped_sigma_hat_eigenvalues_are_logged(self, s1, w1, c1, s2,
+                                                      w2, c2, caplog):
+        # vector3's optimum sits near a low-rank face, the lowest grid
+        # point's by one or two eigenvalues; the scalar optimum at p=2 does not
+        def dropped(model, weights, consts, budget):
+            ub = solve_ub(BudgetedProblem(model, weights, budget), consts=consts)
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="lqgcap.lb"):
+                extract_policy(ub, consts.control)
+            return [r for r in caplog.records
+                    if "SigmaHat eigenvalues" in r.getMessage()]
+
+        records = dropped(s2, w2, c2, 81.0)
+        assert [r.levelname for r in records] == ["DEBUG"]
+        assert re.match(r"extract_policy dropped [12] of 3 SigmaHat "
+                        r"eigenvalues at rank_tol \S+, the largest \S+$",
+                        records[0].getMessage())
+        assert dropped(s1, w1, c1, 2.0) == []
 
     def test_each_matrix_is_decomposed_once(self, monkeypatch, c2):
         # one eigh of SigmaHat gives the cutoff and the pseudo-inverse, one

@@ -260,6 +260,77 @@ class TestThreadedDraws:
         for rep in reports:
             _assert_bit_identical(rep, want)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_stage_on_the_calling_thread_reaches_the_caller(
+            self, case, monkeypatch, workers):
+        """add_gram fails at chunk 2 while the helper still copies chunk 3:
+        the error reaches the caller with its own message, the check and
+        reduce of chunk 2 queued behind that copy never run, and every
+        thread is joined.  With one worker they ran before add_gram."""
+        model, weights, policy = case
+        cfg = dataclasses.replace(self.CFG, horizon=5 * STEPS + 3)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: workers)
+        copy, reduce, gram = (simulator._Chunks.copy_draws,
+                              simulator._Chunks.reduce,
+                              simulator._Chunks.add_gram)
+        reduced = []
+
+        def slow_copy(chunks, j):
+            if j == 3:
+                time.sleep(0.1)
+            copy(chunks, j)
+
+        def recorded_reduce(chunks, j):
+            reduced.append(j)
+            reduce(chunks, j)
+
+        def failing_gram(chunks, j):
+            if j == 2:
+                raise RuntimeError("no Gram for chunk 2")
+            gram(chunks, j)
+
+        monkeypatch.setattr(simulator._Chunks, "copy_draws", slow_copy)
+        monkeypatch.setattr(simulator._Chunks, "reduce", recorded_reduce)
+        monkeypatch.setattr(simulator._Chunks, "add_gram", failing_gram)
+        threads = threading.active_count()
+        errors = []
+
+        def run():
+            try:
+                simulate(model, weights, policy, cfg)
+            except RuntimeError as e:
+                errors.append(e)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)         # a lost wake-up would hang here
+        assert not runner.is_alive()
+        assert [str(e) for e in errors] == ["no Gram for chunk 2"]
+        assert reduced == ([0, 1, 2] if workers == 1 else [0, 1])
+        assert threading.active_count() == threads
+
+    def test_a_thread_that_cannot_start_reaches_the_caller(self, case,
+                                                           monkeypatch):
+        """The second draw thread fails to start: that error reaches the
+        caller, and the first draw thread is joined."""
+        model, weights, policy = case
+        started = []
+        start = threading.Thread.start
+
+        def second_fails(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 3)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            simulate(model, weights, policy, self.CFG)
+        assert len(started) == 1
+        assert threading.active_count() == threads
+
     def test_usable_cpus_follows_the_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
                             raising=False)
