@@ -492,8 +492,8 @@ def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -np.linalg.lstsq(h, g, rcond=None)[0]
 
 
-def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
-                  max_iter: int = 50_000) -> tuple[np.ndarray, BarrierInfo]:
+def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float
+                  ) -> tuple[np.ndarray, BarrierInfo]:
     """Follow the central path until the certified duality gap is <= tol.
 
     Every Newton step gives a dual point and its gap (NewtonLine.gap); the
@@ -506,8 +506,8 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
     supplies the factors of the next Newton system.
 
     v0 must be strictly feasible.  Float64 can run out before the gap
-    reaches tol: a factorization fails, no step stays in the domain, the
-    Newton budget max_iter is spent, or a round ends uncertified although
+    reaches tol: a factorization fails, a Newton step is not finite, no
+    step stays in the domain, or a round ends uncertified although
     nu/t <= MU_FACTOR * tol, where an exactly centred point would certify.
     The iterate with the smallest gap, centred or not, is then returned
     with a warning, and SolverNonConvergence is raised if no gap was
@@ -554,9 +554,6 @@ def solve_barrier(program: BarrierProgram, v0: np.ndarray, tol: float,
                             f"no step stays in the domain at t={t:.3e}")
                 v = v + alpha * step
                 total += 1
-                if total > max_iter:
-                    raise SolverNonConvergence(
-                        f"Newton budget {max_iter} exhausted at t={t:.3e}")
             if gap <= tol:
                 break
             if nu / t <= MU_FACTOR * tol:

@@ -253,7 +253,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
           f"{_in_units(report.empirical_rate, cfg.units):.12g} "
           f"(theory {_in_units(lb.rate, cfg.units):.12g})")
     print(f"innovation_whiteness = {report.innovation_whiteness:.3e}")
-    print(verdict)
+    print(replace(verdict, checks=tuple(replace(      # rates in cfg.units
+        c, name=f"rate_{cfg.units}", value=_in_units(c.value, cfg.units),
+        target=_in_units(c.target, cfg.units), tol=_in_units(c.tol, cfg.units))
+        if c.name == "rate" else c for c in verdict.checks)))
     print(f"verdict: {'pass' if verdict.ok else 'FAIL'}")
     if args.output:
         write_csv([{
@@ -290,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="CSV output path")
     parser.add_argument("--units", choices=["bits", "nats"], default=None)
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=usable_cpus())
     parser.add_argument("--lax", action="store_true",
@@ -307,11 +309,8 @@ def run(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, lax=args.lax)
         if args.units is not None:
             cfg = replace(cfg, units=args.units)
-        flags = {key: getattr(args, key) for key in ("tol", "max_iter")
-                 if getattr(args, key) is not None}
-        if flags:
-            cfg = replace(cfg, solver=replace(cfg.solver or SolverOptions(),
-                                              **flags))
+        if args.tol is not None:
+            cfg = replace(cfg, solver=SolverOptions(tol=args.tol))
         return _COMMANDS[args.command](cfg, args)
     except Infeasible as e:
         print(f"infeasible: {e}", file=sys.stderr)

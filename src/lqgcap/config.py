@@ -17,7 +17,7 @@ from .upper_bound import SolverOptions
 
 _SYSTEM_KEYS = {"F", "G", "H", "J", "W", "V", "L", "Sigma1"}
 _COST_KEYS = {"Q", "R"}
-_SOLVER_KEYS = {"tol", "max_iter"}
+_SOLVER_KEYS = {"tol"}
 _SIM_KEYS = {"seed", "trajectories", "horizon", "burn_in"}
 _SWEEP_KEYS = {"min", "max", "points", "scale"}
 _PARAM_KEYS = {"name", "min", "max", "points", "scale"}
@@ -172,15 +172,12 @@ def load_config(path: str, lax: bool = False) -> RunConfig:
     solver = None
     if "solver" in doc:
         _check_keys("solver", doc["solver"], _SOLVER_KEYS, lax)
-        default = SolverOptions()
-        max_iter = _integer("solver.max_iter",
-                            doc["solver"].get("max_iter", default.max_iter))
-        try:
-            solver = SolverOptions(
-                tol=float(doc["solver"].get("tol", default.tol)),
-                max_iter=max_iter)
-        except (TypeError, ValueError):
-            raise ConfigError("solver", "bad tol/max_iter") from None
+        if "tol" in doc["solver"]:
+            try:
+                tol = float(doc["solver"]["tol"])
+            except (TypeError, ValueError):
+                raise ConfigError("solver.tol", "expected a number") from None
+            solver = SolverOptions(tol=tol)
 
     sim = None
     if "sim" in doc:

@@ -307,8 +307,6 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"horizon must be in [1, {MAX_HORIZON}]")
-    if opts is None:
-        opts = DEFAULT_OPTIONS
     consts = constants_for(problem, consts)
     k, m = consts.model.k, consts.model.m
     prog = SCOPProgram(consts, problem.budget, horizon)
@@ -327,8 +325,8 @@ def solve_scop(problem: BudgetedProblem, horizon: int,
     v0 = strict_start(prog)
     if v0 is None:
         raise SolverNonConvergence("no strictly feasible start for the chain")
-    v, info = solve_barrier(prog.barrier_program(), v0, opts.tol,
-                            opts.max_iter)
+    v, info = solve_barrier(prog.barrier_program(), v0,
+                            (opts or DEFAULT_OPTIONS).tol)
     pis, gammas, sigmas = prog.unpack(v)
     return SCOPSolution(
         horizon=horizon,

@@ -51,13 +51,10 @@ MIN_TOL = 1e-15
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 5e-11
-    max_iter: int = 50_000
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol >= MIN_TOL):
             raise ConfigError("solver.tol", f"must be finite and >= {MIN_TOL}")
-        if self.max_iter < 1:
-            raise ConfigError("solver.max_iter", "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -395,8 +392,6 @@ def feasibility(problem: BudgetedProblem,
 def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
              consts: ProblemConstants | None = None) -> UBSolution:
     """Solve the determinant-maximization upper bound at the given budget."""
-    if opts is None:
-        opts = SolverOptions()
     consts = constants_for(problem, consts)
     feas = feasibility(problem, consts)
     if not feas.feasible:
@@ -407,5 +402,6 @@ def solve_ub(problem: BudgetedProblem, opts: SolverOptions | None = None,
         raise SolverNonConvergence(f"no strictly feasible start: {feas.detail}")
     prog = feas.program
     v0 = prog.pack(feas.point)
-    v, info = solve_barrier(prog.barrier_program(), v0, opts.tol, opts.max_iter)
+    v, info = solve_barrier(prog.barrier_program(), v0,
+                            (opts or SolverOptions()).tol)
     return prog.solution_from(v, info)

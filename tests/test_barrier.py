@@ -646,6 +646,54 @@ def _gap_bound(program, v, t, step):
     return (program.nu - tr_con) / t, scale
 
 
+def _points_seen(monkeypatch, program) -> dict:
+    """The distinct points at which solve_barrier forms a Newton system:
+    v0 and one more for each step it takes."""
+    seen = {}
+    grad_hess = program.grad_hess
+
+    def counted(v, t):
+        seen[v.tobytes()] = None
+        return grad_hess(v, t)
+
+    monkeypatch.setattr(program, "grad_hess", counted)
+    return seen
+
+
+def _nan_step(monkeypatch, program, after):
+    """Every Newton direction is NaN once `after` + 1 steps are taken."""
+    seen = _points_seen(monkeypatch, program)
+    direction = barrier._newton_direction
+    monkeypatch.setattr(barrier, "_newton_direction", lambda h, g: (
+        direction(h, g) if len(seen) <= after + 1 else np.full_like(g, np.nan)))
+    return NewtonLine.gap
+
+
+def _no_domain(monkeypatch, program, after):
+    """Every point tried once `after` + 1 steps are taken is outside the
+    merit's domain."""
+    seen = _points_seen(monkeypatch, program)
+    merit = program.merit
+    monkeypatch.setattr(program, "merit", lambda v, t: (
+        merit(v, t) if len(seen) <= after + 1 else np.inf))
+    return NewtonLine.gap
+
+
+def _uncertified(monkeypatch, program, after):
+    """Each step's gap reads 1e-6 more than it is, so no round certifies a
+    tol below 1e-6."""
+    gap = NewtonLine.gap
+    return lambda line: gap(line) + 1e-6
+
+
+# Each of solve_barrier's early stops, with its trigger and the reason it
+# logs; a trigger takes the number of steps after which it fires (ignored by
+# "round") and returns NewtonLine.gap, or the gap that takes its place.
+_STOPS = {"step": (_nan_step, "Newton step not finite"),
+          "domain": (_no_domain, "no step stays in the domain"),
+          "round": (_uncertified, "ended uncertified")}
+
+
 class TestGapSkip:
     """solve_barrier forms every step's gap from its eigenvalues and
     re-weights the kept Newton rows at a round change; neither moves an
@@ -676,13 +724,16 @@ class TestGapSkip:
         if full < np.inf:
             assert full >= bound - 1e-12 * scale
 
+    @pytest.mark.parametrize("stop", list(_STOPS))
+    @pytest.mark.parametrize("case", ["ub-vector3", "scop-scalar-h16"])
     def test_a_stop_returns_the_best_computed_gap(self, request, monkeypatch,
-                                                  caplog):
-        program, v0 = REFERENCE_CASES["ub-vector3"](request, monkeypatch)
+                                                  caplog, case, stop):
+        program, v0 = REFERENCE_CASES[case](request, monkeypatch)
         _, full = solve_barrier(program, v0, TOL)
         budget = full.iterations // 2
         computed = []
-        gap = NewtonLine.gap
+        trigger, message = _STOPS[stop]
+        gap = trigger(monkeypatch, program, budget)
 
         def recorded(self):
             computed.append(gap(self))
@@ -690,18 +741,26 @@ class TestGapSkip:
 
         monkeypatch.setattr(NewtonLine, "gap", recorded)
         with caplog.at_level("WARNING", logger="lqgcap.barrier"):
-            v, info = solve_barrier(program, v0, TOL, max_iter=budget)
-        monkeypatch.undo()
-        assert "stopping early" in caplog.text
-        assert f"Newton budget {budget} exhausted" in caplog.text
-        assert info.iterations == budget + 1
+            v, info = solve_barrier(program, v0, TOL)
+        assert "stopping early" in caplog.text and message in caplog.text
+        if stop != "round":
+            assert info.iterations == budget + 1
         assert TOL < info.duality_gap < np.inf
         # the smallest of every step's gap, centred or not
         assert info.duality_gap == min(computed)
         # the returned gap is the returned iterate's own
         g, h = program.grad_hess(v, info.t_final)
-        assert (program.newton_line(_newton_direction(h, g)).gap()
-                == info.duality_gap)
+        line = program.newton_line(_newton_direction(h, g))
+        assert line.gap() == info.duality_gap and line.t == info.t_final
+
+    def test_a_breakdown_before_any_certified_point_raises(
+            self, request, monkeypatch):
+        program, v0 = REFERENCE_CASES["ub-vector3"](request, monkeypatch)
+        _nan_step(monkeypatch, program, -1)
+        with pytest.raises(SolverNonConvergence,
+                           match="breakdown before any certified point: "
+                                 "Newton step not finite"):
+            solve_barrier(program, v0, TOL)
 
 
 class TestNewtonLine:

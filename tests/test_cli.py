@@ -97,40 +97,44 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section, value", [
         ("budget", 4.7), ("budget", True), ("budget", "4"),
         ("param_sweep", 50.9), ("param_sweep", False),
-        ("solver", 50.9), ("solver", True), ("solver", "50"),
     ])
     def test_non_integral_count_fields_rejected(self, tmp_path, section,
                                                 value):
-        # these were once truncated by int(): 4.7 points ran 4, 50.9
-        # Newton steps 50
-        field = {"solver": "solver.max_iter"}.get(section, f"{section}.points")
+        # these were once truncated by int(): 4.7 points ran 4
         doc = {
             "budget": scalar_doc(budget={"min": 1.5, "max": 2.5,
                                          "points": value}),
             "param_sweep": scalar_doc(param_sweep={
                 "name": "G", "min": 0.5, "max": 1.5, "points": value}),
-            "solver": scalar_doc(solver={"max_iter": value}),
         }[section]
-        with pytest.raises(ConfigError, match=f"{field}: must be an integer"):
+        with pytest.raises(ConfigError,
+                           match=f"{section}.points: must be an integer"):
             load_config(write_cfg(tmp_path, doc))
 
     def test_integral_count_fields_accepted(self, tmp_path):
         doc = scalar_doc(budget={"min": 1.5, "max": 2.5, "points": 4.0},
                          param_sweep={"name": "G", "min": 0.5, "max": 1.5,
-                                      "points": 3},
-                         solver={"max_iter": 5e4})
+                                      "points": 3})
         cfg = load_config(write_cfg(tmp_path, doc))
         assert cfg.budget_sweep.points == 4
         assert cfg.param_sweep.spec.points == 3
-        assert cfg.solver.max_iter == 50_000
         for n in (cfg.budget_sweep.points, cfg.param_sweep.spec.points,
-                  cfg.solver.max_iter, _integer("points", np.int64(3))):
+                  _integer("points", np.int64(3))):
             assert type(n) is int
 
     def test_the_solver_is_none_unless_the_config_sets_it(self, tmp_path):
         assert load_config(write_cfg(tmp_path, scalar_doc())).solver is None
         cfg = load_config(write_cfg(tmp_path, scalar_doc(solver={"tol": 1e-6})))
         assert cfg.solver == SolverOptions(tol=1e-6)
+        # a block without tol leaves each solver its own default
+        assert load_config(write_cfg(tmp_path, scalar_doc(solver={}))
+                           ).solver is None
+        path = write_cfg(tmp_path, scalar_doc(solver={"max_iter": 900}))
+        assert load_config(path, lax=True).solver is None
+        with pytest.raises(ConfigError, match=r"unknown keys: \['max_iter'\]"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="solver.tol: expected a number"):
+            load_config(write_cfg(tmp_path, scalar_doc(solver={"tol": "x"})))
 
     @pytest.mark.parametrize("horizons", [[True], [1, True], [2.0], [0],
                                           [2, MAX_HORIZON + 1]])
@@ -284,6 +288,26 @@ class TestCommands:
         assert "capacity_bits = 0.2094436" in out
         assert "CertifiedTight" in out
 
+    def test_capacity_writes_its_row_in_the_config_units(self, tmp_path,
+                                                         capsys):
+        rows = {}
+        for units in ("bits", "nats"):
+            path = write_cfg(tmp_path, scalar_doc(units=units), f"{units}.json")
+            out_csv = tmp_path / f"{units}.csv"
+            assert run(["capacity", "--config", path,
+                        "--output", str(out_csv)]) == 0
+            printed = dict(line.split(" = ")
+                           for line in capsys.readouterr().out.splitlines())
+            header, row = out_csv.read_text().splitlines()
+            assert header == "budget,capacity,cost,certificate"
+            rows[units] = row.split(",")
+            assert rows[units][1] == printed[f"capacity_{units}"]
+        for units, capacity in (("bits", 0.209443616), ("nats", 0.145175252)):
+            budget, rate, cost, verdict = rows[units]
+            assert budget == "2" and verdict == "CertifiedTight"
+            assert float(rate) == pytest.approx(capacity, rel=1e-8)
+            assert float(cost) == pytest.approx(2.0, abs=1e-9)
+
     def test_capacity_prints_the_multipliers(self, tmp_path, capsys):
         path = write_cfg(tmp_path, scalar_doc())
         cfg = load_config(path)
@@ -398,8 +422,7 @@ class TestCommands:
         assert lines[0].startswith("config error: ")
 
     @pytest.mark.parametrize("flags", [
-        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
-        ["--max-iter", "0"], ["--max-iter", "-5"]])
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"]])
     def test_bad_solver_flags_are_config_errors(self, tmp_path, capsys, flags):
         path = write_cfg(tmp_path, scalar_doc())
         assert run(["ub", "--config", path] + flags) == 1
@@ -518,8 +541,7 @@ class TestCommands:
             assert 0.0 <= float(row[6]) <= DEFAULT_OPTIONS.tol / math.log(2.0)
 
     @pytest.mark.parametrize("flags, solver", [
-        ([], None), (["--tol", "1e-6"], SolverOptions(tol=1e-6)),
-        (["--max-iter", "900"], SolverOptions(max_iter=900))])
+        ([], None), (["--tol", "1e-6"], SolverOptions(tol=1e-6))])
     def test_scop_passes_the_solver_options_through(self, tmp_path,
                                                      monkeypatch, flags,
                                                      solver):
@@ -531,6 +553,32 @@ class TestCommands:
         doc = scalar_doc(horizons=[2])
         assert run(["scop", "--config", write_cfg(tmp_path, doc)] + flags) == 0
         assert seen == [solver]
+
+    def test_scop_solves_to_its_default_unless_a_tol_is_given(self, tmp_path,
+                                                              capsys):
+        # a solver block, or a flag, once filled in solve_ub's tolerance for
+        # every key it did not set: --max-iter 50000 solved scop to 5e-11
+        runs = {
+            "none": (scalar_doc(), []),
+            "empty": (scalar_doc(solver={}), []),
+            "lax": (scalar_doc(solver={"max_iter": 900}), ["--lax"]),
+            "default-tol": (scalar_doc(), ["--tol", str(DEFAULT_OPTIONS.tol)]),
+        }
+        written = {}
+        for name, (doc, flags) in runs.items():
+            doc["horizons"] = list(range(2, 17))
+            out = tmp_path / f"{name}.csv"
+            assert run(["scop", "--config", write_cfg(tmp_path, doc),
+                        "--output", str(out)] + flags) == 0
+            written[name] = out.read_bytes()
+        assert len(set(written.values())) == 1
+        rows = written["none"].decode().splitlines()[1:]
+        assert len(rows) == 15
+        assert all(row.split(",")[1] == "ok" for row in rows)
+        with pytest.raises(SystemExit):
+            run(["scop", "--config", write_cfg(tmp_path, scalar_doc()),
+                 "--max-iter", "50000"])
+        assert "unrecognized arguments: --max-iter" in capsys.readouterr().err
 
     def test_no_strict_start_is_a_solver_failure(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -552,13 +600,37 @@ class TestCommands:
         assert err[0].startswith("error: SolverNonConvergence: ")
 
     def test_simulate_command(self, tmp_path, capsys):
-        doc = scalar_doc()
-        doc["sim"] = {"seed": 7, "trajectories": 40, "horizon": 800,
-                      "burn_in": 80}
-        code = run(["simulate", "--config", write_cfg(tmp_path, doc)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "verdict: pass" in out
+        # every rate in the config's units: the rate check once printed nats
+        # under a bits config
+        sim = {"seed": 7, "trajectories": 40, "horizon": 800, "burn_in": 80}
+        pinned = {"bits": (0.207199644, 0.209443616),
+                  "nats": (0.143619849, 0.145175252)}
+        for units, (empirical, theory) in pinned.items():
+            path = write_cfg(tmp_path, scalar_doc(sim=sim, units=units),
+                             f"{units}.json")
+            out_csv = tmp_path / f"{units}.csv"
+            assert run(["simulate", "--config", path,
+                        "--output", str(out_csv)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert "verdict: pass" in out
+            header, row = out_csv.read_text().splitlines()
+            assert header == ("budget,empirical_cost,cost_stderr,theory_cost,"
+                              "empirical_rate,theory_rate,whiteness,verdict")
+            row = dict(zip(header.split(","), row.split(",")))
+            assert row["budget"] == "2" and row["verdict"] == "pass"
+            assert float(row["empirical_rate"]) == pytest.approx(empirical,
+                                                                 rel=1e-6)
+            assert float(row["theory_rate"]) == pytest.approx(theory, rel=1e-8)
+            assert float(row["empirical_cost"]) == pytest.approx(1.99583155,
+                                                                 rel=1e-6)
+            assert (f"empirical_rate_{units} = {row['empirical_rate']} "
+                    f"(theory {row['theory_rate']})") in out
+            # the floor tolerance RATE_FLOOR = 5e-3 nats, in the units
+            tol = 5e-3 / math.log(2.0) if units == "bits" else 5e-3
+            assert (f"[PASS] rate_{units}: "
+                    f"value={float(row['empirical_rate']):.6g} "
+                    f"target={float(row['theory_rate']):.6g} "
+                    f"tol={tol:.3g}") in out
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -238,6 +238,26 @@ class TestCertificate:
         assert cert.verdict == "NotCertified"
         assert cert.reasons == ("|rate_gap| 1.000e-05 > 1e-6",)
 
+    def test_a_riccati_residual_above_its_tolerance_is_not_certified(
+            self, s1, w1, c1):
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        res_tol = 1e-6 * (1.0 + la.fro(rep.ub.decision.SigmaHat))
+        ub = replace(rep.ub, riccati_residual=2.0 * res_tol)
+        cert = tightness_certificate(ub, rep.lb, c1.estimator)
+        assert cert.verdict == "NotCertified" and cert.route == ""
+        assert cert.riccati_residual == 2.0 * res_tol
+        assert cert.reasons == (
+            f"riccati_residual {2.0 * res_tol:.3e} > {res_tol:.3e}",)
+
+    def test_an_undetectable_policy_pair_is_not_certified(self, s1, w1, c1):
+        rep = solve_capacity(BudgetedProblem(s1, w1, 2.0), consts=c1)
+        lb = replace(rep.lb, riccati=replace(
+            rep.lb.riccati, detectability=riccati.PBHResult(False)))
+        cert = tightness_certificate(rep.ub, lb, c1.estimator)
+        assert cert.verdict == "NotCertified" and cert.route == ""
+        assert not cert.detectable
+        assert cert.reasons == ("policy pair not detectable",)
+
     def test_vector_certified(self, s2, w2, c2):
         rep = solve_capacity(BudgetedProblem(s2, w2, 2.0 * c2.minimal_cost),
                              consts=c2)

